@@ -19,8 +19,7 @@
 //     goodput — the multi-request counterpart of Simulate. Engine.ServeMany
 //     runs the cells of a load sweep concurrently on a bounded worker
 //     pool with per-cell results bit-identical to serial Serve calls;
-//     the serving loop itself is allocation-free in steady state, with
-//     the human-readable event log opt-in via WithEventLog.
+//     the serving loop itself is allocation-free in steady state.
 //   - Engine.EvaluatePolicy runs a sparse-attention policy against a
 //     calibrated synthetic attention process and reports attention-mass
 //     recall and Spearman correlation — the unit of the paper's accuracy
@@ -35,95 +34,21 @@
 // sched.Register, attention.Register, model.Register, and
 // memsim.RegisterProfile without touching the engine.
 //
-// The free functions Simulate, Serve, EvaluatePolicy, and NewPolicy are
-// retained as deprecated one-shot shims over Engine with bit-identical
-// results.
-//
 // See DESIGN.md for the system inventory, the hardware-gate
 // substitutions, and the public API contract (§7), and EXPERIMENTS.md for
 // paper-vs-measured results.
 package alisa
 
 import (
-	"context"
-
-	"repro/internal/attention"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
 
-// Options configures one simulated inference run.
-//
-// Deprecated: Options is the one-shot configuration for the Simulate
-// shim. New code should compile an Engine once with New and functional
-// options, then call Engine.Simulate per workload shape.
-type Options struct {
-	// Model is a catalog name: opt-6.7b, opt-13b, opt-30b, llama-7b,
-	// llama-13b, llama-33b, pythia-6.9b, pythia-12b.
-	Model string
-	// Profile is the simulated hardware: V100-16GB, V100-32GB, H100-80GB.
-	// Empty selects the paper's pairing for the model scale.
-	Profile string
-	// Scheduler is the KV placement policy: alisa, flexgen, vllm,
-	// deepspeed-zero, hf-accelerate, gpu-only, no-cache.
-	Scheduler string
-
-	Batch  int
-	Input  int
-	Output int
-
-	// KVSparsity ∈ [0, 1) is SWA's skipped-token fraction (paper headline
-	// setting: 0.8). KVBits is the KV storage precision, 16 or 8.
-	KVSparsity float64
-	KVBits     int
-}
-
 // Result is the outcome of a simulation; see core.Result for field
 // documentation.
 type Result = core.Result
-
-// Simulate runs one end-to-end inference simulation.
-//
-// Deprecated: Simulate compiles a throwaway Engine per call. New code
-// should call New once and Engine.Simulate per shape; results for
-// accepted configurations are bit-identical. One deliberate behaviour
-// change rides along: KVBits is validated up front to {8, 16}, so the
-// INT4 setting the old path let through is now rejected (INT4 remains an
-// internal extension; see the extension-int4 experiment).
-func Simulate(opts Options) (*Result, error) {
-	e, err := New(opts.Model,
-		maybeProfile(opts.Profile),
-		WithScheduler(opts.Scheduler),
-		WithKVSparsity(opts.KVSparsity),
-		WithKVBits(opts.KVBits),
-	)
-	if err != nil {
-		return nil, err
-	}
-	return e.Simulate(context.Background(), Shape{Batch: opts.Batch, Input: opts.Input, Output: opts.Output})
-}
-
-// maybeProfile returns WithProfile(name), or a no-op for the empty name
-// (the paper-pairing default) so the shims can pass legacy zero values
-// through unchanged.
-func maybeProfile(name string) Option {
-	if name == "" {
-		return func(*Engine) error { return nil }
-	}
-	return WithProfile(name)
-}
-
-// Policy is a sparse-attention token-selection policy (dense, local,
-// strided, swa, h2o, or anything added through attention.Register).
-type Policy = attention.Policy
-
-// NewPolicy constructs a policy by registered name at the given caching
-// ratio (1 − KV sparsity) for a model with the given layer count.
-func NewPolicy(name string, cachingRatio float64, layers int) (Policy, error) {
-	return attention.ByName(name, cachingRatio, layers)
-}
 
 // PolicyReport summarises an accuracy-side evaluation of a policy.
 type PolicyReport struct {
@@ -140,26 +65,6 @@ type PolicyReport struct {
 	// run for it.
 	MeanRecall float64
 	Spearman   float64
-}
-
-// EvaluatePolicy runs the named policy at the given KV sparsity against an
-// attention process calibrated to the named model, for `steps` decode
-// steps.
-//
-// Deprecated: EvaluatePolicy compiles a throwaway Engine per call. New
-// code should call New(model, WithKVSparsity(s), WithSeed(seed)) once and
-// Engine.EvaluatePolicy per policy; the results are bit-identical.
-func EvaluatePolicy(modelName, policyName string, kvSparsity float64, steps int, seed int64) (*PolicyReport, error) {
-	// Steps are validated before any spec or policy construction, here
-	// and in Engine.EvaluatePolicy.
-	if steps <= 0 {
-		return nil, &ConfigError{Field: "Steps", Value: steps, Reason: "must be positive"}
-	}
-	e, err := New(modelName, WithKVSparsity(kvSparsity), WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
-	return e.EvaluatePolicy(context.Background(), policyName, steps)
 }
 
 // Experiment identifies one reproducible table or figure.

@@ -1,16 +1,17 @@
 package alisa
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestSimulateHeadline(t *testing.T) {
-	res, err := Simulate(Options{
-		Model: "opt-6.7b", Scheduler: "alisa",
-		Batch: 16, Input: 128, Output: 256,
-		KVSparsity: 0.8, KVBits: 8,
-	})
+	eng, err := New("opt-6.7b", WithScheduler("alisa"), WithKVSparsity(0.8), WithKVBits(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Simulate(context.Background(), Shape{Batch: 16, Input: 128, Output: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,10 +21,12 @@ func TestSimulateHeadline(t *testing.T) {
 }
 
 func TestSimulateExplicitProfile(t *testing.T) {
-	res, err := Simulate(Options{
-		Model: "opt-6.7b", Profile: "H100-80GB", Scheduler: "gpu-only",
-		Batch: 8, Input: 64, Output: 64, KVSparsity: 0, KVBits: 16,
-	})
+	eng, err := New("opt-6.7b",
+		WithProfile("H100-80GB"), WithScheduler("gpu-only"), WithKVSparsity(0), WithKVBits(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Simulate(context.Background(), Shape{Batch: 8, Input: 64, Output: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,40 +36,61 @@ func TestSimulateExplicitProfile(t *testing.T) {
 }
 
 func TestSimulateErrors(t *testing.T) {
-	cases := []Options{
-		{Model: "gpt-5", Scheduler: "alisa", Batch: 1, Input: 1, Output: 1, KVBits: 16},
-		{Model: "opt-6.7b", Scheduler: "magic", Batch: 1, Input: 1, Output: 1, KVBits: 16},
-		{Model: "opt-6.7b", Profile: "TPU", Scheduler: "alisa", Batch: 1, Input: 1, Output: 1, KVBits: 16},
-		{Model: "opt-6.7b", Scheduler: "alisa", Batch: 0, Input: 1, Output: 1, KVBits: 16},
+	configs := []struct {
+		model string
+		opts  []Option
+	}{
+		{"gpt-5", []Option{WithScheduler("alisa")}},
+		{"opt-6.7b", []Option{WithScheduler("magic")}},
+		{"opt-6.7b", []Option{WithProfile("TPU"), WithScheduler("alisa")}},
 	}
-	for i, opts := range cases {
-		if _, err := Simulate(opts); err == nil {
+	for i, c := range configs {
+		if _, err := New(c.model, append(c.opts, WithKVBits(16))...); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
+	eng, err := New("opt-6.7b", WithScheduler("alisa"), WithKVBits(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Simulate(context.Background(), Shape{Batch: 0, Input: 1, Output: 1}); err == nil {
+		t.Error("zero batch: expected error")
+	}
 }
 
+// TestNewPolicyNames checks that every built-in policy name resolves at
+// caching ratio 0.5 (KV sparsity 0.5) and that an unknown one does not.
 func TestNewPolicyNames(t *testing.T) {
+	eng, err := New("opt-6.7b", WithKVSparsity(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 	for _, name := range []string{"dense", "local", "strided", "swa", "h2o"} {
-		p, err := NewPolicy(name, 0.5, 2)
+		rep, err := eng.EvaluatePolicy(ctx, name, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if p.Name() != name {
-			t.Fatalf("Name() = %q, want %q", p.Name(), name)
+		if rep.Policy != name {
+			t.Fatalf("Policy = %q, want %q", rep.Policy, name)
 		}
 	}
-	if _, err := NewPolicy("oracle", 0.5, 2); err == nil {
+	if _, err := eng.EvaluatePolicy(ctx, "oracle", 2); err == nil {
 		t.Fatal("expected error for unknown policy")
 	}
 }
 
 func TestEvaluatePolicyOrdering(t *testing.T) {
-	swa, err := EvaluatePolicy("opt-6.7b", "swa", 0.8, 256, 1)
+	ctx := context.Background()
+	eng, err := New("opt-6.7b", WithKVSparsity(0.8), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := EvaluatePolicy("opt-6.7b", "local", 0.8, 256, 1)
+	swa, err := eng.EvaluatePolicy(ctx, "swa", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := eng.EvaluatePolicy(ctx, "local", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,23 +100,34 @@ func TestEvaluatePolicyOrdering(t *testing.T) {
 	if swa.Spearman <= local.Spearman {
 		t.Fatalf("SWA ρ %.3f should beat local %.3f", swa.Spearman, local.Spearman)
 	}
-	dense, err := EvaluatePolicy("opt-6.7b", "dense", 0, 64, 1)
+	denseEng, err := New("opt-6.7b", WithKVSparsity(0), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	dense, err := denseEng.EvaluatePolicy(ctx, "dense", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dense reference is the identity by definition: ρ ≡ 1 exactly,
+	// not approximately (see PolicyReport.Spearman).
 	if dense.MeanRecall != 1 || dense.Spearman != 1 {
 		t.Fatalf("dense should be the identity reference: %+v", dense)
 	}
 }
 
 func TestEvaluatePolicyErrors(t *testing.T) {
-	if _, err := EvaluatePolicy("gpt-5", "swa", 0.8, 16, 1); err == nil {
+	if _, err := New("gpt-5", WithKVSparsity(0.8), WithSeed(1)); err == nil {
 		t.Fatal("expected model error")
 	}
-	if _, err := EvaluatePolicy("opt-6.7b", "magic", 0.8, 16, 1); err == nil {
+	eng, err := New("opt-6.7b", WithKVSparsity(0.8), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := eng.EvaluatePolicy(ctx, "magic", 16); err == nil {
 		t.Fatal("expected policy error")
 	}
-	if _, err := EvaluatePolicy("opt-6.7b", "swa", 0.8, 0, 1); err == nil {
+	if _, err := eng.EvaluatePolicy(ctx, "swa", 0); err == nil {
 		t.Fatal("expected steps error")
 	}
 }
@@ -123,12 +158,12 @@ func TestCatalogs(t *testing.T) {
 }
 
 func TestServePublicAPI(t *testing.T) {
-	res, err := Serve(ServeOptions{
-		Model: "opt-6.7b", Scheduler: "alisa",
-		Trace:      PoissonTrace(12, 2, 3),
-		KVSparsity: 0.8, KVBits: 8,
-		MaxBatch: 6,
-	})
+	eng, err := New("opt-6.7b",
+		WithScheduler("alisa"), WithKVSparsity(0.8), WithKVBits(8), WithMaxBatch(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Serve(context.Background(), PoissonTrace(12, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +179,14 @@ func TestServePublicAPI(t *testing.T) {
 }
 
 func TestServePublicAPIErrors(t *testing.T) {
-	if _, err := Serve(ServeOptions{Model: "nope", Scheduler: "alisa", Trace: UniformTrace(1, 0, 8, 8), KVBits: 16}); err == nil {
+	if _, err := New("nope", WithScheduler("alisa"), WithKVBits(16)); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := Serve(ServeOptions{Model: "opt-6.7b", Scheduler: "deepspeed-zero", Trace: UniformTrace(1, 0, 8, 8), KVBits: 16}); err == nil {
+	eng, err := New("opt-6.7b", WithScheduler("deepspeed-zero"), WithKVBits(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Serve(context.Background(), UniformTrace(1, 0, 8, 8)); err == nil {
 		t.Error("deepspeed-zero accepted as serving policy")
 	}
 }

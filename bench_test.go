@@ -377,9 +377,9 @@ func BenchmarkEngineDecodeStep(b *testing.B) {
 
 // --- serving sweep benchmarks ---
 
-// sweepBenchEngines compiles the sweep benchmark's engines (event log
-// off) and traces once; the benchmarks reuse them across iterations so
-// only cell execution is timed.
+// sweepBenchEngines compiles the sweep benchmark's engines and traces
+// once; the benchmarks reuse them across iterations so only cell
+// execution is timed.
 func sweepBenchEngines(b *testing.B) ([]*Engine, []TraceWorkload) {
 	b.Helper()
 	var engines []*Engine

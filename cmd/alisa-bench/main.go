@@ -1,218 +1,33 @@
 // Command alisa-bench regenerates the paper's evaluation: every table and
-// figure, or a selected subset — and benches the compiled engine itself
-// over a (model × scheduler × batch) grid and the serving sweep runner.
+// figure, or a selected subset.
 //
 // Usage:
 //
 //	alisa-bench -list            # enumerate experiments
 //	alisa-bench -run fig9        # one experiment
 //	alisa-bench -all             # the full evaluation
-//	alisa-bench -all -json       # machine-readable timings on stdout
-//	alisa-bench -grid            # engine grid: per-cell wall/sim timing
-//	alisa-bench -grid -grid-parallel 0   # grid pairs run concurrently
-//	alisa-bench -sweep-bench     # serving sweep: serial vs parallel wall
-//	                             # clock + serve.Run allocation counts
-//	alisa-bench -scale-bench     # paced scale-mode stream: wall clock,
-//	                             # steady-state allocs/request, heap
-//	alisa-bench -prefix-bench    # prefix-sharing workloads cache-off vs
-//	                             # cache-on: hit rate, prefill reduction,
-//	                             # TTFT and goodput deltas (self-checked)
 //
-// With -json the rendered reports are suppressed and a single JSON
-// document is written to stdout instead, so the bench trajectory can be
-// tracked PR-over-PR (e.g. `alisa-bench -all -sweep-bench -json >
-// BENCH_$(git rev-parse --short HEAD).json`). The format is documented in
-// EXPERIMENTS.md:
-//
-//	{
-//	  "total_seconds": 3.21,
-//	  "experiments": [
-//	    {"id": "fig8", "title": "...", "seconds": 2.38, "output_bytes": 123456},
-//	    ...
-//	  ],
-//	  "serve_sweep": {"serial_seconds": ..., "parallel_seconds": ..., ...}
-//	}
-//
-// With -grid the engine API is exercised directly: one alisa.Engine is
-// compiled per (model, scheduler) pair and reused across every batch-size
-// cell, and a streaming Observer collects per-cell decode-step counts and
-// simulated time alongside the measured wall time — the per-cell timing
-// view of the public API's hot path. -grid-parallel runs the pairs
-// concurrently (each pair's batch cells stay serial so its observer
-// stays single-goroutine); rows print in deterministic grid order.
-//
-// With -sweep-bench the (scheduler × offered load) serving sweep is run
-// twice — one cell at a time, then concurrently on -sweep-parallel
-// workers — against the same compiled engines with the event log off,
-// verifying the parallel pass reproduces the serial results bit for bit
-// and reporting both wall clocks plus serve.Run allocation counts with
-// the event log off and on.
-//
-// With -scale-bench a single scale-mode serving stream (streaming metric
-// digests, recycled records — WithExactMetrics(-1)) is paced through the
-// public Session API with a bounded in-flight backlog (-scale-live),
-// reporting wall clock, steady-state allocations per request, and heap —
-// the public-API companion of internal/serve's BenchmarkServeMillion.
+// Performance is measured by the repository benchmark (`bash
+// bench/run.sh`; see bench/README.md), not by this command.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
-	"runtime"
-	"strconv"
-	"strings"
-	"testing"
 	"time"
 
-	alisa "repro"
 	"repro/internal/experiments"
-	"repro/internal/grid"
-	"repro/internal/textfmt"
 )
-
-// timing is one experiment's entry in the -json report.
-type timing struct {
-	ID          string  `json:"id"`
-	Title       string  `json:"title"`
-	Seconds     float64 `json:"seconds"`
-	OutputBytes int     `json:"output_bytes"`
-}
-
-// sweepTiming is the -sweep-bench entry in the -json report.
-type sweepTiming struct {
-	Schedulers []string  `json:"schedulers"`
-	Rates      []float64 `json:"rates"`
-	Requests   int       `json:"requests"`
-	Workers    int       `json:"workers"`
-	// SerialSeconds and ParallelSeconds are the wall clocks of running
-	// every (scheduler × rate) cell one at a time vs through the bounded
-	// worker pool; Identical reports whether the parallel pass reproduced
-	// the serial results bit for bit.
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	Identical       bool    `json:"parallel_results_identical"`
-	// AllocsPerServeRun / AllocsPerServeRunCaptured are
-	// testing.AllocsPerRun over one pressured serve.Run with the event
-	// log off (sweep mode) and on (determinism-suite mode).
-	AllocsPerServeRun         float64 `json:"allocs_per_serve_run"`
-	AllocsPerServeRunCaptured float64 `json:"allocs_per_serve_run_captured"`
-}
-
-// clusterTiming is the -cluster-bench entry in the -json report: the
-// (router × fleet size) cluster grid run serially and in parallel on the
-// same engine, with the bit-identity self-check over result fingerprints.
-type clusterTiming struct {
-	Routers  []string `json:"routers"`
-	Replicas []int    `json:"replicas"`
-	Requests int      `json:"requests"`
-	Rate     float64  `json:"rate"`
-	Workers  int      `json:"workers"`
-	// SerialSeconds and ParallelSeconds are the wall clocks of the two
-	// passes; Identical reports whether every cell's full-precision result
-	// fingerprint matched bit for bit across them.
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	Identical       bool    `json:"parallel_results_identical"`
-}
-
-// prefixWorkload is one workload row of the -prefix-bench report: the
-// same token-carrying workload served cache-off and cache-on, with the
-// prefix-sharing wins the PR claims measured directly.
-type prefixWorkload struct {
-	Name     string `json:"name"`
-	Requests int    `json:"requests"`
-	// HitRate is the cache-on run's prefix hit rate over probed
-	// admissions; SharedBytesPeak its peak shared-cache residency.
-	HitRate         float64 `json:"hit_rate"`
-	SharedBytesPeak int64   `json:"shared_bytes_peak"`
-	// PrefillTokensOff/On and PrefillReduction compare total prefilled
-	// tokens; TTFT and goodput pairs compare the serving metrics.
-	PrefillTokensOff int64   `json:"prefill_tokens_off"`
-	PrefillTokensOn  int64   `json:"prefill_tokens_on"`
-	PrefillReduction float64 `json:"prefill_reduction"`
-	TTFTMeanOff      float64 `json:"ttft_mean_off"`
-	TTFTMeanOn       float64 `json:"ttft_mean_on"`
-	GoodputOff       float64 `json:"goodput_off"`
-	GoodputOn        float64 `json:"goodput_on"`
-	GoodputDelta     float64 `json:"goodput_delta"`
-	Seconds          float64 `json:"seconds"`
-}
-
-// prefixTiming is the -prefix-bench entry in the -json report.
-type prefixTiming struct {
-	BlockTokens int              `json:"block_tokens"`
-	Workloads   []prefixWorkload `json:"workloads"`
-}
-
-// scaleTiming is the -scale-bench entry in the -json report: one paced
-// scale-mode serving stream through the public Session API.
-type scaleTiming struct {
-	Requests int `json:"requests"`
-	LiveCap  int `json:"live_cap"`
-	// WallSeconds covers the whole stream; AllocsPerRequest and HeapMB
-	// are measured over the post-warm-up steady state, so they report
-	// the asymptotic per-request cost the scale rebuild pins.
-	WallSeconds       float64 `json:"wall_seconds"`
-	RequestsPerSecond float64 `json:"requests_per_second"`
-	AllocsPerRequest  float64 `json:"allocs_per_request"`
-	HeapMB            float64 `json:"heap_mb"`
-}
-
-// report is the top-level -json document.
-type report struct {
-	TotalSeconds float64        `json:"total_seconds"`
-	Experiments  []timing       `json:"experiments"`
-	ServeSweep   *sweepTiming   `json:"serve_sweep,omitempty"`
-	ScaleServe   *scaleTiming   `json:"scale_serve,omitempty"`
-	Cluster      *clusterTiming `json:"cluster,omitempty"`
-	Prefix       *prefixTiming  `json:"prefix,omitempty"`
-}
 
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	run := flag.String("run", "", "run one experiment by id (e.g. fig9)")
 	all := flag.Bool("all", false, "run every experiment in paper order")
-	asJSON := flag.Bool("json", false, "emit machine-readable timings instead of rendered reports")
-	gridMode := flag.Bool("grid", false, "bench the compiled engine over a model × scheduler × batch grid")
-	gridModels := flag.String("grid-models", "opt-6.7b,opt-13b", "comma-separated models for -grid")
-	gridScheds := flag.String("grid-sched", "alisa,flexgen,vllm", "comma-separated schedulers for -grid")
-	gridBatches := flag.String("grid-batches", "8,16,32", "comma-separated batch sizes for -grid")
-	gridParallel := flag.Int("grid-parallel", 1, "concurrent (model, scheduler) pairs for -grid (0 = GOMAXPROCS)")
-	sweepBench := flag.Bool("sweep-bench", false, "bench the serving sweep serially vs in parallel")
-	scaleBench := flag.Bool("scale-bench", false, "bench a paced scale-mode serving stream (streaming digests, O(in-flight) memory)")
-	scaleN := flag.Int("scale-n", 1_000_000, "requests for -scale-bench")
-	scaleLive := flag.Int("scale-live", 256, "in-flight cap (pending+active) for -scale-bench pacing")
-	sweepScheds := flag.String("sweep-sched", "alisa,vllm,hf-accelerate,gpu-only", "comma-separated schedulers for -sweep-bench")
-	sweepRates := flag.String("sweep-rates", "1,2,4,8", "comma-separated arrival rates for -sweep-bench")
-	sweepN := flag.Int("sweep-n", 48, "requests per -sweep-bench cell")
-	sweepParallel := flag.Int("sweep-parallel", 0, "workers for the parallel pass (0 = GOMAXPROCS)")
-	clusterBench := flag.Bool("cluster-bench", false, "bench the replicated-fleet grid serially vs in parallel")
-	clusterRouters := flag.String("cluster-routers", "", "comma-separated routing policies for -cluster-bench (empty = all registered)")
-	clusterReplicas := flag.String("cluster-replicas", "1,2,4", "comma-separated fleet sizes for -cluster-bench")
-	clusterN := flag.Int("cluster-n", 48, "requests per -cluster-bench cell")
-	clusterRate := flag.Float64("cluster-rate", 6, "arrival rate for -cluster-bench, requests/second")
-	clusterParallel := flag.Int("cluster-parallel", 0, "workers for the parallel pass (0 = GOMAXPROCS)")
-	prefixBench := flag.Bool("prefix-bench", false, "bench the prefix-sharing workloads cache-off vs cache-on")
-	prefixBlock := flag.Int("prefix-block", 16, "prefix cache block size in tokens for -prefix-bench")
 	flag.Parse()
-
-	if err := validateParallelism(*gridParallel, *sweepParallel, *clusterParallel); err != nil {
-		fatal(err)
-	}
 
 	var runners []experiments.Runner
 	switch {
-	case *gridMode:
-		if err := runGrid(*gridModels, *gridScheds, *gridBatches, *gridParallel); err != nil {
-			fatal(err)
-		}
-		return
 	case *list:
 		for _, r := range experiments.All() {
 			fmt.Printf("%-8s %s\n", r.ID, r.Title)
@@ -226,602 +41,21 @@ func main() {
 		runners = []experiments.Runner{r}
 	case *all:
 		runners = experiments.All()
-	case *sweepBench, *scaleBench, *clusterBench, *prefixBench:
-		// bench modes alone: no experiments, just their sections.
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	rep := report{}
-	start := time.Now()
 	for _, r := range runners {
-		t, err := execute(r, *asJSON)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Experiments = append(rep.Experiments, t)
-	}
-	if *sweepBench {
-		st, err := runSweepBench(*sweepScheds, *sweepRates, *sweepN, *sweepParallel, *asJSON)
-		if err != nil {
-			fatal(err)
-		}
-		rep.ServeSweep = st
-	}
-	if *scaleBench {
-		st, err := runScaleBench(*scaleN, *scaleLive, *asJSON)
-		if err != nil {
-			fatal(err)
-		}
-		rep.ScaleServe = st
-	}
-	if *clusterBench {
-		ct, err := runClusterBench(*clusterRouters, *clusterReplicas, *clusterN, *clusterRate, *clusterParallel, *asJSON)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Cluster = ct
-	}
-	if *prefixBench {
-		pt, err := runPrefixBench(*prefixBlock, *asJSON)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Prefix = pt
-	}
-	rep.TotalSeconds = time.Since(start).Seconds()
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// cellStats accumulates one grid cell's observer events.
-type cellStats struct {
-	steps int
-}
-
-// gridPair is one (model, scheduler) engine of the -grid bench with its
-// rendered rows, buffered so parallel pairs print in deterministic order.
-type gridPair struct {
-	model, sched string
-	rows         [][]string
-	err          error
-}
-
-// runGrid benches the compiled-engine hot path: each (model, scheduler)
-// engine is compiled once, then every batch cell reuses it serially (the
-// cell observer is single-goroutine state); with workers > 1 the pairs
-// themselves run concurrently through the shared grid executor.
-func runGrid(models, scheds, batches string, workers int) error {
-	var sizes []int
-	for _, b := range strings.Split(batches, ",") {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(b), "%d", &v); err != nil || v <= 0 {
-			return fmt.Errorf("bad -grid-batches entry %q", b)
-		}
-		sizes = append(sizes, v)
-	}
-
-	var pairs []*gridPair
-	for _, modelName := range strings.Split(models, ",") {
-		for _, schedName := range strings.Split(scheds, ",") {
-			pairs = append(pairs, &gridPair{
-				model: strings.TrimSpace(modelName),
-				sched: strings.TrimSpace(schedName),
-			})
-		}
-	}
-
-	_ = grid.Run(context.Background(), len(pairs), workers, func(ctx context.Context, i int) {
-		p := pairs[i]
-		stats := &cellStats{}
-		opts := []alisa.Option{
-			alisa.WithScheduler(p.sched),
-			alisa.WithObserver(alisa.ObserverFuncs{
-				Step: func(e alisa.StepEvent) { stats.steps++ },
-			}),
-		}
-		if p.sched == "alisa" {
-			opts = append(opts, alisa.WithKVSparsity(0.8), alisa.WithKVBits(8))
-		}
-		eng, err := alisa.New(p.model, opts...)
-		if err != nil {
-			p.err = err
-			return
-		}
-		for _, batch := range sizes {
-			*stats = cellStats{}
-			start := time.Now()
-			res, err := eng.Simulate(ctx, alisa.Shape{Batch: batch, Input: 128, Output: 256})
-			wall := time.Since(start)
-			if err != nil {
-				p.rows = append(p.rows, []string{p.model, p.sched, fmt.Sprint(batch),
-					wall.Round(time.Microsecond).String(), "—", "—", "error: " + err.Error()})
-				continue
-			}
-			p.rows = append(p.rows, []string{p.model, p.sched, fmt.Sprint(batch),
-				wall.Round(time.Microsecond).String(),
-				textfmt.Seconds(res.TotalSeconds),
-				fmt.Sprint(stats.steps),
-				fmt.Sprintf("%.1f", res.Throughput)})
-		}
-	})
-
-	tb := textfmt.NewTable("model", "scheduler", "batch", "wall", "sim", "steps", "tok/s")
-	for _, p := range pairs {
-		if p.err != nil {
-			return p.err
-		}
-		for _, row := range p.rows {
-			tb.AddRow(row...)
-		}
-	}
-	fmt.Println(tb.String())
-	return nil
-}
-
-// runSweepBench measures the (scheduler × rate) serving sweep twice —
-// serially and through the bounded worker pool — on identical compiled
-// engines, checks the two passes agree bit for bit, and measures
-// serve.Run allocation counts with the event log off and on.
-func runSweepBench(scheds, rates string, n, workers int, quiet bool) (*sweepTiming, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("-sweep-n must be positive, got %d", n)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	names := strings.Split(scheds, ",")
-	var rateVals []float64
-	for _, f := range strings.Split(rates, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -sweep-rates entry %q", f)
-		}
-		rateVals = append(rateVals, v)
-	}
-
-	ctx := context.Background()
-	// engineOpts is the one option set per scheduler, shared by the sweep
-	// engines and the allocation-measurement engines below so the
-	// capture-off/on comparison differs only in WithEventLog.
-	engineOpts := func(name string) []alisa.Option {
-		opts := []alisa.Option{alisa.WithScheduler(name)}
-		if name == "alisa" {
-			opts = append(opts, alisa.WithKVSparsity(0.8), alisa.WithKVBits(8))
-		}
-		return opts
-	}
-	var engines []*alisa.Engine
-	for i, name := range names {
-		name = strings.TrimSpace(name)
-		names[i] = name
-		eng, err := alisa.New("opt-6.7b", engineOpts(name)...)
-		if err != nil {
-			return nil, err
-		}
-		engines = append(engines, eng)
-	}
-	traces := make([]alisa.TraceWorkload, len(rateVals))
-	for i, r := range rateVals {
-		traces[i] = alisa.PoissonTrace(n, r, 1)
-	}
-
-	cells := len(engines) * len(traces)
-	runCell := func(ctx context.Context, out []*alisa.ServeResult, c int) error {
-		res, err := engines[c/len(traces)].Serve(ctx, traces[c%len(traces)])
-		out[c] = res
-		return err
-	}
-
-	serial := make([]*alisa.ServeResult, cells)
-	serialStart := time.Now()
-	for c := 0; c < cells; c++ {
-		if err := runCell(ctx, serial, c); err != nil {
-			return nil, fmt.Errorf("serial cell %d: %w", c, err)
-		}
-	}
-	serialSeconds := time.Since(serialStart).Seconds()
-
-	parallel := make([]*alisa.ServeResult, cells)
-	parallelStart := time.Now()
-	errs := make([]error, cells)
-	_ = grid.Run(ctx, cells, workers, func(ctx context.Context, c int) {
-		errs[c] = runCell(ctx, parallel, c)
-	})
-	parallelSeconds := time.Since(parallelStart).Seconds()
-	for c, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("parallel cell %d: %w", c, err)
-		}
-	}
-
-	identical := true
-	for c := range serial {
-		if !reflect.DeepEqual(serial[c], parallel[c]) {
-			identical = false
-			break
-		}
-	}
-
-	// Allocation counts of one pressured cell, sweep mode vs captured.
-	allocEng := engines[0]
-	allocTrace := traces[len(traces)-1]
-	allocsOff := testing.AllocsPerRun(5, func() {
-		if _, err := allocEng.Serve(ctx, allocTrace); err != nil {
-			panic(err)
-		}
-	})
-	capEng, err := alisa.New("opt-6.7b", append(engineOpts(names[0]), alisa.WithEventLog(true))...)
-	if err != nil {
-		return nil, err
-	}
-	allocsOn := testing.AllocsPerRun(5, func() {
-		if _, err := capEng.Serve(ctx, allocTrace); err != nil {
-			panic(err)
-		}
-	})
-
-	st := &sweepTiming{
-		Schedulers:                names,
-		Rates:                     rateVals,
-		Requests:                  n,
-		Workers:                   workers,
-		SerialSeconds:             serialSeconds,
-		ParallelSeconds:           parallelSeconds,
-		Speedup:                   serialSeconds / parallelSeconds,
-		Identical:                 identical,
-		AllocsPerServeRun:         allocsOff,
-		AllocsPerServeRunCaptured: allocsOn,
-	}
-	if !quiet {
-		fmt.Printf("== serve sweep bench — %d schedulers × %d rates, %d requests/cell, %d workers\n\n",
-			len(names), len(rateVals), n, workers)
-		tb := textfmt.NewTable("pass", "wall", "speedup", "bit-identical")
-		tb.AddRow("serial", fmt.Sprintf("%.3fs", serialSeconds), "1.00×", "—")
-		tb.AddRow("parallel", fmt.Sprintf("%.3fs", parallelSeconds),
-			fmt.Sprintf("%.2f×", st.Speedup), fmt.Sprint(identical))
-		fmt.Println(tb.String())
-		fmt.Printf("serve.Run allocs: %.0f (event log off) / %.0f (captured)\n\n", allocsOff, allocsOn)
-	}
-	if !identical {
-		return st, fmt.Errorf("parallel sweep diverged from serial results")
-	}
-	return st, nil
-}
-
-// validateParallelism rejects negative worker counts for every grid-style
-// bench mode (0 means GOMAXPROCS everywhere); table-tested in
-// main_test.go.
-func validateParallelism(gridParallel, sweepParallel, clusterParallel int) error {
-	if gridParallel < 0 {
-		return fmt.Errorf("-grid-parallel must be ≥ 0, got %d", gridParallel)
-	}
-	if sweepParallel < 0 {
-		return fmt.Errorf("-sweep-parallel must be ≥ 0, got %d", sweepParallel)
-	}
-	if clusterParallel < 0 {
-		return fmt.Errorf("-cluster-parallel must be ≥ 0, got %d", clusterParallel)
-	}
-	return nil
-}
-
-// runClusterBench measures the (router × fleet size) cluster grid twice —
-// serially and through the bounded worker pool — on one compiled engine,
-// and checks the two passes agree bit for bit via the full-precision
-// result fingerprints.
-func runClusterBench(routers, replicas string, n int, rate float64, workers int, quiet bool) (*clusterTiming, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("-cluster-n must be positive, got %d", n)
-	}
-	if rate <= 0 {
-		return nil, fmt.Errorf("-cluster-rate must be positive, got %v", rate)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	routerNames := alisa.ClusterRouters()
-	if routers != "" {
-		routerNames = strings.Split(routers, ",")
-		for i := range routerNames {
-			routerNames[i] = strings.TrimSpace(routerNames[i])
-		}
-	}
-	var sizes []int
-	for _, f := range strings.Split(replicas, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -cluster-replicas entry %q", f)
-		}
-		sizes = append(sizes, v)
-	}
-
-	eng, err := alisa.New("opt-6.7b",
-		alisa.WithScheduler("alisa"), alisa.WithKVSparsity(0.8), alisa.WithKVBits(8), alisa.WithMaxBatch(8))
-	if err != nil {
-		return nil, err
-	}
-	trace := alisa.PoissonTrace(n, rate, 1)
-
-	ctx := context.Background()
-	cells := len(routerNames) * len(sizes)
-	runCell := func(ctx context.Context, out []string, c int) error {
-		res, err := eng.ServeCluster(ctx, alisa.ClusterSpec{
-			Replicas: sizes[c%len(sizes)],
-			Router:   routerNames[c/len(sizes)],
-		}, trace)
-		if err != nil {
-			return err
-		}
-		out[c] = res.Fingerprint()
-		return nil
-	}
-
-	serial := make([]string, cells)
-	serialStart := time.Now()
-	for c := 0; c < cells; c++ {
-		if err := runCell(ctx, serial, c); err != nil {
-			return nil, fmt.Errorf("serial cell %d: %w", c, err)
-		}
-	}
-	serialSeconds := time.Since(serialStart).Seconds()
-
-	parallel := make([]string, cells)
-	errs := make([]error, cells)
-	parallelStart := time.Now()
-	_ = grid.Run(ctx, cells, workers, func(ctx context.Context, c int) {
-		errs[c] = runCell(ctx, parallel, c)
-	})
-	parallelSeconds := time.Since(parallelStart).Seconds()
-	for c, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("parallel cell %d: %w", c, err)
-		}
-	}
-
-	identical := true
-	for c := range serial {
-		if serial[c] != parallel[c] {
-			identical = false
-			break
-		}
-	}
-
-	ct := &clusterTiming{
-		Routers:         routerNames,
-		Replicas:        sizes,
-		Requests:        n,
-		Rate:            rate,
-		Workers:         workers,
-		SerialSeconds:   serialSeconds,
-		ParallelSeconds: parallelSeconds,
-		Speedup:         serialSeconds / parallelSeconds,
-		Identical:       identical,
-	}
-	if !quiet {
-		fmt.Printf("== cluster bench — %d routers × %d fleet sizes, %d requests/cell at %.1f req/s, %d workers\n\n",
-			len(routerNames), len(sizes), n, rate, workers)
-		tb := textfmt.NewTable("pass", "wall", "speedup", "bit-identical")
-		tb.AddRow("serial", fmt.Sprintf("%.3fs", serialSeconds), "1.00×", "—")
-		tb.AddRow("parallel", fmt.Sprintf("%.3fs", parallelSeconds),
-			fmt.Sprintf("%.2f×", ct.Speedup), fmt.Sprint(identical))
-		fmt.Println(tb.String())
-	}
-	if !identical {
-		return ct, fmt.Errorf("parallel cluster grid diverged from serial results")
-	}
-	return ct, nil
-}
-
-// runPrefixBench serves the three prefix-sharing workloads — multi-turn
-// conversations, agent loops over a common tool preamble, and RAG
-// prompts against a popularity-skewed document set — twice each on
-// matched engines, cache off and cache on, and reports the hit rate and
-// the prefill/TTFT/goodput deltas. The conversation row doubles as a
-// self-check of the PR's acceptance claims: at least a 2× prefill-token
-// reduction and a positive goodput delta, or the bench fails.
-func runPrefixBench(block int, quiet bool) (*prefixTiming, error) {
-	if block <= 0 {
-		return nil, fmt.Errorf("-prefix-block must be positive, got %d", block)
-	}
-	ctx := context.Background()
-	// The 32G card gives the cache a budget that holds a conversation
-	// working set next to the 6.7B weights (the default 16G pairing
-	// thrashes it — the serve tests pin that regime separately).
-	newEngine := func(cacheOn bool) (*alisa.Engine, error) {
-		opts := []alisa.Option{alisa.WithProfile("V100-32GB"), alisa.WithMaxBatch(8)}
-		if cacheOn {
-			opts = append(opts, alisa.WithPrefixCache(alisa.PrefixCache{BlockTokens: block}))
-		}
-		return alisa.New("opt-6.7b", opts...)
-	}
-	workloads := []struct {
-		name string
-		run  func(eng *alisa.Engine) (*alisa.ServeResult, error)
-	}{
-		{"conversation", func(eng *alisa.Engine) (*alisa.ServeResult, error) {
-			tr, err := alisa.NewConversationTrace(6, 8, 4.0, 2048, 21)
-			if err != nil {
-				return nil, err
-			}
-			return eng.Serve(ctx, tr)
-		}},
-		{"agent", func(eng *alisa.Engine) (*alisa.ServeResult, error) {
-			return eng.ServeScripted(ctx, alisa.NewAgentClients(4, 8, 0.25, 2048, 17))
-		}},
-		{"rag", func(eng *alisa.Engine) (*alisa.ServeResult, error) {
-			tr, err := alisa.NewRAGTrace(48, 8.0, 2048, 23)
-			if err != nil {
-				return nil, err
-			}
-			return eng.Serve(ctx, tr)
-		}},
-	}
-
-	pt := &prefixTiming{BlockTokens: block}
-	for _, w := range workloads {
 		start := time.Now()
-		pair := [2]*alisa.ServeResult{}
-		for i, cacheOn := range []bool{false, true} {
-			eng, err := newEngine(cacheOn)
-			if err != nil {
-				return nil, err
-			}
-			if pair[i], err = w.run(eng); err != nil {
-				return nil, fmt.Errorf("%s (cache %t): %w", w.name, cacheOn, err)
-			}
+		res, err := r.Run()
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", r.ID, err))
 		}
-		off, on := pair[0], pair[1]
-		row := prefixWorkload{
-			Name:             w.name,
-			Requests:         len(on.Requests),
-			HitRate:          on.PrefixHitRate(),
-			SharedBytesPeak:  on.PrefixSharedBytes,
-			PrefillTokensOff: off.PrefillTokens,
-			PrefillTokensOn:  on.PrefillTokens,
-			TTFTMeanOff:      off.TTFT.Mean,
-			TTFTMeanOn:       on.TTFT.Mean,
-			GoodputOff:       off.Goodput,
-			GoodputOn:        on.Goodput,
-			GoodputDelta:     on.Goodput - off.Goodput,
-			Seconds:          time.Since(start).Seconds(),
-		}
-		if on.PrefillTokens > 0 {
-			row.PrefillReduction = float64(off.PrefillTokens) / float64(on.PrefillTokens)
-		}
-		pt.Workloads = append(pt.Workloads, row)
-	}
-
-	if !quiet {
-		fmt.Printf("== prefix-sharing bench — cache-off vs cache-on, %d-token blocks\n\n", block)
-		tb := textfmt.NewTable("workload", "requests", "hit%", "prefill off", "prefill on", "reduction",
-			"TTFT off", "TTFT on", "goodput off", "goodput on")
-		for _, w := range pt.Workloads {
-			tb.AddRow(w.Name, fmt.Sprint(w.Requests),
-				fmt.Sprintf("%.0f%%", w.HitRate*100),
-				fmt.Sprint(w.PrefillTokensOff), fmt.Sprint(w.PrefillTokensOn),
-				fmt.Sprintf("%.1f×", w.PrefillReduction),
-				textfmt.Seconds(w.TTFTMeanOff), textfmt.Seconds(w.TTFTMeanOn),
-				fmt.Sprintf("%.1f", w.GoodputOff), fmt.Sprintf("%.1f", w.GoodputOn))
-		}
-		fmt.Println(tb.String())
-	}
-	conv := pt.Workloads[0]
-	if conv.PrefillReduction < 2 {
-		return pt, fmt.Errorf("conversation prefill reduction %.2f× under the 2× acceptance floor", conv.PrefillReduction)
-	}
-	if conv.GoodputDelta <= 0 {
-		return pt, fmt.Errorf("conversation goodput delta %.3f not positive", conv.GoodputDelta)
-	}
-	return pt, nil
-}
-
-// runScaleBench streams n requests through one scale-mode Session
-// (WithExactMetrics(-1): streaming digests, recycled records) under
-// paced injection — the queue is topped up to liveCap and advanced until
-// it half-drains, an open-loop client with bounded backlog. It measures
-// wall clock over the whole stream and the steady-state allocation rate
-// past a warm-up prefix, the public-API view of BenchmarkServeMillion.
-func runScaleBench(n, liveCap int, quiet bool) (*scaleTiming, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("-scale-n must be positive, got %d", n)
-	}
-	if liveCap < 2 {
-		return nil, fmt.Errorf("-scale-live must be at least 2, got %d", liveCap)
-	}
-	eng, err := alisa.New("opt-6.7b",
-		alisa.WithScheduler("gpu-only"), alisa.WithMaxBatch(8), alisa.WithExactMetrics(-1))
-	if err != nil {
-		return nil, err
-	}
-	s, err := eng.Open(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	pace := func(next, until int) (int, error) {
-		for next < until {
-			for next < until && s.Pending()+s.InFlight() < liveCap {
-				if err := s.Push(alisa.Request{ID: next, Arrival: s.Clock(), Input: 32, Output: 4}); err != nil {
-					return next, err
-				}
-				next++
-			}
-			for s.Pending()+s.InFlight() > liveCap/2 {
-				if _, err := s.Advance(); err != nil {
-					return next, err
-				}
-			}
-		}
-		return next, nil
-	}
-
-	warm := 4096
-	if warm > n/2 {
-		warm = n / 2
-	}
-	start := time.Now()
-	next, err := pace(0, warm)
-	if err != nil {
-		return nil, err
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if _, err := pace(next, n); err != nil {
-		return nil, err
-	}
-	runtime.ReadMemStats(&m1)
-	res, err := s.Close()
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start).Seconds()
-	if res.Completed != n {
-		return nil, fmt.Errorf("scale bench completed %d of %d requests", res.Completed, n)
-	}
-
-	st := &scaleTiming{
-		Requests:          n,
-		LiveCap:           liveCap,
-		WallSeconds:       wall,
-		RequestsPerSecond: float64(n) / wall,
-		AllocsPerRequest:  float64(m1.Mallocs-m0.Mallocs) / float64(n-warm),
-		HeapMB:            float64(m1.HeapAlloc) / (1 << 20),
-	}
-	if !quiet {
-		fmt.Printf("== scale serve bench — %d requests, in-flight cap %d\n\n", n, liveCap)
-		tb := textfmt.NewTable("requests", "wall", "req/s", "allocs/req", "heap")
-		tb.AddRow(fmt.Sprint(n), fmt.Sprintf("%.3fs", wall),
-			fmt.Sprintf("%.0f", st.RequestsPerSecond),
-			fmt.Sprintf("%.2f", st.AllocsPerRequest),
-			fmt.Sprintf("%.1f MB", st.HeapMB))
-		fmt.Println(tb.String())
-	}
-	return st, nil
-}
-
-func execute(r experiments.Runner, quiet bool) (timing, error) {
-	start := time.Now()
-	res, err := r.Run()
-	if err != nil {
-		return timing{}, fmt.Errorf("%s: %w", r.ID, err)
-	}
-	elapsed := time.Since(start)
-	out := res.Render()
-	if !quiet {
+		elapsed := time.Since(start)
 		fmt.Printf("== %s — %s (ran in %s)\n\n", r.ID, r.Title, elapsed.Round(time.Millisecond))
-		fmt.Println(out)
+		fmt.Println(res.Render())
 	}
-	return timing{
-		ID:          r.ID,
-		Title:       r.Title,
-		Seconds:     elapsed.Seconds(),
-		OutputBytes: len(out),
-	}, nil
 }
 
 func fatal(err error) {

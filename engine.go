@@ -67,7 +67,6 @@ type Engine struct {
 	sloTPOT       float64
 	observer      Observer
 	seed          int64
-	captureLog    bool
 	metricsWindow int
 	exactMetrics  int
 	prefixBlock   int
@@ -157,19 +156,6 @@ func WithSLO(ttft, tpot float64) Option {
 			return &ConfigError{Field: "SLOTPOT", Value: tpot, Reason: "must be positive seconds"}
 		}
 		e.sloTTFT, e.sloTPOT = ttft, tpot
-		return nil
-	}
-}
-
-// WithEventLog toggles capture of Serve's human-readable event log
-// (ServeResult.EventLog). Off — the default — the serving loop's steady
-// state formats no event strings at all, the right mode for sweeps;
-// on, the captured log is byte-identical to what Serve has always
-// produced, which the replay-determinism suite pins. Streaming Observer
-// delivery is independent of this switch.
-func WithEventLog(on bool) Option {
-	return func(e *Engine) error {
-		e.captureLog = on
 		return nil
 	}
 }
@@ -393,7 +379,6 @@ func (e *Engine) serveConfig(trace TraceWorkload, obs Observer) serve.Config {
 		KVSparsity: e.kvSparsity, KVBits: e.kvBits,
 		MaxBatch: e.maxBatch, SLOTTFT: e.sloTTFT, SLOTPOT: e.sloTPOT,
 		Observer:     obs,
-		CaptureLog:   e.captureLog,
 		ExactMetrics: e.exactMetrics,
 		PrefixBlock:  e.prefixBlock,
 		PrefixBudget: e.prefixBudget,

@@ -88,10 +88,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := eng.EvaluatePolicy(ctx, "magic", 8); !errors.As(err, &ce) || ce.Field != "Policy" {
 		t.Errorf("EvaluatePolicy(magic): err = %v, want ConfigError on Policy", err)
 	}
-	// The deprecated shim validates steps before any construction too.
-	if _, err := EvaluatePolicy("opt-6.7b", "swa", 0.8, 0, 1); !errors.As(err, &ce) || ce.Field != "Steps" {
-		t.Errorf("EvaluatePolicy shim (steps=0): err = %v, want ConfigError on Steps", err)
-	}
 }
 
 func TestEngineAccessors(t *testing.T) {
@@ -134,7 +130,7 @@ func TestEngineReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.RenderEventLog() != sb.RenderEventLog() {
+	if !reflect.DeepEqual(sa, sb) {
 		t.Fatal("repeated Serve on one engine diverged")
 	}
 }

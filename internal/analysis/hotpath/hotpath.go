@@ -93,7 +93,7 @@ func checkFmt(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 	switch fn.Name() {
 	case "Sprintf", "Sprint", "Sprintln":
-		pass.Reportf(call.Pos(), "fmt.%s allocates on the hot path; format on the cold side (capture-gated logf, error exits) instead", fn.Name())
+		pass.Reportf(call.Pos(), "fmt.%s allocates on the hot path; format on the cold side (error exits) instead", fn.Name())
 	}
 }
 

@@ -8,8 +8,8 @@
 //
 // All times are simulated seconds on the run's clock, not wall time.
 // Events are emitted synchronously from the single-goroutine event loops,
-// in deterministic order: an Observer sees exactly the sequence the
-// run's event log records, and a nil observer costs nothing. An observer
+// in deterministic order: replaying a run replays its event sequence
+// exactly, and a nil observer costs nothing. An observer
 // shared across concurrent runs (a parallel sweep) can be wrapped with
 // Synchronized to serialize delivery instead of locking internally.
 package events

@@ -1,7 +1,7 @@
 // Package grid is the bounded-worker executor behind sweep-style fan-out:
-// Engine.ServeMany, `alisa-serve -sweep -parallel`, and `alisa-bench
-// -grid` all run their (scheduler × rate / model × batch) cells through
-// Run. Each cell is an index into caller-owned storage, so results land
+// Engine.ServeMany, `alisa-serve -sweep -parallel`, and `alisa-cluster
+// -parallel` all run their (scheduler × rate / router × load × fleet
+// size) cells through Run. Each cell is an index into caller-owned storage, so results land
 // in deterministic positions no matter which worker finishes first — the
 // cells themselves are single-goroutine deterministic simulations, making
 // the whole sweep reproducible under any worker count.

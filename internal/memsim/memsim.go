@@ -214,6 +214,16 @@ func (s *System) Advance(dt float64) {
 	s.clock += dt
 }
 
+// AdvanceTo moves the clock to the absolute time t (t ≥ Clock()). Setting
+// the clock lands exactly on t, where Advance(t − Clock()) can round one
+// ulp short of it.
+func (s *System) AdvanceTo(t float64) {
+	if t < s.clock {
+		panic(fmt.Sprintf("memsim: clock moved backwards from %v to %v", s.clock, t))
+	}
+	s.clock = t
+}
+
 // AllocGPU reserves bytes of GPU memory, failing with *OOMError when the
 // capacity would be exceeded.
 func (s *System) AllocGPU(bytes int64) error {

@@ -107,6 +107,24 @@ func TestAdvanceNegativePanics(t *testing.T) {
 	s.Advance(-1)
 }
 
+func TestAdvanceTo(t *testing.T) {
+	s := NewSystem(V100_16G())
+	// 0.06037120142222222 + (0.12287120142222223 − 0.06037120142222222)
+	// rounds one ulp short of the target; AdvanceTo must not.
+	s.Advance(0.06037120142222222)
+	const target = 0.12287120142222223
+	s.AdvanceTo(target)
+	if s.Clock() != target {
+		t.Fatalf("clock %v, want exactly %v", s.Clock(), target)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a backwards AdvanceTo")
+		}
+	}()
+	s.AdvanceTo(target / 2)
+}
+
 // Property: the clock is monotone under any sequence of operations, and
 // usage is always within [0, capacity].
 func TestClockMonotoneProperty(t *testing.T) {

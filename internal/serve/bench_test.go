@@ -11,24 +11,8 @@ import (
 )
 
 // BenchmarkServe measures one full pressured serving run — the unit of a
-// sweep cell — with the event log off, the sweep configuration.
+// sweep cell.
 func BenchmarkServe(b *testing.B) {
-	cfg := replayConfig("alisa")
-	cfg.CaptureLog = false
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(ctx, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeCaptureLog is the same run with the event log captured —
-// the determinism-suite configuration; the allocs/op delta against
-// BenchmarkServe is the price of the log.
-func BenchmarkServeCaptureLog(b *testing.B) {
 	cfg := replayConfig("alisa")
 	ctx := context.Background()
 	b.ReportAllocs()

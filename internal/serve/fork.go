@@ -83,7 +83,6 @@ func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
 func (s *server) clone(obs events.Observer) (*server, error) {
 	c := &server{
 		cfg:                      s.cfg,
-		captureLog:               s.captureLog,
 		sys:                      s.sys.Clone(),
 		cost:                     s.cost,
 		newSched:                 s.newSched,
@@ -103,7 +102,6 @@ func (s *server) clone(obs events.Observer) (*server, error) {
 		cacheTokenBytes:          s.cacheTokenBytes,
 		prefillTokens:            s.prefillTokens,
 		prefixPeakBytes:          s.prefixPeakBytes,
-		log:                      append([]string(nil), s.log...),
 		res: &Result{
 			Scheduler: s.res.Scheduler,
 			Breakdown: s.res.Breakdown.Clone(),

@@ -2,18 +2,17 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/workload"
 )
 
-// forkConfig is a heterogeneous-arrival workload with the event log
-// captured, so fork determinism is pinned byte-for-byte down to the log.
+// forkConfig is a heterogeneous-arrival workload for the fork tests.
 func forkConfig(name string) Config {
 	cfg := lightConfig(name)
 	cfg.Trace = workload.PoissonTrace(16, 2.0, 7)
-	cfg.CaptureLog = true
 	if name == "alisa" {
 		cfg.KVSparsity = 0.8
 		cfg.KVBits = 8
@@ -46,43 +45,61 @@ func drainResult(t *testing.T, l *Loop) *Result {
 	return l.Finalize()
 }
 
+// recordedLoop builds a loop over cfg with a fresh recorder attached.
+func recordedLoop(t *testing.T, cfg Config) (*Loop, *recorder) {
+	t.Helper()
+	rec := &recorder{}
+	cfg.Observer = rec.observer()
+	l, err := NewLoop(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, rec
+}
+
+// forkAt advances a recorded loop over cfg k turns and forks it. The
+// fork's recorder starts with the original's events up to the snapshot,
+// so after draining it holds the whole stream a straight-line run would.
+func forkAt(t *testing.T, cfg Config, k int) (orig *Loop, origRec *recorder, fork *Loop, forkRec *recorder) {
+	t.Helper()
+	orig, origRec = recordedLoop(t, cfg)
+	advanceTurns(t, orig, k)
+	sn, err := orig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forkRec = &recorder{events: append([]string(nil), origRec.events...)}
+	fork, err = sn.Fork(forkRec.observer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return orig, origRec, fork, forkRec
+}
+
 // TestForkDeterminism is the tentpole contract: fork-then-advance is
-// bit-identical to straight-line advance — Result, metrics, and event
-// log — at every snapshot depth, for every store-backed and plain
+// bit-identical to straight-line advance — Result, metrics, and observer
+// stream — at every snapshot depth, for every store-backed and plain
 // scheduler, and the snapshot leaves the original run unperturbed.
 func TestForkDeterminism(t *testing.T) {
 	for _, name := range []string{"alisa", "flexgen", "vllm", "gpu-only"} {
 		t.Run(name, func(t *testing.T) {
-			sl, err := NewLoop(forkConfig(name))
-			if err != nil {
-				t.Fatal(err)
-			}
+			sl, straightRec := recordedLoop(t, forkConfig(name))
 			straight := drainResult(t, sl)
 
 			sawActive := false
 			for _, k := range []int{1, 5, 12} {
-				l, err := NewLoop(forkConfig(name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				advanceTurns(t, l, k)
+				l, rec, fork, forkRec := forkAt(t, forkConfig(name), k)
 				if l.Active() > 0 {
 					sawActive = true
-				}
-				sn, err := l.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				fork, err := sn.Fork(nil)
-				if err != nil {
-					t.Fatal(err)
 				}
 				if got := drainResult(t, fork); !reflect.DeepEqual(got, straight) {
 					t.Errorf("turn %d: fork-then-advance diverged from straight-line:\nfork:     %+v\nstraight: %+v", k, got, straight)
 				}
+				checkStream(t, fmt.Sprintf("turn %d fork", k), straightRec.events, forkRec.events)
 				if got := drainResult(t, l); !reflect.DeepEqual(got, straight) {
 					t.Errorf("turn %d: snapshot perturbed the original run", k)
 				}
+				checkStream(t, fmt.Sprintf("turn %d original", k), straightRec.events, rec.events)
 			}
 			if !sawActive {
 				t.Fatal("no snapshot point caught active sequences; scheduler cloning was never exercised")

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func runThroughLoop(t *testing.T, cfg Config) *Result {
 // TestLoopReplaysTraceBitIdentical is the core equivalence property of
 // the step-driven redesign: for every registered servable scheduler,
 // injecting a trace's arrivals into an empty Loop produces a Result —
-// metrics, per-request records, and captured event log — bit-identical
+// metrics and per-request records — and an observer stream bit-identical
 // to Run replaying that trace.
 func TestLoopReplaysTraceBitIdentical(t *testing.T) {
 	for _, name := range sched.Registered() {
@@ -50,17 +51,14 @@ func TestLoopReplaysTraceBitIdentical(t *testing.T) {
 			if name != "alisa" {
 				cfg.KVSparsity, cfg.KVBits = 0, 16
 			}
-			want, err := Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+			want, wantStream := recordedRun(t, cfg)
+			rec := &recorder{}
+			cfg.Observer = rec.observer()
 			got := runThroughLoop(t, cfg)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("loop-injected result diverged from Run:\nrun:  %+v\nloop: %+v", want, got)
 			}
-			if want.RenderEventLog() != got.RenderEventLog() {
-				t.Fatal("event logs diverged")
-			}
+			checkStream(t, "loop-injected stream", wantStream, rec.events)
 		})
 	}
 }
@@ -129,6 +127,44 @@ func TestLoopStreamingInject(t *testing.T) {
 	}
 	if r2.Admitted >= r1.Admitted {
 		t.Fatalf("arrival order not honoured: r2 admitted %.6f, r1 %.6f", r2.Admitted, r1.Admitted)
+	}
+}
+
+// TestIdleJumpLandsOnArrival pins the idle clock jump onto the next
+// arrival. With the clock c under half the arrival b, c + (b − c) can
+// round one ulp short of b; a loop that jumped by the difference found
+// the head still in the future on an empty system and failed it as
+// unservable.
+func TestIdleJumpLandsOnArrival(t *testing.T) {
+	cfg := lightConfig("vllm")
+	cfg.Trace = nil
+	l, err := NewLoop(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := l.Inject(workload.Request{ID: 0, Input: 2, Output: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	c := l.Clock()
+	b := c + math.Exp2(math.Ceil(math.Log2(c)))
+	for i := 0; c+(b-c) >= b; i++ {
+		if i == 1<<16 {
+			t.Fatalf("no arrival above %v rounds short of itself", c)
+		}
+		b = math.Nextafter(b, math.Inf(1))
+	}
+	if err := l.Inject(workload.Request{ID: 1, Arrival: b, Input: 2, Output: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Drain(ctx); err != nil {
+		t.Fatalf("idle jump from %v to arrival %v: %v", c, b, err)
+	}
+	if res := l.Finalize(); res.Completed != 2 {
+		t.Fatalf("completed %d of 2 requests", res.Completed)
 	}
 }
 

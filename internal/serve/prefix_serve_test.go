@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -58,19 +59,13 @@ func TestPrefixCacheOffBitIdentical(t *testing.T) {
 	tr := convTrace(t)
 	cfg := prefixConfig("alisa", tr)
 	cfg.PrefixBlock = 0
-	cfg.CaptureLog = true
-	withTokens, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	withTokens, withStream := recordedRun(t, cfg)
 	cfg.Trace = stripTokens(tr)
-	without, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	without, withoutStream := recordedRun(t, cfg)
 	if !reflect.DeepEqual(withTokens, without) {
 		t.Fatalf("cache-off run depends on token IDs:\nwith:    %+v\nwithout: %+v", withTokens, without)
 	}
+	checkStream(t, "cache-off stream without tokens", withStream, withoutStream)
 	if withTokens.PrefixHits != 0 || withTokens.PrefixCachedTokens != 0 || withTokens.PrefixSharedBytes != 0 {
 		t.Fatalf("cache-off run reported prefix activity: %+v", withTokens)
 	}
@@ -197,18 +192,12 @@ func TestPrefixLeakFreeUnderPreemption(t *testing.T) {
 }
 
 // TestPrefixForkDeterminism extends the fork contract to cache-on runs:
-// fork-then-advance is bit-identical to straight-line advance with
-// shared refcounted blocks and leases in flight.
+// fork-then-advance is bit-identical to straight-line advance — Result
+// and observer stream — with shared refcounted blocks and leases in
+// flight.
 func TestPrefixForkDeterminism(t *testing.T) {
-	mk := func() Config {
-		cfg := prefixConfig("alisa", convTrace(t))
-		cfg.CaptureLog = true
-		return cfg
-	}
-	sl, err := NewLoop(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := prefixConfig("alisa", convTrace(t))
+	sl, straightRec := recordedLoop(t, cfg)
 	straight := drainResult(t, sl)
 	if straight.PrefixHits == 0 {
 		t.Fatal("workload produced no cache hits; fork test would not exercise lease cloning")
@@ -216,30 +205,20 @@ func TestPrefixForkDeterminism(t *testing.T) {
 
 	sawLease := false
 	for _, k := range []int{1, 6, 14} {
-		l, err := NewLoop(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		advanceTurns(t, l, k)
+		l, rec, fork, forkRec := forkAt(t, cfg, k)
 		for _, st := range l.s.active {
 			if st.leaseLen > 0 {
 				sawLease = true
 			}
 		}
-		sn, err := l.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fork, err := sn.Fork(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if got := drainResult(t, fork); !reflect.DeepEqual(got, straight) {
 			t.Errorf("turn %d: cache-on fork diverged from straight-line:\nfork:     %+v\nstraight: %+v", k, got, straight)
 		}
+		checkStream(t, fmt.Sprintf("turn %d cache-on fork", k), straightRec.events, forkRec.events)
 		if got := drainResult(t, l); !reflect.DeepEqual(got, straight) {
 			t.Errorf("turn %d: snapshot perturbed the original cache-on run", k)
 		}
+		checkStream(t, fmt.Sprintf("turn %d cache-on original", k), straightRec.events, rec.events)
 	}
 	if !sawLease {
 		t.Fatal("no snapshot point caught a held lease; lease cloning was never exercised")

@@ -25,16 +25,15 @@
 //     scheduler's Release hook (free-on-completion).
 //
 // The loop is single-goroutine and seeded, so a (trace, config) pair
-// replays to a byte-identical event log and metrics, independent of
-// GOMAXPROCS.
+// replays to a byte-identical observer event stream and metrics,
+// independent of GOMAXPROCS.
 //
 // The steady state is engineered allocation-free: the per-iteration plan
 // and ragged-attention scratch, the per-admission scheduler Context and
 // sequence state, and the preemption requeue all reuse server-owned
-// storage, and the human-readable event log is opt-in (Config.CaptureLog)
-// so sweeps pay no formatting at all. Run is safe to execute concurrently
-// with other Runs — each owns its state — which is what Engine.ServeMany
-// and the parallel sweep CLIs exploit. See DESIGN.md §8.
+// storage. Run is safe to execute concurrently with other Runs — each
+// owns its state — which is what Engine.ServeMany and the parallel sweep
+// CLIs exploit. See DESIGN.md §8.
 //
 // The event loop itself is step-driven: Loop exposes the three
 // transitions — Inject (push a request onto the timeline), Advance (one
@@ -51,7 +50,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/costmodel"
 	"repro/internal/events"
@@ -98,23 +96,17 @@ type Config struct {
 	SLOTTFT float64
 	SLOTPOT float64
 
-	// Observer, when non-nil, receives streaming admission, preemption,
-	// completion, and per-iteration step events, mirroring the event log.
+	// Observer, when non-nil, receives streaming admission, first-token,
+	// token, preemption, completion, and per-iteration step events — the
+	// run's event record, which the replay-determinism suite pins.
 	// Callbacks run inline on the event loop.
 	Observer events.Observer
-
-	// CaptureLog enables Result.EventLog, the human-readable record of
-	// every admission, preemption, and completion. Off (the default) the
-	// steady-state loop formats nothing — the mode sweeps run in; on, the
-	// captured log is byte-identical to what the loop has always produced,
-	// which the replay-determinism suite pins.
-	CaptureLog bool
 
 	// ExactMetrics is the exact-metrics threshold: while the total number
 	// of requests handed to the loop stays at or below it, the run keeps
 	// every per-request record and Finalize digests them with one
 	// end-of-run sort per latency — bit-identical to what the loop has
-	// always produced, which every golden, compat, and replay suite pins.
+	// always produced, which every golden and replay suite pins.
 	// The first injection that pushes the total past the threshold
 	// switches the loop to scale mode, deterministically (the trigger
 	// depends only on the injection count): completed requests stream
@@ -293,11 +285,6 @@ type Result struct {
 	PrefixSharedBytes int64
 	// PeakGPU and PeakCPU are the memory high-water marks.
 	PeakGPU, PeakCPU int64
-
-	// EventLog is the deterministic, human-readable record of every
-	// admission, preemption, and completion; the replay tests pin it
-	// byte for byte.
-	EventLog []string
 }
 
 // PrefixHitRate is the prefix-cache hit rate over probed admissions,
@@ -307,15 +294,6 @@ func (r *Result) PrefixHitRate() float64 {
 		return float64(r.PrefixHits) / float64(probes)
 	}
 	return 0
-}
-
-// RenderEventLog joins the event log into one newline-terminated string.
-// An empty log (capture off, or no events fired) renders as "".
-func (r *Result) RenderEventLog() string {
-	if len(r.EventLog) == 0 {
-		return ""
-	}
-	return strings.Join(r.EventLog, "\n") + "\n"
 }
 
 // seqState is one admitted request's runtime state. Instances (and their
@@ -350,11 +328,10 @@ type stepped struct {
 
 // server is the event-loop state of one run.
 type server struct {
-	cfg        Config
-	captureLog bool
-	sys        *memsim.System
-	cost       costmodel.Cost
-	newSched   sched.Factory // per-admission scheduler constructor
+	cfg      Config
+	sys      *memsim.System
+	cost     costmodel.Cost
+	newSched sched.Factory // per-admission scheduler constructor
 
 	// queue is the arrival-keyed indexed wait queue: a binary min-heap on
 	// (Arrival, ticket) that frees each slot on pop. Preemption requeues
@@ -429,7 +406,6 @@ type server struct {
 	prefillTokens   int64
 	prefixPeakBytes int64
 
-	log []string
 	res *Result
 }
 
@@ -520,7 +496,6 @@ func newLoop(cfg Config) (*Loop, error) {
 	l := &Loop{}
 	l.s = server{
 		cfg:                      cfg,
-		captureLog:               cfg.CaptureLog,
 		sys:                      memsim.NewSystem(cfg.Profile),
 		cost:                     costmodel.New(cfg.Profile),
 		newSched:                 factory,
@@ -749,7 +724,7 @@ func (s *server) turn(ctx context.Context) (bool, error) {
 	}
 	// Idle with work only in the future: jump to the next arrival.
 	if len(s.active) == 0 && s.queue.Peek().Arrival > s.sys.Clock() {
-		s.sys.Advance(s.queue.Peek().Arrival - s.sys.Clock())
+		s.sys.AdvanceTo(s.queue.Peek().Arrival)
 		s.admissionBlockedHeadroom = -1
 	}
 	if err := s.admit(); err != nil {
@@ -772,12 +747,8 @@ func (s *server) turn(ctx context.Context) (bool, error) {
 // end of run. It returns cause unless the accounting leaked.
 func (s *server) cancel(cause error) error {
 	for _, st := range s.active {
-		gpu, cpu := st.rel.Release(st.ctx)
+		st.rel.Release(st.ctx)
 		s.cacheRelease(st)
-		if s.captureLog {
-			s.logf("t=%.9f cancel r=%d gen=%d freedGPU=%d freedCPU=%d",
-				s.sys.Clock(), st.req.ID, st.j, gpu, cpu)
-		}
 	}
 	s.active = s.active[:0]
 	if err := s.checkLeak(); err != nil {
@@ -937,15 +908,6 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 	rec.FirstToken = s.sys.Clock()
 	st.req, st.sch, st.rel, st.rec, st.seq = req, sch, rel, rec, seq
 	s.active = append(s.active, st)
-	if s.captureLog {
-		if s.cache != nil {
-			s.logf("t=%.9f admit r=%d in=%d out=%d wait=%.9f batch=%d cached=%d",
-				s.sys.Clock(), req.ID, req.Input, req.Output, rec.Admitted-req.Arrival, len(s.active), cached)
-		} else {
-			s.logf("t=%.9f admit r=%d in=%d out=%d wait=%.9f batch=%d",
-				s.sys.Clock(), req.ID, req.Input, req.Output, rec.Admitted-req.Arrival, len(s.active))
-		}
-	}
 	if s.cfg.Observer != nil {
 		adm := events.Admission{
 			Request: req.ID, Clock: s.sys.Clock(), Wait: rec.Admitted - req.Arrival,
@@ -1103,14 +1065,10 @@ func (s *server) iterate() error {
 //
 //alisa:hotpath
 func (s *server) preempt(victim *seqState) {
-	gpu, cpu := victim.rel.Release(victim.ctx)
+	victim.rel.Release(victim.ctx)
 	s.cacheRelease(victim)
 	victim.rec.Preemptions++
 	s.preemptions++
-	if s.captureLog {
-		s.logf("t=%.9f preempt r=%d gen=%d freedGPU=%d freedCPU=%d",
-			s.sys.Clock(), victim.req.ID, victim.j, gpu, cpu)
-	}
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.OnPreemption(events.Preemption{
 			Request: victim.req.ID, Clock: s.sys.Clock(), Generated: victim.j,
@@ -1136,15 +1094,11 @@ func (s *server) preempt(victim *seqState) {
 //
 //alisa:hotpath
 func (s *server) complete(st *seqState) {
-	gpu, cpu := st.rel.Release(st.ctx)
+	st.rel.Release(st.ctx)
 	s.cacheRelease(st)
 	st.rec.Finished = s.sys.Clock()
 	st.done = true
 	s.admissionBlockedHeadroom = -1
-	if s.captureLog {
-		s.logf("t=%.9f finish r=%d ttft=%.9f tpot=%.9f freedGPU=%d freedCPU=%d",
-			s.sys.Clock(), st.req.ID, st.rec.TTFT(), st.rec.TPOT(), gpu, cpu)
-	}
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.OnCompletion(events.Completion{
 			Request: st.req.ID, Clock: s.sys.Clock(),
@@ -1239,7 +1193,6 @@ func (s *server) streamCompletion(rec *RequestRecord) {
 // on the exact path, from the streaming digests in scale mode.
 func (s *server) finalize() {
 	res := s.res
-	res.EventLog = s.log
 	res.Preemptions = s.preemptions
 	if s.iterations > 0 {
 		res.MeanBatch = float64(s.batchSum) / float64(s.iterations)
@@ -1308,8 +1261,4 @@ func (s *server) finalize() {
 	if len(res.Requests) > 0 {
 		res.SLOAttainment = float64(good) / float64(len(res.Requests))
 	}
-}
-
-func (s *server) logf(format string, args ...any) {
-	s.log = append(s.log, fmt.Sprintf(format, args...))
 }

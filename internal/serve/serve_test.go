@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
-	"strings"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/workload"
@@ -129,7 +129,8 @@ func TestServeAlisaBeatsHFAccelerateGoodput(t *testing.T) {
 
 // TestServePreemptionRecovers forces GPU pressure with a policy that
 // cannot offload: preempted requests must restart and still complete, and
-// the preemption must appear in both the records and the event log.
+// every preemption must appear in both the records and the observer
+// stream.
 func TestServePreemptionRecovers(t *testing.T) {
 	cfg := Config{
 		Model:     model.MustByName("opt-6.7b"),
@@ -137,11 +138,12 @@ func TestServePreemptionRecovers(t *testing.T) {
 		Scheduler: "gpu-only",
 		// Four long sequences whose dense KV cannot coexist in the
 		// ~1.8 GB of GPU headroom left next to the 6.7B weights.
-		Trace:      workload.UniformTrace(4, 0.05, 1024, 512),
-		KVBits:     16,
-		MaxBatch:   4,
-		CaptureLog: true,
+		Trace:    workload.UniformTrace(4, 0.05, 1024, 512),
+		KVBits:   16,
+		MaxBatch: 4,
 	}
+	streamed := 0
+	cfg.Observer = events.Funcs{Preemption: func(events.Preemption) { streamed++ }}
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -159,15 +161,8 @@ func TestServePreemptionRecovers(t *testing.T) {
 	if total != res.Preemptions {
 		t.Errorf("per-request preemptions %d != total %d", total, res.Preemptions)
 	}
-	found := false
-	for _, e := range res.EventLog {
-		if strings.Contains(e, "preempt") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Errorf("no preempt event in log of %d entries", len(res.EventLog))
+	if streamed != res.Preemptions {
+		t.Errorf("observer saw %d preemptions, result reports %d", streamed, res.Preemptions)
 	}
 }
 

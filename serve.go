@@ -1,8 +1,6 @@
 package alisa
 
 import (
-	"context"
-
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -86,83 +84,5 @@ func NewConversationTrace(conversations, turns int, rate float64, maxSeq int, se
 	return workload.NewConversationTrace(conversations, turns, rate, maxSeq, seed)
 }
 
-// ServeOptions configures one continuous-batching serving simulation.
-//
-// Deprecated: ServeOptions is the one-shot configuration for the Serve
-// shim. New code should compile an Engine once with New and functional
-// options, then call Engine.Serve per trace.
-type ServeOptions struct {
-	// Model is a catalog name (see Models); Profile a hardware name (empty
-	// selects the paper's pairing for the model scale).
-	Model   string
-	Profile string
-	// Scheduler is the per-request KV placement policy: alisa, flexgen,
-	// vllm, hf-accelerate, gpu-only, no-cache. Empty selects the default,
-	// "alisa".
-	Scheduler string
-
-	Trace TraceWorkload
-
-	KVSparsity float64
-	KVBits     int
-
-	// MaxBatch caps concurrent decode sequences (0 → 16). SLOTTFT/SLOTPOT
-	// are the goodput service-level objectives (0 → 10 s / 0.5 s).
-	MaxBatch int
-	SLOTTFT  float64
-	SLOTPOT  float64
-}
-
 // ServeResult is the outcome of a serving simulation; see serve.Result.
 type ServeResult = serve.Result
-
-// Serve runs a continuous-batching serving simulation: requests arrive on
-// the trace timeline, a dynamic decode batch forms under admission
-// control, and the chosen scheduler places each request's KV — the
-// multi-request, heterogeneous-traffic counterpart of Simulate.
-//
-// Deprecated: Serve compiles a throwaway Engine per call. New code should
-// call New once and Engine.Serve per trace; results for accepted
-// configurations are bit-identical. Zero-valued Scheduler, KVBits,
-// MaxBatch, SLOTTFT, and SLOTPOT select the documented defaults
-// ("alisa", 16, 16, 10 s, 0.5 s), as they always have. As in Simulate,
-// KVBits is now validated up front to {8, 16}: the INT4 setting is
-// rejected rather than passed through. One behaviour change rides along
-// with the engine's event-log switch: the human-readable
-// ServeResult.EventLog is no longer captured by default (it is opt-in
-// via New + WithEventLog(true)); metrics are unaffected.
-func Serve(opts ServeOptions) (*ServeResult, error) {
-	engineOpts := []Option{
-		maybeProfile(opts.Profile),
-		WithKVSparsity(opts.KVSparsity),
-	}
-	// The legacy zero value selected the default scheduler; the compiled
-	// option rejects "", so translate only a non-empty name — like every
-	// other zero-valued field of this shim.
-	if opts.Scheduler != "" {
-		engineOpts = append(engineOpts, WithScheduler(opts.Scheduler))
-	}
-	// The legacy zero values meant "default"; the compiled options are
-	// explicit, so translate only non-zero fields.
-	if opts.KVBits != 0 {
-		engineOpts = append(engineOpts, WithKVBits(opts.KVBits))
-	}
-	if opts.MaxBatch != 0 {
-		engineOpts = append(engineOpts, WithMaxBatch(opts.MaxBatch))
-	}
-	if opts.SLOTTFT != 0 || opts.SLOTPOT != 0 {
-		ttft, tpot := opts.SLOTTFT, opts.SLOTPOT
-		if ttft == 0 {
-			ttft = 10
-		}
-		if tpot == 0 {
-			tpot = 0.5
-		}
-		engineOpts = append(engineOpts, WithSLO(ttft, tpot))
-	}
-	e, err := New(opts.Model, engineOpts...)
-	if err != nil {
-		return nil, err
-	}
-	return e.Serve(context.Background(), opts.Trace)
-}

@@ -10,10 +10,10 @@ import (
 
 // TestServeManyMatchesSerialServe pins the parallel runner's contract:
 // results land at their trace's index and are bit-identical to calling
-// Serve once per trace serially — event logs included.
+// Serve once per trace serially.
 func TestServeManyMatchesSerialServe(t *testing.T) {
 	eng, err := New("opt-6.7b",
-		WithKVSparsity(0.8), WithKVBits(8), WithMaxBatch(8), WithEventLog(true))
+		WithKVSparsity(0.8), WithKVBits(8), WithMaxBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +41,6 @@ func TestServeManyMatchesSerialServe(t *testing.T) {
 		for i := range traces {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Fatalf("round %d cell %d diverged from serial Serve", round, i)
-			}
-			if got[i].RenderEventLog() != want[i].RenderEventLog() {
-				t.Fatalf("round %d cell %d event log diverged", round, i)
 			}
 		}
 	}
@@ -144,41 +141,5 @@ func TestSynchronizedObserverShared(t *testing.T) {
 	}
 	if SynchronizedObserver(nil) != nil {
 		t.Fatal("nil observer must wrap to nil")
-	}
-}
-
-// TestWithEventLog pins the public capture switch: off by default, on by
-// option, byte-stable across runs.
-func TestWithEventLog(t *testing.T) {
-	trace := PoissonTrace(10, 3, 5)
-	off, err := New("opt-6.7b", WithKVSparsity(0.8), WithKVBits(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := off.Serve(context.Background(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.EventLog) != 0 || res.RenderEventLog() != "" {
-		t.Fatalf("default engine captured %d events; render %q", len(res.EventLog), res.RenderEventLog())
-	}
-
-	on, err := New("opt-6.7b", WithKVSparsity(0.8), WithKVBits(8), WithEventLog(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := on.Serve(context.Background(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first.EventLog) == 0 {
-		t.Fatal("WithEventLog(true) captured no events")
-	}
-	second, err := on.Serve(context.Background(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.RenderEventLog() != second.RenderEventLog() {
-		t.Fatal("captured event log not byte-stable across runs")
 	}
 }

@@ -44,9 +44,8 @@ type WindowSnapshot = metrics.WindowSnapshot
 // A Session is single-goroutine, like the simulation it drives: Push,
 // Advance, Snapshot, and Close must not be called concurrently. A
 // Session fed a trace's arrivals before its first Advance reproduces
-// Engine.Serve on that trace bit for bit (metrics, event stream, and —
-// with the event log on — the captured log), which the equivalence
-// suite pins.
+// Engine.Serve on that trace bit for bit (metrics and event stream),
+// which the equivalence suite pins.
 type Session struct {
 	eng    *Engine
 	ctx    context.Context

@@ -8,8 +8,8 @@ import (
 
 // TestSessionFork pins the public fork contract: a fork that takes the
 // same future as its parent reproduces the straight-line run bit for bit
-// — final ServeResult, event log, and the rolling window at the branch
-// point — while a fork pushed extra work diverges without disturbing
+// — final ServeResult, observer stream, and the rolling window at the
+// branch point — while a fork pushed extra work diverges without disturbing
 // either the parent or its sibling.
 func TestSessionFork(t *testing.T) {
 	trace := PoissonTrace(16, 3.0, 21)
@@ -27,6 +27,10 @@ func TestSessionFork(t *testing.T) {
 	}
 
 	straightSess, _ := open()
+	straightRec := &recordingObserver{}
+	if err := straightSess.Subscribe(straightRec.funcs()); err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range trace {
 		if err := straightSess.Push(r); err != nil {
 			t.Fatal(err)
@@ -38,6 +42,10 @@ func TestSessionFork(t *testing.T) {
 	}
 
 	s, _ := open()
+	rec := &recordingObserver{}
+	if err := s.Subscribe(rec.funcs()); err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range trace {
 		if err := s.Push(r); err != nil {
 			t.Fatal(err)
@@ -56,6 +64,13 @@ func TestSessionFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The fork's recorder starts from the parent's events up to the
+	// branch point, so a same-future fork must end with the straight
+	// run's whole stream.
+	sameRec := &recordingObserver{events: append([]string(nil), rec.events...)}
+	if err := same.Subscribe(sameRec.funcs()); err != nil {
+		t.Fatal(err)
+	}
 	diverged, err := s.Fork()
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +87,9 @@ func TestSessionFork(t *testing.T) {
 	} else if !reflect.DeepEqual(got, straight) {
 		t.Errorf("same-future fork diverged from straight-line run:\nfork:     %+v\nstraight: %+v", got, straight)
 	}
+	if !reflect.DeepEqual(sameRec.events, straightRec.events) {
+		t.Error("same-future fork's observer stream diverged from the straight-line run's")
+	}
 	if got, err := diverged.Close(); err != nil {
 		t.Fatal(err)
 	} else if got.Completed != straight.Completed+1 {
@@ -81,6 +99,9 @@ func TestSessionFork(t *testing.T) {
 		t.Fatal(err)
 	} else if !reflect.DeepEqual(got, straight) {
 		t.Error("forking perturbed the parent session")
+	}
+	if !reflect.DeepEqual(rec.events, straightRec.events) {
+		t.Error("forking perturbed the parent session's observer stream")
 	}
 
 	if _, err := s.Fork(); err == nil {

@@ -12,7 +12,8 @@ import (
 )
 
 // wantAnnotated is the agreed hot-path set: the serving loop's
-// admission/decode path, the wait-queue heap ops, rolling-window and
+// admission/decode path, the ALISA scheduler's per-step placement query,
+// the wait-queue heap ops, rolling-window and
 // sketch ingestion, the cluster turn loop, the prefix-cache probe/
 // insert/evict machinery, and the gateway's per-event fan-out. The test fails in BOTH directions — a lost
 // annotation shrinks coverage silently, and a new annotation is a
@@ -22,10 +23,12 @@ var wantAnnotated = []string{
 	"internal/gateway.(*Bridge).fanout",
 	"internal/gateway.(*Subscriber).publish",
 	"internal/gateway.(bridgeTap).OnToken",
+	"internal/kvcache.(*TokenStore).CountsBefore",
 	"internal/metrics.(*Window).Observe",
 	"internal/metrics/sketch.(*Sketch).Observe",
 	"internal/metrics/sketch.(*Sketch).compact",
 	"internal/metrics/sketch.(*Sketch).compress",
+	"internal/sched.(*Alisa).Step",
 	"internal/serve.(*reqQueue).Pop",
 	"internal/serve.(*reqQueue).Push",
 	"internal/serve.(*reqQueue).Requeue",

@@ -43,6 +43,12 @@ func (l Location) String() string {
 type TokenStore struct {
 	loc    []Location
 	counts [3]int
+
+	// cursor and before are CountsBefore's prefix cursor: before holds
+	// the location counts of positions [0, cursor), and Move keeps them
+	// exact.
+	cursor int
+	before [3]int
 }
 
 // NewTokenStore returns an empty token-level store.
@@ -54,7 +60,9 @@ func (s *TokenStore) Len() int { return len(s.loc) }
 // Clone returns an independent deep copy of the store, for scheduler
 // forking.
 func (s *TokenStore) Clone() *TokenStore {
-	return &TokenStore{loc: append([]Location(nil), s.loc...), counts: s.counts}
+	c := *s
+	c.loc = append([]Location(nil), s.loc...)
+	return &c
 }
 
 // Append adds a new token position at the given location and returns its
@@ -81,6 +89,10 @@ func (s *TokenStore) Move(i int, to Location) {
 	}
 	s.counts[from]--
 	s.counts[to]++
+	if i < s.cursor {
+		s.before[from]--
+		s.before[to]++
+	}
 	s.loc[i] = to
 }
 
@@ -108,6 +120,8 @@ func (s *TokenStore) Bytes(tokenBytes int64) (gpu, cpu int64) {
 func (s *TokenStore) Reset() {
 	s.loc = s.loc[:0]
 	s.counts = [3]int{}
+	s.cursor = 0
+	s.before = [3]int{}
 }
 
 // OldestIn returns up to max position indices at loc, oldest first — the
@@ -147,28 +161,35 @@ func (s *TokenStore) NewestIn(loc Location, max int) []int {
 	return out
 }
 
-// FractionIn returns the fraction of the first prefix positions that live
-// at loc; prefix ≤ 0 returns 0.
-func (s *TokenStore) FractionIn(loc Location, prefix int) float64 {
-	if prefix <= 0 {
-		return 0
+// CountsBefore returns the location counts of positions [0, p), indexed
+// by Location; p must lie in [0, Len()]. It walks the store's prefix
+// cursor from the previous call's p, so the cost is the distance between
+// the two prefixes, not the prefix length.
+//
+//alisa:hotpath
+func (s *TokenStore) CountsBefore(p int) [3]int {
+	if p < 0 || p > len(s.loc) {
+		s.prefixOutOfRange(p)
 	}
-	if prefix > len(s.loc) {
-		prefix = len(s.loc)
+	for s.cursor < p {
+		s.before[s.loc[s.cursor]]++
+		s.cursor++
 	}
-	n := 0
-	for i := 0; i < prefix; i++ {
-		if s.loc[i] == loc {
-			n++
-		}
+	for s.cursor > p {
+		s.cursor--
+		s.before[s.loc[s.cursor]]--
 	}
-	return float64(n) / float64(prefix)
+	return s.before
 }
 
 func (s *TokenStore) check(i int) {
 	if i < 0 || i >= len(s.loc) {
 		panic(fmt.Sprintf("kvcache: position %d out of range %d", i, len(s.loc)))
 	}
+}
+
+func (s *TokenStore) prefixOutOfRange(p int) {
+	panic(fmt.Sprintf("kvcache: prefix %d out of range [0, %d]", p, len(s.loc)))
 }
 
 // BlockStore is vLLM-style paged placement: tokens fill fixed-size blocks;

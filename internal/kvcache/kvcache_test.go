@@ -65,7 +65,7 @@ func TestTokenStoreOldestNewest(t *testing.T) {
 	}
 }
 
-func TestTokenStoreFractionIn(t *testing.T) {
+func TestTokenStoreCountsBefore(t *testing.T) {
 	s := NewTokenStore()
 	for i := 0; i < 10; i++ {
 		if i < 4 {
@@ -74,24 +74,46 @@ func TestTokenStoreFractionIn(t *testing.T) {
 			s.Append(GPU)
 		}
 	}
-	if f := s.FractionIn(CPU, 8); f != 0.5 {
-		t.Fatalf("FractionIn(CPU, 8) = %v, want 0.5", f)
+	if got := s.CountsBefore(8); got != [3]int{GPU: 4, CPU: 4} {
+		t.Fatalf("CountsBefore(8) = %v, want 4 gpu, 4 cpu", got)
 	}
-	if f := s.FractionIn(CPU, 0); f != 0 {
-		t.Fatalf("FractionIn with empty prefix = %v", f)
+	if got := s.CountsBefore(0); got != [3]int{} {
+		t.Fatalf("CountsBefore(0) = %v, want none", got)
 	}
-	if f := s.FractionIn(CPU, 100); f != 0.4 {
-		t.Fatalf("FractionIn clamps prefix: %v, want 0.4", f)
+	if got := s.CountsBefore(10); got != [3]int{GPU: 6, CPU: 4} {
+		t.Fatalf("CountsBefore(Len()) = %v, want 6 gpu, 4 cpu", got)
+	}
+	// A move below the cursor shows in the next query without a rescan.
+	s.Move(1, Deleted)
+	if got := s.CountsBefore(10); got != [3]int{GPU: 6, CPU: 3, Deleted: 1} {
+		t.Fatalf("CountsBefore(10) after a move = %v, want 6 gpu, 3 cpu, 1 deleted", got)
 	}
 }
 
 func TestTokenStoreOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTokenStore().Loc(0)
+	s := NewTokenStore()
+	s.Append(GPU)
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Loc(Len())", func() { s.Loc(1) }},
+		{"Loc(-1)", func() { s.Loc(-1) }},
+		{"CountsBefore(-1)", func() { s.CountsBefore(-1) }},
+		{"CountsBefore(Len()+1)", func() { s.CountsBefore(2) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", c.name)
+				}
+			}()
+			c.f()
+		}()
+	}
+	if NewTokenStore().CountsBefore(0) != [3]int{} {
+		t.Fatal("CountsBefore(0) on an empty store should count nothing")
+	}
 }
 
 // Property: counts always equal the number of positions at each location,

@@ -10,9 +10,13 @@ var allLocations = []Location{GPU, CPU, Deleted}
 
 // recount tallies TokenStore locations the slow way, as the reference for
 // the cached counters.
-func recount(s *TokenStore) [3]int {
+func recount(s *TokenStore) [3]int { return recountPrefix(s, s.Len()) }
+
+// recountPrefix tallies the locations of positions [0, p) the slow way,
+// as the reference for the prefix cursor.
+func recountPrefix(s *TokenStore, p int) [3]int {
 	var c [3]int
-	for i := 0; i < s.Len(); i++ {
+	for i := 0; i < p; i++ {
 		c[s.Loc(i)]++
 	}
 	return c
@@ -51,7 +55,9 @@ func checkTokenStore(t *testing.T, s *TokenStore, tokenBytes int64) {
 }
 
 // TestTokenStoreProperties drives random op sequences — append, move,
-// reset — and checks the byte-accounting invariants after every op.
+// clone, reset — and checks the byte-accounting invariants after every
+// op, and the prefix cursor at a random prefix, so that the cursor moves
+// both ways between queries and Moves land on both sides of it.
 func TestTokenStoreProperties(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -61,12 +67,23 @@ func TestTokenStoreProperties(t *testing.T) {
 			switch r := rng.Float64(); {
 			case r < 0.5 || s.Len() == 0:
 				s.Append(allLocations[rng.Intn(3)])
-			case r < 0.95:
+			case r < 0.93:
 				s.Move(rng.Intn(s.Len()), allLocations[rng.Intn(3)])
+			case r < 0.97:
+				c := s.Clone()
+				if c.Len() != s.Len() || recount(c) != recount(s) {
+					t.Fatalf("seed %d op %d: clone holds %d positions %v, original %d %v",
+						seed, op, c.Len(), recount(c), s.Len(), recount(s))
+				}
+				s = c
 			default:
 				s.Reset()
 			}
 			checkTokenStore(t, s, tokenBytes)
+			p := rng.Intn(s.Len() + 1)
+			if got, want := s.CountsBefore(p), recountPrefix(s, p); got != want {
+				t.Fatalf("seed %d op %d: CountsBefore(%d) = %v, recount %v", seed, op, p, got, want)
+			}
 		}
 		// Oldest/newest enumeration agrees with the counters and with
 		// each other (reversed) at every location.

@@ -132,6 +132,8 @@ func (a *Alisa) Init(ctx *Context) error {
 }
 
 // Step implements Scheduler for decode step j.
+//
+//alisa:hotpath
 func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
 	n := a.store.Len()
 	tokenBytes := ctx.TokenBytes()
@@ -152,16 +154,23 @@ func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
 		global = 0
 	}
 
-	// Locally static tokens: exact placement check of the newest `local`
+	// One placement query splits the store at the local window. n grows
+	// by one per step and local by at most one, so the prefix moves by
+	// at most one position and the query is O(1) after the first step.
+	prefix := n - local
+	before := a.store.CountsBefore(prefix)
+	_, cpu, del := a.store.Counts()
+
+	// Locally static tokens: exact placement of the newest `local`
 	// positions. Oldest-first eviction keeps these GPU-resident except
 	// under extreme pressure.
-	fetched, recomputed := a.localMisses(n, local)
+	fetched := cpu - before[kvcache.CPU]
+	recomputed := del - before[kvcache.Deleted]
 
-	// Globally dynamic tokens: expected placement under the
-	// recency-biased selection model over the prefix.
-	prefix := n - local
+	// Globally dynamic tokens: expected placement under the uniform
+	// selection model over the prefix.
 	if global > 0 && prefix > 0 {
-		_, cpuW, delW := a.weightedFractions(prefix)
+		_, cpuW, delW := weightedFractions(before, prefix)
 		fetched += int(math.Round(float64(global) * cpuW))
 		recomputed += int(math.Round(float64(global) * delW))
 	}
@@ -190,20 +199,6 @@ func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
 	plan.OffloadedTokens = offloaded
 	plan.DeletedTokens = deleted
 	return plan, nil
-}
-
-// localMisses counts, among the newest `local` cached positions, how many
-// must be fetched from CPU or recomputed.
-func (a *Alisa) localMisses(n, local int) (fetched, recomputed int) {
-	for pos := n - local; pos < n; pos++ {
-		switch a.store.Loc(pos) {
-		case kvcache.CPU:
-			fetched++
-		case kvcache.Deleted:
-			recomputed++
-		}
-	}
-	return fetched, recomputed
 }
 
 // ensureGPUSpace offloads GPU tokens to CPU until one more token fits,
@@ -311,18 +306,15 @@ func (a *Alisa) PhaseStarts() (p2Start, p3Start int) {
 }
 
 // weightedFractions returns the probability that a globally-selected token
-// lies on each device. The paper's heuristic keeps the locally static
-// window on the GPU precisely because "global tokens are less predictable"
-// (§VI-C) — the globally dynamic set drifts across the whole prefix — so
-// selection is modelled as uniform over the prefix and the fractions are
-// the exact placement shares under the store's current layout.
-func (a *Alisa) weightedFractions(prefix int) (gpuW, cpuW, delW float64) {
+// lies on each device, given the location counts of the prefix's
+// positions. The paper's heuristic keeps the locally static window on the
+// GPU precisely because "global tokens are less predictable" (§VI-C) —
+// the globally dynamic set drifts across the whole prefix — so selection
+// is modelled as uniform over the prefix and the fractions are the exact
+// placement shares under the store's current layout.
+func weightedFractions(counts [3]int, prefix int) (gpuW, cpuW, delW float64) {
 	if prefix <= 0 {
 		return 0, 0, 0
-	}
-	var counts [3]int
-	for i := 0; i < prefix; i++ {
-		counts[a.store.Loc(i)]++
 	}
 	total := float64(prefix)
 	return float64(counts[kvcache.GPU]) / total,

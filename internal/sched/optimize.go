@@ -69,7 +69,7 @@ func Optimize(ctx *Context) Params {
 	}
 
 	best := Params{Alpha: alpha, Beta: 0, P1: p1, P2: ctx.Output,
-		PredictedSeconds: predictCost(ctx, budget, p1, ctx.Output, 0)}
+		PredictedSeconds: predictCost(ctx, budget, ctx.Output, 0)}
 	if p1 >= ctx.Output {
 		// Everything fits on the GPU; Phases II and III never trigger.
 		return best
@@ -82,7 +82,7 @@ func Optimize(ctx *Context) Params {
 	for _, beta := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		for frac := 0.125; frac <= 1.0; frac += 0.125 {
 			p2 := p1 + int(frac*float64(ctx.Output-p1))
-			cost := predictCost(ctx, budget, p1, p2, beta)
+			cost := predictCost(ctx, budget, p2, beta)
 			if cost < best.PredictedSeconds {
 				best = Params{Alpha: alpha, Beta: beta, P1: p1, P2: p2, PredictedSeconds: cost}
 			}
@@ -96,7 +96,7 @@ func Optimize(ctx *Context) Params {
 // newest, [deleted | cpu | gpu], matching the scheduler's oldest-first
 // eviction, so per-step fetch and recompute expectations follow from three
 // counters.
-func predictCost(ctx *Context, budget, p1, p2 int, beta float64) float64 {
+func predictCost(ctx *Context, budget, p2 int, beta float64) float64 {
 	var total float64
 	gpu := minInt(ctx.Input, budget)
 	cpu := ctx.Input - gpu
@@ -144,12 +144,11 @@ func predictCost(ctx *Context, budget, p1, p2 int, beta float64) float64 {
 			}
 		}
 	}
-	_ = p1
 	return total
 }
 
-// layoutFractions is the closed-form analogue of Alisa.weightedFractions
-// for the canonical [deleted | cpu | gpu] layout over a prefix: uniform
+// layoutFractions is the closed-form analogue of weightedFractions for
+// the canonical [deleted | cpu | gpu] layout over a prefix: uniform
 // selection makes the fractions plain region shares.
 func layoutFractions(prefix, del, cpu int) (gpuW, cpuW, delW float64) {
 	if prefix <= 0 {

@@ -13,7 +13,7 @@ import (
 
 // newTestContext builds a context with weights and activations already
 // reserved, as the engine does.
-func newTestContext(t *testing.T, prof memsim.Profile, name string, batch, input, output int, ratio float64, kvBits int) *Context {
+func newTestContext(t testing.TB, prof memsim.Profile, name string, batch, input, output int, ratio float64, kvBits int) *Context {
 	t.Helper()
 	sys := memsim.NewSystem(prof)
 	cfg := model.MustByName(name)

@@ -338,7 +338,7 @@ func classifyCell(compileErr error, started bool, res *alisa.ServeResult, runErr
 	case runErr != nil && !(res != nil && interrupted):
 		return "", runErr
 	case runErr != nil:
-		return fmt.Sprintf(" (cancelled: %d/%d done)", len(res.Requests), n), nil
+		return fmt.Sprintf(" (cancelled: %d/%d done)", res.Completed, n), nil
 	}
 	return "", nil
 }

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	alisa "repro"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -71,5 +75,36 @@ func TestMakeTrace(t *testing.T) {
 		if tc.workload != "" && len(tr[0].Tokens) == 0 {
 			t.Errorf("%q: trace carries no token IDs", tc.workload)
 		}
+	}
+}
+
+// TestClassifyCell pins the cell labels. A cancelled scale-mode cell (more
+// requests than the exact-metrics threshold) keeps no per-request
+// records, so its progress must come from Completed.
+func TestClassifyCell(t *testing.T) {
+	boom := errors.New("boom")
+	scale := &alisa.ServeResult{Completed: 5}
+	cases := []struct {
+		name        string
+		compileErr  error
+		res         *alisa.ServeResult
+		runErr      error
+		interrupted bool
+		wantSuffix  string
+		wantErr     error
+	}{
+		{"healthy", nil, scale, nil, false, "", nil},
+		{"compile error", boom, nil, nil, false, "", boom},
+		{"run error", nil, nil, boom, false, "", boom},
+		{"cancelled scale mode", nil, scale, context.Canceled, true, " (cancelled: 5/100000 done)", nil},
+	}
+	for _, c := range cases {
+		suffix, err := classifyCell(c.compileErr, true, c.res, c.runErr, c.interrupted, 100000)
+		if suffix != c.wantSuffix || err != c.wantErr {
+			t.Errorf("%s: got (%q, %v), want (%q, %v)", c.name, suffix, err, c.wantSuffix, c.wantErr)
+		}
+	}
+	if _, err := classifyCell(nil, false, nil, nil, false, 1); err == nil {
+		t.Error("unstarted cell: no skip error")
 	}
 }

@@ -176,14 +176,16 @@ func WithMetricsWindow(n int) Option {
 }
 
 // WithExactMetrics sets the serving loop's exact-metrics threshold: runs
-// whose total request count stays at or below n keep every per-request
-// record and report metrics bit-identical to what Serve has always
-// produced, while the first request past n switches the run to scale
-// mode — completions stream into fixed-size quantile digests, records
-// are recycled immediately, and retained memory tracks the live backlog
-// instead of the trace length (ServeResult.Requests is then nil and the
-// latency percentiles are sketch estimates within a documented
-// rank-error bound; Mean and Max stay exact). 0 — the default — selects
+// whose total request count stays at or below n keep every completed
+// request's record and report exact latency percentiles, while the
+// first request past n switches the run to scale mode — the kept records
+// stream into fixed-size quantile digests in push order and are dropped,
+// later completions stream in as they happen, and retained memory
+// tracks the live backlog instead of the trace length
+// (ServeResult.Requests is then nil and the latency percentiles are
+// sketch estimates within a documented rank-error bound; Mean and Max
+// stay exact). Completed, Makespan, Throughput, Goodput and
+// SLOAttainment are exact in both modes. 0 — the default — selects
 // serve.DefaultExactMetrics (65536), which keeps every realistic
 // benchmark trace on the exact path; negative streams from the first
 // request. See DESIGN.md §10.

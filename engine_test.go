@@ -253,11 +253,9 @@ func (p *pinAllScheduler) Step(ctx *sched.Context, j int) (sched.StepPlan, error
 	return sched.StepPlan{Attended: p.tokens}, nil
 }
 
-func (p *pinAllScheduler) Release(ctx *sched.Context) (gpuBytes, cpuBytes int64) {
-	gpuBytes = int64(p.tokens) * ctx.TokenBytes()
-	ctx.Sys.FreeGPU(gpuBytes)
+func (p *pinAllScheduler) Release(ctx *sched.Context) {
+	ctx.Sys.FreeGPU(int64(p.tokens) * ctx.TokenBytes())
 	p.tokens = 0
-	return gpuBytes, 0
 }
 
 // TestCustomSchedulerEndToEnd registers a scheduler from user code and

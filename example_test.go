@@ -36,11 +36,9 @@ func (g *greedyGPU) Step(ctx *sched.Context, j int) (sched.StepPlan, error) {
 	return sched.StepPlan{Attended: g.tokens}, nil
 }
 
-func (g *greedyGPU) Release(ctx *sched.Context) (gpuBytes, cpuBytes int64) {
-	gpuBytes = int64(g.tokens) * ctx.TokenBytes()
-	ctx.Sys.FreeGPU(gpuBytes)
+func (g *greedyGPU) Release(ctx *sched.Context) {
+	ctx.Sys.FreeGPU(int64(g.tokens) * ctx.TokenBytes())
 	g.tokens = 0
-	return gpuBytes, 0
 }
 
 // ExampleEngine_session drives the streaming serving surface: open a

@@ -34,6 +34,7 @@ var wantAnnotated = []string{
 	"internal/serve.(*reqQueue).Requeue",
 	"internal/serve.(*reqQueue).push",
 	"internal/serve.(*reqQueue).siftDown",
+	"internal/serve.(*scaleDigests).observe",
 	"internal/serve.(*server).admit",
 	"internal/serve.(*server).cacheAcquire",
 	"internal/serve.(*server).cacheRelease",
@@ -44,6 +45,7 @@ var wantAnnotated = []string{
 	"internal/serve.(*server).seqKVBytes",
 	"internal/serve.(*server).tryAdmit",
 	"internal/serve.(*server).turn",
+	"internal/serve.(*totals).add",
 	"internal/serve/prefix.(*Index).EvictOne",
 	"internal/serve/prefix.(*Index).Insert",
 	"internal/serve/prefix.(*Index).Lease",

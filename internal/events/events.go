@@ -230,51 +230,63 @@ func (s *synced) OnCompletion(e Completion) {
 	s.obs.OnCompletion(e)
 }
 
-// Multi fans every event out to each observer in order.
-func Multi(obs ...Observer) Observer {
-	flat := make(multi, 0, len(obs))
+// Fanout delivers every event to each of its observers in order.
+type Fanout struct{ obs []Observer }
+
+// Multi returns a Fanout over obs, in order; nil entries are skipped.
+func Multi(obs ...Observer) *Fanout {
+	f := &Fanout{obs: make([]Observer, 0, len(obs))}
 	for _, o := range obs {
-		if o != nil {
-			flat = append(flat, o)
-		}
+		f.Add(o)
 	}
-	return flat
+	return f
 }
 
-type multi []Observer
+// Add appends obs to the end of the fan-out; a nil observer is skipped.
+func (f *Fanout) Add(obs Observer) {
+	if obs != nil {
+		f.obs = append(f.obs, obs)
+	}
+}
 
-func (m multi) OnStep(e Step) {
-	for _, o := range m {
+// OnStep implements Observer.
+func (f *Fanout) OnStep(e Step) {
+	for _, o := range f.obs {
 		o.OnStep(e)
 	}
 }
 
-func (m multi) OnAdmission(e Admission) {
-	for _, o := range m {
+// OnAdmission implements Observer.
+func (f *Fanout) OnAdmission(e Admission) {
+	for _, o := range f.obs {
 		o.OnAdmission(e)
 	}
 }
 
-func (m multi) OnFirstToken(e FirstToken) {
-	for _, o := range m {
+// OnFirstToken implements Observer.
+func (f *Fanout) OnFirstToken(e FirstToken) {
+	for _, o := range f.obs {
 		o.OnFirstToken(e)
 	}
 }
 
-func (m multi) OnToken(e Token) {
-	for _, o := range m {
+// OnToken implements Observer.
+func (f *Fanout) OnToken(e Token) {
+	for _, o := range f.obs {
 		o.OnToken(e)
 	}
 }
 
-func (m multi) OnPreemption(e Preemption) {
-	for _, o := range m {
+// OnPreemption implements Observer.
+func (f *Fanout) OnPreemption(e Preemption) {
+	for _, o := range f.obs {
 		o.OnPreemption(e)
 	}
 }
 
-func (m multi) OnCompletion(e Completion) {
-	for _, o := range m {
+// OnCompletion implements Observer.
+func (f *Fanout) OnCompletion(e Completion) {
+	for _, o := range f.obs {
 		o.OnCompletion(e)
 	}
 }

@@ -42,8 +42,8 @@ func emitAll(obs Observer) {
 }
 
 // TestMultiFanOutOrder pins the fan-out contract the session layer
-// relies on: every observer sees every event, in Subscribe order, with
-// the engine observer (first argument) always delivered to first.
+// relies on: every observer sees every event, in Subscribe (Add) order,
+// with the engine observer (first argument) always delivered to first.
 func TestMultiFanOutOrder(t *testing.T) {
 	var order []string
 	tap := func(tag string) Observer {
@@ -56,7 +56,8 @@ func TestMultiFanOutOrder(t *testing.T) {
 			Completion: func(Completion) { order = append(order, tag+":finish") },
 		}
 	}
-	m := Multi(tap("engine"), tap("sub0"), tap("sub1"))
+	m := Multi(tap("engine"), tap("sub0"))
+	m.Add(tap("sub1"))
 	emitAll(m)
 
 	want := []string{}
@@ -70,11 +71,12 @@ func TestMultiFanOutOrder(t *testing.T) {
 	}
 }
 
-// TestMultiSkipsNils checks Multi drops nil observers at construction
-// instead of panicking at delivery time.
+// TestMultiSkipsNils checks Multi and Add drop nil observers instead of
+// panicking at delivery time.
 func TestMultiSkipsNils(t *testing.T) {
 	rec := &recorder{tag: "only"}
 	m := Multi(nil, rec, nil)
+	m.Add(nil)
 	emitAll(m)
 	if len(rec.events) != 6 {
 		t.Fatalf("got %d events, want 6: %v", len(rec.events), rec.events)

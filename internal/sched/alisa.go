@@ -264,15 +264,14 @@ func (a *Alisa) enforceDeletionShare(ctx *Context, tokenBytes int64, j int) int 
 // Release implements Releaser: drop every KV byte the sequence holds from
 // both memories (deletion is free; recomputation never comes due because
 // the sequence is finished or will restart from its prompt).
-func (a *Alisa) Release(ctx *Context) (gpuBytes, cpuBytes int64) {
+func (a *Alisa) Release(ctx *Context) {
 	if a.store == nil {
-		return 0, 0
+		return
 	}
-	gpuBytes, cpuBytes = a.store.Bytes(ctx.TokenBytes())
+	gpuBytes, cpuBytes := a.store.Bytes(ctx.TokenBytes())
 	ctx.Sys.FreeGPU(gpuBytes)
 	ctx.Sys.FreeCPU(cpuBytes)
 	a.store.Reset()
-	return gpuBytes, cpuBytes
 }
 
 func (a *Alisa) markPhase2(j int) {

@@ -110,17 +110,15 @@ func (f *FlexGen) Step(ctx *Context, j int) (StepPlan, error) {
 
 // Release implements Releaser: free the static shares of every stored
 // token on both devices.
-func (f *FlexGen) Release(ctx *Context) (gpuBytes, cpuBytes int64) {
+func (f *FlexGen) Release(ctx *Context) {
 	if f.store == nil {
-		return 0, 0
+		return
 	}
 	gpuShare, cpuShare := f.store.Split(ctx.TokenBytes())
 	n := int64(f.store.Tokens())
-	gpuBytes, cpuBytes = n*gpuShare, n*cpuShare
-	ctx.Sys.FreeGPU(gpuBytes)
-	ctx.Sys.FreeCPU(cpuBytes)
+	ctx.Sys.FreeGPU(n * gpuShare)
+	ctx.Sys.FreeCPU(n * cpuShare)
 	f.store.Reset()
-	return gpuBytes, cpuBytes
 }
 
 // VLLM is the paged-attention baseline [21]: KV lives in fixed-size GPU
@@ -231,17 +229,14 @@ func (v *VLLM) Step(ctx *Context, j int) (StepPlan, error) {
 
 // Release implements Releaser: free every allocated block on its current
 // device.
-func (v *VLLM) Release(ctx *Context) (gpuBytes, cpuBytes int64) {
+func (v *VLLM) Release(ctx *Context) {
 	if v.store == nil {
-		return 0, 0
+		return
 	}
 	blockBytes := v.blockBytes(ctx)
-	gpuBytes = int64(v.store.BlocksIn(kvcache.GPU)) * blockBytes
-	cpuBytes = int64(v.store.BlocksIn(kvcache.CPU)) * blockBytes
-	ctx.Sys.FreeGPU(gpuBytes)
-	ctx.Sys.FreeCPU(cpuBytes)
+	ctx.Sys.FreeGPU(int64(v.store.BlocksIn(kvcache.GPU)) * blockBytes)
+	ctx.Sys.FreeCPU(int64(v.store.BlocksIn(kvcache.CPU)) * blockBytes)
 	v.store.Reset()
-	return gpuBytes, cpuBytes
 }
 
 func (v *VLLM) blockBytes(ctx *Context) int64 {
@@ -313,11 +308,9 @@ func (d *DeepSpeed) Step(ctx *Context, j int) (StepPlan, error) {
 }
 
 // Release implements Releaser: KV is GPU-pinned, so everything frees there.
-func (d *DeepSpeed) Release(ctx *Context) (gpuBytes, cpuBytes int64) {
-	gpuBytes = int64(d.tokens) * ctx.TokenBytes()
-	ctx.Sys.FreeGPU(gpuBytes)
+func (d *DeepSpeed) Release(ctx *Context) {
+	ctx.Sys.FreeGPU(int64(d.tokens) * ctx.TokenBytes())
 	d.tokens = 0
-	return gpuBytes, 0
 }
 
 // HFAccelerate is the HuggingFace Accelerate baseline [39]: the whole KV
@@ -374,11 +367,9 @@ func (h *HFAccelerate) Step(ctx *Context, j int) (StepPlan, error) {
 }
 
 // Release implements Releaser: the whole cache lives in CPU memory.
-func (h *HFAccelerate) Release(ctx *Context) (gpuBytes, cpuBytes int64) {
-	cpuBytes = int64(h.tokens) * ctx.TokenBytes()
-	ctx.Sys.FreeCPU(cpuBytes)
+func (h *HFAccelerate) Release(ctx *Context) {
+	ctx.Sys.FreeCPU(int64(h.tokens) * ctx.TokenBytes())
 	h.tokens = 0
-	return 0, cpuBytes
 }
 
 // interface checks

@@ -147,10 +147,9 @@ type Cloner interface {
 // system — the free-on-completion (and preemption) hook of the serving
 // loop. Release must be exact: after any Init or Step return, successful
 // or not, the scheduler's bookkeeping matches its live allocations, so
-// Release(ctx) leaves the system as if the sequence never ran. It reports
-// the freed GPU and CPU bytes.
+// Release(ctx) leaves the system as if the sequence never ran.
 type Releaser interface {
-	Release(ctx *Context) (gpuBytes, cpuBytes int64)
+	Release(ctx *Context)
 }
 
 // attendedTokens returns how many tokens a step attends to under the

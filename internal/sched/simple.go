@@ -44,11 +44,9 @@ func (g *GPUOnly) Step(ctx *Context, j int) (StepPlan, error) {
 }
 
 // Release implements Releaser.
-func (g *GPUOnly) Release(ctx *Context) (gpuBytes, cpuBytes int64) {
-	gpuBytes = int64(g.tokens) * ctx.TokenBytes()
-	ctx.Sys.FreeGPU(gpuBytes)
+func (g *GPUOnly) Release(ctx *Context) {
+	ctx.Sys.FreeGPU(int64(g.tokens) * ctx.TokenBytes())
 	g.tokens = 0
-	return gpuBytes, 0
 }
 
 // NoCache disables KV caching entirely: every decode step reprocesses the
@@ -83,9 +81,8 @@ func (n *NoCache) Step(ctx *Context, j int) (StepPlan, error) {
 }
 
 // Release implements Releaser; nothing is ever cached.
-func (n *NoCache) Release(ctx *Context) (gpuBytes, cpuBytes int64) {
+func (n *NoCache) Release(ctx *Context) {
 	n.tokens = 0
-	return 0, 0
 }
 
 // PCIeSplit keeps a fixed fraction of every token's KV in CPU memory and
@@ -165,14 +162,12 @@ func (p *PCIeSplit) Step(ctx *Context, j int) (StepPlan, error) {
 }
 
 // Release implements Releaser: free both static shares of every token.
-func (p *PCIeSplit) Release(ctx *Context) (gpuBytes, cpuBytes int64) {
+func (p *PCIeSplit) Release(ctx *Context) {
 	gpuShare, cpuShare := p.split(ctx)
 	n := int64(p.tokens)
-	gpuBytes, cpuBytes = n*gpuShare, n*cpuShare
-	ctx.Sys.FreeGPU(gpuBytes)
-	ctx.Sys.FreeCPU(cpuBytes)
+	ctx.Sys.FreeGPU(n * gpuShare)
+	ctx.Sys.FreeCPU(n * cpuShare)
 	p.tokens = 0
-	return gpuBytes, cpuBytes
 }
 
 func (p *PCIeSplit) split(ctx *Context) (gpuShare, cpuShare int64) {

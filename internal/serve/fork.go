@@ -2,11 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/events"
 	"repro/internal/sched"
-	"repro/internal/workload"
 )
 
 // Snapshot is a frozen deep copy of a running Loop, taken between turns.
@@ -17,11 +17,11 @@ import (
 // original loop (or any fork) advances.
 //
 // The copy is cheap in the sense that matters at scale: its size is the
-// live state — wait-queue backlog, active batch, in-flight records,
-// digest state — not the history of the run, so snapshotting a
-// million-request run mid-stream costs what snapshotting a
-// thousand-request run costs (plus the exact-path record table, when the
-// run is below the exact-metrics threshold).
+// live state — wait-queue backlog, active batch, live-ID index, digest
+// state — not the history of the run, so snapshotting a million-request
+// run mid-stream costs what snapshotting a thousand-request run costs
+// (plus the completed records and IDs the exact path keeps, when the run
+// is below the exact-metrics threshold).
 type Snapshot struct {
 	s *server
 }
@@ -75,8 +75,9 @@ func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
 }
 
 // clone deep-copies the server so the copy can advance independently:
-// simulated system, wait queue, records, digest state, per-sequence
-// scheduler state, and the result-in-progress are all duplicated; the
+// simulated system, wait queue, ID index, kept records, totals, digest
+// state, per-sequence scheduler state and records, and the
+// result-in-progress are all duplicated; the
 // factory and cost model are shared (stateless). obs becomes the copy's
 // observer. Scratch (plans, attended, pools) starts empty — it is
 // rebuilt on demand and never observable.
@@ -89,8 +90,9 @@ func (s *server) clone(obs events.Observer) (*server, error) {
 		queue:                    s.queue.Clone(),
 		injected:                 s.injected,
 		exactLimit:               s.exactLimit,
-		streaming:                s.streaming,
-		all:                      append([]workload.Request(nil), s.all...),
+		ids:                      maps.Clone(s.ids),
+		kept:                     slices.Clone(s.kept),
+		tot:                      s.tot,
 		preemptions:              s.preemptions,
 		iterations:               s.iterations,
 		batchSum:                 s.batchSum,
@@ -118,25 +120,6 @@ func (s *server) clone(obs events.Observer) (*server, error) {
 		c.cache = s.cache.Clone()
 	}
 
-	// Fresh records in one arena chunk; the map lookup by ID replaces any
-	// old-pointer bookkeeping when the active sequences are repointed.
-	// The arena fills in ascending request ID, not map order: every
-	// lookup goes through the map, but letting map iteration pick the
-	// clone's memory layout is exactly the nondeterminism class the
-	// determinism analyzer bans — a future reader of the arena would
-	// inherit a per-process order.
-	ids := make([]int, 0, len(s.records))
-	for id := range s.records {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	c.records = make(map[int]*RequestRecord, len(s.records))
-	c.recArena = make([]RequestRecord, 0, len(s.records)+16)
-	for _, id := range ids {
-		c.recArena = append(c.recArena, *s.records[id])
-		c.records[id] = &c.recArena[len(c.recArena)-1]
-	}
-
 	c.active = make([]*seqState, 0, len(s.active))
 	for _, st := range s.active {
 		cl, ok := st.sch.(sched.Cloner)
@@ -158,7 +141,7 @@ func (s *server) clone(obs events.Observer) (*server, error) {
 			rel:      rel,
 			ctx:      ctx,
 			j:        st.j,
-			rec:      c.records[st.req.ID],
+			rec:      st.rec,
 			seq:      st.seq,
 			done:     st.done,
 			leaseLen: st.leaseLen,

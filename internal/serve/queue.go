@@ -14,9 +14,7 @@ type queuedReq struct {
 }
 
 // reqQueue is the arrival-keyed indexed wait queue: a binary min-heap on
-// (Arrival, seq). Where the previous insertion-sorted slice paid O(n)
-// per out-of-order injection and retained every consumed slot until the
-// run ended, the heap pays O(log n) per operation and frees each slot on
+// (Arrival, seq). It pays O(log n) per operation and frees each slot on
 // pop, so the queue's footprint is the live backlog — the indexed-queue
 // half of the O(in-flight) memory contract.
 //
@@ -26,17 +24,6 @@ type queuedReq struct {
 type reqQueue struct {
 	h       []queuedReq
 	nextSeq uint64
-}
-
-// seed initializes the queue from an arrival-ordered trace in O(n): a
-// nondecreasing array is already a valid min-heap, and trace validation
-// guarantees arrival order.
-func (q *reqQueue) seed(tr workload.Trace) {
-	q.h = make([]queuedReq, len(tr))
-	for i, r := range tr {
-		q.h[i] = queuedReq{req: r, seq: uint64(i)}
-	}
-	q.nextSeq = uint64(len(tr))
 }
 
 // Len returns the number of waiting requests.

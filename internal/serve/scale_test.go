@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -246,10 +247,47 @@ func TestScaleModeDeterministic(t *testing.T) {
 	}
 }
 
+// TestSwitchInsideCompletionCallback crosses the exact-metrics threshold
+// from an OnCompletion callback, as a closed-loop client issuing its
+// next request does: the request completing at the switch must count
+// once, not once as a kept record and again as a fresh completion.
+func TestSwitchInsideCompletionCallback(t *testing.T) {
+	const total = 12
+	cfg := lightConfig("vllm")
+	cfg.Trace = nil
+	cfg.ExactMetrics = 4
+	var l *Loop
+	next, done := 0, 0
+	inject := func() {
+		if err := l.Inject(workload.Request{ID: next, Arrival: l.Clock(), Input: 32, Output: 4}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	cfg.Observer = events.Funcs{Completion: func(events.Completion) {
+		done++
+		if next < total {
+			inject()
+		}
+	}}
+	l, err := NewLoop(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject()
+	inject()
+	res := drainResult(t, l)
+	if done != total || res.Completed != total || res.Requests != nil {
+		t.Fatalf("%d completion events, Result counts %d completed (records %v); want %d in scale mode",
+			done, res.Completed, res.Requests, total)
+	}
+}
+
 // TestScaleModeRetainsOnlyLiveRecords is the O(in-flight) record guard
-// at the unit level: a paced streaming run of many requests must keep
-// record storage bounded by the peak live count — every completed
-// record recycles — and leave no records behind after the drain.
+// at the unit level: through a paced streaming run of many requests, the
+// ID index must hold exactly the live requests after every turn, no
+// completed record may be kept, and nothing may stay behind after the
+// drain.
 func TestScaleModeRetainsOnlyLiveRecords(t *testing.T) {
 	cfg := Config{
 		Model:        model.MustByName("opt-6.7b"),
@@ -264,6 +302,16 @@ func TestScaleModeRetainsOnlyLiveRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	s := &l.s
+	checkLive := func() {
+		t.Helper()
+		if live := l.Pending() + l.Active(); len(s.ids) != live {
+			t.Fatalf("ID index holds %d requests with %d live", len(s.ids), live)
+		}
+		if len(s.kept) != 0 {
+			t.Fatalf("scale mode kept %d completed records", len(s.kept))
+		}
+	}
 	const total = 4096
 	const liveCap = 64
 	next := 0
@@ -280,20 +328,16 @@ func TestScaleModeRetainsOnlyLiveRecords(t *testing.T) {
 			if _, err := l.Advance(ctx); err != nil {
 				t.Fatal(err)
 			}
+			checkLive()
 		}
 	}
 	if err := l.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	s := &l.s
-	if got := len(s.records); got != 0 {
-		t.Errorf("drained scale run still indexes %d records", got)
-	}
-	// Every record ever allocated is now pooled; the pool size is the
-	// peak live record count, which pacing bounded.
-	if got := len(s.freeRecs); got > liveCap+8 {
-		t.Errorf("record pool holds %d records after %d requests; want ≤ %d (peak live)", got, total, liveCap+8)
+	checkLive()
+	if got := len(s.ids); got != 0 {
+		t.Errorf("drained scale run still indexes %d requests", got)
 	}
 	if got := s.queue.Len(); got != 0 {
 		t.Errorf("drained queue still holds %d requests", got)

@@ -47,9 +47,11 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/costmodel"
 	"repro/internal/events"
@@ -104,20 +106,21 @@ type Config struct {
 
 	// ExactMetrics is the exact-metrics threshold: while the total number
 	// of requests handed to the loop stays at or below it, the run keeps
-	// every per-request record and Finalize digests them with one
-	// end-of-run sort per latency — bit-identical to what the loop has
-	// always produced, which every golden and replay suite pins.
-	// The first injection that pushes the total past the threshold
-	// switches the loop to scale mode, deterministically (the trigger
-	// depends only on the injection count): completed requests stream
-	// into fixed-size digests (metrics.LatencyDigest) at completion time
-	// and their records are recycled immediately, so retained memory
-	// tracks the live backlog, not the trace length. In scale mode
-	// Result.Requests is nil, the latency percentiles are sketch
-	// estimates within the documented rank-error bound (Mean and Max stay
-	// exact), and duplicate-ID detection covers live requests only. 0
-	// selects DefaultExactMetrics; negative means scale mode from the
-	// first request. See DESIGN.md §10.
+	// every completed request's record, and Finalize reports them in
+	// insertion order with exact latency percentiles. The first
+	// injection that pushes the total past the threshold switches the
+	// loop to scale mode, deterministically (the trigger depends only on
+	// the injection count): the kept records stream into fixed-size
+	// digests (metrics.LatencyDigest) in insertion order and are dropped,
+	// and every later completion streams in as it happens, so retained
+	// memory tracks the live backlog, not the trace length. The run
+	// totals (Completed, Makespan, Throughput, Goodput, SLOAttainment)
+	// are exact in both modes. In scale mode Result.Requests is nil, the
+	// latency percentiles are sketch estimates within the documented
+	// rank-error bound (Mean and Max stay exact), and duplicate-ID
+	// detection covers live requests only. 0 selects
+	// DefaultExactMetrics; negative means scale mode from the first
+	// request. See DESIGN.md §10.
 	ExactMetrics int
 
 	// PrefixBlock enables the shared prefix KV cache (DESIGN.md §13):
@@ -305,9 +308,12 @@ type seqState struct {
 	rel sched.Releaser
 	ctx *sched.Context
 	j   int // completed decode steps
-	rec *RequestRecord
+	// rec is the request's record since its latest admission; complete
+	// closes it and hands it to the metrics.
+	rec RequestRecord
 	// seq is the request's wait-queue ticket, kept so a preemption
-	// requeue restores its FCFS position (see reqQueue).
+	// requeue restores its FCFS position (see reqQueue). It is also the
+	// request's insertion index, which orders the exact path's records.
 	seq uint64
 	// done marks a sequence completed this iteration; iterate compacts
 	// the active list once after the completion sweep instead of paying a
@@ -343,28 +349,20 @@ type server struct {
 	// exactLimit flips the run into scale mode, deterministically.
 	injected   int
 	exactLimit int
-	// streaming is true once the run entered scale mode: completions
-	// stream into dig and their records recycle through freeRecs.
-	streaming bool
-	dig       *scaleDigests
+	// dig is non-nil once the run entered scale mode: completions stream
+	// into its latency digests instead of kept.
+	dig *scaleDigests
 
-	// all records every request ever handed to the loop — the seed trace
-	// followed by injections, in insertion order — and is what finalize
-	// reports over on the exact path. For a trace run it aliases
-	// cfg.Trace (capacity-capped, so injections never write into the
-	// caller's array). Scale mode drops it: finalize reads the digests.
-	all []workload.Request
-
-	active  []*seqState
-	records map[int]*RequestRecord
-	// recArena is the current chunk of the flat arena backing the records
-	// map. A trace run sizes one exact chunk up front; injections append,
-	// and a full chunk is replaced (never grown in place) so the pointers
-	// the map already holds stay valid.
-	recArena []RequestRecord
-	// freeRecs pools records recycled by scale-mode completions, so a
-	// steady-state stream allocates no new records at all.
-	freeRecs []*RequestRecord
+	active []*seqState
+	// ids maps every live request's ID to its preemptions so far. On the
+	// exact path completed IDs stay too, so duplicate detection spans
+	// every request ever injected; scale mode deletes them at completion.
+	ids map[int]int
+	// kept holds the exact path's completed records with their tickets;
+	// sorted by ticket they are in insertion order.
+	kept []keptRecord
+	// tot sums every completion, in both modes.
+	tot totals
 
 	preemptions int
 	iterations  int
@@ -409,10 +407,9 @@ type server struct {
 	res *Result
 }
 
-// Run simulates the configured serving workload to completion: it seeds
-// a Loop with the full trace and drains it — the offline replay adapter
-// over the step-driven session core, bit-identical to the monolithic
-// loop it replaced.
+// Run simulates the configured serving workload to completion: it
+// injects the full trace into a Loop and drains it — the offline replay
+// adapter over the step-driven session core.
 //
 // Cancellation is checked once per event-loop turn: when ctx is cancelled
 // mid-run, every active sequence's KV is released (the end-of-run leak
@@ -462,8 +459,8 @@ type Loop struct {
 }
 
 // NewLoop validates the configuration and builds an idle serving loop.
-// Unlike Run, cfg.Trace is optional: a non-empty trace pre-seeds the
-// wait queue, and streaming callers start empty and Inject instead.
+// Unlike Run, cfg.Trace is optional: a non-empty trace is injected in
+// order, and streaming callers start empty and Inject instead.
 func NewLoop(cfg Config) (*Loop, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validateStatic(); err != nil {
@@ -478,7 +475,7 @@ func NewLoop(cfg Config) (*Loop, error) {
 }
 
 // newLoop builds the loop state from an already-validated, defaulted
-// configuration and reserves the static memory.
+// configuration, reserves the static memory and injects cfg.Trace.
 func newLoop(cfg Config) (*Loop, error) {
 	factory := cfg.Factory
 	if factory == nil {
@@ -500,10 +497,7 @@ func newLoop(cfg Config) (*Loop, error) {
 		cost:                     costmodel.New(cfg.Profile),
 		newSched:                 factory,
 		exactLimit:               exactLimit,
-		injected:                 len(cfg.Trace),
-		all:                      cfg.Trace[:len(cfg.Trace):len(cfg.Trace)],
-		records:                  make(map[int]*RequestRecord, len(cfg.Trace)),
-		recArena:                 make([]RequestRecord, 0, len(cfg.Trace)),
+		ids:                      make(map[int]int, len(cfg.Trace)),
 		admissionBlockedHeadroom: -1,
 		kvTokenFP16:              cfg.Model.KVBytesPerToken(2),
 		res: &Result{
@@ -512,18 +506,18 @@ func newLoop(cfg Config) (*Loop, error) {
 		},
 	}
 	s := &l.s
-	s.queue.seed(cfg.Trace)
-	for _, r := range cfg.Trace {
-		s.addRecord(r)
-	}
-	if exactLimit < 0 || s.injected > exactLimit {
+	if exactLimit < 0 {
 		s.enterScaleMode()
 	}
-
 	if err := s.reserveStatic(); err != nil {
 		return nil, err
 	}
 	s.newPrefixCache()
+	for _, r := range cfg.Trace {
+		if err := l.Inject(r); err != nil {
+			return nil, err
+		}
+	}
 	return l, nil
 }
 
@@ -550,9 +544,9 @@ func (l *Loop) Inject(req workload.Request) error {
 		return fmt.Errorf("serve: request %d carries %d token IDs for an input of %d", req.ID, len(req.Tokens), req.Input)
 	}
 	// Duplicate detection spans every request ever injected on the exact
-	// path; in scale mode completed records are recycled, so it covers
-	// live requests only (see Config.ExactMetrics).
-	if _, dup := s.records[req.ID]; dup {
+	// path; scale mode forgets completed IDs, so it covers live requests
+	// only (see Config.ExactMetrics).
+	if _, dup := s.ids[req.ID]; dup {
 		return fmt.Errorf("serve: duplicate request ID %d", req.ID)
 	}
 
@@ -571,11 +565,8 @@ func (l *Loop) Inject(req workload.Request) error {
 		s.lastAdmitErr = nil
 	}
 	s.injected++
-	if !s.streaming {
-		s.all = append(s.all, req)
-	}
-	s.addRecord(req)
-	if !s.streaming && s.exactLimit >= 0 && s.injected > s.exactLimit {
+	s.ids[req.ID] = 0
+	if s.dig == nil && s.exactLimit >= 0 && s.injected > s.exactLimit {
 		s.enterScaleMode()
 	}
 	return nil
@@ -683,36 +674,11 @@ func (s *server) reserveStatic() error {
 	return nil
 }
 
-// addRecord indexes a per-request record for req, reusing a recycled
-// record when scale mode has freed one; otherwise it allocates from the
-// current arena chunk, and a full chunk is swapped for a fresh one (the
-// map keeps the old chunk's pointers alive and valid).
-func (s *server) addRecord(req workload.Request) *RequestRecord {
-	if n := len(s.freeRecs); n > 0 {
-		rec := s.freeRecs[n-1]
-		s.freeRecs = s.freeRecs[:n-1]
-		*rec = RequestRecord{ID: req.ID, Arrival: req.Arrival, Input: req.Input, Output: req.Output}
-		s.records[req.ID] = rec
-		return rec
-	}
-	if len(s.recArena) == cap(s.recArena) {
-		n := 2 * cap(s.recArena)
-		if n < 16 {
-			n = 16
-		}
-		s.recArena = make([]RequestRecord, 0, n)
-	}
-	s.recArena = append(s.recArena, RequestRecord{ID: req.ID, Arrival: req.Arrival, Input: req.Input, Output: req.Output})
-	rec := &s.recArena[len(s.recArena)-1]
-	s.records[req.ID] = rec
-	return rec
-}
-
 // turn is one step of the discrete-event engine: admit, decode one
-// iteration, complete — the body of what used to be the monolithic run
-// loop. It reports false when the loop is idle (nothing waiting, nothing
-// active). Cancellation is checked once per turn; a cancelled turn
-// releases every active sequence so the leak check still holds.
+// iteration, complete. It reports false when the loop is idle (nothing
+// waiting, nothing active). Cancellation is checked once per turn; a
+// cancelled turn releases every active sequence so the leak check still
+// holds.
 //
 //alisa:hotpath
 func (s *server) turn(ctx context.Context) (bool, error) {
@@ -903,14 +869,16 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 		}
 		st.leaseLen = n
 	}
-	rec := s.records[req.ID]
-	rec.Admitted = s.sys.Clock() - prefill
-	rec.FirstToken = s.sys.Clock()
-	st.req, st.sch, st.rel, st.rec, st.seq = req, sch, rel, rec, seq
+	st.rec = RequestRecord{
+		ID: req.ID, Arrival: req.Arrival, Input: req.Input, Output: req.Output,
+		Admitted: s.sys.Clock() - prefill, FirstToken: s.sys.Clock(),
+		Preemptions: s.ids[req.ID],
+	}
+	st.req, st.sch, st.rel, st.seq = req, sch, rel, seq
 	s.active = append(s.active, st)
 	if s.cfg.Observer != nil {
 		adm := events.Admission{
-			Request: req.ID, Clock: s.sys.Clock(), Wait: rec.Admitted - req.Arrival,
+			Request: req.ID, Clock: s.sys.Clock(), Wait: st.rec.Admitted - req.Arrival,
 			Input: req.Input, Output: req.Output, Batch: len(s.active),
 		}
 		if s.cache != nil && len(req.Tokens) > 0 {
@@ -1067,7 +1035,7 @@ func (s *server) iterate() error {
 func (s *server) preempt(victim *seqState) {
 	victim.rel.Release(victim.ctx)
 	s.cacheRelease(victim)
-	victim.rec.Preemptions++
+	s.ids[victim.req.ID]++
 	s.preemptions++
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.OnPreemption(events.Preemption{
@@ -1079,39 +1047,44 @@ func (s *server) preempt(victim *seqState) {
 	// Requeue under the original ticket: the (arrival, ticket) key
 	// restores the request's FCFS position ahead of everything that
 	// queued behind it, and a heap push into warm capacity allocates
-	// nothing — the old slice-based path's "prepend by fresh allocation"
-	// fallback is gone with the slice.
+	// nothing.
 	s.queue.Requeue(victim.req, victim.seq)
 	s.putSeq(victim)
 	s.admissionBlockedHeadroom = -1
 }
 
 // complete retires a finished sequence: it frees the KV, closes the
-// record, and — in scale mode — streams the completion into the digests
-// and recycles the record on the spot. The sequence is only marked done
-// here; iterate compacts the active list once after the completion
-// sweep, so retiring k of b sequences costs O(b), not O(k·b).
+// record, and folds it into the totals, then into kept on the exact path
+// or the digests in scale mode. The sequence is only marked done here;
+// iterate compacts the active list once after the completion sweep, so
+// retiring k of b sequences costs O(b), not O(k·b).
 //
 //alisa:hotpath
 func (s *server) complete(st *seqState) {
 	st.rel.Release(st.ctx)
 	s.cacheRelease(st)
-	st.rec.Finished = s.sys.Clock()
+	rec := &st.rec
+	rec.Finished = s.sys.Clock()
 	st.done = true
 	s.admissionBlockedHeadroom = -1
+	met := s.sloMet(rec)
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.OnCompletion(events.Completion{
 			Request: st.req.ID, Clock: s.sys.Clock(),
-			TTFT: st.rec.TTFT(), TPOT: st.rec.TPOT(),
-			E2E: s.sys.Clock() - st.rec.Arrival, Output: st.req.Output,
-			SLOMet:      s.sloMet(st.rec),
-			Preemptions: st.rec.Preemptions,
+			TTFT: rec.TTFT(), TPOT: rec.TPOT(),
+			E2E: s.sys.Clock() - rec.Arrival, Output: st.req.Output,
+			SLOMet:      met,
+			Preemptions: rec.Preemptions,
 		})
 	}
-	if s.streaming {
-		s.streamCompletion(st.rec)
-		delete(s.records, st.req.ID)
-		s.freeRecs = append(s.freeRecs, st.rec)
+	// Fold after the callback: an Inject from it that crosses the
+	// threshold streams kept into the digests, and this record follows.
+	s.tot.add(rec, met)
+	if s.dig != nil {
+		s.dig.observe(rec)
+		delete(s.ids, rec.ID)
+	} else {
+		s.kept = append(s.kept, keptRecord{seq: st.seq, rec: *rec})
 	}
 }
 
@@ -1123,74 +1096,82 @@ func (s *server) sloMet(rec *RequestRecord) bool {
 	return rec.TTFT() <= s.cfg.SLOTTFT && rec.TPOT() <= s.cfg.SLOTPOT
 }
 
-// scaleDigests is the fixed-size accumulator state of a scale-mode run:
-// three streaming latency digests plus the running throughput and
-// goodput aggregates — everything finalize needs, with no per-request
-// retention.
-type scaleDigests struct {
-	ttft, tpot, e2e *metrics.LatencyDigest
-	completed       int
-	totalTokens     int
-	goodTokens      int
-	good            int
-	makespan        float64
+// keptRecord is one completed record on the exact path, with its
+// request's wait-queue ticket.
+type keptRecord struct {
+	seq uint64
+	rec RequestRecord
 }
 
-func newScaleDigests() *scaleDigests {
-	return &scaleDigests{
+// byTicket orders kept records by ticket, which is insertion order.
+func byTicket(a, b keptRecord) int { return cmp.Compare(a.seq, b.seq) }
+
+// totals are the run-level aggregates of every completion. Each is an
+// integer sum or a maximum, so the order completions arrive in cannot
+// change them.
+type totals struct {
+	completed, tokens int
+	good, goodTokens  int
+	makespan          float64
+}
+
+// add folds one completed record into the totals; met is its sloMet.
+//
+//alisa:hotpath
+func (t *totals) add(rec *RequestRecord, met bool) {
+	t.completed++
+	t.tokens += rec.Output
+	if met {
+		t.good++
+		t.goodTokens += rec.Output
+	}
+	if rec.Finished > t.makespan {
+		t.makespan = rec.Finished
+	}
+}
+
+// scaleDigests holds the three streaming latency digests of a scale-mode
+// run: fixed-size state, with no per-request retention.
+type scaleDigests struct {
+	ttft, tpot, e2e *metrics.LatencyDigest
+}
+
+// clone deep-copies the digests for Loop.Snapshot.
+func (d *scaleDigests) clone() *scaleDigests {
+	return &scaleDigests{ttft: d.ttft.Clone(), tpot: d.tpot.Clone(), e2e: d.e2e.Clone()}
+}
+
+// observe streams one completed record's latencies into the digests.
+//
+//alisa:hotpath
+func (d *scaleDigests) observe(rec *RequestRecord) {
+	d.ttft.Observe(rec.TTFT())
+	d.tpot.Observe(rec.TPOT())
+	d.e2e.Observe(rec.Finished - rec.Arrival)
+}
+
+// enterScaleMode flips the run into streaming-digest mode: the kept
+// records stream into the digests in insertion order — deterministic,
+// since the switch itself fires at a deterministic injection count —
+// and are dropped with their IDs, so ids indexes live requests only.
+// From here on, complete streams each finish directly.
+func (s *server) enterScaleMode() {
+	s.dig = &scaleDigests{
 		ttft: metrics.NewLatencyDigest(0),
 		tpot: metrics.NewLatencyDigest(0),
 		e2e:  metrics.NewLatencyDigest(0),
 	}
-}
-
-// clone deep-copies the digest state for Loop.Snapshot.
-func (d *scaleDigests) clone() *scaleDigests {
-	c := *d
-	c.ttft, c.tpot, c.e2e = d.ttft.Clone(), d.tpot.Clone(), d.e2e.Clone()
-	return &c
-}
-
-// enterScaleMode flips the run into streaming-digest mode: every already
-// completed record is streamed into the digests in insertion order —
-// deterministic, since the switch itself fires at a deterministic
-// injection count — and recycled; records stay indexed for live requests
-// only, and the insertion-order request list is dropped. From here on,
-// complete streams each finish directly.
-func (s *server) enterScaleMode() {
-	s.streaming = true
-	s.dig = newScaleDigests()
-	for _, r := range s.all {
-		rec := s.records[r.ID]
-		if rec == nil || rec.Finished == 0 {
-			continue
-		}
-		s.streamCompletion(rec)
-		delete(s.records, r.ID)
-		s.freeRecs = append(s.freeRecs, rec)
+	slices.SortFunc(s.kept, byTicket)
+	for i := range s.kept {
+		s.dig.observe(&s.kept[i].rec)
+		delete(s.ids, s.kept[i].rec.ID)
 	}
-	s.all = nil
+	s.kept = nil
 }
 
-// streamCompletion folds one completed record into the digests.
-func (s *server) streamCompletion(rec *RequestRecord) {
-	d := s.dig
-	d.completed++
-	d.ttft.Observe(rec.TTFT())
-	d.tpot.Observe(rec.TPOT())
-	d.e2e.Observe(rec.Finished - rec.Arrival)
-	d.totalTokens += rec.Output
-	if rec.Finished > d.makespan {
-		d.makespan = rec.Finished
-	}
-	if s.sloMet(rec) {
-		d.good++
-		d.goodTokens += rec.Output
-	}
-}
-
-// finalize computes the aggregate metrics — from the per-request records
-// on the exact path, from the streaming digests in scale mode.
+// finalize computes the aggregate metrics: the totals in both modes,
+// then the latency summaries from the kept records in insertion order
+// on the exact path, or from the digests in scale mode.
 func (s *server) finalize() {
 	res := s.res
 	res.Preemptions = s.preemptions
@@ -1204,61 +1185,39 @@ func (s *server) finalize() {
 		res.PrefixSharedBytes = s.prefixPeakBytes
 	}
 
-	if s.streaming {
-		d := s.dig
-		res.Completed = d.completed
+	t := &s.tot
+	res.Completed = t.completed
+	res.Makespan = t.makespan
+	if t.makespan > 0 {
+		res.Throughput = float64(t.tokens) / t.makespan
+		res.Goodput = float64(t.goodTokens) / t.makespan
+	}
+	if t.completed > 0 {
+		res.SLOAttainment = float64(t.good) / float64(t.completed)
+	}
+
+	if d := s.dig; d != nil {
 		res.TTFT = d.ttft.Summary()
 		res.TPOT = d.tpot.Summary()
 		res.E2E = d.e2e.Summary()
-		res.Makespan = d.makespan
-		if d.makespan > 0 {
-			res.Throughput = float64(d.totalTokens) / d.makespan
-			res.Goodput = float64(d.goodTokens) / d.makespan
-		}
-		if d.completed > 0 {
-			res.SLOAttainment = float64(d.good) / float64(d.completed)
-		}
 		return
 	}
-
-	n := len(s.all)
-	res.Requests = make([]RequestRecord, 0, n)
-	ttft := make([]float64, 0, n)
-	tpot := make([]float64, 0, n)
-	e2e := make([]float64, 0, n)
-	totalTokens, goodTokens, good := 0, 0, 0
-	for _, r := range s.all {
-		rec := s.records[r.ID]
-		if rec.Finished == 0 {
-			// Never completed — only possible on a cancelled or
-			// mid-stream-finalized run; partial results summarise the
-			// requests that did finish.
-			continue
-		}
-		res.Requests = append(res.Requests, *rec)
-		ttft = append(ttft, rec.TTFT())
-		tpot = append(tpot, rec.TPOT())
-		e2e = append(e2e, rec.Finished-rec.Arrival)
-		totalTokens += rec.Output
-		if rec.Finished > res.Makespan {
-			res.Makespan = rec.Finished
-		}
-		if s.sloMet(rec) {
-			good++
-			goodTokens += rec.Output
-		}
+	slices.SortFunc(s.kept, byTicket)
+	n := len(s.kept)
+	res.Requests = make([]RequestRecord, n)
+	ttft := make([]float64, n)
+	tpot := make([]float64, n)
+	e2e := make([]float64, n)
+	for i := range s.kept {
+		rec := &s.kept[i].rec
+		res.Requests[i] = *rec
+		ttft[i] = rec.TTFT()
+		tpot[i] = rec.TPOT()
+		e2e[i] = rec.Finished - rec.Arrival
 	}
-	res.Completed = len(res.Requests)
-	// One percentile scratch serves all three latency digests.
+	// One percentile scratch serves all three latency summaries.
 	var scratch []float64
 	res.TTFT, scratch = metrics.SummarizeInto(ttft, scratch)
 	res.TPOT, scratch = metrics.SummarizeInto(tpot, scratch)
 	res.E2E, _ = metrics.SummarizeInto(e2e, scratch)
-	if res.Makespan > 0 {
-		res.Throughput = float64(totalTokens) / res.Makespan
-		res.Goodput = float64(goodTokens) / res.Makespan
-	}
-	if len(res.Requests) > 0 {
-		res.SLOAttainment = float64(good) / float64(len(res.Requests))
-	}
 }

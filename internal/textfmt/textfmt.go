@@ -98,22 +98,6 @@ func Heatmap(m [][]float64) string {
 	return b.String()
 }
 
-// Bar renders value as a proportional bar of at most width characters
-// against max, with the numeric value appended.
-func Bar(value, max float64, width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	n := 0
-	if max > 0 {
-		n = int(value / max * float64(width))
-		if n > width {
-			n = width
-		}
-	}
-	return strings.Repeat("█", n) + strings.Repeat("·", width-n)
-}
-
 // Bytes formats a byte count with binary units.
 func Bytes(n int64) string {
 	const unit = 1024

@@ -62,24 +62,6 @@ func TestHeatmapAllZeros(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	full := Bar(10, 10, 8)
-	if strings.Count(full, "█") != 8 {
-		t.Fatalf("full bar = %q", full)
-	}
-	half := Bar(5, 10, 8)
-	if strings.Count(half, "█") != 4 {
-		t.Fatalf("half bar = %q", half)
-	}
-	over := Bar(20, 10, 8)
-	if strings.Count(over, "█") != 8 {
-		t.Fatalf("overflow bar = %q", over)
-	}
-	if got := Bar(1, 2, 0); len([]rune(got)) != 40 {
-		t.Fatalf("default width = %d", len([]rune(got)))
-	}
-}
-
 func TestBytes(t *testing.T) {
 	cases := map[int64]string{
 		512:             "512 B",

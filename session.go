@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 
+	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -51,7 +52,9 @@ type Session struct {
 	ctx    context.Context
 	loop   *serve.Loop
 	window *metrics.Window
-	subs   []Observer
+	// tap is the loop's observer: the window feed first, then the
+	// engine's observer, then subscribers in Subscribe order.
+	tap    *events.Fanout
 	closed bool
 	result *ServeResult
 	err    error
@@ -72,7 +75,8 @@ func (e *Engine) Open(ctx context.Context) (*Session, error) {
 		ctx:    ctx,
 		window: metrics.NewWindow(e.metricsWindow),
 	}
-	loop, err := serve.NewLoop(e.serveConfig(nil, sessionTap{s}))
+	s.tap = newSessionTap(s.window, e.observer)
+	loop, err := serve.NewLoop(e.serveConfig(nil, s.tap))
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +160,8 @@ func (s *Session) Fork() (*Session, error) {
 		ctx:    s.ctx,
 		window: s.window.Clone(),
 	}
-	loop, err := s.loop.Fork(sessionTap{f})
+	f.tap = newSessionTap(f.window, s.eng.observer)
+	loop, err := s.loop.Fork(f.tap)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +181,7 @@ func (s *Session) Subscribe(obs Observer) error {
 	if s.closed {
 		return ErrSessionClosed
 	}
-	s.subs = append(s.subs, obs)
+	s.tap.Add(obs)
 	return nil
 }
 
@@ -206,67 +211,20 @@ func (s *Session) Close() (*ServeResult, error) {
 	return s.result, nil
 }
 
-// sessionTap is the session's internal observer: it feeds the rolling
-// metrics window from completions and fans every event out to the
-// engine's observer and the session's subscribers.
-type sessionTap struct{ s *Session }
-
-func (t sessionTap) OnStep(e StepEvent) {
-	if o := t.s.eng.observer; o != nil {
-		o.OnStep(e)
-	}
-	for _, o := range t.s.subs {
-		o.OnStep(e)
-	}
-}
-
-func (t sessionTap) OnAdmission(e AdmissionEvent) {
-	if e.PrefixProbed {
-		t.s.window.ObservePrefix(e.CachedTokens, e.SharedBytes)
-	}
-	if o := t.s.eng.observer; o != nil {
-		o.OnAdmission(e)
-	}
-	for _, o := range t.s.subs {
-		o.OnAdmission(e)
-	}
-}
-
-func (t sessionTap) OnFirstToken(e FirstTokenEvent) {
-	if o := t.s.eng.observer; o != nil {
-		o.OnFirstToken(e)
-	}
-	for _, o := range t.s.subs {
-		o.OnFirstToken(e)
-	}
-}
-
-func (t sessionTap) OnToken(e TokenEvent) {
-	if o := t.s.eng.observer; o != nil {
-		o.OnToken(e)
-	}
-	for _, o := range t.s.subs {
-		o.OnToken(e)
-	}
-}
-
-func (t sessionTap) OnPreemption(e PreemptionEvent) {
-	if o := t.s.eng.observer; o != nil {
-		o.OnPreemption(e)
-	}
-	for _, o := range t.s.subs {
-		o.OnPreemption(e)
-	}
-}
-
-func (t sessionTap) OnCompletion(e CompletionEvent) {
-	t.s.window.Observe(e.Clock, e.TTFT, e.TPOT, e.E2E, e.Output, e.SLOMet)
-	if o := t.s.eng.observer; o != nil {
-		o.OnCompletion(e)
-	}
-	for _, o := range t.s.subs {
-		o.OnCompletion(e)
-	}
+// newSessionTap builds a session's observer fan-out: a tap feeding the
+// rolling metrics window from completions and prefix-probed admissions,
+// then the engine's observer. Subscribe appends to it.
+func newSessionTap(w *metrics.Window, engine Observer) *events.Fanout {
+	return events.Multi(ObserverFuncs{
+		Admission: func(e AdmissionEvent) {
+			if e.PrefixProbed {
+				w.ObservePrefix(e.CachedTokens, e.SharedBytes)
+			}
+		},
+		Completion: func(e CompletionEvent) {
+			w.Observe(e.Clock, e.TTFT, e.TPOT, e.E2E, e.Output, e.SLOMet)
+		},
+	}, engine)
 }
 
 // ClosedLoop describes a closed-loop serving workload: Clients

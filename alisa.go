@@ -29,10 +29,9 @@
 //
 // All three run methods take a context.Context and stream progress to an
 // optional Observer (WithObserver). The scheduler, attention-policy,
-// model, and hardware-profile name spaces are open registries: scenarios
-// beyond the paper's evaluation grid plug in through
-// sched.Register, attention.Register, model.Register, and
-// memsim.RegisterProfile without touching the engine.
+// model, and hardware-profile names resolve through fixed tables that
+// hold the paper's evaluation sets; see Models, Schedulers, and
+// ClusterRouters.
 //
 // See DESIGN.md for the system inventory, the hardware-gate
 // substitutions, and the public API contract (§7), and EXPERIMENTS.md for
@@ -87,11 +86,10 @@ func RunExperiment(id string) (string, error) {
 	return res.Render(), nil
 }
 
-// Models lists the built-in model catalog names. Models added through
-// model.Register resolve by name in New but are not listed here.
+// Models lists the model catalog names New accepts.
 func Models() []string { return model.Names() }
 
 // Schedulers lists the paper's scheduler evaluation set in evaluation
-// order. Schedulers added through sched.Register resolve by name in
-// WithScheduler but are not listed here.
+// order. WithScheduler also accepts gpu-only and no-cache, and the
+// aliases deepspeed and accelerate.
 func Schedulers() []string { return sched.Names() }

@@ -28,9 +28,8 @@ type ReplicaView = cluster.ReplicaView
 // window digest — the per-replica counterpart of Cluster.Snapshot.
 type ClusterReplicaStatus = cluster.ReplicaStatus
 
-// ClusterRouters returns the registered routing-policy names, sorted.
-// Built-ins: affinity, least-kv, least-outstanding, round-robin; more
-// plug in through cluster.RegisterRouter.
+// ClusterRouters returns the routing-policy names, sorted: affinity,
+// least-kv, least-outstanding, prefix-affinity, round-robin.
 func ClusterRouters() []string { return cluster.Routers() }
 
 // ClusterSpec sizes and shapes a fleet for OpenCluster / ServeCluster.
@@ -39,12 +38,12 @@ func ClusterRouters() []string { return cluster.Routers() }
 type ClusterSpec struct {
 	// Replicas is the initial fleet size; must be at least 1.
 	Replicas int
-	// Profiles, when non-empty, assigns replica i the registered profile
+	// Profiles, when non-empty, assigns replica i the named profile
 	// Profiles[i mod len(Profiles)] — cycling, so two names alternate
 	// tiers across any fleet size. Empty keeps the engine's compiled
 	// profile on every replica.
 	Profiles []string
-	// Router is the registered routing policy ("" → "round-robin").
+	// Router names the routing policy ("" → "round-robin").
 	Router string
 	// Window is the fleet rolling-window capacity in completions
 	// (0 → the engine's WithMetricsWindow setting).

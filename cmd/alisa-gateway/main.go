@@ -138,14 +138,16 @@ func main() {
 }
 
 // engineOpts assembles the engine options shared with the other CLIs.
+// The baselines run dense FP16 KV; -sparsity and -bits are ALISA's.
 func engineOpts(profile, sched string, sparsity float64, bits, maxBatch int, sloTTFT, sloTPOT float64, window int) []alisa.Option {
 	opts := []alisa.Option{
 		alisa.WithScheduler(sched),
-		alisa.WithKVSparsity(sparsity),
-		alisa.WithKVBits(bits),
 		alisa.WithMaxBatch(maxBatch),
 		alisa.WithSLO(sloTTFT, sloTPOT),
 		alisa.WithMetricsWindow(window),
+	}
+	if sched == "alisa" {
+		opts = append(opts, alisa.WithKVSparsity(sparsity), alisa.WithKVBits(bits))
 	}
 	if profile != "" {
 		opts = append(opts, alisa.WithProfile(profile))

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	alisa "repro"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -42,4 +46,34 @@ func TestValidateFlags(t *testing.T) {
 	t.Run("negative buffer", bad("127.0.0.1:8080", 1, -4, "drop", time.Second, "-buffer must be positive"))
 	t.Run("unknown on-full", bad("127.0.0.1:8080", 1, 64, "oldest", time.Second, `unknown -on-full "oldest"`))
 	t.Run("zero drain timeout", bad("127.0.0.1:8080", 1, 64, "drop", 0, "-drain-timeout must be positive"))
+}
+
+// TestEngineOptsBaselinesDense pins that -sparsity and -bits reach only
+// ALISA: a baseline built from the flag defaults serves exactly as one
+// compiled without them, while ALISA's result changes with them.
+func TestEngineOptsBaselinesDense(t *testing.T) {
+	trace := alisa.PoissonTrace(12, 2, 5)
+	serve := func(opts ...alisa.Option) *alisa.ServeResult {
+		t.Helper()
+		eng, err := alisa.New("opt-6.7b", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Serve(context.Background(), trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, tc := range []struct {
+		sched string
+		same  bool
+	}{{"vllm", true}, {"alisa", false}} {
+		got := serve(engineOpts("", tc.sched, 0.8, 8, 8, 10, 0.5, 256)...)
+		plain := serve(alisa.WithScheduler(tc.sched), alisa.WithMaxBatch(8),
+			alisa.WithSLO(10, 0.5), alisa.WithMetricsWindow(256))
+		if same := reflect.DeepEqual(got, plain); same != tc.same {
+			t.Errorf("%s: result with -sparsity/-bits equal to dense FP16 = %v, want %v", tc.sched, same, tc.same)
+		}
+	}
 }

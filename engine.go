@@ -25,8 +25,7 @@ type ConfigError struct {
 	// "Scheduler", "KVSparsity", "KVBits", "MaxBatch", "SLOTTFT",
 	// "SLOTPOT", "Observer", "MetricsWindow", "Batch", "Input",
 	// "Output", "Trace", "Policy", "Steps", "Clients", "Requests",
-	// "ThinkTime", "Replicas", "Router", "Autoscale", "PrefixBlock",
-	// or "PrefixBudget".
+	// "ThinkTime", "Replicas", "Router", "Autoscale", or "PrefixBlock".
 	Field  string
 	Value  any
 	Reason string
@@ -70,7 +69,6 @@ type Engine struct {
 	metricsWindow int
 	exactMetrics  int
 	prefixBlock   int
-	prefixBudget  int64
 
 	// compiled state
 	model    model.Config
@@ -82,9 +80,9 @@ type Engine struct {
 // Option configures an Engine at construction; see the With* functions.
 type Option func(*Engine) error
 
-// WithProfile selects the simulated hardware by registered profile name
-// (built-ins: V100-16GB, V100-32GB, H100-80GB). The default is the
-// paper's pairing for the model scale.
+// WithProfile selects the simulated hardware by profile name
+// (V100-16GB, V100-32GB, H100-80GB; case-insensitive). The default is
+// the paper's pairing for the model scale.
 func WithProfile(name string) Option {
 	return func(e *Engine) error {
 		if name == "" {
@@ -95,10 +93,10 @@ func WithProfile(name string) Option {
 	}
 }
 
-// WithScheduler selects the KV placement policy by registered scheduler
-// name (built-ins: alisa, flexgen, vllm, deepspeed-zero, hf-accelerate,
-// gpu-only, no-cache, plus anything added through the scheduler
-// registry). The default is "alisa".
+// WithScheduler selects the KV placement policy by scheduler name
+// (alisa, flexgen, vllm, deepspeed-zero, hf-accelerate, gpu-only,
+// no-cache, and the aliases deepspeed and accelerate). The default is
+// "alisa".
 func WithScheduler(name string) Option {
 	return func(e *Engine) error {
 		if name == "" {
@@ -201,12 +199,10 @@ func WithExactMetrics(n int) Option {
 type PrefixCache struct {
 	// BlockTokens is the sharing granularity: prompts are cached and
 	// matched in blocks of this many token IDs. Required, positive; 16
-	// is a reasonable default (the alisa-serve CLI's).
+	// is a reasonable default (the alisa-serve CLI's). The cache's
+	// simulated GPU-resident bytes are capped at a quarter of the GPU
+	// headroom left after weights and activations are reserved.
 	BlockTokens int
-	// BudgetBytes caps the cache's simulated GPU-resident bytes. 0
-	// defaults to a quarter of the GPU headroom left after weights and
-	// activations are reserved.
-	BudgetBytes int64
 }
 
 // WithPrefixCache enables copy-on-write prefix KV sharing in Serve,
@@ -223,10 +219,7 @@ func WithPrefixCache(pc PrefixCache) Option {
 		if pc.BlockTokens <= 0 {
 			return &ConfigError{Field: "PrefixBlock", Value: pc.BlockTokens, Reason: "block must be positive tokens"}
 		}
-		if pc.BudgetBytes < 0 {
-			return &ConfigError{Field: "PrefixBudget", Value: pc.BudgetBytes, Reason: "budget must be non-negative bytes"}
-		}
-		e.prefixBlock, e.prefixBudget = pc.BlockTokens, pc.BudgetBytes
+		e.prefixBlock = pc.BlockTokens
 		return nil
 	}
 }
@@ -255,10 +248,10 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// New compiles an engine for the named catalog model (see Models, plus
-// any model added through the model registry), applying the options in
-// order. All name resolution and validation happens here, exactly once;
-// errors are *ConfigError values naming the offending field.
+// New compiles an engine for the named catalog model (see Models),
+// applying the options in order. All name resolution and validation
+// happens here, exactly once; errors are *ConfigError values naming the
+// offending field.
 func New(modelName string, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		schedName:     "alisa",
@@ -311,7 +304,8 @@ func (e *Engine) Model() string { return e.model.Name }
 // Profile returns the compiled hardware profile's name.
 func (e *Engine) Profile() string { return e.profile.Name }
 
-// Scheduler returns the compiled scheduler's registered name.
+// Scheduler returns the compiled scheduler's name as passed to
+// WithScheduler ("alisa" by default).
 func (e *Engine) Scheduler() string { return e.schedName }
 
 // Shape is one simulated workload point for Simulate: Batch sequences,
@@ -376,14 +370,13 @@ func (e *Engine) Serve(ctx context.Context, trace TraceWorkload) (*ServeResult, 
 func (e *Engine) serveConfig(trace TraceWorkload, obs Observer) serve.Config {
 	return serve.Config{
 		Model: e.model, Profile: e.profile,
-		Scheduler: e.schedName, Factory: e.newSched,
+		Scheduler:  e.schedName,
 		Trace:      trace,
 		KVSparsity: e.kvSparsity, KVBits: e.kvBits,
 		MaxBatch: e.maxBatch, SLOTTFT: e.sloTTFT, SLOTPOT: e.sloTPOT,
 		Observer:     obs,
 		ExactMetrics: e.exactMetrics,
 		PrefixBlock:  e.prefixBlock,
-		PrefixBudget: e.prefixBudget,
 	}
 }
 
@@ -428,11 +421,10 @@ func (e *Engine) ServeMany(ctx context.Context, traces []TraceWorkload) ([]*Serv
 	return results, ctx.Err()
 }
 
-// EvaluatePolicy runs the named sparse-attention policy (see the
-// attention registry; built-ins: dense, local, strided, swa, h2o) at the
-// compiled KV sparsity against the compiled model-calibrated attention
-// process for `steps` decode steps — the unit of the paper's accuracy
-// evaluation. Cancelling ctx aborts with ctx.Err(); an accuracy
+// EvaluatePolicy runs the named sparse-attention policy (dense, local,
+// strided, swa, h2o) at the compiled KV sparsity against the compiled
+// model-calibrated attention process for `steps` decode steps — the unit
+// of the paper's accuracy evaluation. Cancelling ctx aborts with ctx.Err(); an accuracy
 // evaluation has no meaningful partial result.
 func (e *Engine) EvaluatePolicy(ctx context.Context, policyName string, steps int) (*PolicyReport, error) {
 	if steps <= 0 {

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"repro/internal/attention"
-	"repro/internal/sched"
 )
 
 // TestNewValidation walks every invalid option field and asserts the
@@ -225,93 +222,6 @@ func TestEvaluatePolicyCancellation(t *testing.T) {
 	}
 	if rep != nil {
 		t.Fatalf("cancelled evaluation returned a report: %+v", rep)
-	}
-}
-
-// pinAllScheduler is a custom KV placement policy defined entirely
-// outside internal/: every token's KV stays on the GPU.
-type pinAllScheduler struct{ tokens int }
-
-func (p *pinAllScheduler) Name() string { return "test-pin-all" }
-
-func (p *pinAllScheduler) Init(ctx *sched.Context) error {
-	p.tokens = 0
-	for i := 0; i < ctx.Input; i++ {
-		if err := ctx.Sys.AllocGPU(ctx.TokenBytes()); err != nil {
-			return err
-		}
-		p.tokens++
-	}
-	return nil
-}
-
-func (p *pinAllScheduler) Step(ctx *sched.Context, j int) (sched.StepPlan, error) {
-	if err := ctx.Sys.AllocGPU(ctx.TokenBytes()); err != nil {
-		return sched.StepPlan{}, err
-	}
-	p.tokens++
-	return sched.StepPlan{Attended: p.tokens}, nil
-}
-
-func (p *pinAllScheduler) Release(ctx *sched.Context) {
-	ctx.Sys.FreeGPU(int64(p.tokens) * ctx.TokenBytes())
-	p.tokens = 0
-}
-
-// TestCustomSchedulerEndToEnd registers a scheduler from user code and
-// runs it through both Simulate and Serve without touching internal/.
-func TestCustomSchedulerEndToEnd(t *testing.T) {
-	if err := sched.Register("test-pin-all", func() sched.Scheduler { return &pinAllScheduler{} }); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New("opt-6.7b", WithScheduler("test-pin-all"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	res, err := eng.Simulate(ctx, Shape{Batch: 4, Input: 32, Output: 32})
-	if err != nil {
-		t.Fatalf("Simulate through custom scheduler: %v", err)
-	}
-	if res.Scheduler != "test-pin-all" || res.Throughput <= 0 {
-		t.Fatalf("scheduler %q throughput %v", res.Scheduler, res.Throughput)
-	}
-
-	sres, err := eng.Serve(ctx, PoissonTrace(6, 3, 2))
-	if err != nil {
-		t.Fatalf("Serve through custom scheduler: %v", err)
-	}
-	if sres.Scheduler != "test-pin-all" || len(sres.Requests) != 6 {
-		t.Fatalf("serve scheduler %q completed %d", sres.Scheduler, len(sres.Requests))
-	}
-}
-
-// TestCustomAttentionPolicyEndToEnd registers an attention policy from
-// user code and evaluates it; being a re-badged Local policy, its report
-// must match the built-in bit for bit.
-func TestCustomAttentionPolicyEndToEnd(t *testing.T) {
-	err := attention.Register("test-relabelled-local", func(r float64, _ int) (attention.Policy, error) {
-		return attention.NewLocal(r), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New("opt-6.7b", WithKVSparsity(0.8), WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	custom, err := eng.EvaluatePolicy(ctx, "test-relabelled-local", 64)
-	if err != nil {
-		t.Fatalf("EvaluatePolicy through custom policy: %v", err)
-	}
-	builtin, err := eng.EvaluatePolicy(ctx, "local", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if custom.MeanRecall != builtin.MeanRecall || custom.Spearman != builtin.Spearman {
-		t.Fatalf("custom %+v != builtin %+v", custom, builtin)
 	}
 }
 

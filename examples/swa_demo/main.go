@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// SWA pass at 40 % caching ratio (60 % KV sparsity), constructed
-	// through the open policy registry exactly as the engine would.
+	// by name exactly as the engine would.
 	swa, err := attention.ByName("swa", 0.4, cfg.Layers)
 	if err != nil {
 		panic(err)

@@ -1,9 +1,10 @@
-// Package registry enforces the registry contract from DESIGN.md §7:
+// Package registry enforces the by-name contract from DESIGN.md §7:
 // outside the packages that own them, built-in schedulers and attention
-// policies are reached through their registries (ByName /
+// policies are reached through their name tables (ByName /
 // FactoryByName / MustByName), never constructed directly. Direct
-// construction bypasses the registration guards and silently forks the
-// evaluation set the paper's pinned results iterate.
+// construction can skip the defaults the table's constructor sets — a
+// literal &sched.Alisa{} runs with AutoTune and Recompute off — and
+// silently forks the evaluation set the paper's pinned results iterate.
 package registry
 
 import (
@@ -45,7 +46,7 @@ var DefaultConfig = Config{
 }
 
 // New returns the analyzer enforcing cfg. The owning packages
-// themselves are exempt — the registry's init wiring is where direct
+// themselves are exempt — their name tables are where direct
 // construction belongs.
 func New(cfg Config) *analysis.Analyzer {
 	ctors := make(map[string]map[string]bool, len(cfg))

@@ -218,6 +218,18 @@ func TestPolicyNames(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", p.Name(), want)
 		}
 	}
+	for _, name := range Names() {
+		p, err := ByName(name, 0.5, 1)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if p.Name() != name {
+			t.Errorf("ByName(%q).Name() = %q", name, p.Name())
+		}
+	}
+	if _, err := ByName("magic", 0.5, 1); err == nil {
+		t.Fatal("expected error for unknown policy")
+	}
 }
 
 // Property: every policy returns ascending, in-range, duplicate-free

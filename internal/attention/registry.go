@@ -3,7 +3,6 @@ package attention
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Factory constructs a fresh policy instance for a model with the given
@@ -12,60 +11,22 @@ import (
 // on every call.
 type Factory func(ratio float64, layers int) (Policy, error)
 
-// registry maps policy names to factories. Built-ins are installed at
-// package init; user code extends the set through Register.
-var registry = struct {
-	sync.RWMutex
-	m map[string]Factory
-}{m: make(map[string]Factory)}
-
-// builtin guards the paper's comparison set against replacement so the
-// pinned experiment results stay trustworthy.
-var builtin = map[string]bool{}
-
-func init() {
-	for name, f := range map[string]Factory{
-		"dense":   func(float64, int) (Policy, error) { return NewDense(), nil },
-		"local":   func(r float64, _ int) (Policy, error) { return NewLocal(r), nil },
-		"strided": func(r float64, _ int) (Policy, error) { return NewStrided(r), nil },
-		"swa":     func(r float64, l int) (Policy, error) { return NewSWA(r, l), nil },
-		"h2o":     func(r float64, l int) (Policy, error) { return NewH2O(r, l), nil },
-	} {
-		registry.m[name] = f
-		builtin[name] = true
-	}
+// factories maps policy names to factories. It is a fixed table, never
+// written after package initialization, so lookups need no lock.
+var factories = map[string]Factory{
+	"dense":   func(float64, int) (Policy, error) { return NewDense(), nil },
+	"local":   func(r float64, _ int) (Policy, error) { return NewLocal(r), nil },
+	"strided": func(r float64, _ int) (Policy, error) { return NewStrided(r), nil },
+	"swa":     func(r float64, l int) (Policy, error) { return NewSWA(r, l), nil },
+	"h2o":     func(r float64, l int) (Policy, error) { return NewH2O(r, l), nil },
 }
 
-// Register makes a sparse-attention policy constructible by name through
-// ByName, from any package — the extension point for the eviction and
-// selection variants beyond the paper's comparison set. Built-in names
-// cannot be replaced; re-registering an extension name replaces it. Safe
-// for concurrent use with itself and with ByName.
-func Register(name string, f Factory) error {
-	if name == "" {
-		return fmt.Errorf("attention: Register with empty name")
-	}
-	if f == nil {
-		return fmt.Errorf("attention: Register %q with nil factory", name)
-	}
-	if builtin[name] {
-		return fmt.Errorf("attention: Register %q: cannot replace a built-in policy", name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	registry.m[name] = f
-	return nil
-}
-
-// ByName constructs a fresh policy from its registered name at the given
-// caching ratio for a model with the given layer count. Safe for
-// concurrent use.
+// ByName constructs a fresh policy from its name at the given caching
+// ratio for a model with the given layer count.
 func ByName(name string, ratio float64, layers int) (Policy, error) {
-	registry.RLock()
-	f, ok := registry.m[name]
-	registry.RUnlock()
+	f, ok := factories[name]
 	if !ok {
-		return nil, fmt.Errorf("attention: unknown policy %q (registered: %v)", name, Registered())
+		return nil, fmt.Errorf("attention: unknown policy %q (known: %v)", name, Registered())
 	}
 	return f(ratio, layers)
 }
@@ -82,22 +43,18 @@ func MustByName(name string, ratio float64, layers int) Policy {
 	return p
 }
 
-// Names lists the paper's comparison set in presentation order.
-// Runtime-registered extensions are resolvable through ByName and
-// enumerable through Registered but do not join this list; the pinned
-// experiment outputs iterate Names.
+// Names lists the paper's comparison set in presentation order; the
+// pinned experiment outputs iterate it.
 func Names() []string {
 	return []string{"dense", "local", "strided", "h2o", "swa"}
 }
 
-// Registered lists every registered policy name in sorted order.
+// Registered lists every resolvable policy name in sorted order.
 func Registered() []string {
-	registry.RLock()
-	names := make([]string, 0, len(registry.m))
-	for n := range registry.m {
+	names := make([]string, 0, len(factories))
+	for n := range factories {
 		names = append(names, n)
 	}
-	registry.RUnlock()
 	sort.Strings(names)
 	return names
 }

@@ -22,7 +22,7 @@ type Config struct {
 	// after the fleet's own metrics tap.
 	Replicas []serve.Config
 
-	// Router selects the registered routing policy ("" → "round-robin").
+	// Router selects the routing policy by name ("" → "round-robin").
 	Router string
 
 	// Window is the fleet rolling completion window capacity
@@ -190,15 +190,15 @@ func (c *Cluster) addReplica(rc serve.Config, fork bool) (*replica, error) {
 		forked: fork,
 	}
 	tap := events.Multi(&fleetTap{c: c, r: r}, rc.Observer)
-	var err error
 	if fork {
-		r.loop, err = c.pristine.Fork(tap)
+		r.loop = c.pristine.Fork(tap)
 	} else {
 		rc.Observer = tap
-		r.loop, err = serve.NewLoop(rc)
-	}
-	if err != nil {
-		return nil, err
+		loop, err := serve.NewLoop(rc)
+		if err != nil {
+			return nil, err
+		}
+		r.loop = loop
 	}
 	c.nextID++
 	c.replicas = append(c.replicas, r)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"repro/internal/workload"
 )
@@ -54,7 +53,7 @@ func (v ReplicaView) Outstanding() int { return v.Pending + v.Active }
 // Router picks the replica each arriving request is dispatched to.
 // Pick returns an index into views (not a replica ID); views is never
 // empty. Routers may keep internal state (a round-robin cursor) — each
-// cluster owns a private instance from the registry's factory — but must
+// cluster owns a private instance from RouterByName — but must
 // be deterministic: the same request/view sequence must produce the same
 // picks, because fleet results are pinned bit-identical in (seed, config).
 type Router interface {
@@ -66,55 +65,33 @@ type Router interface {
 // so stateful policies never share cursors across fleets.
 type Factory func() Router
 
-var (
-	routersMu sync.RWMutex
-	routers   = map[string]Factory{}
-)
-
-// RegisterRouter adds a routing policy to the registry under its name.
-// Registering an empty name, a nil factory, or a duplicate panics —
-// registration is init-time wiring, and the built-ins are always present.
-func RegisterRouter(name string, f Factory) {
-	routersMu.Lock()
-	defer routersMu.Unlock()
-	if name == "" || f == nil {
-		panic("cluster: RegisterRouter requires a name and a factory")
-	}
-	if _, dup := routers[name]; dup {
-		panic(fmt.Sprintf("cluster: router %q already registered", name))
-	}
-	routers[name] = f
+// routers maps policy names to factories. It is a fixed table, never
+// written after package initialization, so lookups need no lock.
+var routers = map[string]Factory{
+	"round-robin":       func() Router { return &roundRobin{} },
+	"least-outstanding": func() Router { return leastOutstanding{} },
+	"least-kv":          func() Router { return leastKV{} },
+	"affinity":          func() Router { return affinity{} },
+	"prefix-affinity":   func() Router { return prefixAffinity{} },
 }
 
-// RouterByName instantiates a registered routing policy.
+// RouterByName instantiates a routing policy by name.
 func RouterByName(name string) (Router, error) {
-	routersMu.RLock()
 	f, ok := routers[name]
-	routersMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown router %q (have %v)", name, Routers())
 	}
 	return f(), nil
 }
 
-// Routers returns the registered policy names, sorted.
+// Routers returns the policy names, sorted.
 func Routers() []string {
-	routersMu.RLock()
-	defer routersMu.RUnlock()
 	names := make([]string, 0, len(routers))
 	for n := range routers {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
-}
-
-func init() {
-	RegisterRouter("round-robin", func() Router { return &roundRobin{} })
-	RegisterRouter("least-outstanding", func() Router { return leastOutstanding{} })
-	RegisterRouter("least-kv", func() Router { return leastKV{} })
-	RegisterRouter("affinity", func() Router { return affinity{} })
-	RegisterRouter("prefix-affinity", func() Router { return prefixAffinity{} })
 }
 
 // roundRobin cycles through the live replicas in ID order. The cursor

@@ -1,19 +1,20 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
 )
 
-// TestRouterRegistry pins the built-in policy set: at least the four
-// shipped policies, resolvable by name, with unknown names rejected.
+// TestRouterRegistry pins the policy table: exactly the five shipped
+// policies, resolvable by name, with unknown names rejected.
 func TestRouterRegistry(t *testing.T) {
 	names := Routers()
-	if len(names) < 4 {
-		t.Fatalf("registered routers %v, want at least 4", names)
+	if want := []string{"affinity", "least-kv", "least-outstanding", "prefix-affinity", "round-robin"}; !slices.Equal(names, want) {
+		t.Fatalf("routers %v, want %v", names, want)
 	}
-	for _, want := range []string{"round-robin", "least-outstanding", "least-kv", "affinity"} {
+	for _, want := range names {
 		r, err := RouterByName(want)
 		if err != nil {
 			t.Fatalf("RouterByName(%q): %v", want, err)

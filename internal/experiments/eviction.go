@@ -39,7 +39,7 @@ func AblationEviction() (*EvictionResult, error) {
 	res := &EvictionResult{}
 	for _, sparsity := range []float64{0.6, 0.8} {
 		for _, newestFirst := range []bool{false, true} {
-			// Registry-resolved, then narrowed to the concrete type: the
+			// Resolved by name, then narrowed to the concrete type: the
 			// eviction-order knob is an ablation field, not part of the
 			// Scheduler surface.
 			s := sched.MustByName("alisa").(*sched.Alisa)

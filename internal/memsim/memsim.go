@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // GiB is 2³⁰ bytes.
@@ -88,75 +87,30 @@ func H100_80G() Profile {
 	}
 }
 
-// profiles maps lower-cased names to hardware profiles. Built-ins are
-// installed at package init; user code extends the set through
-// RegisterProfile.
-var profiles = struct {
-	sync.RWMutex
-	m map[string]Profile
-}{m: make(map[string]Profile)}
-
-// builtinProfiles guards the paper's testbeds against replacement so the
-// pinned experiment results stay trustworthy.
-var builtinProfiles = map[string]bool{}
-
-func init() {
-	for _, p := range []Profile{V100_16G(), V100_32G(), H100_80G()} {
-		key := strings.ToLower(p.Name)
-		profiles.m[key] = p
-		builtinProfiles[key] = true
-	}
+// profiles maps lower-cased names to the paper's testbeds. It is a
+// fixed table, never written after package initialization, so lookups
+// need no lock.
+var profiles = map[string]Profile{
+	"v100-16gb": V100_16G(),
+	"v100-32gb": V100_32G(),
+	"h100-80gb": H100_80G(),
 }
 
-// RegisterProfile adds a hardware profile to the lookup set, keyed by its
-// (case-insensitive) Name — the extension point for testbeds beyond the
-// paper's V100/H100 pairings. Built-in profile names cannot be replaced;
-// re-registering an extension name replaces it. Safe for concurrent use
-// with itself and with ProfileByName.
-func RegisterProfile(p Profile) error {
-	key := strings.ToLower(p.Name)
-	switch {
-	case key == "":
-		return fmt.Errorf("memsim: RegisterProfile with empty Name")
-	case p.GPUMemBytes <= 0 || p.CPUMemBytes <= 0:
-		return fmt.Errorf("memsim: RegisterProfile %q: memory capacities must be positive", p.Name)
-	case p.HBMBandwidth <= 0 || p.PCIeBandwidth <= 0 || p.CPUBandwidth <= 0:
-		return fmt.Errorf("memsim: RegisterProfile %q: bandwidths must be positive", p.Name)
-	case p.PeakFLOPS <= 0 || p.GEMMUtil <= 0 || p.GEMMUtil > 1:
-		return fmt.Errorf("memsim: RegisterProfile %q: need PeakFLOPS > 0 and GEMMUtil in (0,1]", p.Name)
-	case p.ReserveBytes < 0 || p.ReserveBytes >= p.GPUMemBytes:
-		return fmt.Errorf("memsim: RegisterProfile %q: ReserveBytes must be in [0, GPUMemBytes)", p.Name)
-	}
-	if builtinProfiles[key] {
-		return fmt.Errorf("memsim: RegisterProfile %q: cannot replace a built-in profile", p.Name)
-	}
-	profiles.Lock()
-	profiles.m[key] = p
-	profiles.Unlock()
-	return nil
-}
-
-// ProfileByName looks up a profile (case-insensitive): the paper's
-// built-in testbeds or any profile added through RegisterProfile. Safe
-// for concurrent use.
+// ProfileByName looks up a profile (case-insensitive).
 func ProfileByName(name string) (Profile, error) {
-	profiles.RLock()
-	p, ok := profiles.m[strings.ToLower(name)]
-	profiles.RUnlock()
+	p, ok := profiles[strings.ToLower(name)]
 	if !ok {
-		return Profile{}, fmt.Errorf("memsim: unknown profile %q (registered: %v)", name, ProfileNames())
+		return Profile{}, fmt.Errorf("memsim: unknown profile %q (known: %v)", name, ProfileNames())
 	}
 	return p, nil
 }
 
-// ProfileNames returns every registered profile name in sorted order.
+// ProfileNames returns every profile name, lower-cased, in sorted order.
 func ProfileNames() []string {
-	profiles.RLock()
-	names := make([]string, 0, len(profiles.m))
-	for n := range profiles.m {
+	names := make([]string, 0, len(profiles))
+	for n := range profiles {
 		names = append(names, n)
 	}
-	profiles.RUnlock()
 	sort.Strings(names)
 	return names
 }

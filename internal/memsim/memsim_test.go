@@ -3,6 +3,7 @@ package memsim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +22,11 @@ func TestProfiles(t *testing.T) {
 		}
 		if p.GPUMemBytes <= 0 || p.PeakFLOPS <= 0 {
 			t.Errorf("%s: nonsensical profile %+v", name, p)
+		}
+		for _, spelling := range []string{strings.ToUpper(name), strings.ToLower(name)} {
+			if other, err := ProfileByName(spelling); err != nil || other != p {
+				t.Errorf("ProfileByName(%q) = %+v, %v; want %+v", spelling, other, err, p)
+			}
 		}
 	}
 	if _, err := ProfileByName("TPU"); err == nil {

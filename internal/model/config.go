@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Config describes a decoder-only transformer at the architectural level.
@@ -120,48 +119,9 @@ var catalog = map[string]Config{
 	"pythia-12b":  {Name: "pythia-12b", Family: "pythia", Layers: 36, Hidden: 5120, Heads: 40, FFN: 20480, Vocab: 50304, MaxSeq: 2048},
 }
 
-// extra holds runtime-registered configurations beyond the built-in
-// catalog, guarded for concurrent Register/ByName use.
-var extra = struct {
-	sync.RWMutex
-	m map[string]Config
-}{m: make(map[string]Config)}
-
-// Register adds a model configuration to the lookup set, keyed by its
-// (case-insensitive) Name — the extension point for architectures beyond
-// the paper's catalog. Built-in catalog names cannot be replaced, so the
-// pinned experiment results stay trustworthy; re-registering an extension
-// name replaces it. Safe for concurrent use with itself and with ByName.
-func Register(cfg Config) error {
-	key := strings.ToLower(cfg.Name)
-	switch {
-	case key == "":
-		return fmt.Errorf("model: Register with empty Name")
-	case cfg.Layers <= 0 || cfg.Hidden <= 0 || cfg.Heads <= 0 || cfg.FFN <= 0 || cfg.Vocab <= 0 || cfg.MaxSeq <= 0:
-		return fmt.Errorf("model: Register %q: all shape parameters must be positive: %+v", cfg.Name, cfg)
-	case cfg.Hidden%cfg.Heads != 0:
-		return fmt.Errorf("model: Register %q: hidden %d not divisible by heads %d", cfg.Name, cfg.Hidden, cfg.Heads)
-	}
-	if _, builtin := catalog[key]; builtin {
-		return fmt.Errorf("model: Register %q: cannot replace a built-in catalog model", cfg.Name)
-	}
-	extra.Lock()
-	extra.m[key] = cfg
-	extra.Unlock()
-	return nil
-}
-
-// ByName returns the configuration for name (case-insensitive): the
-// built-in catalog first, then runtime registrations. Safe for concurrent
-// use with Register.
+// ByName returns the configuration for name (case-insensitive).
 func ByName(name string) (Config, error) {
-	key := strings.ToLower(name)
-	if c, ok := catalog[key]; ok {
-		return c, nil
-	}
-	extra.RLock()
-	c, ok := extra.m[key]
-	extra.RUnlock()
+	c, ok := catalog[strings.ToLower(name)]
 	if !ok {
 		return Config{}, fmt.Errorf("model: unknown model %q (known: %s)", name, strings.Join(Names(), ", "))
 	}
@@ -177,28 +137,13 @@ func MustByName(name string) Config {
 	return c
 }
 
-// Names returns the built-in catalog's model names in sorted order —
-// the paper's evaluation set. Runtime registrations are resolvable
-// through ByName and enumerable through Registered but do not join this
-// list; the pinned experiment outputs iterate Names.
+// Names returns the catalog's model names — the paper's evaluation
+// set — in sorted order.
 func Names() []string {
 	names := make([]string, 0, len(catalog))
 	for n := range catalog {
 		names = append(names, n)
 	}
-	sort.Strings(names)
-	return names
-}
-
-// Registered returns every resolvable model name — catalog plus runtime
-// registrations — in sorted order.
-func Registered() []string {
-	names := Names()
-	extra.RLock()
-	for n := range extra.m {
-		names = append(names, n)
-	}
-	extra.RUnlock()
 	sort.Strings(names)
 	return names
 }

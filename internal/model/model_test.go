@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -32,6 +33,11 @@ func TestCatalogShapes(t *testing.T) {
 		}
 		if cfg.Hidden%cfg.Heads != 0 {
 			t.Errorf("%s: hidden %d not divisible by heads %d", c.name, cfg.Hidden, cfg.Heads)
+		}
+		for _, spelling := range []string{strings.ToUpper(c.name), strings.ToLower(c.name)} {
+			if other, err := ByName(spelling); err != nil || other != cfg {
+				t.Errorf("ByName(%q) = %+v, %v; want %+v", spelling, other, err, cfg)
+			}
 		}
 	}
 }

@@ -62,7 +62,7 @@ func NewAlisaManual(beta float64, p2 int, recompute bool) *Alisa {
 // Name implements Scheduler.
 func (a *Alisa) Name() string { return "alisa" }
 
-// CloneScheduler implements Cloner: parameters, phase markers, and the
+// CloneScheduler implements Scheduler: parameters, phase markers, and the
 // token store are deep-copied.
 func (a *Alisa) CloneScheduler() Scheduler {
 	c := *a
@@ -261,7 +261,7 @@ func (a *Alisa) enforceDeletionShare(ctx *Context, tokenBytes int64, j int) int 
 	}
 }
 
-// Release implements Releaser: drop every KV byte the sequence holds from
+// Release implements Scheduler: drop every KV byte the sequence holds from
 // both memories (deletion is free; recomputation never comes due because
 // the sequence is finished or will restart from its prompt).
 func (a *Alisa) Release(ctx *Context) {
@@ -321,11 +321,8 @@ func weightedFractions(counts [3]int, prefix int) (gpuW, cpuW, delW float64) {
 		float64(counts[kvcache.Deleted]) / total
 }
 
-// interface checks
-var (
-	_ Scheduler = (*Alisa)(nil)
-	_ Releaser  = (*Alisa)(nil)
-)
+// interface check
+var _ Scheduler = (*Alisa)(nil)
 
 // sanity check that memsim errors propagate as *memsim.OOMError
 var _ error = (*memsim.OOMError)(nil)

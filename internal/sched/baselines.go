@@ -25,7 +25,7 @@ func NewFlexGen() *FlexGen { return &FlexGen{GPUHeads: -1} }
 // Name implements Scheduler.
 func (f *FlexGen) Name() string { return "flexgen" }
 
-// CloneScheduler implements Cloner.
+// CloneScheduler implements Scheduler.
 func (f *FlexGen) CloneScheduler() Scheduler {
 	c := *f
 	if f.store != nil {
@@ -108,7 +108,7 @@ func (f *FlexGen) Step(ctx *Context, j int) (StepPlan, error) {
 	return plan, nil
 }
 
-// Release implements Releaser: free the static shares of every stored
+// Release implements Scheduler: free the static shares of every stored
 // token on both devices.
 func (f *FlexGen) Release(ctx *Context) {
 	if f.store == nil {
@@ -140,7 +140,7 @@ func NewVLLM() *VLLM { return &VLLM{BlockSize: 16} }
 // Name implements Scheduler.
 func (v *VLLM) Name() string { return "vllm" }
 
-// CloneScheduler implements Cloner.
+// CloneScheduler implements Scheduler.
 func (v *VLLM) CloneScheduler() Scheduler {
 	c := *v
 	if v.store != nil {
@@ -227,7 +227,7 @@ func (v *VLLM) Step(ctx *Context, j int) (StepPlan, error) {
 	return plan, nil
 }
 
-// Release implements Releaser: free every allocated block on its current
+// Release implements Scheduler: free every allocated block on its current
 // device.
 func (v *VLLM) Release(ctx *Context) {
 	if v.store == nil {
@@ -257,7 +257,7 @@ func NewDeepSpeed() *DeepSpeed { return &DeepSpeed{} }
 // Name implements Scheduler.
 func (d *DeepSpeed) Name() string { return "deepspeed-zero" }
 
-// CloneScheduler implements Cloner.
+// CloneScheduler implements Scheduler.
 func (d *DeepSpeed) CloneScheduler() Scheduler {
 	c := *d
 	return &c
@@ -307,7 +307,7 @@ func (d *DeepSpeed) Step(ctx *Context, j int) (StepPlan, error) {
 	return plan, nil
 }
 
-// Release implements Releaser: KV is GPU-pinned, so everything frees there.
+// Release implements Scheduler: KV is GPU-pinned, so everything frees there.
 func (d *DeepSpeed) Release(ctx *Context) {
 	ctx.Sys.FreeGPU(int64(d.tokens) * ctx.TokenBytes())
 	d.tokens = 0
@@ -327,7 +327,7 @@ func NewHFAccelerate() *HFAccelerate { return &HFAccelerate{} }
 // Name implements Scheduler.
 func (h *HFAccelerate) Name() string { return "hf-accelerate" }
 
-// CloneScheduler implements Cloner.
+// CloneScheduler implements Scheduler.
 func (h *HFAccelerate) CloneScheduler() Scheduler {
 	c := *h
 	return &c
@@ -366,7 +366,7 @@ func (h *HFAccelerate) Step(ctx *Context, j int) (StepPlan, error) {
 	return plan, nil
 }
 
-// Release implements Releaser: the whole cache lives in CPU memory.
+// Release implements Scheduler: the whole cache lives in CPU memory.
 func (h *HFAccelerate) Release(ctx *Context) {
 	ctx.Sys.FreeCPU(int64(h.tokens) * ctx.TokenBytes())
 	h.tokens = 0
@@ -375,12 +375,8 @@ func (h *HFAccelerate) Release(ctx *Context) {
 // interface checks
 var (
 	_ Scheduler   = (*FlexGen)(nil)
-	_ Releaser    = (*FlexGen)(nil)
 	_ Scheduler   = (*VLLM)(nil)
 	_ WavePlanner = (*VLLM)(nil)
-	_ Releaser    = (*VLLM)(nil)
 	_ Scheduler   = (*DeepSpeed)(nil)
-	_ Releaser    = (*DeepSpeed)(nil)
 	_ Scheduler   = (*HFAccelerate)(nil)
-	_ Releaser    = (*HFAccelerate)(nil)
 )

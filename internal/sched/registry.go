@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Factory constructs a fresh scheduler instance. Every simulated run (and,
@@ -12,63 +11,26 @@ import (
 // return.
 type Factory func() Scheduler
 
-// registry maps canonical (and alias) names to factories. Built-ins are
-// installed at package init; user code extends the set through Register.
-var registry = struct {
-	sync.RWMutex
-	m map[string]Factory
-}{m: make(map[string]Factory)}
-
-// builtin guards the paper's evaluation set (and its aliases) against
-// replacement so the pinned experiment results stay trustworthy.
-var builtin = map[string]bool{}
-
-func init() {
-	for name, f := range map[string]Factory{
-		"alisa":          func() Scheduler { return NewAlisa() },
-		"flexgen":        func() Scheduler { return NewFlexGen() },
-		"vllm":           func() Scheduler { return NewVLLM() },
-		"deepspeed-zero": func() Scheduler { return NewDeepSpeed() },
-		"deepspeed":      func() Scheduler { return NewDeepSpeed() },
-		"hf-accelerate":  func() Scheduler { return NewHFAccelerate() },
-		"accelerate":     func() Scheduler { return NewHFAccelerate() },
-		"gpu-only":       func() Scheduler { return NewGPUOnly() },
-		"no-cache":       func() Scheduler { return NewNoCache() },
-	} {
-		registry.m[name] = f
-		builtin[name] = true
-	}
+// factories maps canonical (and alias) names to factories. It is a fixed
+// table, never written after package initialization, so lookups need no
+// lock.
+var factories = map[string]Factory{
+	"alisa":          func() Scheduler { return NewAlisa() },
+	"flexgen":        func() Scheduler { return NewFlexGen() },
+	"vllm":           func() Scheduler { return NewVLLM() },
+	"deepspeed-zero": func() Scheduler { return NewDeepSpeed() },
+	"deepspeed":      func() Scheduler { return NewDeepSpeed() },
+	"hf-accelerate":  func() Scheduler { return NewHFAccelerate() },
+	"accelerate":     func() Scheduler { return NewHFAccelerate() },
+	"gpu-only":       func() Scheduler { return NewGPUOnly() },
+	"no-cache":       func() Scheduler { return NewNoCache() },
 }
 
-// Register makes a scheduler constructible by name through ByName, from
-// any package — the extension point for placement policies beyond the
-// paper's evaluation set. Built-in names cannot be replaced;
-// re-registering an extension name replaces it. Register is safe for
-// concurrent use with itself and with ByName.
-func Register(name string, f Factory) error {
-	if name == "" {
-		return fmt.Errorf("sched: Register with empty name")
-	}
-	if f == nil {
-		return fmt.Errorf("sched: Register %q with nil factory", name)
-	}
-	if builtin[name] {
-		return fmt.Errorf("sched: Register %q: cannot replace a built-in scheduler", name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	registry.m[name] = f
-	return nil
-}
-
-// ByName constructs a fresh scheduler from its registered name. Safe for
-// concurrent use.
+// ByName constructs a fresh scheduler from its name.
 func ByName(name string) (Scheduler, error) {
-	registry.RLock()
-	f, ok := registry.m[name]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown scheduler %q (registered: %v)", name, Registered())
+	f, err := FactoryByName(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(), nil
 }
@@ -85,36 +47,30 @@ func MustByName(name string) Scheduler {
 	return s
 }
 
-// FactoryByName resolves the registered factory once, so callers that
-// construct many instances (compiled engines, per-admission schedulers)
-// skip the lookup on the hot path. Safe for concurrent use.
+// FactoryByName resolves the factory once, so callers that construct
+// many instances (compiled engines, per-admission schedulers) skip the
+// lookup on the hot path.
 func FactoryByName(name string) (Factory, error) {
-	registry.RLock()
-	f, ok := registry.m[name]
-	registry.RUnlock()
+	f, ok := factories[name]
 	if !ok {
-		return nil, fmt.Errorf("sched: unknown scheduler %q (registered: %v)", name, Registered())
+		return nil, fmt.Errorf("sched: unknown scheduler %q (known: %v)", name, Registered())
 	}
 	return f, nil
 }
 
-// Names lists the paper's evaluation set in evaluation order. Extensions
-// registered at runtime are resolvable through ByName and enumerable
-// through Registered, but deliberately do not join this list: the
-// experiment suite iterates Names and its outputs are pinned.
+// Names lists the paper's evaluation set in evaluation order; the
+// experiment suite iterates it and its outputs are pinned.
 func Names() []string {
 	return []string{"deepspeed-zero", "hf-accelerate", "flexgen", "vllm", "alisa"}
 }
 
-// Registered lists every registered name (built-ins, aliases, and
-// extensions) in sorted order.
+// Registered lists every resolvable name, aliases included, in sorted
+// order.
 func Registered() []string {
-	registry.RLock()
-	names := make([]string, 0, len(registry.m))
-	for n := range registry.m {
+	names := make([]string, 0, len(factories))
+	for n := range factories {
 		names = append(names, n)
 	}
-	registry.RUnlock()
 	sort.Strings(names)
 	return names
 }

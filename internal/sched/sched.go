@@ -125,6 +125,12 @@ type Scheduler interface {
 	// new token, fetches for this step's attention, offloads and
 	// deletions. Transfer time is charged inside; compute is returned.
 	Step(ctx *Context, j int) (StepPlan, error)
+	Releaser
+	// CloneScheduler deep-copies the per-sequence state mid-run: the
+	// returned instance, driven through the same Step sequence against a
+	// cloned system, behaves identically to the original — the
+	// requirement behind the serving loop's Snapshot/Fork.
+	CloneScheduler() Scheduler
 }
 
 // WavePlanner is implemented by schedulers that split a batch into
@@ -132,15 +138,6 @@ type Scheduler interface {
 // admission). The engine runs one full inference per wave.
 type WavePlanner interface {
 	Waves(ctx *Context) ([]int, error)
-}
-
-// Cloner is implemented by schedulers whose per-sequence state can be
-// deep-copied mid-run: CloneScheduler returns an independent instance
-// that, driven through the same Step sequence against a cloned system,
-// behaves identically to the original — the requirement behind the
-// serving loop's Snapshot/Fork. Every built-in scheduler implements it.
-type Cloner interface {
-	CloneScheduler() Scheduler
 }
 
 // Releaser frees every byte a scheduler's sequence holds on the simulated

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -392,6 +393,28 @@ func TestByNameAndNames(t *testing.T) {
 	for _, extra := range []string{"gpu-only", "no-cache"} {
 		if _, err := ByName(extra); err != nil {
 			t.Fatalf("ByName(%q): %v", extra, err)
+		}
+	}
+	// Every listed name resolves; the aliases resolve to their canonical
+	// scheduler.
+	aliases := map[string]string{"deepspeed": "deepspeed-zero", "accelerate": "hf-accelerate"}
+	registered := Registered()
+	for alias := range aliases {
+		if !slices.Contains(registered, alias) {
+			t.Fatalf("Registered() = %v, missing alias %q", registered, alias)
+		}
+	}
+	for _, name := range registered {
+		s, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		want := name
+		if canon, ok := aliases[name]; ok {
+			want = canon
+		}
+		if s.Name() != want {
+			t.Fatalf("ByName(%q).Name() = %q, want %q", name, s.Name(), want)
 		}
 	}
 	if _, err := ByName("magic"); err == nil {

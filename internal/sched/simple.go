@@ -15,7 +15,7 @@ func NewGPUOnly() *GPUOnly { return &GPUOnly{} }
 // Name implements Scheduler.
 func (g *GPUOnly) Name() string { return "gpu-only" }
 
-// CloneScheduler implements Cloner.
+// CloneScheduler implements Scheduler.
 func (g *GPUOnly) CloneScheduler() Scheduler {
 	c := *g
 	return &c
@@ -43,7 +43,7 @@ func (g *GPUOnly) Step(ctx *Context, j int) (StepPlan, error) {
 	return plan, nil
 }
 
-// Release implements Releaser.
+// Release implements Scheduler.
 func (g *GPUOnly) Release(ctx *Context) {
 	ctx.Sys.FreeGPU(int64(g.tokens) * ctx.TokenBytes())
 	g.tokens = 0
@@ -62,7 +62,7 @@ func NewNoCache() *NoCache { return &NoCache{} }
 // Name implements Scheduler.
 func (n *NoCache) Name() string { return "no-cache" }
 
-// CloneScheduler implements Cloner.
+// CloneScheduler implements Scheduler.
 func (n *NoCache) CloneScheduler() Scheduler {
 	c := *n
 	return &c
@@ -80,7 +80,7 @@ func (n *NoCache) Step(ctx *Context, j int) (StepPlan, error) {
 	return StepPlan{Attended: n.tokens, FullRecompute: true}, nil
 }
 
-// Release implements Releaser; nothing is ever cached.
+// Release implements Scheduler; nothing is ever cached.
 func (n *NoCache) Release(ctx *Context) {
 	n.tokens = 0
 }
@@ -108,7 +108,7 @@ func NewPCIeSplit(cpuFrac float64) *PCIeSplit {
 // Name implements Scheduler.
 func (p *PCIeSplit) Name() string { return "pcie-split" }
 
-// CloneScheduler implements Cloner.
+// CloneScheduler implements Scheduler.
 func (p *PCIeSplit) CloneScheduler() Scheduler {
 	c := *p
 	return &c
@@ -161,7 +161,7 @@ func (p *PCIeSplit) Step(ctx *Context, j int) (StepPlan, error) {
 	return plan, nil
 }
 
-// Release implements Releaser: free both static shares of every token.
+// Release implements Scheduler: free both static shares of every token.
 func (p *PCIeSplit) Release(ctx *Context) {
 	gpuShare, cpuShare := p.split(ctx)
 	n := int64(p.tokens)
@@ -179,9 +179,6 @@ func (p *PCIeSplit) split(ctx *Context) (gpuShare, cpuShare int64) {
 // interface checks
 var (
 	_ Scheduler = (*GPUOnly)(nil)
-	_ Releaser  = (*GPUOnly)(nil)
 	_ Scheduler = (*NoCache)(nil)
-	_ Releaser  = (*NoCache)(nil)
 	_ Scheduler = (*PCIeSplit)(nil)
-	_ Releaser  = (*PCIeSplit)(nil)
 )

@@ -27,8 +27,7 @@ type Snapshot struct {
 }
 
 // Snapshot freezes the loop's current state. It fails on a finalized or
-// errored loop, and when any active sequence's scheduler does not
-// implement sched.Cloner (every built-in scheduler does).
+// errored loop.
 //
 // Determinism contract, pinned by TestForkDeterminism: a fork driven
 // through the same Inject/Advance sequence as the original produces a
@@ -40,10 +39,7 @@ func (l *Loop) Snapshot() (*Snapshot, error) {
 	if l.err != nil {
 		return nil, fmt.Errorf("serve: cannot snapshot a failed loop: %w", l.err)
 	}
-	s, err := l.s.clone(nil)
-	if err != nil {
-		return nil, err
-	}
+	s := l.s.clone(nil)
 	// The frozen copy must not retain the live loop's observer: events
 	// belong to continuations, which attach their own through Fork.
 	s.cfg.Observer = nil
@@ -53,14 +49,8 @@ func (l *Loop) Snapshot() (*Snapshot, error) {
 // Fork builds a live Loop resuming from the snapshot, with obs (which may
 // be nil) as its observer. Each call clones the snapshot's state again,
 // so forks are fully independent of each other and of the snapshot.
-func (sn *Snapshot) Fork(obs events.Observer) (*Loop, error) {
-	s, err := sn.s.clone(obs)
-	if err != nil {
-		return nil, err
-	}
-	l := &Loop{}
-	l.s = *s
-	return l, nil
+func (sn *Snapshot) Fork(obs events.Observer) *Loop {
+	return &Loop{s: *sn.s.clone(obs)}
 }
 
 // Fork is the one-shot convenience: Snapshot then Fork, for callers that
@@ -71,7 +61,7 @@ func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sn.Fork(obs)
+	return sn.Fork(obs), nil
 }
 
 // clone deep-copies the server so the copy can advance independently:
@@ -81,7 +71,7 @@ func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
 // factory and cost model are shared (stateless). obs becomes the copy's
 // observer. Scratch (plans, attended, pools) starts empty — it is
 // rebuilt on demand and never observable.
-func (s *server) clone(obs events.Observer) (*server, error) {
+func (s *server) clone(obs events.Observer) *server {
 	c := &server{
 		cfg:                      s.cfg,
 		sys:                      s.sys.Clone(),
@@ -122,23 +112,13 @@ func (s *server) clone(obs events.Observer) (*server, error) {
 
 	c.active = make([]*seqState, 0, len(s.active))
 	for _, st := range s.active {
-		cl, ok := st.sch.(sched.Cloner)
-		if !ok {
-			return nil, fmt.Errorf("serve: scheduler %q (%T) does not implement sched.Cloner; snapshot needs per-sequence state it can copy", s.cfg.Scheduler, st.sch)
-		}
-		sch := cl.CloneScheduler()
-		rel, ok := sch.(sched.Releaser)
-		if !ok {
-			return nil, fmt.Errorf("serve: cloned scheduler %q lost its Release hook", s.cfg.Scheduler)
-		}
 		ctx := &sched.Context{}
 		*ctx = *st.ctx
 		ctx.Sys = c.sys
 		ctx.Breakdown = c.res.Breakdown
 		c.active = append(c.active, &seqState{
 			req:      st.req,
-			sch:      sch,
-			rel:      rel,
+			sch:      st.sch.CloneScheduler(),
 			ctx:      ctx,
 			j:        st.j,
 			rec:      st.rec,
@@ -147,5 +127,5 @@ func (s *server) clone(obs events.Observer) (*server, error) {
 			leaseLen: st.leaseLen,
 		})
 	}
-	return c, nil
+	return c
 }

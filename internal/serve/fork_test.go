@@ -69,10 +69,7 @@ func forkAt(t *testing.T, cfg Config, k int) (orig *Loop, origRec *recorder, for
 		t.Fatal(err)
 	}
 	forkRec = &recorder{events: append([]string(nil), origRec.events...)}
-	fork, err = sn.Fork(forkRec.observer())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fork = sn.Fork(forkRec.observer())
 	return orig, origRec, fork, forkRec
 }
 
@@ -161,14 +158,8 @@ func TestForkDivergentFutures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sn.Fork(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra, err := sn.Fork(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := sn.Fork(nil)
+	extra := sn.Fork(nil)
 	if err := extra.Inject(workload.Request{ID: 9001, Arrival: extra.Clock(), Input: 64, Output: 8}); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // matched path so it cannot be evicted while they run.
 
 // newPrefixCache builds the loop's cache from the defaulted config.
-// Called after reserveStatic, so the default budget — a quarter of the
+// Called after reserveStatic, so the budget — a quarter of the
 // post-reservation headroom — sees the true free pool.
 func (s *server) newPrefixCache() {
 	if s.cfg.PrefixBlock <= 0 {
@@ -32,13 +32,7 @@ func (s *server) newPrefixCache() {
 		tokenBytes = tokenBytes * int64(s.cfg.KVBits) / 16
 	}
 	blockBytes := int64(s.cfg.PrefixBlock) * tokenBytes
-	budget := s.cfg.PrefixBudget
-	if budget == 0 {
-		budget = s.sys.GPUHeadroom() / 4
-	}
-	if budget < blockBytes {
-		budget = blockBytes
-	}
+	budget := max(s.sys.GPUHeadroom()/4, blockBytes)
 	s.cacheTokenBytes = tokenBytes
 	s.cache = prefix.NewIndex(s.cfg.PrefixBlock, blockBytes, budget)
 }

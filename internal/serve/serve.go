@@ -74,12 +74,6 @@ type Config struct {
 	// streaming is an engine-wide property, not a per-request one.
 	Scheduler string
 
-	// Factory, when non-nil, constructs the per-admission scheduler
-	// instances instead of resolving Scheduler through the registry on
-	// every admission — compiled engines resolve the name exactly once.
-	// Scheduler stays the reported name.
-	Factory sched.Factory
-
 	Trace workload.Trace
 
 	// KVSparsity and KVBits configure SWA and KV compression exactly as in
@@ -133,11 +127,6 @@ type Config struct {
 	// (workload.Request.Tokens) participate; shape-only requests always
 	// prefill in full.
 	PrefixBlock int
-
-	// PrefixBudget caps the cache's simulated GPU-resident bytes. 0
-	// defaults to a quarter of the post-reservation headroom. Ignored
-	// when PrefixBlock is 0.
-	PrefixBudget int64
 }
 
 // DefaultExactMetrics is the exact-metrics threshold when
@@ -188,17 +177,9 @@ func (c Config) validateStatic() error {
 		return fmt.Errorf("serve: negative batch cap %d", c.MaxBatch)
 	case c.PrefixBlock < 0:
 		return fmt.Errorf("serve: negative prefix cache block of %d tokens", c.PrefixBlock)
-	case c.PrefixBudget < 0:
-		return fmt.Errorf("serve: negative prefix cache budget of %d bytes", c.PrefixBudget)
-	case c.PrefixBudget > 0 && c.PrefixBlock == 0:
-		return fmt.Errorf("serve: prefix cache budget set but the cache is off (PrefixBlock 0)")
 	}
-	if c.Factory == nil {
-		if _, err := sched.FactoryByName(c.Scheduler); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := sched.FactoryByName(c.Scheduler)
+	return err
 }
 
 // RequestRecord is the per-request outcome of a serving run.
@@ -305,7 +286,6 @@ func (r *Result) PrefixHitRate() float64 {
 type seqState struct {
 	req workload.Request
 	sch sched.Scheduler
-	rel sched.Releaser
 	ctx *sched.Context
 	j   int // completed decode steps
 	// rec is the request's record since its latest admission; complete
@@ -477,13 +457,9 @@ func NewLoop(cfg Config) (*Loop, error) {
 // newLoop builds the loop state from an already-validated, defaulted
 // configuration, reserves the static memory and injects cfg.Trace.
 func newLoop(cfg Config) (*Loop, error) {
-	factory := cfg.Factory
-	if factory == nil {
-		var err error
-		factory, err = sched.FactoryByName(cfg.Scheduler)
-		if err != nil {
-			return nil, err
-		}
+	factory, err := sched.FactoryByName(cfg.Scheduler)
+	if err != nil {
+		return nil, err
 	}
 
 	exactLimit := cfg.ExactMetrics
@@ -713,7 +689,7 @@ func (s *server) turn(ctx context.Context) (bool, error) {
 // end of run. It returns cause unless the accounting leaked.
 func (s *server) cancel(cause error) error {
 	for _, st := range s.active {
-		st.rel.Release(st.ctx)
+		st.sch.Release(st.ctx)
 		s.cacheRelease(st)
 	}
 	s.active = s.active[:0]
@@ -813,10 +789,6 @@ func (s *server) putSeq(st *seqState) {
 //alisa:hotpath
 func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 	sch := s.newSched()
-	rel, ok := sch.(sched.Releaser)
-	if !ok {
-		return false, fmt.Errorf("serve: scheduler %q has no Release hook", s.cfg.Scheduler)
-	}
 	st := s.getSeq()
 	ctx := st.ctx
 	*ctx = sched.Context{
@@ -874,7 +846,7 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 		Admitted: s.sys.Clock() - prefill, FirstToken: s.sys.Clock(),
 		Preemptions: s.ids[req.ID],
 	}
-	st.req, st.sch, st.rel, st.seq = req, sch, rel, seq
+	st.req, st.sch, st.seq = req, sch, seq
 	s.active = append(s.active, st)
 	if s.cfg.Observer != nil {
 		adm := events.Admission{
@@ -1033,7 +1005,7 @@ func (s *server) iterate() error {
 //
 //alisa:hotpath
 func (s *server) preempt(victim *seqState) {
-	victim.rel.Release(victim.ctx)
+	victim.sch.Release(victim.ctx)
 	s.cacheRelease(victim)
 	s.ids[victim.req.ID]++
 	s.preemptions++
@@ -1061,7 +1033,7 @@ func (s *server) preempt(victim *seqState) {
 //
 //alisa:hotpath
 func (s *server) complete(st *seqState) {
-	st.rel.Release(st.ctx)
+	st.sch.Release(st.ctx)
 	s.cacheRelease(st)
 	rec := &st.rec
 	rec.Finished = s.sys.Clock()

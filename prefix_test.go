@@ -81,8 +81,7 @@ func TestServeScriptedValidation(t *testing.T) {
 	}
 }
 
-// TestWithPrefixCacheValidation walks the option's field errors, plus
-// the static cross-check (budget without a block size) caught at New.
+// TestWithPrefixCacheValidation walks the option's field errors.
 func TestWithPrefixCacheValidation(t *testing.T) {
 	cases := []struct {
 		pc    PrefixCache
@@ -90,7 +89,6 @@ func TestWithPrefixCacheValidation(t *testing.T) {
 	}{
 		{PrefixCache{BlockTokens: 0}, "PrefixBlock"},
 		{PrefixCache{BlockTokens: -16}, "PrefixBlock"},
-		{PrefixCache{BlockTokens: 16, BudgetBytes: -1}, "PrefixBudget"},
 	}
 	for _, tc := range cases {
 		var ce *ConfigError
@@ -98,7 +96,7 @@ func TestWithPrefixCacheValidation(t *testing.T) {
 			t.Errorf("%+v: err = %v, want ConfigError on %s", tc.pc, err, tc.field)
 		}
 	}
-	if _, err := New("opt-6.7b", WithPrefixCache(PrefixCache{BlockTokens: 16, BudgetBytes: 64 << 20})); err != nil {
+	if _, err := New("opt-6.7b", WithPrefixCache(PrefixCache{BlockTokens: 16})); err != nil {
 		t.Errorf("valid prefix cache rejected: %v", err)
 	}
 }

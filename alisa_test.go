@@ -75,8 +75,9 @@ func TestNewPolicyNames(t *testing.T) {
 			t.Fatalf("Policy = %q, want %q", rep.Policy, name)
 		}
 	}
-	if _, err := eng.EvaluatePolicy(ctx, "oracle", 2); err == nil {
-		t.Fatal("expected error for unknown policy")
+	_, err = eng.EvaluatePolicy(ctx, "oracle", 2)
+	if err == nil || !strings.HasSuffix(err.Error(), "(known: dense, h2o, local, strided, swa)") {
+		t.Fatalf("unknown policy: err %v, want the known policies listed", err)
 	}
 }
 
@@ -143,8 +144,8 @@ func TestExperimentRegistry(t *testing.T) {
 	if !strings.Contains(out, "ALISA") {
 		t.Fatalf("table1 render missing content:\n%s", out)
 	}
-	if _, err := RunExperiment("fig99"); err == nil {
-		t.Fatal("expected error for unknown experiment")
+	if _, err := RunExperiment("fig99"); err == nil || !strings.HasSuffix(err.Error(), ", fig9, numeric, table1)") {
+		t.Fatalf("unknown experiment: err %v, want the known ids listed", err)
 	}
 }
 
@@ -179,8 +180,8 @@ func TestServePublicAPI(t *testing.T) {
 }
 
 func TestServePublicAPIErrors(t *testing.T) {
-	if _, err := New("nope", WithScheduler("alisa"), WithKVBits(16)); err == nil {
-		t.Error("unknown model accepted")
+	if _, err := New("nope", WithScheduler("alisa"), WithKVBits(16)); err == nil || !strings.HasSuffix(err.Error(), ", pythia-12b, pythia-6.9b)") {
+		t.Errorf("unknown model: err %v, want the known models listed", err)
 	}
 	eng, err := New("opt-6.7b", WithScheduler("deepspeed-zero"), WithKVBits(16))
 	if err != nil {

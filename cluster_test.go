@@ -3,6 +3,7 @@ package alisa
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -185,11 +186,18 @@ func TestClusterValidationErrors(t *testing.T) {
 		{"negative window", ClusterSpec{Replicas: 1, Window: -1}, "MetricsWindow"},
 		{"bad autoscale", ClusterSpec{Replicas: 1, Autoscale: &ClusterAutoscale{Min: 0, Max: 2}}, "Autoscale"},
 	}
+	known := map[string]string{
+		"unknown router":  "(known: affinity, least-kv, least-outstanding, prefix-affinity, round-robin)",
+		"unknown profile": "(known: H100-80GB, V100-16GB, V100-32GB)",
+	}
 	for _, tc := range cases {
 		_, err := eng.OpenCluster(ctx, tc.spec)
 		var ce *ConfigError
 		if !errors.As(err, &ce) || ce.Field != tc.field {
 			t.Fatalf("%s: err %v, want ConfigError on %s", tc.name, err, tc.field)
+		}
+		if !strings.HasSuffix(err.Error(), known[tc.name]) {
+			t.Fatalf("%s: err %q does not end with %q", tc.name, err, known[tc.name])
 		}
 		if _, err := eng.ServeCluster(ctx, tc.spec, PoissonTrace(4, 5, 1)); err == nil {
 			t.Fatalf("%s: ServeCluster accepted bad spec", tc.name)

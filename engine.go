@@ -199,7 +199,7 @@ func WithExactMetrics(n int) Option {
 type PrefixCache struct {
 	// BlockTokens is the sharing granularity: prompts are cached and
 	// matched in blocks of this many token IDs. Required, positive; 16
-	// is a reasonable default (the alisa-serve CLI's). The cache's
+	// is a reasonable default (`alisa serve`'s). The cache's
 	// simulated GPU-resident bytes are capped at a quarter of the GPU
 	// headroom left after weights and activations are reserved.
 	BlockTokens int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -33,6 +34,12 @@ func TestNewValidation(t *testing.T) {
 		{"nil observer", "opt-6.7b", []Option{WithObserver(nil)}, "Observer"},
 		{"nil option", "opt-6.7b", []Option{nil}, "Option"},
 	}
+	// An unknown name's error ends by listing the names the table knows.
+	known := map[string]string{
+		"unknown model":     "(known: llama-13b, llama-33b, llama-7b, opt-13b, opt-30b, opt-6.7b, pythia-12b, pythia-6.9b)",
+		"unknown profile":   "(known: H100-80GB, V100-16GB, V100-32GB)",
+		"unknown scheduler": "(known: accelerate, alisa, deepspeed, deepspeed-zero, flexgen, gpu-only, hf-accelerate, no-cache, vllm)",
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := New(tc.model, tc.opts...)
@@ -42,6 +49,9 @@ func TestNewValidation(t *testing.T) {
 			}
 			if ce.Field != tc.field {
 				t.Fatalf("Field = %q, want %q (err: %v)", ce.Field, tc.field, err)
+			}
+			if !strings.HasSuffix(err.Error(), known[tc.name]) {
+				t.Fatalf("err %q does not end with %q", err, known[tc.name])
 			}
 		})
 	}

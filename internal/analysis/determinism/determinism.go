@@ -15,8 +15,8 @@ import (
 
 // Packages is the enforced set: every package whose state feeds a
 // pinned, replayable result. Paths are prefixes — "repro/internal/metrics"
-// covers metrics/sketch. cmd/ and the experiment drivers stay free to
-// read wall clocks for benchmarking.
+// covers metrics/sketch. cmd/ (`alisa paper` times each experiment) and
+// the experiment drivers stay free to read wall clocks.
 var Packages = []string{
 	"repro/internal/core",
 	"repro/internal/serve",

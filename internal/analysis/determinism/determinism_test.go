@@ -32,7 +32,7 @@ func TestMatchDefault(t *testing.T) {
 	}
 	out := []string{
 		"repro",
-		"repro/cmd/alisa-bench",
+		"repro/cmd/alisa",
 		"repro/internal/experiments",
 		"repro/internal/analysis",
 		"repro/internal/metricsfoo", // prefix match must not cross path segments
@@ -57,8 +57,8 @@ func TestProductionAnalyzerScoped(t *testing.T) {
 	if Analyzer.Match == nil {
 		t.Fatal("production determinism analyzer has no package scope")
 	}
-	if Analyzer.Match("repro/cmd/alisa-bench") {
-		t.Error("production determinism analyzer must not cover cmd/alisa-bench")
+	if Analyzer.Match("repro/cmd/alisa") {
+		t.Error("production determinism analyzer must not cover cmd/alisa")
 	}
 	if !Analyzer.Match("repro/internal/serve") {
 		t.Error("production determinism analyzer must cover internal/serve")

@@ -3,6 +3,7 @@ package attention
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Factory constructs a fresh policy instance for a model with the given
@@ -26,7 +27,7 @@ var factories = map[string]Factory{
 func ByName(name string, ratio float64, layers int) (Policy, error) {
 	f, ok := factories[name]
 	if !ok {
-		return nil, fmt.Errorf("attention: unknown policy %q (known: %v)", name, Registered())
+		return nil, fmt.Errorf("attention: unknown policy %q (known: %s)", name, strings.Join(Registered(), ", "))
 	}
 	return f(ratio, layers)
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 
 	"repro/internal/workload"
 )
@@ -79,7 +80,7 @@ var routers = map[string]Factory{
 func RouterByName(name string) (Router, error) {
 	f, ok := routers[name]
 	if !ok {
-		return nil, fmt.Errorf("cluster: unknown router %q (have %v)", name, Routers())
+		return nil, fmt.Errorf("cluster: unknown router %q (known: %s)", name, strings.Join(Routers(), ", "))
 	}
 	return f(), nil
 }

@@ -1,13 +1,14 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§III and §VI). Each experiment has a constructor returning a
 // structured result plus a Render method that prints the same rows or
-// series the paper reports, so `alisa-bench` regenerates the full
+// series the paper reports, so `alisa paper` regenerates the full
 // evaluation and EXPERIMENTS.md can record paper-vs-measured values.
 package experiments
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/attention"
 	"repro/internal/oracle"
@@ -72,5 +73,5 @@ func ByID(id string) (Runner, error) {
 		ids = append(ids, r.ID)
 	}
 	sort.Strings(ids)
-	return Runner{}, fmt.Errorf("experiments: unknown id %q (known: %v)", id, ids)
+	return Runner{}, fmt.Errorf("experiments: unknown id %q (known: %s)", id, strings.Join(ids, ", "))
 }

@@ -1,6 +1,6 @@
 // Package grid is the bounded-worker executor behind sweep-style fan-out:
-// Engine.ServeMany, `alisa-serve -sweep -parallel`, and `alisa-cluster
-// -parallel` all run their (scheduler × rate / router × load × fleet
+// Engine.ServeMany, `alisa serve -parallel`, and `alisa cluster
+// -parallel` all run their (scheduler × load / router × load × fleet
 // size) cells through Run. Each cell is an index into caller-owned storage, so results land
 // in deterministic positions no matter which worker finishes first — the
 // cells themselves are single-goroutine deterministic simulations, making

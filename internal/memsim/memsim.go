@@ -100,16 +100,17 @@ var profiles = map[string]Profile{
 func ProfileByName(name string) (Profile, error) {
 	p, ok := profiles[strings.ToLower(name)]
 	if !ok {
-		return Profile{}, fmt.Errorf("memsim: unknown profile %q (known: %v)", name, ProfileNames())
+		return Profile{}, fmt.Errorf("memsim: unknown profile %q (known: %s)", name, strings.Join(ProfileNames(), ", "))
 	}
 	return p, nil
 }
 
-// ProfileNames returns every profile name, lower-cased, in sorted order.
+// ProfileNames returns every profile's canonical name (V100-16GB, ...)
+// in sorted order.
 func ProfileNames() []string {
 	names := make([]string, 0, len(profiles))
-	for n := range profiles {
-		names = append(names, n)
+	for _, p := range profiles {
+		names = append(names, p.Name)
 	}
 	sort.Strings(names)
 	return names

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Factory constructs a fresh scheduler instance. Every simulated run (and,
@@ -53,7 +54,7 @@ func MustByName(name string) Scheduler {
 func FactoryByName(name string) (Factory, error) {
 	f, ok := factories[name]
 	if !ok {
-		return nil, fmt.Errorf("sched: unknown scheduler %q (known: %v)", name, Registered())
+		return nil, fmt.Errorf("sched: unknown scheduler %q (known: %s)", name, strings.Join(Registered(), ", "))
 	}
 	return f, nil
 }

@@ -49,8 +49,8 @@ type ClusterSpec struct {
 	// (0 → the engine's WithMetricsWindow setting).
 	Window int
 	// Autoscale, when non-nil, lets the fleet grow and shrink at
-	// runtime; new replicas clone replica Template's configuration and
-	// warm-start from a pristine snapshot fork.
+	// runtime; each scale-up builds a fresh replica loop from replica
+	// Template's configuration.
 	Autoscale *ClusterAutoscale
 }
 

@@ -11,8 +11,8 @@ import (
 //
 //   - Scale up when the fleet's rolling window holds at least MinObs
 //     completions and its windowed SLO attainment drops below SLOTarget —
-//     the load has outrun the fleet. The new replica warm-starts as a
-//     fork of the template replica's pristine snapshot and gets a fresh,
+//     the load has outrun the fleet. The new replica is a fresh loop
+//     built from the template replica's config and gets a fresh,
 //     never-reused ID (affinity hashing stays stable).
 //   - Scale down when a replica has been idle — no queued or in-flight
 //     work — for more than IdleAfter simulated seconds of fleet
@@ -39,8 +39,8 @@ type Autoscale struct {
 	// Cooldown is the minimum fleet-frontier time between scale actions,
 	// in simulated seconds.
 	Cooldown float64
-	// Template indexes Config.Replicas: scale-ups clone this member's
-	// configuration (and fork its pristine snapshot).
+	// Template indexes Config.Replicas: scale-ups build their loop from
+	// this member's configuration.
 	Template int
 }
 

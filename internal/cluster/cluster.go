@@ -32,8 +32,8 @@ type Config struct {
 	Window int
 
 	// Autoscale, when non-nil, lets the fleet grow and shrink at runtime;
-	// see the Autoscale type. New replicas warm-start as forks of a
-	// pristine snapshot of the template replica's loop.
+	// see the Autoscale type. A scale-up builds a fresh loop from the
+	// template replica's config.
 	Autoscale *Autoscale
 }
 
@@ -74,7 +74,7 @@ type replica struct {
 	// lastBusy is the replica's clock when it last held work; the
 	// autoscaler retires replicas whose idle span exceeds IdleAfter.
 	lastBusy float64
-	// forked marks autoscaler-added replicas (warm-started via Fork).
+	// forked marks autoscaler-added replicas.
 	forked  bool
 	retired bool
 	// result is set when the replica is finalized (retirement or fleet
@@ -110,10 +110,6 @@ type Cluster struct {
 
 	replicas []*replica
 	nextID   int
-
-	// pristine is the idle template loop's snapshot the autoscaler forks
-	// scale-up replicas from; nil when autoscaling is off.
-	pristine *serve.Snapshot
 
 	// lastScale is the fleet frontier at the last autoscale action,
 	// enforcing the cooldown; scaleUps/scaleDowns and peak feed the
@@ -159,47 +155,26 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.peakReplicas = len(c.replicas)
-	if as := cfg.Autoscale; as != nil {
-		// The pristine template is snapshotted idle, observer-free; each
-		// scale-up forks it and attaches the new replica's own tap —
-		// serve's fork determinism contract makes the warm start exact.
-		tmpl := cfg.Replicas[as.Template]
-		tmpl.Observer = nil
-		tl, err := serve.NewLoop(tmpl)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: autoscale template: %w", err)
-		}
-		sn, err := tl.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: autoscale template: %w", err)
-		}
-		c.pristine = sn
-	}
 	return c, nil
 }
 
-// addReplica builds one replica with the fleet tap chained in front of
-// the config's own observer. Warm-started replicas fork the pristine
-// snapshot instead of building a loop from scratch.
-func (c *Cluster) addReplica(rc serve.Config, fork bool) (*replica, error) {
+// addReplica builds one replica's loop with the fleet tap chained in
+// front of the config's own observer. forked marks an autoscaler
+// scale-up.
+func (c *Cluster) addReplica(rc serve.Config, forked bool) (*replica, error) {
 	r := &replica{
 		id:     c.nextID,
 		tier:   rc.Profile.Name,
 		cfg:    rc,
 		window: metrics.NewWindow(c.windowCap()),
-		forked: fork,
+		forked: forked,
 	}
-	tap := events.Multi(&fleetTap{c: c, r: r}, rc.Observer)
-	if fork {
-		r.loop = c.pristine.Fork(tap)
-	} else {
-		rc.Observer = tap
-		loop, err := serve.NewLoop(rc)
-		if err != nil {
-			return nil, err
-		}
-		r.loop = loop
+	rc.Observer = events.Multi(&fleetTap{c: c, r: r}, rc.Observer)
+	loop, err := serve.NewLoop(rc)
+	if err != nil {
+		return nil, err
 	}
+	r.loop = loop
 	c.nextID++
 	c.replicas = append(c.replicas, r)
 	return r, nil
@@ -432,8 +407,8 @@ func (c *Cluster) Snapshot() metrics.WindowSnapshot { return c.window.Snapshot()
 type ReplicaStatus struct {
 	ReplicaView
 	Retired bool
-	// Forked marks replicas the autoscaler warm-started from the
-	// template snapshot.
+	// Forked marks replicas the autoscaler added at runtime, each a
+	// fresh loop built from the template replica's config.
 	Forked bool
 	Routed int
 	Window metrics.WindowSnapshot

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
 	"testing"
 
@@ -24,6 +26,13 @@ func replicaConfig() serve.Config {
 		KVBits:     8,
 		MaxBatch:   4,
 	}
+}
+
+// fingerprintDigest is the SHA-256 prefix of a fleet Result's
+// fingerprint, so a test can pin a run across commits.
+func fingerprintDigest(res *Result) string {
+	h := sha256.Sum256([]byte(res.Fingerprint()))
+	return hex.EncodeToString(h[:])[:16]
 }
 
 func fleetConfig(n int, router string) Config {
@@ -217,8 +226,8 @@ func TestHeterogeneousFleet(t *testing.T) {
 
 // TestAutoscaleUp pins the scale-up trigger: an unmeetable SLO drives
 // windowed attainment to zero, so the fleet must grow from its initial
-// size toward Max, warm-starting forked replicas that then serve
-// traffic.
+// size toward Max, adding replicas that then serve traffic. The run's
+// fingerprint digest is pinned across commits.
 func TestAutoscaleUp(t *testing.T) {
 	rc := replicaConfig()
 	rc.SLOTTFT = 1e-9 // nothing can meet it: attainment pins at 0
@@ -248,16 +257,20 @@ func TestAutoscaleUp(t *testing.T) {
 		}
 	}
 	if forkedServed == 0 {
-		t.Fatal("warm-started replicas never served a request")
+		t.Fatal("autoscaler-added replicas never served a request")
 	}
 	if res.Completed != 48 {
 		t.Fatalf("completed %d of 48", res.Completed)
+	}
+	if got, want := fingerprintDigest(res), "7edbf02b2b5b6b81"; got != want {
+		t.Fatalf("fingerprint digest %s, want %s", got, want)
 	}
 }
 
 // TestAutoscaleDown pins the scale-down trigger: after a burst drains
 // and the trace goes quiet, the replica left idle past IdleAfter is
-// retired — and its completions still count in the final roll-up.
+// retired — and its completions still count in the final roll-up. The
+// run's fingerprint digest is pinned across commits.
 func TestAutoscaleDown(t *testing.T) {
 	cfg := Config{
 		Router:   "round-robin",
@@ -292,6 +305,9 @@ func TestAutoscaleDown(t *testing.T) {
 	}
 	if retired == 0 {
 		t.Fatal("ScaleDowns counted but no replica marked retired")
+	}
+	if got, want := fingerprintDigest(res), "f4c5111d466428e5"; got != want {
+		t.Fatalf("fingerprint digest %s, want %s", got, want)
 	}
 }
 

@@ -16,7 +16,7 @@ type ReplicaResult struct {
 	// how many ran to completion (they differ only under cancellation).
 	Routed    int
 	Completed int
-	// Forked marks autoscaler-added, warm-started replicas; Retired
+	// Forked marks replicas the autoscaler added at runtime; Retired
 	// marks members the autoscaler removed before the fleet closed.
 	Forked  bool
 	Retired bool

@@ -16,7 +16,6 @@ const (
 	expMask16      = 0x7C00
 	fracMask16     = 0x03FF
 	expBias16      = 15
-	maxFiniteBits  = 0x7BFF // 65504
 	positiveInf    = F16(0x7C00)
 	negativeInf    = F16(0xFC00)
 	quietNaN       = F16(0x7E00)
@@ -102,27 +101,6 @@ func (h F16) IsNaN() bool {
 // IsInf reports whether h encodes an infinity.
 func (h F16) IsInf() bool {
 	return h&expMask16 == expMask16 && h&fracMask16 == 0
-}
-
-// MaxValue is the largest finite half-precision value, 65504.
-func MaxValue() float32 { return F16(maxFiniteBits).Float32() }
-
-// EncodeSlice converts src to half precision.
-func EncodeSlice(src []float32) []F16 {
-	out := make([]F16, len(src))
-	for i, v := range src {
-		out[i] = FromFloat32(v)
-	}
-	return out
-}
-
-// DecodeSlice converts src back to single precision.
-func DecodeSlice(src []F16) []float32 {
-	out := make([]float32, len(src))
-	for i, v := range src {
-		out[i] = v.Float32()
-	}
-	return out
 }
 
 // RoundTripSlice applies an encode/decode round trip in place, imposing

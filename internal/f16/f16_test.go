@@ -87,21 +87,7 @@ func TestRoundToNearestEven(t *testing.T) {
 	}
 }
 
-func TestMaxValue(t *testing.T) {
-	if MaxValue() != 65504 {
-		t.Fatalf("MaxValue = %v, want 65504", MaxValue())
-	}
-}
-
 func TestSliceHelpers(t *testing.T) {
-	src := []float32{1.5, -2.25, 1000, 0}
-	enc := EncodeSlice(src)
-	dec := DecodeSlice(enc)
-	for i := range src {
-		if dec[i] != src[i] {
-			t.Fatalf("slice round trip [%d] = %v, want %v", i, dec[i], src[i])
-		}
-	}
 	if Bytes(4) != 8 {
 		t.Fatalf("Bytes(4) = %d, want 8", Bytes(4))
 	}

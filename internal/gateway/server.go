@@ -113,6 +113,11 @@ func (g *Gateway) Release(ctx context.Context) error { return g.bridge.Release(c
 // Accepting reports whether new completions are admitted.
 func (g *Gateway) Accepting() bool { return g.bridge.Accepting() }
 
+// maxBodyBytes caps a POST /v1/completions body. A well-formed request is
+// a few hundred bytes; a body past the cap is answered 413 instead of
+// being decoded without bound.
+const maxBodyBytes = 1 << 20
+
 // completionRequest is the POST /v1/completions body. Exactly one of
 // prompt / input_tokens sets the prompt length (the simulator costs
 // token counts, so a prompt string is measured by whitespace-split
@@ -171,7 +176,7 @@ type errorInfo struct {
 }
 
 func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
-	spec, stream, err := g.parseCompletion(r)
+	spec, stream, err := g.parseCompletion(w, r)
 	if err != nil {
 		g.writeError(w, err)
 		return
@@ -189,12 +194,18 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// parseCompletion validates the body into a SubmitSpec. Every failure is
-// an *alisa.ConfigError whose Field names the wire parameter, so the
-// error envelope's param is machine-usable.
-func (g *Gateway) parseCompletion(r *http.Request) (SubmitSpec, bool, error) {
+// parseCompletion decodes the body, read through a maxBodyBytes cap, and
+// validates it into a SubmitSpec. A body past the cap fails with the
+// *http.MaxBytesError writeError answers 413; every other failure is an
+// *alisa.ConfigError whose Field names the wire parameter, so the error
+// envelope's param is machine-usable.
+func (g *Gateway) parseCompletion(w http.ResponseWriter, r *http.Request) (SubmitSpec, bool, error) {
 	var creq completionRequest
-	if err := json.NewDecoder(r.Body).Decode(&creq); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&creq); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return SubmitSpec{}, false, tooLarge
+		}
 		return SubmitSpec{}, false, &alisa.ConfigError{Field: "body", Value: "json", Reason: err.Error()}
 	}
 	if creq.Model != "" && creq.Model != g.model {
@@ -335,13 +346,20 @@ func (g *Gateway) handleRelease(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "released\n")
 }
 
-// writeError maps an error onto the structured envelope: validation
-// failures (ConfigError, Push contract violations) are 400 with the
-// offending param; shutdown states (draining, closed session, failed
-// session) are 503 with Retry-After so load generators back off.
+// writeError maps an error onto the structured envelope: a body past
+// maxBodyBytes is 413 on param "body"; validation failures (ConfigError,
+// Push contract violations) are 400 with the offending param; shutdown
+// states (draining, closed session, failed session) are 503 with
+// Retry-After so load generators back off.
 func (g *Gateway) writeError(w http.ResponseWriter, err error) {
 	var ce *alisa.ConfigError
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: errorInfo{
+			Type: "invalid_request_error", Param: "body",
+			Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
+		}})
 	case errors.As(err, &ce):
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: errorInfo{
 			Type: "invalid_request_error", Param: ce.Field, Message: err.Error(),

@@ -216,6 +216,52 @@ func TestGatewayValidationErrors(t *testing.T) {
 	}
 }
 
+// TestGatewayBodyLimit posts a body past the 1 MiB cap: it is refused
+// with 413 on param "body" before it is decoded in full, and the gateway
+// then streams a normal completion to the end.
+func TestGatewayBodyLimit(t *testing.T) {
+	g := newTestGateway(t, Config{TimeScale: 0})
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+
+	big := `{"prompt":"` + strings.Repeat("x ", 1<<20) + `","max_tokens":1}`
+	resp, err := http.Post(srv.URL+"/v1/completions", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	if eb.Error.Type != "invalid_request_error" || eb.Error.Param != "body" || eb.Error.Message == "" {
+		t.Errorf("envelope = %+v, want invalid_request_error on param body", eb.Error)
+	}
+
+	resp, err = http.Post(srv.URL+"/v1/completions", "application/json",
+		strings.NewReader(`{"input_tokens":64,"max_tokens":6,"stream":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream after 413: status = %d, body %s", resp.StatusCode, body)
+	}
+	if n := strings.Count(string(body), "event: token\n"); n != 6 {
+		t.Errorf("stream after 413 carried %d token events, want 6", n)
+	}
+	if !strings.Contains(string(body), "event: completion\n") || !strings.HasSuffix(string(body), "data: [DONE]\n\n") {
+		t.Errorf("stream after 413 did not complete: %q", body)
+	}
+}
+
 // TestGatewayDrainLifecycle walks the shutdown contract over the wire:
 // readiness flips the moment a drain begins, new completions bounce with
 // 503 + Retry-After, and liveness plus final metrics stay served.
@@ -283,6 +329,7 @@ func TestGatewayErrorMapping(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", ErrFailed), 503, "unavailable_error"},
 		{alisa.ErrSessionClosed, 503, "unavailable_error"},
 		{fmt.Errorf("some push contract violation"), 400, "invalid_request_error"},
+		{&http.MaxBytesError{Limit: maxBodyBytes}, 413, "invalid_request_error"},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()

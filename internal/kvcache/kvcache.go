@@ -1,12 +1,14 @@
 // Package kvcache provides the KV-tensor placement bookkeeping for the
-// three caching granularities the paper compares (Table I):
+// two dynamic caching granularities the paper compares (Table I):
 //
 //   - TokenStore — ALISA's token-level placement: every token position is
 //     individually on GPU, on CPU, or deleted (recomputable).
 //   - BlockStore — vLLM-style paged blocks: fixed groups of tokens move
 //     between devices as units, with partial-block allocation overhead.
-//   - HeadStore — FlexGen-style head-level static split: a fixed fraction
-//     of every token's KV lives on each device for the whole run.
+//
+// FlexGen's head-level split is static — every token's KV divides the
+// same way for the whole run — so it needs no store: sched's
+// static-placement type keeps a token count and the split.
 //
 // Stores track logical placement and byte accounting; the memsim system
 // charges the actual transfer times.
@@ -236,11 +238,6 @@ func (b *BlockStore) Append() bool {
 	return grew
 }
 
-// AllocatedTokens returns the token capacity of all allocated blocks —
-// the fragmentation-inclusive footprint vLLM's paging avoids wasting
-// beyond one block.
-func (b *BlockStore) AllocatedTokens() int { return len(b.blocks) * b.blockSize }
-
 // WouldGrow reports whether the next Append allocates a new block —
 // letting callers reserve the block's memory before mutating the store.
 func (b *BlockStore) WouldGrow() bool { return b.tokens == len(b.blocks)*b.blockSize }
@@ -273,59 +270,4 @@ func (b *BlockStore) SwapOut(n int) int {
 		}
 	}
 	return moved
-}
-
-// SwapIn moves up to n of the oldest CPU blocks back to GPU, returning how
-// many moved.
-func (b *BlockStore) SwapIn(n int) int {
-	moved := 0
-	for i := 0; i < len(b.blocks) && moved < n; i++ {
-		if b.blocks[i] == CPU {
-			b.blocks[i] = GPU
-			moved++
-		}
-	}
-	return moved
-}
-
-// HeadStore is FlexGen-style head-level static placement: GPUFraction of
-// every token's KV bytes stay on GPU and the rest on CPU, fixed for the
-// whole inference ("splits KV tensors along the head dimension and remains
-// static", Fig. 7(a)).
-type HeadStore struct {
-	heads    int
-	gpuHeads int
-	tokens   int
-}
-
-// NewHeadStore returns a head-split store keeping gpuHeads of heads on GPU.
-func NewHeadStore(heads, gpuHeads int) *HeadStore {
-	if heads <= 0 || gpuHeads < 0 || gpuHeads > heads {
-		panic(fmt.Sprintf("kvcache: bad head split %d/%d", gpuHeads, heads))
-	}
-	return &HeadStore{heads: heads, gpuHeads: gpuHeads}
-}
-
-// Append adds one token position.
-func (h *HeadStore) Append() { h.tokens++ }
-
-// Clone returns an independent copy of the store, for scheduler forking.
-func (h *HeadStore) Clone() *HeadStore {
-	c := *h
-	return &c
-}
-
-// Reset empties the store for reuse after its sequence completes.
-func (h *HeadStore) Reset() { h.tokens = 0 }
-
-// Tokens returns the number of stored token positions.
-func (h *HeadStore) Tokens() int { return h.tokens }
-
-// GPUFraction returns the byte fraction resident on GPU.
-func (h *HeadStore) GPUFraction() float64 { return float64(h.gpuHeads) / float64(h.heads) }
-
-// Split divides total KV bytes between the devices.
-func (h *HeadStore) Split(totalBytes int64) (gpu, cpu int64) {
-	gpu = int64(float64(totalBytes) * h.GPUFraction())
-	return gpu, totalBytes - gpu
 }

@@ -209,21 +209,6 @@ func Mean(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// GeoMean returns the geometric mean of strictly positive v values.
-func GeoMean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(v)))
-}
-
 // Percentile returns the p-th percentile of v using linear interpolation
 // between order statistics. v is not modified. The contract, pinned by
 // the edge-case table tests:
@@ -307,24 +292,4 @@ func sortedPercentile(s []float64, p float64) float64 {
 		return s[lo]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Normalize scales v so it sums to 1, returning a copy. An all-zero input
-// returns a uniform distribution.
-func Normalize(v []float64) []float64 {
-	out := make([]float64, len(v))
-	var total float64
-	for _, x := range v {
-		total += x
-	}
-	if total == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(v))
-		}
-		return out
-	}
-	for i, x := range v {
-		out[i] = x / total
-	}
-	return out
 }

@@ -159,18 +159,12 @@ func TestAccuracyProxyShape(t *testing.T) {
 	}
 }
 
-func TestMeanGeoMeanPercentile(t *testing.T) {
+func TestMeanPercentile(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("mean broken")
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean should be 0")
-	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("geomean = %v, want 2", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Fatal("geomean with non-positive input should be 0")
 	}
 	v := []float64{4, 1, 3, 2}
 	if p := Percentile(v, 50); math.Abs(p-2.5) > 1e-12 {
@@ -178,17 +172,6 @@ func TestMeanGeoMeanPercentile(t *testing.T) {
 	}
 	if Percentile(v, 0) != 1 || Percentile(v, 100) != 4 {
 		t.Fatal("percentile extremes broken")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	n := Normalize([]float64{1, 3})
-	if n[0] != 0.25 || n[1] != 0.75 {
-		t.Fatalf("normalize = %v", n)
-	}
-	u := Normalize([]float64{0, 0})
-	if u[0] != 0.5 || u[1] != 0.5 {
-		t.Fatalf("zero input should normalize to uniform, got %v", u)
 	}
 }
 

@@ -69,41 +69,12 @@ func (c Config) KVBytesPerToken(bytesPerElem int) int64 {
 	return 2 * int64(c.Layers) * int64(c.Hidden) * int64(bytesPerElem)
 }
 
-// KVBytes returns KV bytes for a batch of sequences at the given length.
-func (c Config) KVBytes(batch, seqLen, bytesPerElem int) int64 {
-	return int64(batch) * int64(seqLen) * c.KVBytesPerToken(bytesPerElem)
-}
-
 // ActivationBytes estimates per-step activation memory for a batch: the
 // working set of one layer's hidden states and FFN intermediate, double
 // buffered.
 func (c Config) ActivationBytes(batch, bytesPerElem int) int64 {
 	per := int64(c.Hidden) + int64(c.FFN)
 	return 2 * int64(batch) * per * int64(bytesPerElem)
-}
-
-// DecodeFLOPsPerToken returns the FLOPs to decode one token for one
-// sequence at context length ctx: weight GEMMs (2·params-ish via 8h²+4hf
-// per layer) plus attention score/value products that grow with context.
-func (c Config) DecodeFLOPsPerToken(ctx int) int64 {
-	h := int64(c.Hidden)
-	f := int64(c.FFN)
-	l := int64(c.Layers)
-	proj := 2 * (4*h*h + c.ffnMatrices()*h*f) // multiply-accumulate on all weight matrices
-	attn := 2 * 2 * h * int64(ctx)            // QKᵀ and AW·V against ctx cached tokens
-	return l * (proj + attn)
-}
-
-// PrefillFLOPs returns the FLOPs to prefill a prompt of length s for one
-// sequence (quadratic attention term included).
-func (c Config) PrefillFLOPs(s int) int64 {
-	h := int64(c.Hidden)
-	f := int64(c.FFN)
-	l := int64(c.Layers)
-	sl := int64(s)
-	proj := 2 * sl * (4*h*h + c.ffnMatrices()*h*f)
-	attn := 2 * 2 * h * sl * (sl + 1) / 2 // causal: Σ context lengths
-	return l * (proj + attn)
 }
 
 // Catalog lists every model configuration the paper evaluates, with the

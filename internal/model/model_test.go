@@ -71,7 +71,7 @@ func TestKVBytesMatchPaperExample(t *testing.T) {
 	// Paper §III-A: OPT-13B, seq 512, batch 64, FP16 ⇒ "more than 25 GB"
 	// of KV, larger than the ~23 GB weights... weights at FP16.
 	cfg := MustByName("opt-13b")
-	kv := cfg.KVBytes(64, 512, 2)
+	kv := 64 * 512 * cfg.KVBytesPerToken(2)
 	if kvGB := float64(kv) / (1 << 30); kvGB < 24 || kvGB > 27 {
 		t.Fatalf("OPT-13B KV at (64,512) = %.1f GB, paper says >25 GB", kvGB)
 	}
@@ -90,22 +90,6 @@ func TestKVBytesPerTokenFormula(t *testing.T) {
 	want := int64(4 * cfg.Layers * cfg.Hidden)
 	if got := cfg.KVBytesPerToken(2); got != want {
 		t.Fatalf("KVBytesPerToken = %d, want %d", got, want)
-	}
-}
-
-func TestDecodeFLOPsGrowWithContext(t *testing.T) {
-	cfg := MustByName("opt-6.7b")
-	if cfg.DecodeFLOPsPerToken(1024) <= cfg.DecodeFLOPsPerToken(64) {
-		t.Fatal("decode FLOPs should grow with context length")
-	}
-}
-
-func TestPrefillFLOPsSuperlinear(t *testing.T) {
-	cfg := MustByName("opt-6.7b")
-	f1 := cfg.PrefillFLOPs(256)
-	f2 := cfg.PrefillFLOPs(512)
-	if f2 < 2*f1 {
-		t.Fatal("prefill FLOPs should be superlinear in sequence length")
 	}
 }
 

@@ -124,15 +124,6 @@ func (q *Tensor) Bytes() int64 {
 	return codeBytes + paramBytes
 }
 
-// CompressionRatio returns FP16 bytes divided by quantized bytes for an
-// r×c tensor at the given bit width — the traffic reduction the scheduler
-// credits to KV compression.
-func CompressionRatio(rows, cols, bits int) float64 {
-	fp16 := int64(rows) * int64(cols) * 2
-	q := &Tensor{Rows: rows, Cols: cols, Bits: bits}
-	return float64(fp16) / float64(q.Bytes())
-}
-
 // RoundTrip imposes quantization error on m in place, as the simulator does
 // when KV tensors cross the PCIe link in compressed form.
 func RoundTrip(m *tensor.Matrix, bits int) {

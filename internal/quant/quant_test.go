@@ -95,11 +95,15 @@ func TestBytesAccounting(t *testing.T) {
 func TestCompressionRatioApproachesTwo(t *testing.T) {
 	// For large tensors the per-channel parameter overhead vanishes and
 	// INT8 achieves ~2× over FP16.
-	r := CompressionRatio(4096, 128, 8)
+	ratio := func(bits int) float64 {
+		q := &Tensor{Rows: 4096, Cols: 128, Bits: bits}
+		return float64(4096*128*2) / float64(q.Bytes())
+	}
+	r := ratio(8)
 	if r < 1.9 || r > 2.0 {
 		t.Fatalf("INT8 compression ratio = %v, want ≈2", r)
 	}
-	r4 := CompressionRatio(4096, 128, 4)
+	r4 := ratio(4)
 	if r4 < 3.8 || r4 > 4.0 {
 		t.Fatalf("INT4 compression ratio = %v, want ≈4", r4)
 	}

@@ -4,122 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/kvcache"
-	"repro/internal/trace"
 )
-
-// FlexGen is the static head-level offloading baseline [31] (Fig. 7(a)):
-// an offline-chosen fraction of every token's KV stays on the GPU and the
-// rest lives in CPU memory, streamed across PCIe at every step. The split
-// is solved from memory capacity once and never changes ("remains static
-// across different sequence lengths").
-type FlexGen struct {
-	// GPUHeads / Heads is the static split; -1 requests the offline solve.
-	GPUHeads int
-
-	store *kvcache.HeadStore
-}
-
-// NewFlexGen returns a FlexGen baseline with the split solved at Init.
-func NewFlexGen() *FlexGen { return &FlexGen{GPUHeads: -1} }
-
-// Name implements Scheduler.
-func (f *FlexGen) Name() string { return "flexgen" }
-
-// CloneScheduler implements Scheduler.
-func (f *FlexGen) CloneScheduler() Scheduler {
-	c := *f
-	if f.store != nil {
-		c.store = f.store.Clone()
-	}
-	return &c
-}
-
-// GPUFraction returns the static GPU share chosen at Init.
-func (f *FlexGen) GPUFraction() float64 { return f.store.GPUFraction() }
-
-// Init implements Scheduler: solve the head split from capacity, place the
-// prefill KV.
-func (f *FlexGen) Init(ctx *Context) error {
-	heads := ctx.Model.Heads
-	gpuHeads := f.GPUHeads
-	if gpuHeads < 0 {
-		// Offline linear solve: the largest head fraction whose peak-KV
-		// share fits the GPU headroom.
-		peakKV := float64(ctx.MaxSeq()) * float64(ctx.TokenBytes())
-		frac := float64(ctx.Sys.GPUHeadroom()) / peakKV
-		if frac > 1 {
-			frac = 1
-		}
-		gpuHeads = int(frac * float64(heads))
-	}
-	f.store = kvcache.NewHeadStore(heads, gpuHeads)
-
-	tokenBytes := ctx.TokenBytes()
-	gpuShare, cpuShare := f.store.Split(tokenBytes)
-	for i := 0; i < ctx.Input; i++ {
-		if err := f.allocToken(ctx, gpuShare, cpuShare); err != nil {
-			return fmt.Errorf("flexgen: prefill token: %w", err)
-		}
-	}
-	return nil
-}
-
-// allocToken reserves one token's static shares on both devices, leaving
-// nothing allocated on failure so the store always matches live memory.
-func (f *FlexGen) allocToken(ctx *Context, gpuShare, cpuShare int64) error {
-	if err := ctx.Sys.AllocGPU(gpuShare); err != nil {
-		return err
-	}
-	if cpuShare > 0 {
-		if err := ctx.Sys.AllocCPU(cpuShare); err != nil {
-			ctx.Sys.FreeGPU(gpuShare)
-			return err
-		}
-		ctx.ChargeToCPU(cpuShare)
-	}
-	f.store.Append()
-	return nil
-}
-
-// Step implements Scheduler: stream the CPU-resident share of every
-// attended token across PCIe, store the new token's shares to their
-// static homes. This is the configuration the paper measures — Fig. 1
-// attributes FlexGen's slowdown to "moving KV tensors between CPU and GPU"
-// on the PCIe bus, and Fig. 7(a) shows the head-level split streamed
-// per step.
-func (f *FlexGen) Step(ctx *Context, j int) (StepPlan, error) {
-	n := f.store.Tokens()
-	attended := attendedTokens(ctx, n)
-	plan := StepPlan{Attended: attended, Sparse: ctx.CachingRatio < 1}
-
-	tokenBytes := ctx.TokenBytes()
-	gpuShare, cpuShare := f.store.Split(tokenBytes)
-	if cpuShare > 0 {
-		ctx.ChargeToGPU(int64(attended-1) * cpuShare)
-		plan.FetchedTokens = attended - 1
-	}
-
-	if err := f.allocToken(ctx, gpuShare, cpuShare); err != nil {
-		return plan, fmt.Errorf("flexgen: new-token shares: %w", err)
-	}
-	if cpuShare > 0 {
-		plan.OffloadedTokens = 1
-	}
-	return plan, nil
-}
-
-// Release implements Scheduler: free the static shares of every stored
-// token on both devices.
-func (f *FlexGen) Release(ctx *Context) {
-	if f.store == nil {
-		return
-	}
-	gpuShare, cpuShare := f.store.Split(ctx.TokenBytes())
-	n := int64(f.store.Tokens())
-	ctx.Sys.FreeGPU(n * gpuShare)
-	ctx.Sys.FreeCPU(n * cpuShare)
-	f.store.Reset()
-}
 
 // VLLM is the paged-attention baseline [21]: KV lives in fixed-size GPU
 // blocks with no static reservation, so memory is used exactly as needed
@@ -243,140 +128,45 @@ func (v *VLLM) blockBytes(ctx *Context) int64 {
 	return int64(v.BlockSize) * ctx.TokenBytes()
 }
 
-// DeepSpeed is the ZeRO-Inference baseline [1]: model weights live in CPU
-// memory and stream across PCIe every forward pass (overlapped with
-// compute), while KV tensors are pinned to the GPU — which is why it hits
-// OOM at large batch sizes in Fig. 9 ("it does not offload KV tensors").
-type DeepSpeed struct {
+// NoCache disables KV caching entirely: every decode step reprocesses the
+// whole sequence from scratch — the quadratic-time arm of Fig. 2(c).
+// Memory stays flat (no KV is retained) while time per step grows.
+type NoCache struct {
 	tokens int
 }
 
-// NewDeepSpeed returns the ZeRO-style baseline.
-func NewDeepSpeed() *DeepSpeed { return &DeepSpeed{} }
+// NewNoCache returns the caching-disabled scheduler.
+func NewNoCache() *NoCache { return &NoCache{} }
 
 // Name implements Scheduler.
-func (d *DeepSpeed) Name() string { return "deepspeed-zero" }
+func (n *NoCache) Name() string { return "no-cache" }
 
 // CloneScheduler implements Scheduler.
-func (d *DeepSpeed) CloneScheduler() Scheduler {
-	c := *d
+func (n *NoCache) CloneScheduler() Scheduler {
+	c := *n
 	return &c
 }
 
-// WeightsOnCPU reports that this scheduler keeps weights off the GPU; the
-// engine skips the GPU weight reservation and charges streaming instead.
-func (d *DeepSpeed) WeightsOnCPU() bool { return true }
-
-// Init implements Scheduler: all prefill KV on GPU.
-func (d *DeepSpeed) Init(ctx *Context) error {
-	d.tokens = 0
-	tokenBytes := ctx.TokenBytes()
-	for i := 0; i < ctx.Input; i++ {
-		if err := ctx.Sys.AllocGPU(tokenBytes); err != nil {
-			return fmt.Errorf("deepspeed: prefill KV: %w", err)
-		}
-		d.tokens++
-	}
+// Init implements Scheduler; nothing is cached.
+func (n *NoCache) Init(ctx *Context) error {
+	n.tokens = ctx.Input
 	return nil
 }
 
-// Step implements Scheduler: stream the weights (less what compute time
-// hides), keep KV on GPU.
-func (d *DeepSpeed) Step(ctx *Context, j int) (StepPlan, error) {
-	n := d.tokens
-	attended := attendedTokens(ctx, n)
-	plan := StepPlan{Attended: attended, Sparse: ctx.CachingRatio < 1}
-
-	// Weight streaming overlaps with compute; charge only the exposed
-	// remainder as transfer time.
-	mha, ffn := StepComputeSeconds(ctx, attended, plan.Sparse)
-	weightTime := float64(ctx.WeightBytes()) / ctx.Sys.Prof.PCIeBandwidth
-	exposed := weightTime - (mha + ffn)
-	if exposed > 0 {
-		// Charge the exposed stall directly; counting the full weight
-		// bytes every step would distort byte statistics, and the stall
-		// is what the end-to-end time sees.
-		ctx.Sys.Advance(exposed)
-		ctx.Breakdown.Add(trace.CatTransfer, exposed)
-	}
-
-	if err := ctx.Sys.AllocGPU(ctx.TokenBytes()); err != nil {
-		return plan, fmt.Errorf("deepspeed: new-token KV: %w", err)
-	}
-	d.tokens++
-	return plan, nil
+// Step implements Scheduler, requesting a full forward pass.
+func (n *NoCache) Step(ctx *Context, j int) (StepPlan, error) {
+	n.tokens++
+	return StepPlan{Attended: n.tokens, FullRecompute: true}, nil
 }
 
-// Release implements Scheduler: KV is GPU-pinned, so everything frees there.
-func (d *DeepSpeed) Release(ctx *Context) {
-	ctx.Sys.FreeGPU(int64(d.tokens) * ctx.TokenBytes())
-	d.tokens = 0
-}
-
-// HFAccelerate is the HuggingFace Accelerate baseline [39]: the whole KV
-// cache lives in CPU memory ("offloading the whole KV tensors to the CPU
-// memory"), so every step streams the entire attended context in and the
-// new token's KV out — the 100 %-CPU bar of Fig. 1.
-type HFAccelerate struct {
-	tokens int
-}
-
-// NewHFAccelerate returns the whole-KV-offload baseline.
-func NewHFAccelerate() *HFAccelerate { return &HFAccelerate{} }
-
-// Name implements Scheduler.
-func (h *HFAccelerate) Name() string { return "hf-accelerate" }
-
-// CloneScheduler implements Scheduler.
-func (h *HFAccelerate) CloneScheduler() Scheduler {
-	c := *h
-	return &c
-}
-
-// Init implements Scheduler: prefill KV goes straight to CPU.
-func (h *HFAccelerate) Init(ctx *Context) error {
-	h.tokens = 0
-	tokenBytes := ctx.TokenBytes()
-	for i := 0; i < ctx.Input; i++ {
-		if err := ctx.Sys.AllocCPU(tokenBytes); err != nil {
-			return fmt.Errorf("hf-accelerate: prefill KV: %w", err)
-		}
-		ctx.ChargeToCPU(tokenBytes)
-		h.tokens++
-	}
-	return nil
-}
-
-// Step implements Scheduler: fetch everything, store the new token back.
-func (h *HFAccelerate) Step(ctx *Context, j int) (StepPlan, error) {
-	n := h.tokens
-	attended := attendedTokens(ctx, n)
-	plan := StepPlan{Attended: attended, Sparse: ctx.CachingRatio < 1}
-
-	fetch := int64(attended-1) * ctx.TokenBytes()
-	if fetch > 0 {
-		ctx.ChargeToGPU(fetch)
-		plan.FetchedTokens = attended - 1
-	}
-	if err := ctx.Sys.AllocCPU(ctx.TokenBytes()); err != nil {
-		return plan, fmt.Errorf("hf-accelerate: new-token KV: %w", err)
-	}
-	ctx.ChargeToCPU(ctx.TokenBytes())
-	h.tokens++
-	return plan, nil
-}
-
-// Release implements Scheduler: the whole cache lives in CPU memory.
-func (h *HFAccelerate) Release(ctx *Context) {
-	ctx.Sys.FreeCPU(int64(h.tokens) * ctx.TokenBytes())
-	h.tokens = 0
+// Release implements Scheduler; nothing is ever cached.
+func (n *NoCache) Release(ctx *Context) {
+	n.tokens = 0
 }
 
 // interface checks
 var (
-	_ Scheduler   = (*FlexGen)(nil)
 	_ Scheduler   = (*VLLM)(nil)
 	_ WavePlanner = (*VLLM)(nil)
-	_ Scheduler   = (*DeepSpeed)(nil)
-	_ Scheduler   = (*HFAccelerate)(nil)
+	_ Scheduler   = (*NoCache)(nil)
 )

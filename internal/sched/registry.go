@@ -15,17 +15,25 @@ type Factory func() Scheduler
 // factories maps canonical (and alias) names to factories. It is a fixed
 // table, never written after package initialization, so lookups need no
 // lock.
+// The static-placement members set each token's GPU share: 1 keeps all
+// KV on the GPU, 0 offloads it all, and flexgen solves its share at Init.
 var factories = map[string]Factory{
 	"alisa":          func() Scheduler { return NewAlisa() },
-	"flexgen":        func() Scheduler { return NewFlexGen() },
+	"flexgen":        func() Scheduler { return &static{name: "flexgen", solveHeads: true} },
 	"vllm":           func() Scheduler { return NewVLLM() },
-	"deepspeed-zero": func() Scheduler { return NewDeepSpeed() },
-	"deepspeed":      func() Scheduler { return NewDeepSpeed() },
-	"hf-accelerate":  func() Scheduler { return NewHFAccelerate() },
-	"accelerate":     func() Scheduler { return NewHFAccelerate() },
-	"gpu-only":       func() Scheduler { return NewGPUOnly() },
+	"deepspeed-zero": deepSpeedZero,
+	"deepspeed":      deepSpeedZero,
+	"hf-accelerate":  hfAccelerate,
+	"accelerate":     hfAccelerate,
+	"gpu-only":       func() Scheduler { return &static{name: "gpu-only", gpuFrac: 1} },
 	"no-cache":       func() Scheduler { return NewNoCache() },
 }
+
+func deepSpeedZero() Scheduler {
+	return &static{name: "deepspeed-zero", gpuFrac: 1, weightsOnCPU: true}
+}
+
+func hfAccelerate() Scheduler { return &static{name: "hf-accelerate"} }
 
 // ByName constructs a fresh scheduler from its name.
 func ByName(name string) (Scheduler, error) {

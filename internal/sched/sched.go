@@ -5,11 +5,15 @@
 //     scheduling (Algorithm 2) with sparsity-aware caching and
 //     caching-vs-recomputation balancing, plus the offline optimizer for
 //     {α, β, p1, p2} (Eq. 3–6).
-//   - FlexGen — static head-level GPU/CPU split, streamed every step.
 //   - VLLM — block-level paged cache, GPU-resident, run in waves when the
 //     batch does not fit.
-//   - DeepSpeed — ZeRO-style weight offloading with GPU-pinned KV.
-//   - HFAccelerate — whole-KV CPU offload.
+//   - The static-placement family, one unexported type: a fixed GPU share
+//     of every token's KV, the rest in CPU memory and streamed every step.
+//     The table's flexgen (a head-level split solved at Init), gpu-only
+//     and deepspeed-zero (all on GPU; deepspeed-zero also streams the
+//     weights from CPU memory) and hf-accelerate (all on CPU) are its
+//     members, as is NewPCIeSplit, Fig. 1's placement ablation.
+//   - NoCache — KV caching disabled, the quadratic arm of Fig. 2(c).
 //
 // Schedulers operate against the memsim system (bytes and capacities) and
 // return per-step plans; the engine in internal/core charges compute.

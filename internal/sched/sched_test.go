@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"slices"
 	"testing"
 
@@ -212,43 +211,6 @@ func TestOptimizerPicksRecomputeOnFastGPU(t *testing.T) {
 	}
 }
 
-func TestFlexGenStaticSplitAndStreaming(t *testing.T) {
-	// 16 GB card: most KV lands on the CPU, so CPU-side attention is
-	// exposed beyond what GPU compute overlap hides.
-	ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 64, 128, 512, 1.0, 16)
-	f := NewFlexGen()
-	plans := drive(t, f, ctx)
-	if g := f.GPUFraction(); g <= 0 || g >= 1 {
-		t.Fatalf("expected partial GPU fraction under pressure, got %v", g)
-	}
-	toCPU, toGPU, _ := ctx.Sys.TransferStats()
-	if toCPU == 0 {
-		t.Fatal("FlexGen must store the CPU share over PCIe")
-	}
-	if toGPU == 0 {
-		t.Fatal("FlexGen with CPU share must stream KV in every step")
-	}
-	// Dense attention: every plan attends to the full context.
-	for j, plan := range plans {
-		if plan.Attended != ctx.Input+j+1 {
-			t.Fatalf("step %d attended %d, want dense %d", j, plan.Attended, ctx.Input+j+1)
-		}
-	}
-}
-
-func TestFlexGenFullGPUWhenFits(t *testing.T) {
-	ctx := newTestContext(t, memsim.H100_80G(), "opt-6.7b", 8, 128, 128, 1.0, 16)
-	f := NewFlexGen()
-	drive(t, f, ctx)
-	if g := f.GPUFraction(); g != 1 {
-		t.Fatalf("GPU fraction = %v, want 1 when everything fits", g)
-	}
-	toCPU, toGPU, _ := ctx.Sys.TransferStats()
-	if toCPU != 0 || toGPU != 0 {
-		t.Fatal("no transfers expected when split is 1.0")
-	}
-}
-
 func TestVLLMWaves(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 64, 128, 512, 1.0, 16)
 	v := NewVLLM()
@@ -296,69 +258,6 @@ func TestVLLMBlockGranularAllocation(t *testing.T) {
 	// 108 tokens at block 16 = 7 blocks.
 	if want := int64(7) * blockBytes; used != want {
 		t.Fatalf("allocated %d, want %d", used, want)
-	}
-}
-
-func TestDeepSpeedOOMAtLargeBatch(t *testing.T) {
-	// Batch 64, OPT-6.7B on a 32 GB card: dense KV (≈21 GB) plus nothing
-	// else fits, but activations + KV exceed capacity at full length.
-	sys := memsim.NewSystem(memsim.V100_16G())
-	ctx := &Context{
-		Sys: sys, Cost: costmodel.New(memsim.V100_16G()),
-		Model: model.MustByName("opt-6.7b"),
-		Batch: 64, Input: 128, Output: 512,
-		CachingRatio: 1.0, KVBits: 16,
-		Breakdown: trace.NewBreakdown(),
-	}
-	d := NewDeepSpeed()
-	// DeepSpeed keeps weights on CPU.
-	if !d.WeightsOnCPU() {
-		t.Fatal("DeepSpeed should keep weights on CPU")
-	}
-	if err := sys.AllocCPU(ctx.WeightBytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AllocGPU(ctx.ActivationBytes()); err != nil {
-		t.Fatal(err)
-	}
-	err := d.Init(ctx)
-	for j := 0; err == nil && j < ctx.Output; j++ {
-		_, err = d.Step(ctx, j)
-	}
-	var oom *memsim.OOMError
-	if !errors.As(err, &oom) {
-		t.Fatalf("expected GPU OOM, got %v", err)
-	}
-}
-
-func TestHFAccelerateStreamsEverything(t *testing.T) {
-	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 16, 64, 64, 1.0, 16)
-	plans := drive(t, NewHFAccelerate(), ctx)
-	gpuKV, cpuKV := int64(0), int64(0)
-	_ = gpuKV
-	_, cpu := ctx.Sys.Usage()
-	if cpu < ctx.TokenBytes()*int64(ctx.Input) {
-		t.Fatalf("CPU should hold all KV, has %d", cpu)
-	}
-	cpuKV = cpu
-	_ = cpuKV
-	for j, plan := range plans {
-		if plan.FetchedTokens != ctx.Input+j {
-			t.Fatalf("step %d fetched %d, want whole context %d", j, plan.FetchedTokens, ctx.Input+j)
-		}
-	}
-}
-
-func TestGPUOnlyOOM(t *testing.T) {
-	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 64, 128, 512, 1.0, 16)
-	g := NewGPUOnly()
-	err := g.Init(ctx)
-	for j := 0; err == nil && j < ctx.Output; j++ {
-		_, err = g.Step(ctx, j)
-	}
-	var oom *memsim.OOMError
-	if !errors.As(err, &oom) {
-		t.Fatalf("expected OOM, got %v", err)
 	}
 }
 

@@ -110,9 +110,6 @@ func NewIndex(blockSize int, blockBytes, budget int64) *Index {
 // BlockSize returns the matching granularity in tokens.
 func (x *Index) BlockSize() int { return x.blockSize }
 
-// BlockBytes returns the simulated KV bytes one resident block accounts.
-func (x *Index) BlockBytes() int64 { return x.blockBytes }
-
 // Budget returns the resident-byte cap.
 func (x *Index) Budget() int64 { return x.budget }
 

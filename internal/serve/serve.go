@@ -70,7 +70,8 @@ type Config struct {
 	Profile memsim.Profile
 	// Scheduler is the per-request KV placement policy, by sched.ByName
 	// name. Every admission instantiates a fresh scheduler, so policies
-	// keep per-sequence state. deepspeed-zero is not servable: weight
+	// keep per-sequence state. A scheduler that keeps the weights in CPU
+	// memory (WeightsOnCPU, deepspeed-zero) is not servable: weight
 	// streaming is an engine-wide property, not a per-request one.
 	Scheduler string
 
@@ -164,11 +165,12 @@ func (c Config) Validate() error {
 
 // validateStatic checks every configuration field except the trace.
 func (c Config) validateStatic() error {
+	factory, schedErr := sched.FactoryByName(c.Scheduler)
 	switch {
 	case c.Model.Layers <= 0:
 		return fmt.Errorf("serve: model config required")
-	case c.Scheduler == "deepspeed-zero" || c.Scheduler == "deepspeed":
-		return fmt.Errorf("serve: deepspeed-zero streams weights engine-wide and cannot act as a per-request policy")
+	case schedErr == nil && weightsOnCPU(factory()):
+		return fmt.Errorf("serve: %s streams weights engine-wide and cannot act as a per-request policy", factory().Name())
 	case c.KVSparsity < 0 || c.KVSparsity >= 1:
 		return fmt.Errorf("serve: KV sparsity must be in [0,1), got %v", c.KVSparsity)
 	case c.KVBits != 4 && c.KVBits != 8 && c.KVBits != 16:
@@ -178,8 +180,15 @@ func (c Config) validateStatic() error {
 	case c.PrefixBlock < 0:
 		return fmt.Errorf("serve: negative prefix cache block of %d tokens", c.PrefixBlock)
 	}
-	_, err := sched.FactoryByName(c.Scheduler)
-	return err
+	return schedErr
+}
+
+// weightsOnCPU reports the property core.Run reserves memory by: a
+// scheduler that keeps the weights in CPU memory streams them for the
+// whole engine, which no per-request policy can.
+func weightsOnCPU(s sched.Scheduler) bool {
+	w, ok := s.(interface{ WeightsOnCPU() bool })
+	return ok && w.WeightsOnCPU()
 }
 
 // RequestRecord is the per-request outcome of a serving run.

@@ -147,15 +147,6 @@ func (m *Matrix) Add(n *Matrix) *Matrix {
 	return m
 }
 
-// SoftmaxRows applies a numerically stable softmax to each row in place and
-// returns m. Rows that are entirely -Inf become all zeros.
-func (m *Matrix) SoftmaxRows() *Matrix {
-	for i := 0; i < m.Rows; i++ {
-		SoftmaxInPlace(m.Row(i))
-	}
-	return m
-}
-
 // SoftmaxInPlace applies a numerically stable softmax to v. A slice of all
 // -Inf values becomes all zeros rather than NaN.
 func SoftmaxInPlace(v []float32) {
@@ -221,15 +212,6 @@ func (m *Matrix) AppendRow(v []float32) *Matrix {
 		panic(fmt.Sprintf("tensor: append row length %d != cols %d", len(v), m.Cols))
 	}
 	return &Matrix{Rows: m.Rows + 1, Cols: m.Cols, Data: append(m.Data, v...)}
-}
-
-// SliceRows returns the sub-matrix of rows [from, to) sharing m's backing
-// array.
-func (m *Matrix) SliceRows(from, to int) *Matrix {
-	if from < 0 || to > m.Rows || from > to {
-		panic(fmt.Sprintf("tensor: row slice [%d,%d) out of range %d", from, to, m.Rows))
-	}
-	return &Matrix{Rows: to - from, Cols: m.Cols, Data: m.Data[from*m.Cols : to*m.Cols]}
 }
 
 // Dot returns the inner product of a and b, accumulated in float64.

@@ -11,7 +11,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Spec is one system-level workload: a batch of identical-shape requests.
@@ -26,10 +25,6 @@ type Spec struct {
 func (s Spec) String() string {
 	return fmt.Sprintf("%s(b=%d,s=%d,n=%d)", s.Name, s.Batch, s.Input, s.Output)
 }
-
-// TotalTokens returns the generated-token count the throughput metric
-// divides by.
-func (s Spec) TotalTokens() int { return s.Batch * s.Output }
 
 // Alpaca returns the paper's system workload (§VI-A: "an input sequence
 // length of 128 and an output sequence length of 512") at the given batch.
@@ -76,16 +71,6 @@ func NewGenerator(vocab int, seed int64) *Generator {
 		rng:    rng,
 		zipf:   rand.NewZipf(rng, 1.2, 1, uint64(vocab-1)),
 	}
-}
-
-// SetStyle adjusts the stream statistics: zipfS ≥ 1.01 steepens the
-// frequency distribution, repeat ∈ [0,1) raises local repetition.
-func (g *Generator) SetStyle(zipfS, repeat float64) {
-	if zipfS < 1.01 || repeat < 0 || repeat >= 1 {
-		panic(fmt.Sprintf("workload: bad style zipf=%v repeat=%v", zipfS, repeat))
-	}
-	g.zipf = rand.NewZipf(g.rng, zipfS, 1, uint64(g.vocab-1))
-	g.repeat = repeat
 }
 
 // Next returns the next token of the stream.
@@ -263,16 +248,6 @@ func (t Trace) Validate(maxSeq int) error {
 	return nil
 }
 
-// TotalOutput returns the generated-token count across the trace — the
-// numerator of serving throughput.
-func (t Trace) TotalOutput() int {
-	n := 0
-	for _, r := range t {
-		n += r.Output
-	}
-	return n
-}
-
 // shapeClass is one mode of the heterogeneous request-shape mixture.
 type shapeClass struct {
 	weight       float64
@@ -381,12 +356,4 @@ func pickClass(rng *rand.Rand, classes []shapeClass) shapeClass {
 		x -= c.weight
 	}
 	return classes[len(classes)-1]
-}
-
-// Sorted returns a copy of the trace in arrival order with IDs preserved,
-// for traces assembled from merged sources.
-func (t Trace) Sorted() Trace {
-	out := append(Trace(nil), t...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
-	return out
 }

@@ -10,8 +10,8 @@ func TestAlpacaSpecMatchesPaper(t *testing.T) {
 	if s.Input != 128 || s.Output != 512 {
 		t.Fatalf("spec %v, paper uses s=128 n=512", s)
 	}
-	if s.TotalTokens() != 64*512 {
-		t.Fatalf("total tokens = %d", s.TotalTokens())
+	if s.Batch != 64 {
+		t.Fatalf("spec %v, want batch 64", s)
 	}
 	if s.String() == "" {
 		t.Fatal("empty spec string")
@@ -91,8 +91,11 @@ func TestGeneratorZipfSkew(t *testing.T) {
 }
 
 func TestGeneratorRepetition(t *testing.T) {
+	// A near-flat Zipf with a high repeat draw: the local repetition must
+	// come from the recent-token window, not from a heavy frequency head.
 	g := NewGenerator(1000, 11)
-	g.SetStyle(1.01, 0.8)
+	g.zipf = rand.NewZipf(g.rng, 1.01, 1, uint64(g.vocab-1))
+	g.repeat = 0.8
 	toks := g.Prompt(400)
 	repeats := 0
 	for i := 1; i < len(toks); i++ {
@@ -110,8 +113,6 @@ func TestGeneratorRepetition(t *testing.T) {
 
 func TestGeneratorPanics(t *testing.T) {
 	assertPanic(t, func() { NewGenerator(1, 0) })
-	assertPanic(t, func() { NewGenerator(10, 0).SetStyle(0.5, 0) })
-	assertPanic(t, func() { NewGenerator(10, 0).SetStyle(1.2, 1.0) })
 }
 
 func TestDatasetsComplete(t *testing.T) {
@@ -235,9 +236,6 @@ func TestPoissonTraceDeterministicAndValid(t *testing.T) {
 	if len(shapes) < 16 {
 		t.Errorf("only %d distinct shapes in 64 requests", len(shapes))
 	}
-	if got := a.TotalOutput(); got <= 0 {
-		t.Errorf("total output %d", got)
-	}
 }
 
 func TestUniformTraceAndValidate(t *testing.T) {
@@ -261,12 +259,6 @@ func TestUniformTraceAndValidate(t *testing.T) {
 		if err := b.Validate(maxSeqs[i]); err == nil {
 			t.Errorf("bad trace %d accepted", i)
 		}
-	}
-	// Sorted restores arrival order.
-	shuffled := Trace{{ID: 1, Arrival: 2}, {ID: 0, Arrival: 1}}
-	s := shuffled.Sorted()
-	if s[0].ID != 0 || s[1].ID != 1 {
-		t.Errorf("Sorted: %+v", s)
 	}
 }
 

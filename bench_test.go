@@ -247,7 +247,7 @@ func BenchmarkFig12c_Ablation(b *testing.B) {
 // --- micro-benchmarks of the core building blocks ---
 
 func BenchmarkSWASelect(b *testing.B) {
-	pol := attention.NewSWA(0.2, 1)
+	pol := attention.MustByName("swa", 0.2, 1)
 	rng := rand.New(rand.NewSource(1))
 	// Warm the policy with observation history.
 	for step := 1; step < 512; step++ {
@@ -325,7 +325,7 @@ func BenchmarkOracleEvaluate(b *testing.B) {
 	spec.Layers = evalLayers
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		oracle.Evaluate(spec, attention.NewSWA(0.2, spec.Layers), evalSteps)
+		oracle.Evaluate(spec, attention.MustByName("swa", 0.2, spec.Layers), evalSteps)
 	}
 }
 
@@ -334,7 +334,7 @@ func BenchmarkOracleEvaluateSequential(b *testing.B) {
 	spec.Layers = evalLayers
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		oracle.EvaluateSequential(spec, attention.NewSWA(0.2, spec.Layers), evalSteps)
+		oracle.EvaluateSequential(spec, attention.MustByName("swa", 0.2, spec.Layers), evalSteps)
 	}
 }
 
@@ -368,7 +368,7 @@ func BenchmarkEngineDecodeStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Scheduler = sched.NewAlisa()
+		cfg.Scheduler = sched.MustByName("alisa")
 		if _, err := core.Run(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -490,7 +490,7 @@ func BenchmarkOptimizer(b *testing.B) {
 			Profile: memsim.V100_32G(),
 			Batch:   64, Input: 128, Output: 512,
 			KVSparsity: 0.8, KVBits: 8,
-			Scheduler: sched.NewAlisa(),
+			Scheduler: sched.MustByName("alisa"),
 		}
 		// Optimizer runs inside Init; isolate it through a direct call.
 		_ = cfg

@@ -45,9 +45,6 @@ type ClusterSpec struct {
 	Profiles []string
 	// Router names the routing policy ("" → "round-robin").
 	Router string
-	// Window is the fleet rolling-window capacity in completions
-	// (0 → the engine's WithMetricsWindow setting).
-	Window int
 	// Autoscale, when non-nil, lets the fleet grow and shrink at
 	// runtime; each scale-up builds a fresh replica loop from replica
 	// Template's configuration.
@@ -98,16 +95,9 @@ func (e *Engine) clusterConfig(spec ClusterSpec) (cluster.Config, error) {
 			return cluster.Config{}, &ConfigError{Field: "Router", Value: spec.Router, Reason: err.Error()}
 		}
 	}
-	if spec.Window < 0 {
-		return cluster.Config{}, &ConfigError{Field: "MetricsWindow", Value: spec.Window, Reason: "must be non-negative"}
-	}
-	window := spec.Window
-	if window == 0 {
-		window = e.metricsWindow
-	}
 	cfg := cluster.Config{
 		Router: spec.Router,
-		Window: window,
+		Window: e.metricsWindow,
 	}
 	for i := 0; i < spec.Replicas; i++ {
 		rc := e.serveConfig(nil, e.observer)

@@ -183,7 +183,6 @@ func TestClusterValidationErrors(t *testing.T) {
 		{"negative replicas", ClusterSpec{Replicas: -2}, "Replicas"},
 		{"unknown router", ClusterSpec{Replicas: 1, Router: "nope"}, "Router"},
 		{"unknown profile", ClusterSpec{Replicas: 1, Profiles: []string{"TPU-v9"}}, "Profile"},
-		{"negative window", ClusterSpec{Replicas: 1, Window: -1}, "MetricsWindow"},
 		{"bad autoscale", ClusterSpec{Replicas: 1, Autoscale: &ClusterAutoscale{Min: 0, Max: 2}}, "Autoscale"},
 	}
 	known := map[string]string{

@@ -27,7 +27,6 @@ import (
 	"repro/internal/analysis/cancellation"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/hotpath"
-	"repro/internal/analysis/registry"
 )
 
 // suite is the production analyzer set, each in its default
@@ -37,7 +36,6 @@ func suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
 		hotpath.Analyzer,
-		registry.Analyzer,
 		cancellation.Analyzer,
 	}
 }

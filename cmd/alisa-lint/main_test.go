@@ -10,7 +10,7 @@ import (
 // TestSuiteComposition pins the production analyzer set: dropping one
 // from the gate is a contract change, not a refactor.
 func TestSuiteComposition(t *testing.T) {
-	want := []string{"determinism", "hotpath", "registry", "cancellation"}
+	want := []string{"determinism", "hotpath", "cancellation"}
 	got := suite()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

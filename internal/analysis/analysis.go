@@ -17,8 +17,12 @@
 //   - hot-path memory discipline: functions annotated //alisa:hotpath
 //     stay free of the allocation idioms the serving-loop alloc guards
 //     exist to catch;
-//   - registry contracts: built-in schedulers and policies are reached
-//     through their registries, never constructed directly.
+//   - one cancellation predicate: context-cancellation tests go through
+//     serve.IsCancellation.
+//
+// The closed name tables of built-in schedulers and attention policies
+// need no analyzer: their types are unexported, so the compiler already
+// rejects a construction that bypasses the table.
 //
 // cmd/alisa-lint is the multichecker-style driver; analyzertest runs
 // analyzers over fixture modules with // want expectations.

@@ -7,6 +7,7 @@ package determinism
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -108,11 +109,11 @@ func checkForbiddenRef(pass *analysis.Pass, sel *ast.SelectorExpr) {
 }
 
 // checkMapRanges flags `range` over a map whose body lets iteration
-// order escape — an append, a channel send, a return, or an emit-style
-// fmt call inside the loop. One escape is tolerated: appending into a
-// slice that the same function later passes to a sort call, the
-// canonical collect-then-sort idiom the registries use, because sorting
-// erases the order again.
+// order escape — an append, a channel send, a return, an emit-style fmt
+// call, or a float accumulation inside the loop. One escape is
+// tolerated: appending into a slice that the same function later passes
+// to a sort call, the canonical collect-then-sort idiom the name tables
+// use, because sorting erases the order again.
 func checkMapRanges(pass *analysis.Pass, body *ast.BlockStmt) {
 	var ranges []*ast.RangeStmt
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -153,10 +154,41 @@ func orderEscape(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) 
 			case isEmit(pass, n):
 				why = "an emitted output"
 			}
+		case *ast.AssignStmt:
+			if isFloatAccumulation(pass, rs, n) {
+				why = "a float accumulation"
+			}
 		}
 		return true
 	})
 	return why
+}
+
+// accumOps are the compound assignments that fold one operand into a
+// running value.
+var accumOps = map[token.Token]bool{
+	token.ADD_ASSIGN: true, token.SUB_ASSIGN: true,
+	token.MUL_ASSIGN: true, token.QUO_ASSIGN: true,
+}
+
+// isFloatAccumulation reports whether as folds into a float variable
+// declared outside rs. Float arithmetic is not associative, so such a
+// sum differs in its last bits with the iteration order. Per-key writes
+// (dst[k] += v), integer sums and floats local to the body stay legal.
+func isFloatAccumulation(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignStmt) bool {
+	if !accumOps[as.Tok] {
+		return false
+	}
+	id, ok := as.Lhs[0].(*ast.Ident)
+	if !ok {
+		return false
+	}
+	obj := pass.TypesInfo.Uses[id]
+	if obj == nil || (obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()) {
+		return false
+	}
+	b, ok := obj.Type().Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 func isAppend(pass *analysis.Pass, call *ast.CallExpr) bool {

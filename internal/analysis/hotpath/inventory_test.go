@@ -28,7 +28,7 @@ var wantAnnotated = []string{
 	"internal/metrics/sketch.(*Sketch).Observe",
 	"internal/metrics/sketch.(*Sketch).compact",
 	"internal/metrics/sketch.(*Sketch).compress",
-	"internal/sched.(*Alisa).Step",
+	"internal/sched.(*alisa).Step",
 	"internal/serve.(*reqQueue).Pop",
 	"internal/serve.(*reqQueue).Push",
 	"internal/serve.(*reqQueue).Requeue",

@@ -49,6 +49,28 @@ func Count(m map[string]int) int {
 	return n
 }
 
+func SumFloats(m map[string]float64) float64 {
+	var t float64
+	for _, v := range m { // want `map iteration order reaches a float accumulation`
+		t += v
+	}
+	return t
+}
+
+func PerKeyFloats(dst, src map[string]float64) {
+	for k, v := range src { // ok: each key written once, order-free
+		dst[k] += v
+	}
+}
+
+func SumInts(m map[string]int) int {
+	t := 0
+	for _, v := range m { // ok: integer addition is associative
+		t += v
+	}
+	return t
+}
+
 func FirstMatch(m map[string]int) string {
 	for k, v := range m { // want `map iteration order reaches a return`
 		if v > 0 {

@@ -9,6 +9,10 @@
 // steps. The same Policy drives both the runnable decoder (package model's
 // Selector hook) and the synthetic attention-process experiments (package
 // oracle), so algorithmic results and system results use one code path.
+//
+// The policies are unexported types reached only through the name table
+// (ByName, MustByName), so Fig. 8's comparison set is closed: a further
+// method is one more table entry.
 package attention
 
 import (
@@ -57,69 +61,60 @@ func Budget(n int, r float64) int {
 	return b
 }
 
-// Dense, Local, and Strided are stateless, so one instance may serve all
+// dense, local, and strided are stateless, so one instance may serve all
 // layers concurrently (package oracle's parallel Evaluate does exactly
 // that). That sharing is also why their Select allocates a fresh slice
 // per call rather than reusing scratch: policy-level scratch would race
 // across layer goroutines, and unlike SWA/H2O they have no per-layer
 // state to hang it from.
 
-// Dense attends to every cached token — the accuracy reference.
-type Dense struct{}
-
-// NewDense returns the dense (full) attention policy.
-func NewDense() *Dense { return &Dense{} }
+// dense attends to every cached token — the accuracy reference.
+type dense struct{}
 
 // Name implements Policy.
-func (*Dense) Name() string { return "dense" }
+func (*dense) Name() string { return "dense" }
 
 // Select implements Policy, returning every cache index.
-func (*Dense) Select(_, n int) []int { return ascending(0, n) }
+func (*dense) Select(_, n int) []int { return ascending(0, n) }
 
 // Observe implements Policy as a no-op; dense attention is stateless.
-func (*Dense) Observe(int, []int, []float64) {}
+func (*dense) Observe(int, []int, []float64) {}
 
-// Local is Longformer-style sliding-window attention: keep only the most
+// local is Longformer-style sliding-window attention: keep only the most
 // recent Budget(n, r) tokens. Its failure mode, per the paper's Fig. 4-5,
 // is losing important tokens that sit far from the current position.
-type Local struct {
-	Ratio float64
+type local struct {
+	ratio float64
 }
 
-// NewLocal returns a local-attention policy with the given caching ratio.
-func NewLocal(ratio float64) *Local { return &Local{Ratio: ratio} }
-
 // Name implements Policy.
-func (p *Local) Name() string { return "local" }
+func (p *local) Name() string { return "local" }
 
 // Select implements Policy, returning the last ⌊n·r⌉ cache indices.
-func (p *Local) Select(_, n int) []int {
-	b := Budget(n, p.Ratio)
+func (p *local) Select(_, n int) []int {
+	b := Budget(n, p.ratio)
 	return ascending(n-b, n)
 }
 
 // Observe implements Policy as a no-op; the window ignores history.
-func (*Local) Observe(int, []int, []float64) {}
+func (*local) Observe(int, []int, []float64) {}
 
-// Strided is SparseTransformer-style strided attention: attend to every
+// strided is SparseTransformer-style strided attention: attend to every
 // stride-th token walking back from the current position, with the stride
 // chosen so roughly ⌊n·r⌉ tokens are kept.
-type Strided struct {
-	Ratio float64
+type strided struct {
+	ratio float64
 }
 
-// NewStrided returns a strided policy with the given caching ratio.
-func NewStrided(ratio float64) *Strided { return &Strided{Ratio: ratio} }
-
 // Name implements Policy.
-func (p *Strided) Name() string { return "strided" }
+func (p *strided) Name() string { return "strided" }
 
 // Select implements Policy.
-func (p *Strided) Select(_, n int) []int {
+func (p *strided) Select(_, n int) []int {
 	if n <= 0 {
 		return nil
 	}
-	b := Budget(n, p.Ratio)
+	b := Budget(n, p.ratio)
 	stride := n / b
 	if stride < 1 {
 		stride = 1
@@ -133,17 +128,17 @@ func (p *Strided) Select(_, n int) []int {
 }
 
 // Observe implements Policy as a no-op.
-func (*Strided) Observe(int, []int, []float64) {}
+func (*strided) Observe(int, []int, []float64) {}
 
-// SWA is ALISA's Sparse Window Attention (Algorithm 1). At each step with n
+// swa is ALISA's Sparse Window Attention (Algorithm 1). At each step with n
 // cached tokens it keeps k = ⌊n·r/2⌉ locally static tokens (the most
 // recent k) and k globally dynamic tokens — the positions with the largest
 // local attention sum, i.e. the column sums of the attention weights
 // observed over the preceding k steps. The mixture captures both language
 // locality and drifting long-range importance, which is why its attention
 // score distribution tracks dense attention (paper Fig. 4(d)).
-type SWA struct {
-	Ratio  float64
+type swa struct {
+	ratio  float64
 	layers []*swaLayer
 }
 
@@ -226,26 +221,16 @@ func (st *swaLayer) push(indices []int, weights []float64) {
 	st.count++
 }
 
-// NewSWA returns a Sparse Window Attention policy with the given caching
-// ratio for a model with the given layer count.
-func NewSWA(ratio float64, layers int) *SWA {
-	p := &SWA{Ratio: ratio, layers: make([]*swaLayer, layers)}
-	for i := range p.layers {
-		p.layers[i] = &swaLayer{}
-	}
-	return p
-}
-
 // Name implements Policy.
-func (p *SWA) Name() string { return "swa" }
+func (p *swa) Name() string { return "swa" }
 
 // K returns the per-half token budget k = ⌊n·r/2⌉ from Algorithm 1, at
 // least 1 for non-empty caches.
-func (p *SWA) K(n int) int {
+func (p *swa) K(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	k := int(math.Floor(float64(n)*p.Ratio/2 + 0.5))
+	k := int(math.Floor(float64(n)*p.ratio/2 + 0.5))
 	if k < 1 {
 		k = 1
 	}
@@ -262,7 +247,7 @@ func (p *SWA) K(n int) int {
 // [n−k, n−1] and the top-k earlier positions by local attention sum. The
 // returned slice is scratch owned by the layer, valid until the next
 // Select on the same layer.
-func (p *SWA) Select(layer, n int) []int {
+func (p *swa) Select(layer, n int) []int {
 	if n <= 0 {
 		return nil
 	}
@@ -298,7 +283,7 @@ func growScores(buf *[]float32, n int) []float32 {
 
 // Observe implements Policy, pushing this step's attention row into the
 // layer's local-sum window. The indices and weights are copied.
-func (p *SWA) Observe(layer int, indices []int, weights []float64) {
+func (p *swa) Observe(layer int, indices []int, weights []float64) {
 	st := p.layer(layer)
 	st.push(indices, weights)
 	for i, pos := range indices {
@@ -307,7 +292,7 @@ func (p *SWA) Observe(layer int, indices []int, weights []float64) {
 	}
 }
 
-func (p *SWA) layer(l int) *swaLayer {
+func (p *swa) layer(l int) *swaLayer {
 	if l < 0 || l >= len(p.layers) {
 		panic(fmt.Sprintf("attention: layer %d out of range %d", l, len(p.layers)))
 	}
@@ -354,13 +339,13 @@ func (st *swaLayer) trimTo(k int) {
 	}
 }
 
-// H2O is the heavy-hitter oracle baseline [43]: like SWA it splits the
+// h2o is the heavy-hitter oracle baseline [43]: like SWA it splits the
 // budget between recent tokens and scored tokens, but scores are the
 // *cumulative* attention sum over all steps rather than ALISA's local
 // (last-k-step) sum. Stale heavy hitters therefore linger, which is the
 // behavioural difference the paper calls out in §II-B.
-type H2O struct {
-	Ratio  float64
+type h2o struct {
+	ratio  float64
 	layers []*h2oLayer
 }
 
@@ -372,26 +357,17 @@ type h2oLayer struct {
 	selScratch
 }
 
-// NewH2O returns a heavy-hitter policy with the given caching ratio.
-func NewH2O(ratio float64, layers int) *H2O {
-	p := &H2O{Ratio: ratio, layers: make([]*h2oLayer, layers)}
-	for i := range p.layers {
-		p.layers[i] = &h2oLayer{}
-	}
-	return p
-}
-
 // Name implements Policy.
-func (p *H2O) Name() string { return "h2o" }
+func (p *h2o) Name() string { return "h2o" }
 
 // Select implements Policy: last-k recents plus top-k cumulative scorers.
 // The returned slice is scratch owned by the layer, valid until the next
 // Select on the same layer.
-func (p *H2O) Select(layer, n int) []int {
+func (p *h2o) Select(layer, n int) []int {
 	if n <= 0 {
 		return nil
 	}
-	k := int(math.Floor(float64(n)*p.Ratio/2 + 0.5))
+	k := int(math.Floor(float64(n)*p.ratio/2 + 0.5))
 	if k < 1 {
 		k = 1
 	}
@@ -413,7 +389,7 @@ func (p *H2O) Select(layer, n int) []int {
 }
 
 // Observe implements Policy, accumulating into the cumulative sums.
-func (p *H2O) Observe(layer int, indices []int, weights []float64) {
+func (p *h2o) Observe(layer int, indices []int, weights []float64) {
 	st := p.layers[layer]
 	for i, pos := range indices {
 		for len(st.sum) <= pos {

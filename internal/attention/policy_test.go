@@ -27,7 +27,7 @@ func TestBudget(t *testing.T) {
 }
 
 func TestDenseSelectsEverything(t *testing.T) {
-	p := NewDense()
+	p := MustByName("dense", 0, 1)
 	got := p.Select(0, 5)
 	if len(got) != 5 {
 		t.Fatalf("dense selected %d of 5", len(got))
@@ -43,7 +43,7 @@ func TestDenseSelectsEverything(t *testing.T) {
 }
 
 func TestLocalKeepsMostRecent(t *testing.T) {
-	p := NewLocal(0.4)
+	p := MustByName("local", 0.4, 1)
 	got := p.Select(0, 10)
 	want := []int{6, 7, 8, 9}
 	if len(got) != len(want) {
@@ -57,7 +57,7 @@ func TestLocalKeepsMostRecent(t *testing.T) {
 }
 
 func TestStridedCoversWholeHistory(t *testing.T) {
-	p := NewStrided(0.25)
+	p := MustByName("strided", 0.25, 1)
 	got := p.Select(0, 16)
 	if len(got) != 4 {
 		t.Fatalf("strided selected %d tokens, want 4: %v", len(got), got)
@@ -72,7 +72,7 @@ func TestStridedCoversWholeHistory(t *testing.T) {
 }
 
 func TestSWAKMatchesAlgorithm1(t *testing.T) {
-	p := NewSWA(0.4, 1)
+	p := MustByName("swa", 0.4, 1).(*swa)
 	// k = ⌊n·r/2⌉ = ⌊10·0.4/2⌉ = 2
 	if got := p.K(10); got != 2 {
 		t.Fatalf("K(10) = %d, want 2", got)
@@ -86,7 +86,7 @@ func TestSWAKMatchesAlgorithm1(t *testing.T) {
 func TestSWAColdStartIsLocal(t *testing.T) {
 	// Before any Observe, the global half has all-zero scores and must pick
 	// deterministically (recency-biased), and the local half is the window.
-	p := NewSWA(0.4, 1)
+	p := MustByName("swa", 0.4, 1)
 	got := p.Select(0, 10)
 	if len(got) != 4 {
 		t.Fatalf("selected %v, want 4 tokens", got)
@@ -100,7 +100,7 @@ func TestSWAColdStartIsLocal(t *testing.T) {
 func TestSWATracksHeavyHitter(t *testing.T) {
 	// Feed attention rows where position 2 consistently dominates; SWA's
 	// global half must select it even when it is far outside the window.
-	p := NewSWA(0.2, 1)
+	p := MustByName("swa", 0.2, 1)
 	n := 40
 	for step := 10; step < n; step++ {
 		idx := []int{2, step - 2, step - 1, step}
@@ -123,10 +123,10 @@ func TestSWALocalSumForgetsStaleHitters(t *testing.T) {
 	// A token that was heavy long ago but silent within the last k steps
 	// must lose to a recently heavy token — the local vs. global sum
 	// distinction between SWA and H2O.
-	swa := NewSWA(0.2, 1)
-	h2o := NewH2O(0.2, 1)
+	sw := MustByName("swa", 0.2, 1).(*swa)
+	hh := MustByName("h2o", 0.2, 1)
 	n := 100
-	k := swa.K(n) // window of recent steps that count
+	k := sw.K(n) // window of recent steps that count
 	for step := 10; step < n; step++ {
 		var idx []int
 		var w []float64
@@ -137,11 +137,11 @@ func TestSWALocalSumForgetsStaleHitters(t *testing.T) {
 			idx = []int{7, step} // position 7 dominant recently, modest mass
 			w = []float64{0.6, 0.4}
 		}
-		swa.Observe(0, idx, w)
-		h2o.Observe(0, idx, w)
+		sw.Observe(0, idx, w)
+		hh.Observe(0, idx, w)
 	}
-	swaSel := swa.Select(0, n)
-	h2oSel := h2o.Select(0, n)
+	swaSel := sw.Select(0, n)
+	h2oSel := hh.Select(0, n)
 	if !contains(swaSel, 7) {
 		t.Fatalf("SWA should keep recently-hot token 7: %v", swaSel)
 	}
@@ -154,7 +154,7 @@ func TestSWALocalSumForgetsStaleHitters(t *testing.T) {
 }
 
 func TestSWASelectionSorted(t *testing.T) {
-	p := NewSWA(0.5, 1)
+	p := MustByName("swa", 0.5, 1)
 	rng := rand.New(rand.NewSource(1))
 	for step := 1; step <= 30; step++ {
 		sel := p.Select(0, step)
@@ -172,7 +172,7 @@ func TestSWASelectionSorted(t *testing.T) {
 }
 
 func TestSWAPerLayerState(t *testing.T) {
-	p := NewSWA(0.2, 2)
+	p := MustByName("swa", 0.2, 2)
 	// Make position 1 hot on layer 0 only.
 	for step := 10; step < 40; step++ {
 		p.Observe(0, []int{1, step}, []float64{0.9, 0.1})
@@ -192,11 +192,11 @@ func TestSWALayerOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic for out-of-range layer")
 		}
 	}()
-	NewSWA(0.5, 1).Select(3, 10)
+	MustByName("swa", 0.5, 1).Select(3, 10)
 }
 
 func TestH2OKeepsCumulativeHitters(t *testing.T) {
-	p := NewH2O(0.2, 1)
+	p := MustByName("h2o", 0.2, 1)
 	for step := 10; step < 50; step++ {
 		p.Observe(0, []int{4, step}, []float64{0.8, 0.2})
 	}
@@ -207,11 +207,11 @@ func TestH2OKeepsCumulativeHitters(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	names := map[string]Policy{
-		"dense":   NewDense(),
-		"local":   NewLocal(0.5),
-		"strided": NewStrided(0.5),
-		"swa":     NewSWA(0.5, 1),
-		"h2o":     NewH2O(0.5, 1),
+		"dense":   &dense{},
+		"local":   &local{},
+		"strided": &strided{},
+		"swa":     &swa{},
+		"h2o":     &h2o{},
 	}
 	for want, p := range names {
 		if p.Name() != want {
@@ -238,10 +238,8 @@ func TestSelectionWellFormedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r := 0.05 + rng.Float64()*0.9
-		policies := []Policy{
-			NewDense(), NewLocal(r), NewStrided(r), NewSWA(r, 1), NewH2O(r, 1),
-		}
-		for _, p := range policies {
+		for _, name := range Names() {
+			p := MustByName(name, r, 1)
 			for step := 0; step < 24; step++ {
 				sel := p.Select(0, step)
 				if len(sel) > step {
@@ -276,7 +274,7 @@ func TestSelectionWellFormedProperty(t *testing.T) {
 func TestSWAFullRatioIsDenseProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewSWA(1.0, 1)
+		p := MustByName("swa", 1.0, 1)
 		for step := 1; step < 20; step++ {
 			sel := p.Select(0, step)
 			// k = ⌊step/2⌉ each half; for even step this is everything, for

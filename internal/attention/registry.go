@@ -6,20 +6,27 @@ import (
 	"strings"
 )
 
-// Factory constructs a fresh policy instance for a model with the given
-// layer count at the given caching ratio r = 1 − KV sparsity. Policies
-// are stateful per layer, so factories must return independent instances
-// on every call.
-type Factory func(ratio float64, layers int) (Policy, error)
+// factories maps policy names to constructors taking the caching ratio
+// r = 1 − KV sparsity and the model's layer count. Policies are stateful
+// per layer, so every call returns an independent instance. It is a fixed
+// table, never written after package initialization, so lookups need no
+// lock; the policy types are unexported, so it is the only way to build
+// one.
+var factories = map[string]func(ratio float64, layers int) Policy{
+	"dense":   func(float64, int) Policy { return &dense{} },
+	"local":   func(r float64, _ int) Policy { return &local{ratio: r} },
+	"strided": func(r float64, _ int) Policy { return &strided{ratio: r} },
+	"swa":     func(r float64, l int) Policy { return &swa{ratio: r, layers: newLayers[swaLayer](l)} },
+	"h2o":     func(r float64, l int) Policy { return &h2o{ratio: r, layers: newLayers[h2oLayer](l)} },
+}
 
-// factories maps policy names to factories. It is a fixed table, never
-// written after package initialization, so lookups need no lock.
-var factories = map[string]Factory{
-	"dense":   func(float64, int) (Policy, error) { return NewDense(), nil },
-	"local":   func(r float64, _ int) (Policy, error) { return NewLocal(r), nil },
-	"strided": func(r float64, _ int) (Policy, error) { return NewStrided(r), nil },
-	"swa":     func(r float64, l int) (Policy, error) { return NewSWA(r, l), nil },
-	"h2o":     func(r float64, l int) (Policy, error) { return NewH2O(r, l), nil },
+// newLayers returns n independently allocated zero layer states.
+func newLayers[T any](n int) []*T {
+	layers := make([]*T, n)
+	for i := range layers {
+		layers[i] = new(T)
+	}
+	return layers
 }
 
 // ByName constructs a fresh policy from its name at the given caching
@@ -29,13 +36,12 @@ func ByName(name string, ratio float64, layers int) (Policy, error) {
 	if !ok {
 		return nil, fmt.Errorf("attention: unknown policy %q (known: %s)", name, strings.Join(Registered(), ", "))
 	}
-	return f(ratio, layers)
+	return f(ratio, layers), nil
 }
 
 // MustByName is ByName for static names — the experiment tables whose
-// policy names are compile-time constants. It panics on an unknown name
-// or a factory error, either of which is a programming error for a
-// static configuration, not an input error.
+// policy names are compile-time constants. It panics on an unknown name,
+// which for a static name is a programming error, not an input error.
 func MustByName(name string, ratio float64, layers int) Policy {
 	p, err := ByName(name, ratio, layers)
 	if err != nil {

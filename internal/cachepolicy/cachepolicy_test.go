@@ -92,7 +92,7 @@ func TestHeuristicNearBeladyOnSWATrace(t *testing.T) {
 	spec := oracle.SpecForModel(model.MustByName("opt-6.7b"), 77)
 	spec.Layers = 1
 	const steps = 320
-	pol := attention.NewSWA(0.2, 1)
+	pol := attention.MustByName("swa", 0.2, 1)
 	tr := TraceFromPolicy(spec, pol, steps)
 
 	capacity := 64 // well below the ~320-token population
@@ -123,7 +123,7 @@ func TestHeuristicNearBeladyOnSWATrace(t *testing.T) {
 
 func TestTraceFromPolicyShape(t *testing.T) {
 	spec := oracle.DefaultSpec(1, 3)
-	tr := TraceFromPolicy(spec, attention.NewSWA(0.5, 1), 24)
+	tr := TraceFromPolicy(spec, attention.MustByName("swa", 0.5, 1), 24)
 	if tr.Steps() != 24 {
 		t.Fatalf("trace steps = %d", tr.Steps())
 	}
@@ -141,7 +141,7 @@ func TestTraceFromPolicyShape(t *testing.T) {
 
 func TestReplayDeterministic(t *testing.T) {
 	spec := oracle.DefaultSpec(1, 9)
-	tr := TraceFromPolicy(spec, attention.NewSWA(0.3, 1), 64)
+	tr := TraceFromPolicy(spec, attention.MustByName("swa", 0.3, 1), 64)
 	a := Replay(tr, 24, NewAlisaHeuristic(12, 32))
 	b := Replay(tr, 24, NewAlisaHeuristic(12, 32))
 	if a != b {

@@ -50,7 +50,7 @@ func TestOptimizerPredictionTracksMeasurement(t *testing.T) {
 		params := sched.Optimize(ctx)
 
 		res, err := Run(context.Background(), Config{
-			Model: mc, Profile: c.prof, Scheduler: sched.NewAlisa(),
+			Model: mc, Profile: c.prof, Scheduler: sched.MustByName("alisa"),
 			Batch: c.batch, Input: 128, Output: 512,
 			KVSparsity: c.spars, KVBits: c.bits,
 		})
@@ -77,7 +77,7 @@ func TestEngineDeterministic(t *testing.T) {
 			Profile: memsim.V100_16G(),
 			Batch:   32, Input: 128, Output: 128,
 			KVSparsity: 0.8, KVBits: 8,
-			Scheduler: sched.NewAlisa(),
+			Scheduler: sched.MustByName("alisa"),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestThroughputConservation(t *testing.T) {
 		Profile: memsim.V100_16G(),
 		Batch:   16, Input: 64, Output: 96,
 		KVSparsity: 0.8, KVBits: 8,
-		Scheduler: sched.NewAlisa(),
+		Scheduler: sched.MustByName("alisa"),
 	})
 	if err != nil {
 		t.Fatal(err)

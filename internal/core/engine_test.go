@@ -272,7 +272,7 @@ func TestRecomputationImprovesThroughput(t *testing.T) {
 	mk := func(recompute bool) Config {
 		cfg := paperWorkload(t, "opt-30b", 64, "alisa", 0.8, 8)
 		if recompute {
-			cfg.Scheduler = sched.NewAlisa()
+			cfg.Scheduler = sched.MustByName("alisa")
 		} else {
 			cfg.Scheduler = sched.NewAlisaManual(0, 512, false)
 		}

@@ -55,13 +55,11 @@ func (s *Sample) add(o Sample) {
 
 // Cost evaluates operation timings against a hardware profile.
 //
-// The exported constructor New precomputes the per-profile constant
-// products the hot-path methods would otherwise rebuild on every call
-// (peak GEMM FLOPS, the elementwise FLOPS ceiling, the scatter-penalised
-// gather bandwidth). A zero-valued literal Cost{Prof: p} still works —
-// the accessors fall back to computing the same products, bit for bit.
-// Methods take *Cost, so the per-step costing calls share one Cost
-// instead of copying the profile into every call.
+// Build one with New, which precomputes the per-profile constant products
+// the hot-path methods would otherwise rebuild on every call (peak GEMM
+// FLOPS, the elementwise FLOPS ceiling, the scatter-penalised gather
+// bandwidth). Methods take *Cost, so the per-step costing calls share one
+// Cost instead of copying the profile into every call.
 type Cost struct {
 	Prof memsim.Profile
 
@@ -84,31 +82,6 @@ func New(p memsim.Profile) Cost {
 	}
 }
 
-// gemmPeakFLOPS returns PeakFLOPS·GEMMUtil, hoisted by New or recomputed
-// for literal constructions.
-func (c *Cost) gemmPeakFLOPS() float64 {
-	if c.gemmPeak != 0 {
-		return c.gemmPeak
-	}
-	return c.Prof.PeakFLOPS * c.Prof.GEMMUtil
-}
-
-// vecPeakFLOPS returns the elementwise compute ceiling PeakFLOPS·0.05.
-func (c *Cost) vecPeakFLOPS() float64 {
-	if c.vecPeak != 0 {
-		return c.vecPeak
-	}
-	return c.Prof.PeakFLOPS * 0.05
-}
-
-// scatterBandwidth returns HBMBandwidth·scatterEff.
-func (c *Cost) scatterBandwidth() float64 {
-	if c.scatterBW != 0 {
-		return c.scatterBW
-	}
-	return c.Prof.HBMBandwidth * scatterEff
-}
-
 // attainable returns the FLOP/s a GEMM with the given output size can
 // achieve: full GEMMUtil·Peak once the output saturates the GPU, degrading
 // linearly below SaturationElems with a floor (tiny ops cannot fill the
@@ -121,7 +94,7 @@ func (c *Cost) attainable(outputElems int64) float64 {
 			frac = 0.02
 		}
 	}
-	return c.gemmPeakFLOPS() * frac
+	return c.gemmPeak * frac
 }
 
 // GEMM costs an m×k · k×n matrix multiply at the given element width with
@@ -151,7 +124,7 @@ func (c *Cost) BatchedGEMV(batch, k, n int64, bytesPerElem int) Sample {
 func (c *Cost) elementwise(n int64, flopsPerElem, bytesPerElem int, vectorEff float64) Sample {
 	flops := n * int64(flopsPerElem)
 	bytes := 2 * n * int64(bytesPerElem) // read + write
-	tCompute := float64(flops) / c.vecPeakFLOPS()
+	tCompute := float64(flops) / c.vecPeak
 	tMemory := float64(bytes) / (c.Prof.HBMBandwidth * vectorEff)
 	return Sample{Seconds: maxf(tCompute, tMemory) + launchLatency, FLOPs: flops, Bytes: bytes}
 }
@@ -166,7 +139,7 @@ func (c *Cost) Elementwise(n int64, flopsPerElem, bytesPerElem int) Sample {
 func (c *Cost) Gather(n int64, rowBytes int64) Sample {
 	bytes := 2 * n * rowBytes
 	return Sample{
-		Seconds: float64(bytes)/c.scatterBandwidth() + launchLatency,
+		Seconds: float64(bytes)/c.scatterBW + launchLatency,
 		Bytes:   bytes,
 	}
 }

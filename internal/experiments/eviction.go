@@ -39,11 +39,10 @@ func AblationEviction() (*EvictionResult, error) {
 	res := &EvictionResult{}
 	for _, sparsity := range []float64{0.6, 0.8} {
 		for _, newestFirst := range []bool{false, true} {
-			// Resolved by name, then narrowed to the concrete type: the
-			// eviction-order knob is an ablation field, not part of the
-			// Scheduler surface.
-			s := sched.MustByName("alisa").(*sched.Alisa)
-			s.EvictNewestFirst = newestFirst
+			s := sched.MustByName("alisa")
+			if newestFirst {
+				s = sched.NewAlisaNewestFirst()
+			}
 			out, err := core.Run(context.Background(), core.Config{
 				Model: mc, Profile: prof, Scheduler: s,
 				Batch: spec.Batch, Input: spec.Input, Output: spec.Output,

@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/attention"
+	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/oracle"
@@ -75,15 +75,14 @@ var fig8Methods = []string{"dense", "local", "strided", "swa", "alisa"}
 // shares one attention process (the seed depends only on those two
 // coordinates), so the group evaluates all its policies in a single
 // EvaluateMany pass over shared dense rows instead of regenerating the
-// process per cell. Groups are independent and run on a bounded worker
-// pool; determinism is preserved because each group derives its seed from
-// its coordinates and writes a disjoint, pre-assigned slice of the result.
+// process per cell. Groups are independent and run through grid.Run;
+// determinism is preserved because each group derives its seed from its
+// coordinates and writes a disjoint, pre-assigned block of the result.
 func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 	type group struct {
 		model model.Config
 		ds    workload.Dataset
 		dense float64
-		out   int // base index of the group's cell block
 	}
 
 	cellsPerGroup := len(cfg.Sparsities) * len(fig8Methods)
@@ -102,42 +101,26 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			groups = append(groups, group{
-				model: mc, ds: ds, dense: dense,
-				out: len(groups) * cellsPerGroup,
-			})
+			groups = append(groups, group{model: mc, ds: ds, dense: dense})
 		}
 	}
 
 	cells := make([]Fig8Cell, len(groups)*cellsPerGroup)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	queue := make(chan group)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range queue {
-				recalls := groupRecalls(g.model, seedFor(g.model.Name, g.ds.Name), cfg)
-				for i, r := range recalls {
-					cells[g.out+i] = Fig8Cell{
-						Model: g.model.Name, Dataset: g.ds.Name, Task: g.ds.Task,
-						Method: r.method, KVSparsity: r.sparsity,
-						Recall: r.recall,
-						Metric: recallToMetric(g.ds, g.dense, r.recall),
-					}
-				}
+	err := grid.Run(context.Background(), len(groups), 0, func(_ context.Context, gi int) {
+		g := groups[gi]
+		recalls := groupRecalls(g.model, seedFor(g.model.Name, g.ds.Name), cfg)
+		for i, r := range recalls {
+			cells[gi*cellsPerGroup+i] = Fig8Cell{
+				Model: g.model.Name, Dataset: g.ds.Name, Task: g.ds.Task,
+				Method: r.method, KVSparsity: r.sparsity,
+				Recall: r.recall,
+				Metric: recallToMetric(g.ds, g.dense, r.recall),
 			}
-		}()
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, g := range groups {
-		queue <- g
-	}
-	close(queue)
-	wg.Wait()
 	return &Fig8Result{Config: cfg, Cells: cells}, nil
 }
 

@@ -1,10 +1,11 @@
 // Package grid is the bounded-worker executor behind sweep-style fan-out:
 // Engine.ServeMany, `alisa serve -parallel`, and `alisa cluster
 // -parallel` all run their (scheduler × load / router × load × fleet
-// size) cells through Run. Each cell is an index into caller-owned storage, so results land
-// in deterministic positions no matter which worker finishes first — the
-// cells themselves are single-goroutine deterministic simulations, making
-// the whole sweep reproducible under any worker count.
+// size) cells through Run, and Fig. 8 runs its (model × dataset) groups
+// through it. Each cell is an index into caller-owned storage, so results
+// land in deterministic positions no matter which worker finishes first —
+// the cells themselves are single-goroutine deterministic computations,
+// making the whole sweep reproducible under any worker count.
 package grid
 
 import (

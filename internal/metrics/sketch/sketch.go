@@ -254,7 +254,7 @@ func (s *Sketch) Merge(o *Sketch) error {
 
 // Clone returns an independent deep copy, including the deterministic
 // compaction offsets, so a forked sketch replays exactly like its
-// original — the property the engine snapshot/fork test pins.
+// original — the property the engine fork test pins.
 func (s *Sketch) Clone() *Sketch {
 	c := &Sketch{k: s.k, count: s.count, min: s.min, max: s.max}
 	c.levels = make([][]float64, len(s.levels))

@@ -66,7 +66,7 @@ func (d *LatencyDigest) Merge(o *LatencyDigest) error {
 }
 
 // Clone returns an independent deep copy that replays exactly like the
-// original — the digest half of the engine snapshot/fork contract.
+// original — the digest half of the engine fork contract.
 func (d *LatencyDigest) Clone() *LatencyDigest {
 	return &LatencyDigest{sum: d.sum, sk: d.sk.Clone()}
 }

@@ -28,14 +28,14 @@ func TestSWATracksDenseOnLiveTensors(t *testing.T) {
 	cfg := model.SmallConfig()
 	swa, err := Compare(Config{
 		ModelSeed: 1, DataSeed: 2, Tokens: 96,
-		Policy: attention.NewSWA(0.4, cfg.Layers),
+		Policy: attention.MustByName("swa", 0.4, cfg.Layers),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	local, err := Compare(Config{
 		ModelSeed: 1, DataSeed: 2, Tokens: 96,
-		Policy: attention.NewLocal(0.4),
+		Policy: attention.MustByName("local", 0.4, cfg.Layers),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSWAFullRatioMatchesDense(t *testing.T) {
 	cfg := model.SmallConfig()
 	rep, err := Compare(Config{
 		ModelSeed: 3, DataSeed: 4, Tokens: 48,
-		Policy: attention.NewSWA(1.0, cfg.Layers),
+		Policy: attention.MustByName("swa", 1.0, cfg.Layers),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,14 +115,14 @@ func TestAlisaStackOnLiveTensors(t *testing.T) {
 	cfg := model.SmallConfig()
 	swa, err := Compare(Config{
 		ModelSeed: 9, DataSeed: 10, Tokens: 96,
-		Policy: attention.NewSWA(0.4, cfg.Layers),
+		Policy: attention.MustByName("swa", 0.4, cfg.Layers),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	alisa, err := Compare(Config{
 		ModelSeed: 9, DataSeed: 10, Tokens: 96,
-		Policy: attention.NewSWA(0.4, cfg.Layers), KVBits: 8,
+		Policy: attention.MustByName("swa", 0.4, cfg.Layers), KVBits: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,11 +13,11 @@ import (
 // stateful and each Evaluate run must start cold.
 func policiesUnderTest(ratio float64, layers int) []attention.Policy {
 	return []attention.Policy{
-		attention.NewDense(),
-		attention.NewLocal(ratio),
-		attention.NewStrided(ratio),
-		attention.NewSWA(ratio, layers),
-		attention.NewH2O(ratio, layers),
+		attention.MustByName("dense", ratio, layers),
+		attention.MustByName("local", ratio, layers),
+		attention.MustByName("strided", ratio, layers),
+		attention.MustByName("swa", ratio, layers),
+		attention.MustByName("h2o", ratio, layers),
 	}
 }
 
@@ -108,8 +108,8 @@ func TestEvaluateManyMatchesSingle(t *testing.T) {
 func TestEvaluateRepeatable(t *testing.T) {
 	spec := SpecForModel(model.MustByName("opt-6.7b"), 7)
 	spec.Layers = 4
-	a := Evaluate(spec, attention.NewSWA(0.2, spec.Layers), 128)
-	b := Evaluate(spec, attention.NewSWA(0.2, spec.Layers), 128)
+	a := Evaluate(spec, attention.MustByName("swa", 0.2, spec.Layers), 128)
+	b := Evaluate(spec, attention.MustByName("swa", 0.2, spec.Layers), 128)
 	if field, ok := resultsIdentical(a, b); !ok {
 		t.Fatalf("repeated Evaluate diverged in %s", field)
 	}
@@ -130,7 +130,7 @@ func TestSWAGoldenAtSparsity80(t *testing.T) {
 	)
 	spec := SpecForModel(model.MustByName("opt-6.7b"), goldenSeed)
 	spec.Layers = 4
-	res := Evaluate(spec, attention.NewSWA(ratio, spec.Layers), steps)
+	res := Evaluate(spec, attention.MustByName("swa", ratio, spec.Layers), steps)
 	rho, err := res.SpearmanVsDense()
 	if err != nil {
 		t.Fatal(err)

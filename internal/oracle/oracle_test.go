@@ -136,7 +136,7 @@ func TestMaskRowExactRenormalisation(t *testing.T) {
 }
 
 func TestEvaluateDenseRecallIsOne(t *testing.T) {
-	res := Evaluate(DefaultSpec(2, 5), attention.NewDense(), 64)
+	res := Evaluate(DefaultSpec(2, 5), attention.MustByName("dense", 1, 1), 64)
 	if math.Abs(res.MeanRecall-1) > 1e-9 {
 		t.Fatalf("dense recall = %v, want 1", res.MeanRecall)
 	}
@@ -148,9 +148,9 @@ func TestEvaluatePolicyOrdering(t *testing.T) {
 	const ratio = 0.2
 	const steps = 384
 	spec := SpecForModel(model.MustByName("opt-6.7b"), 17)
-	local := Evaluate(spec, attention.NewLocal(ratio), steps)
-	strided := Evaluate(spec, attention.NewStrided(ratio), steps)
-	swa := Evaluate(spec, attention.NewSWA(ratio, spec.Layers), steps)
+	local := Evaluate(spec, attention.MustByName("local", ratio, spec.Layers), steps)
+	strided := Evaluate(spec, attention.MustByName("strided", ratio, spec.Layers), steps)
+	swa := Evaluate(spec, attention.MustByName("swa", ratio, spec.Layers), steps)
 
 	if swa.MeanRecall <= local.MeanRecall {
 		t.Fatalf("SWA recall %.3f should beat local %.3f", swa.MeanRecall, local.MeanRecall)
@@ -167,8 +167,8 @@ func TestSpearmanOrderingMatchesFig4(t *testing.T) {
 	const ratio = 0.2
 	const steps = 384
 	spec := SpecForModel(model.MustByName("opt-6.7b"), 23)
-	swa := Evaluate(spec, attention.NewSWA(ratio, spec.Layers), steps)
-	local := Evaluate(spec, attention.NewLocal(ratio), steps)
+	swa := Evaluate(spec, attention.MustByName("swa", ratio, spec.Layers), steps)
+	local := Evaluate(spec, attention.MustByName("local", ratio, spec.Layers), steps)
 
 	rhoSWA, err := swa.SpearmanVsDense()
 	if err != nil {
@@ -222,7 +222,7 @@ func TestEvaluateMaskedSparsityAtLeastDense(t *testing.T) {
 	// masked rows must be ≥ dense rows on average (Fig. 10's mechanism).
 	spec := SpecForModel(model.MustByName("opt-6.7b"), 41)
 	const steps = 256
-	swa := Evaluate(spec, attention.NewSWA(0.2, spec.Layers), steps)
+	swa := Evaluate(spec, attention.MustByName("swa", 0.2, spec.Layers), steps)
 	var maskedAvg, denseAvg float64
 	for t0 := 64; t0 < steps; t0++ {
 		maskedAvg += swa.MaskedSparsityPerStep[t0]

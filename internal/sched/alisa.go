@@ -9,7 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Alisa is the paper's three-phase token-level dynamic scheduler
+// alisa is the paper's three-phase token-level dynamic scheduler
 // (Algorithm 2, Fig. 7(b)):
 //
 //	Phase I   — all KV tensors fit in GPU memory; no CPU traffic.
@@ -24,47 +24,58 @@ import (
 //	            compute for PCIe traffic.
 //
 // Phase transitions are capacity-triggered (Phase II) and step-triggered
-// (Phase III at P2), with β and P2 chosen offline by Optimize.
-type Alisa struct {
-	// Beta is the recompute ratio β: the share of would-be CPU-resident
+// (Phase III at P2), with β and P2 chosen offline by Optimize. The table's
+// "alisa" is auto-tuned; NewAlisaManual and NewAlisaNewestFirst are the
+// ablation arms.
+type alisa struct {
+	// beta is the recompute ratio β: the share of would-be CPU-resident
 	// tokens that is deleted instead, from Phase III on.
-	Beta float64
-	// P2 is the Phase III switch step. Steps j ≥ P2 delete.
-	P2 int
-	// Recompute false disables Phase III entirely (the Fig. 12(b)
+	beta float64
+	// p2 is the Phase III switch step. Steps j ≥ p2 delete.
+	p2 int
+	// recompute false disables Phase III entirely (the Fig. 12(b)
 	// "without recomputation" arm).
-	Recompute bool
-	// AutoTune runs the offline optimizer at Init to pick Beta and P2.
-	AutoTune bool
-	// EvictNewestFirst inverts the offload order for the eviction-order
+	recompute bool
+	// autoTune runs the offline optimizer at Init to pick beta and p2.
+	autoTune bool
+	// evictNewestFirst inverts the offload order for the eviction-order
 	// ablation: instead of keeping the locally static window GPU-resident
 	// (the paper's heuristic), the newest tokens are offloaded first,
 	// forcing the local window to stream from CPU memory every step.
-	EvictNewestFirst bool
+	evictNewestFirst bool
 
 	store *kvcache.TokenStore
 
 	phase2Start int // first step that offloaded (-1 until seen)
 	phase3Start int // first step that deleted (-1 until seen)
-	params      Params
 }
 
-// NewAlisa returns an auto-tuned three-phase scheduler.
-func NewAlisa() *Alisa {
-	return &Alisa{Recompute: true, AutoTune: true, phase2Start: -1, phase3Start: -1}
+// autoAlisa returns the auto-tuned three-phase scheduler.
+func autoAlisa() *alisa {
+	return &alisa{recompute: true, autoTune: true, phase2Start: -1, phase3Start: -1}
 }
 
-// NewAlisaManual returns a scheduler with explicit β and P2 (no tuning).
-func NewAlisaManual(beta float64, p2 int, recompute bool) *Alisa {
-	return &Alisa{Beta: beta, P2: p2, Recompute: recompute, phase2Start: -1, phase3Start: -1}
+// NewAlisaManual returns ALISA with explicit β and P2 (no tuning) — the
+// Fig. 12(b) ablation, whose recompute=false arm disables Phase III.
+func NewAlisaManual(beta float64, p2 int, recompute bool) Scheduler {
+	return &alisa{beta: beta, p2: p2, recompute: recompute, phase2Start: -1, phase3Start: -1}
+}
+
+// NewAlisaNewestFirst returns the auto-tuned scheduler with the offload
+// order inverted — the eviction-order ablation (§V-A), which streams the
+// locally static window from CPU memory every step.
+func NewAlisaNewestFirst() Scheduler {
+	a := autoAlisa()
+	a.evictNewestFirst = true
+	return a
 }
 
 // Name implements Scheduler.
-func (a *Alisa) Name() string { return "alisa" }
+func (a *alisa) Name() string { return "alisa" }
 
 // CloneScheduler implements Scheduler: parameters, phase markers, and the
 // token store are deep-copied.
-func (a *Alisa) CloneScheduler() Scheduler {
+func (a *alisa) CloneScheduler() Scheduler {
 	c := *a
 	if a.store != nil {
 		c.store = a.store.Clone()
@@ -72,20 +83,14 @@ func (a *Alisa) CloneScheduler() Scheduler {
 	return &c
 }
 
-// Params returns the parameters in effect after Init.
-func (a *Alisa) Params() Params { return a.params }
-
 // Init implements Scheduler: tune parameters, then place the prefill KV —
 // GPU first, overflow to CPU oldest-first.
-func (a *Alisa) Init(ctx *Context) error {
+func (a *alisa) Init(ctx *Context) error {
 	a.store = kvcache.NewTokenStore()
 	a.phase2Start, a.phase3Start = -1, -1
-	if a.AutoTune {
-		a.params = Optimize(ctx)
-		a.Beta = a.params.Beta
-		a.P2 = a.params.P2
-	} else {
-		a.params = Params{Beta: a.Beta, P2: a.P2}
+	if a.autoTune {
+		p := Optimize(ctx)
+		a.beta, a.p2 = p.Beta, p.P2
 	}
 
 	tokenBytes := ctx.TokenBytes()
@@ -106,7 +111,7 @@ func (a *Alisa) Init(ctx *Context) error {
 				a.store.Append(kvcache.CPU)
 				break
 			}
-			if !a.Recompute {
+			if !a.recompute {
 				return fmt.Errorf("alisa: prefill KV exceeds CPU memory: %w", errCPU)
 			}
 			old := a.store.OldestIn(kvcache.CPU, 1)
@@ -134,7 +139,7 @@ func (a *Alisa) Init(ctx *Context) error {
 // Step implements Scheduler for decode step j.
 //
 //alisa:hotpath
-func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
+func (a *alisa) Step(ctx *Context, j int) (StepPlan, error) {
 	n := a.store.Len()
 	tokenBytes := ctx.TokenBytes()
 	attended := attendedTokens(ctx, n)
@@ -193,7 +198,7 @@ func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
 
 	// Phase III: delete the oldest CPU tokens to hold the deletion share
 	// at β of the CPU-side population.
-	if a.Recompute && j >= a.P2 && a.Beta > 0 {
+	if a.recompute && j >= a.p2 && a.beta > 0 {
 		deleted += a.enforceDeletionShare(ctx, tokenBytes, j)
 	}
 	plan.OffloadedTokens = offloaded
@@ -204,11 +209,11 @@ func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
 // ensureGPUSpace offloads GPU tokens to CPU until one more token fits,
 // deleting from CPU if CPU memory is itself exhausted. The default
 // oldest-first order is the paper's keep-local heuristic; the ablation
-// flag inverts it.
-func (a *Alisa) ensureGPUSpace(ctx *Context, tokenBytes int64, j int) (offloaded, deleted int, err error) {
+// inverts it.
+func (a *alisa) ensureGPUSpace(ctx *Context, tokenBytes int64, j int) (offloaded, deleted int, err error) {
 	for ctx.Sys.GPUHeadroom() < tokenBytes {
 		var victims []int
-		if a.EvictNewestFirst {
+		if a.evictNewestFirst {
 			victims = a.store.NewestIn(kvcache.GPU, 1)
 		} else {
 			victims = a.store.OldestIn(kvcache.GPU, 1)
@@ -220,7 +225,7 @@ func (a *Alisa) ensureGPUSpace(ctx *Context, tokenBytes int64, j int) (offloaded
 		if errCPU := ctx.Sys.AllocCPU(tokenBytes); errCPU != nil {
 			// CPU full: delete the oldest CPU token to make room, which
 			// is only sound when recomputation is available.
-			if !a.Recompute {
+			if !a.recompute {
 				return offloaded, deleted, fmt.Errorf("alisa: CPU memory exhausted and recomputation disabled: %w", errCPU)
 			}
 			old := a.store.OldestIn(kvcache.CPU, 1)
@@ -245,12 +250,12 @@ func (a *Alisa) ensureGPUSpace(ctx *Context, tokenBytes int64, j int) (offloaded
 // enforceDeletionShare deletes oldest CPU tokens until deleted ≥
 // β·(deleted+cpu), freeing CPU memory (deletion itself is free; the cost
 // returns later as recomputation).
-func (a *Alisa) enforceDeletionShare(ctx *Context, tokenBytes int64, j int) int {
+func (a *alisa) enforceDeletionShare(ctx *Context, tokenBytes int64, j int) int {
 	deleted := 0
 	for {
 		cpu := a.store.Count(kvcache.CPU)
 		del := a.store.Count(kvcache.Deleted)
-		if cpu == 0 || float64(del) >= a.Beta*float64(del+cpu) {
+		if cpu == 0 || float64(del) >= a.beta*float64(del+cpu) {
 			return deleted
 		}
 		victim := a.store.OldestIn(kvcache.CPU, 1)
@@ -264,7 +269,7 @@ func (a *Alisa) enforceDeletionShare(ctx *Context, tokenBytes int64, j int) int 
 // Release implements Scheduler: drop every KV byte the sequence holds from
 // both memories (deletion is free; recomputation never comes due because
 // the sequence is finished or will restart from its prompt).
-func (a *Alisa) Release(ctx *Context) {
+func (a *alisa) Release(ctx *Context) {
 	if a.store == nil {
 		return
 	}
@@ -274,13 +279,13 @@ func (a *Alisa) Release(ctx *Context) {
 	a.store.Reset()
 }
 
-func (a *Alisa) markPhase2(j int) {
+func (a *alisa) markPhase2(j int) {
 	if a.phase2Start < 0 {
 		a.phase2Start = j
 	}
 }
 
-func (a *Alisa) markPhase3(j int) {
+func (a *alisa) markPhase3(j int) {
 	if a.phase3Start < 0 {
 		a.phase3Start = j
 	}
@@ -288,7 +293,7 @@ func (a *Alisa) markPhase3(j int) {
 
 // Phase reports which scheduling phase step j executed in (1, 2 or 3),
 // valid after the run.
-func (a *Alisa) Phase(j int) int {
+func (a *alisa) Phase(j int) int {
 	if a.phase3Start >= 0 && j >= a.phase3Start {
 		return 3
 	}
@@ -300,7 +305,7 @@ func (a *Alisa) Phase(j int) int {
 
 // PhaseStarts returns the first steps of Phases II and III (-1 when a
 // phase never occurred).
-func (a *Alisa) PhaseStarts() (p2Start, p3Start int) {
+func (a *alisa) PhaseStarts() (p2Start, p3Start int) {
 	return a.phase2Start, a.phase3Start
 }
 
@@ -322,7 +327,7 @@ func weightedFractions(counts [3]int, prefix int) (gpuW, cpuW, delW float64) {
 }
 
 // interface check
-var _ Scheduler = (*Alisa)(nil)
+var _ Scheduler = (*alisa)(nil)
 
 // sanity check that memsim errors propagate as *memsim.OOMError
 var _ error = (*memsim.OOMError)(nil)

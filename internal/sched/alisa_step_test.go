@@ -11,7 +11,7 @@ import (
 // scanStepCounts is the reference for Step's fetch and recompute counts:
 // the scans the prefix cursor replaced, one over the local window and one
 // over the prefix before it, on the store as it stands before the step.
-func scanStepCounts(a *Alisa, ctx *Context) (fetched, recomputed int) {
+func scanStepCounts(a *alisa, ctx *Context) (fetched, recomputed int) {
 	n := a.store.Len()
 	attended := attendedTokens(ctx, n)
 	local := (attended - 1) / 2
@@ -48,7 +48,7 @@ func scanStepCounts(a *Alisa, ctx *Context) (fetched, recomputed int) {
 
 // stepAgainstScan runs steps [from, to) of a, checking each returned plan
 // against the reference scans, and returns the plans.
-func stepAgainstScan(t *testing.T, a *Alisa, ctx *Context, from, to int) []StepPlan {
+func stepAgainstScan(t *testing.T, a *alisa, ctx *Context, from, to int) []StepPlan {
 	t.Helper()
 	plans := make([]StepPlan, 0, to-from)
 	for j := from; j < to; j++ {
@@ -71,10 +71,10 @@ func stepAgainstScan(t *testing.T, a *Alisa, ctx *Context, from, to int) []StepP
 // that reach each branch: dense and sparse Phase II, Phases II and III,
 // the inverted eviction order, and recomputation disabled.
 func TestAlisaStepMatchesScan(t *testing.T) {
-	manual := func(beta float64, p2 int, recompute, newestFirst bool) func() *Alisa {
-		return func() *Alisa {
-			a := NewAlisaManual(beta, p2, recompute)
-			a.EvictNewestFirst = newestFirst
+	manual := func(beta float64, p2 int, recompute, newestFirst bool) func() *alisa {
+		return func() *alisa {
+			a := manualAlisa(beta, p2, recompute)
+			a.evictNewestFirst = newestFirst
 			return a
 		}
 	}
@@ -82,12 +82,12 @@ func TestAlisaStepMatchesScan(t *testing.T) {
 		name  string
 		prof  memsim.Profile
 		ratio float64
-		sched func() *Alisa
+		sched func() *alisa
 		// phase3 marks cases that must delete and recompute.
 		phase3 bool
 	}{
-		{"dense-32G", memsim.V100_32G(), 1, NewAlisa, false},
-		{"sparse0.2-32G", memsim.V100_32G(), 0.2, NewAlisa, false},
+		{"dense-32G", memsim.V100_32G(), 1, autoAlisa, false},
+		{"sparse0.2-32G", memsim.V100_32G(), 0.2, autoAlisa, false},
 		{"phase3-16G", memsim.V100_16G(), 0.2, manual(0.5, 50, true, false), true},
 		{"newest-first-16G", memsim.V100_16G(), 0.2, manual(0.5, 50, true, true), true},
 		{"no-recompute-32G", memsim.V100_32G(), 0.2, manual(0.6, 100, false, false), false},
@@ -121,7 +121,7 @@ func TestAlisaStepMatchesScan(t *testing.T) {
 // reference scans.
 func TestAlisaCloneStepsLikeOriginal(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 64, 128, 512, 0.2, 16)
-	a := NewAlisaManual(0.5, 50, true)
+	a := manualAlisa(0.5, 50, true)
 	if err := a.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAlisaCloneStepsLikeOriginal(t *testing.T) {
 	cctx := *ctx
 	cctx.Sys = ctx.Sys.Clone()
 	cctx.Breakdown = ctx.Breakdown.Clone()
-	c := a.CloneScheduler().(*Alisa)
+	c := a.CloneScheduler().(*alisa)
 
 	want := stepAgainstScan(t, a, ctx, mid, ctx.Output)
 	got := stepAgainstScan(t, c, &cctx, mid, ctx.Output)
@@ -159,7 +159,7 @@ func TestAlisaCloneStepsLikeOriginal(t *testing.T) {
 // outside the timer.
 func BenchmarkAlisaStep(b *testing.B) {
 	ctx := newTestContext(b, memsim.V100_32G(), "opt-6.7b", 1, 1024, 2048, 0.2, 8)
-	a := NewAlisa()
+	a := autoAlisa()
 	j := ctx.Output
 	b.ReportAllocs()
 	b.ResetTimer()

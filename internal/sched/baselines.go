@@ -6,27 +6,24 @@ import (
 	"repro/internal/kvcache"
 )
 
-// VLLM is the paged-attention baseline [21]: KV lives in fixed-size GPU
+// vllmBlockSize is vLLM's serving default: 16-token KV blocks.
+const vllmBlockSize = 16
+
+// vllm is the paged-attention baseline [21]: KV lives in fixed-size GPU
 // blocks with no static reservation, so memory is used exactly as needed
 // (plus at most one partial block per sequence). When a batch cannot fit
 // at its peak length, admission control runs it in sequential waves —
 // vLLM's continuous-batching behaviour projected onto the paper's
 // lockstep-batch evaluation. Dense attention; no offload streaming.
-type VLLM struct {
-	BlockSize int
-
+type vllm struct {
 	store *kvcache.BlockStore
 }
 
-// NewVLLM returns a vLLM baseline with the serving default of 16-token
-// blocks.
-func NewVLLM() *VLLM { return &VLLM{BlockSize: 16} }
-
 // Name implements Scheduler.
-func (v *VLLM) Name() string { return "vllm" }
+func (v *vllm) Name() string { return "vllm" }
 
 // CloneScheduler implements Scheduler.
-func (v *VLLM) CloneScheduler() Scheduler {
+func (v *vllm) CloneScheduler() Scheduler {
 	c := *v
 	if v.store != nil {
 		c.store = v.store.Clone()
@@ -39,10 +36,10 @@ func (v *VLLM) CloneScheduler() Scheduler {
 // sequence lifetimes, so steady-state occupancy tracks the mean allocation
 // (s + n/2 tokens, block-rounded), not the peak; projected onto the
 // paper's lockstep batches this sets the wave size.
-func (v *VLLM) Waves(ctx *Context) ([]int, error) {
+func (v *vllm) Waves(ctx *Context) ([]int, error) {
 	avgLen := ctx.Input + ctx.Output/2
-	perSeqBlocks := (avgLen + v.BlockSize - 1) / v.BlockSize
-	blockBytes := int64(v.BlockSize) * ctx.Model.KVBytesPerToken(2) * int64(ctx.KVBits) / 16
+	perSeqBlocks := (avgLen + vllmBlockSize - 1) / vllmBlockSize
+	blockBytes := vllmBlockSize * ctx.Model.KVBytesPerToken(2) * int64(ctx.KVBits) / 16
 	perSeqBytes := int64(perSeqBlocks) * blockBytes
 	fit := int(ctx.Sys.GPUHeadroom() / perSeqBytes)
 	if fit <= 0 {
@@ -60,8 +57,8 @@ func (v *VLLM) Waves(ctx *Context) ([]int, error) {
 }
 
 // Init implements Scheduler for one wave (ctx.Batch is the wave size).
-func (v *VLLM) Init(ctx *Context) error {
-	v.store = kvcache.NewBlockStore(v.BlockSize)
+func (v *vllm) Init(ctx *Context) error {
+	v.store = kvcache.NewBlockStore(vllmBlockSize)
 	blockBytes := v.blockBytes(ctx)
 	for i := 0; i < ctx.Input; i++ {
 		// Reserve the block before growing the store, so a failed
@@ -80,14 +77,14 @@ func (v *VLLM) Init(ctx *Context) error {
 // wave outgrows the GPU late in the run (admission sized it by average
 // footprint), the oldest blocks are swapped to CPU memory and streamed
 // back across PCIe each step — vLLM's preemption-swap behaviour.
-func (v *VLLM) Step(ctx *Context, j int) (StepPlan, error) {
+func (v *vllm) Step(ctx *Context, j int) (StepPlan, error) {
 	n := v.store.Tokens()
 	plan := StepPlan{Attended: attendedTokens(ctx, n), Sparse: ctx.CachingRatio < 1}
 	blockBytes := v.blockBytes(ctx)
 
 	if swapped := v.store.BlocksIn(kvcache.CPU); swapped > 0 {
 		ctx.ChargeToGPU(int64(swapped) * blockBytes)
-		plan.FetchedTokens = swapped * v.BlockSize
+		plan.FetchedTokens = swapped * vllmBlockSize
 	}
 
 	if v.store.WouldGrow() {
@@ -102,7 +99,7 @@ func (v *VLLM) Step(ctx *Context, j int) (StepPlan, error) {
 			}
 			ctx.ChargeToCPU(blockBytes)
 			ctx.Sys.FreeGPU(blockBytes)
-			plan.OffloadedTokens += v.BlockSize
+			plan.OffloadedTokens += vllmBlockSize
 		}
 		if err := ctx.Sys.AllocGPU(blockBytes); err != nil {
 			return plan, fmt.Errorf("vllm: decode block: %w", err)
@@ -114,7 +111,7 @@ func (v *VLLM) Step(ctx *Context, j int) (StepPlan, error) {
 
 // Release implements Scheduler: free every allocated block on its current
 // device.
-func (v *VLLM) Release(ctx *Context) {
+func (v *vllm) Release(ctx *Context) {
 	if v.store == nil {
 		return
 	}
@@ -124,49 +121,46 @@ func (v *VLLM) Release(ctx *Context) {
 	v.store.Reset()
 }
 
-func (v *VLLM) blockBytes(ctx *Context) int64 {
-	return int64(v.BlockSize) * ctx.TokenBytes()
+func (v *vllm) blockBytes(ctx *Context) int64 {
+	return vllmBlockSize * ctx.TokenBytes()
 }
 
-// NoCache disables KV caching entirely: every decode step reprocesses the
+// noCache disables KV caching entirely: every decode step reprocesses the
 // whole sequence from scratch — the quadratic-time arm of Fig. 2(c).
 // Memory stays flat (no KV is retained) while time per step grows.
-type NoCache struct {
+type noCache struct {
 	tokens int
 }
 
-// NewNoCache returns the caching-disabled scheduler.
-func NewNoCache() *NoCache { return &NoCache{} }
-
 // Name implements Scheduler.
-func (n *NoCache) Name() string { return "no-cache" }
+func (n *noCache) Name() string { return "no-cache" }
 
 // CloneScheduler implements Scheduler.
-func (n *NoCache) CloneScheduler() Scheduler {
+func (n *noCache) CloneScheduler() Scheduler {
 	c := *n
 	return &c
 }
 
 // Init implements Scheduler; nothing is cached.
-func (n *NoCache) Init(ctx *Context) error {
+func (n *noCache) Init(ctx *Context) error {
 	n.tokens = ctx.Input
 	return nil
 }
 
 // Step implements Scheduler, requesting a full forward pass.
-func (n *NoCache) Step(ctx *Context, j int) (StepPlan, error) {
+func (n *noCache) Step(ctx *Context, j int) (StepPlan, error) {
 	n.tokens++
 	return StepPlan{Attended: n.tokens, FullRecompute: true}, nil
 }
 
 // Release implements Scheduler; nothing is ever cached.
-func (n *NoCache) Release(ctx *Context) {
+func (n *noCache) Release(ctx *Context) {
 	n.tokens = 0
 }
 
 // interface checks
 var (
-	_ Scheduler   = (*VLLM)(nil)
-	_ WavePlanner = (*VLLM)(nil)
-	_ Scheduler   = (*NoCache)(nil)
+	_ Scheduler   = (*vllm)(nil)
+	_ WavePlanner = (*vllm)(nil)
+	_ Scheduler   = (*noCache)(nil)
 )

@@ -13,7 +13,7 @@ import (
 
 // tinyCPUContext builds a context on hardware whose CPU memory is barely
 // larger than the weights — the failure-injection rig for CPU exhaustion.
-func tinyCPUContext(t *testing.T, cpuBytes int64, recompute bool) (*Context, *Alisa) {
+func tinyCPUContext(t *testing.T, cpuBytes int64, recompute bool) (*Context, *alisa) {
 	t.Helper()
 	prof := memsim.V100_16G()
 	prof.CPUMemBytes = cpuBytes
@@ -34,7 +34,7 @@ func tinyCPUContext(t *testing.T, cpuBytes int64, recompute bool) (*Context, *Al
 	if err := sys.AllocGPU(prof.ReserveBytes); err != nil {
 		t.Fatal(err)
 	}
-	return ctx, NewAlisaManual(0.3, 200, recompute)
+	return ctx, manualAlisa(0.3, 200, recompute)
 }
 
 func TestAlisaCPUExhaustionWithoutRecomputeFails(t *testing.T) {
@@ -101,7 +101,7 @@ func TestSchedulersDeterministic(t *testing.T) {
 	// placement traffic — the whole simulator is deterministic.
 	run := func() (int64, int64, float64) {
 		ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 64, 128, 256, 0.2, 8)
-		a := NewAlisa()
+		a := autoAlisa()
 		if err := a.Init(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestAlisaDeletedNeverResurrects(t *testing.T) {
 	// transiently, it is never re-cached) — the store must never move a
 	// token out of the Deleted state.
 	ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 64, 128, 384, 0.2, 16)
-	a := NewAlisaManual(0.5, 50, true)
+	a := manualAlisa(0.5, 50, true)
 	if err := a.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,8 @@ func TestKeepLocalEvictionBeatsNewestFirst(t *testing.T) {
 	// pushes the local window to CPU, so every step pays local fetches.
 	run := func(newestFirst bool) (fetched int, clock float64) {
 		ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 64, 128, 256, 0.2, 16)
-		a := NewAlisaManual(0, ctx.Output, true)
-		a.EvictNewestFirst = newestFirst
+		a := manualAlisa(0, ctx.Output, true)
+		a.evictNewestFirst = newestFirst
 		if err := a.Init(ctx); err != nil {
 			t.Fatal(err)
 		}

@@ -18,15 +18,15 @@ type Factory func() Scheduler
 // The static-placement members set each token's GPU share: 1 keeps all
 // KV on the GPU, 0 offloads it all, and flexgen solves its share at Init.
 var factories = map[string]Factory{
-	"alisa":          func() Scheduler { return NewAlisa() },
+	"alisa":          func() Scheduler { return autoAlisa() },
 	"flexgen":        func() Scheduler { return &static{name: "flexgen", solveHeads: true} },
-	"vllm":           func() Scheduler { return NewVLLM() },
+	"vllm":           func() Scheduler { return &vllm{} },
 	"deepspeed-zero": deepSpeedZero,
 	"deepspeed":      deepSpeedZero,
 	"hf-accelerate":  hfAccelerate,
 	"accelerate":     hfAccelerate,
 	"gpu-only":       func() Scheduler { return &static{name: "gpu-only", gpuFrac: 1} },
-	"no-cache":       func() Scheduler { return NewNoCache() },
+	"no-cache":       func() Scheduler { return &noCache{} },
 }
 
 func deepSpeedZero() Scheduler {

@@ -1,19 +1,23 @@
 // Package sched implements the KV-cache scheduling policies the paper
-// compares at the system level (Table I):
+// compares at the system level (Table I). The built-ins are unexported
+// types reached only through the scheduler table (ByName, MustByName,
+// FactoryByName) and the ablation constructors, so every instance carries
+// the defaults its name promises:
 //
-//   - Alisa — the paper's contribution: token-level three-phase dynamic
+//   - alisa — the paper's contribution: token-level three-phase dynamic
 //     scheduling (Algorithm 2) with sparsity-aware caching and
 //     caching-vs-recomputation balancing, plus the offline optimizer for
-//     {α, β, p1, p2} (Eq. 3–6).
-//   - VLLM — block-level paged cache, GPU-resident, run in waves when the
-//     batch does not fit.
-//   - The static-placement family, one unexported type: a fixed GPU share
-//     of every token's KV, the rest in CPU memory and streamed every step.
-//     The table's flexgen (a head-level split solved at Init), gpu-only
-//     and deepspeed-zero (all on GPU; deepspeed-zero also streams the
-//     weights from CPU memory) and hf-accelerate (all on CPU) are its
-//     members, as is NewPCIeSplit, Fig. 1's placement ablation.
-//   - NoCache — KV caching disabled, the quadratic arm of Fig. 2(c).
+//     {α, β, p1, p2} (Eq. 3–6). NewAlisaManual (Fig. 12(b)) fixes β and
+//     P2; NewAlisaNewestFirst inverts its offload order (§V-A).
+//   - vllm — block-level paged cache in 16-token blocks, GPU-resident,
+//     run in waves when the batch does not fit.
+//   - The static-placement family, one type: a fixed GPU share of every
+//     token's KV, the rest in CPU memory and streamed every step. The
+//     table's flexgen (a head-level split solved at Init), gpu-only and
+//     deepspeed-zero (all on GPU; deepspeed-zero also streams the weights
+//     from CPU memory) and hf-accelerate (all on CPU) are its members, as
+//     is NewPCIeSplit, Fig. 1's placement ablation.
+//   - no-cache — KV caching disabled, the quadratic arm of Fig. 2(c).
 //
 // Schedulers operate against the memsim system (bytes and capacities) and
 // return per-step plans; the engine in internal/core charges compute.
@@ -133,7 +137,7 @@ type Scheduler interface {
 	// CloneScheduler deep-copies the per-sequence state mid-run: the
 	// returned instance, driven through the same Step sequence against a
 	// cloned system, behaves identically to the original — the
-	// requirement behind the serving loop's Snapshot/Fork.
+	// requirement behind the serving loop's Fork.
 	CloneScheduler() Scheduler
 }
 

@@ -37,6 +37,12 @@ func newTestContext(t testing.TB, prof memsim.Profile, name string, batch, input
 	return ctx
 }
 
+// manualAlisa is NewAlisaManual as its concrete type, for tests that read
+// phases or the token store.
+func manualAlisa(beta float64, p2 int, recompute bool) *alisa {
+	return NewAlisaManual(beta, p2, recompute).(*alisa)
+}
+
 func drive(t *testing.T, s Scheduler, ctx *Context) []StepPlan {
 	t.Helper()
 	if err := s.Init(ctx); err != nil {
@@ -56,7 +62,7 @@ func drive(t *testing.T, s Scheduler, ctx *Context) []StepPlan {
 func TestAlisaPhaseIWhenEverythingFits(t *testing.T) {
 	// Small batch on a 32 GB card: KV never exceeds GPU, so no transfers.
 	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 4, 128, 128, 0.2, 16)
-	a := NewAlisaManual(0.5, 64, true)
+	a := manualAlisa(0.5, 64, true)
 	drive(t, a, ctx)
 	toCPU, toGPU, _ := ctx.Sys.TransferStats()
 	if toCPU != 0 || toGPU != 0 {
@@ -76,7 +82,7 @@ func TestAlisaEntersPhaseIIUnderPressure(t *testing.T) {
 	// Batch 64 on V100-32G: KV at full length ≈ 21 GB with ~18 GB headroom,
 	// so Phase II must trigger partway through.
 	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 64, 128, 512, 0.2, 16)
-	a := NewAlisaManual(0, ctx.Output, true) // no Phase III
+	a := manualAlisa(0, ctx.Output, true) // no Phase III
 	plans := drive(t, a, ctx)
 	p2, p3 := a.PhaseStarts()
 	if p2 < 0 {
@@ -101,7 +107,7 @@ func TestAlisaPhaseIIIDeletesAndRecomputes(t *testing.T) {
 	// Paper pairing: 7B models run on the 16 GB V100, where batch 64 KV
 	// far exceeds the GPU and Phases II/III carry real load.
 	ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 64, 128, 512, 0.2, 16)
-	a := NewAlisaManual(0.6, 100, true)
+	a := manualAlisa(0.6, 100, true)
 	plans := drive(t, a, ctx)
 	_, p3 := a.PhaseStarts()
 	if p3 < 100 {
@@ -122,7 +128,7 @@ func TestAlisaPhaseIIIDeletesAndRecomputes(t *testing.T) {
 
 func TestAlisaRecomputeDisabledNeverDeletes(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 64, 128, 512, 0.2, 16)
-	a := NewAlisaManual(0.6, 100, false)
+	a := manualAlisa(0.6, 100, false)
 	plans := drive(t, a, ctx)
 	for _, plan := range plans {
 		if plan.DeletedTokens > 0 {
@@ -136,7 +142,7 @@ func TestAlisaSparsityReducesTraffic(t *testing.T) {
 	// the main contributor per Fig. 12(a).
 	run := func(ratio float64) int64 {
 		ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 64, 128, 512, ratio, 16)
-		drive(t, NewAlisaManual(0, ctx.Output, true), ctx)
+		drive(t, manualAlisa(0, ctx.Output, true), ctx)
 		_, toGPU, _ := ctx.Sys.TransferStats()
 		return toGPU
 	}
@@ -157,7 +163,7 @@ func TestAlisaINT8HalvesTokenBytes(t *testing.T) {
 
 func TestAlisaGPUNeverExceedsCapacity(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 32, 128, 256, 0.2, 16)
-	a := NewAlisaManual(0.3, 50, true)
+	a := manualAlisa(0.3, 50, true)
 	if err := a.Init(ctx); err != nil {
 		t.Fatalf("init: %v", err)
 	}
@@ -213,7 +219,7 @@ func TestOptimizerPicksRecomputeOnFastGPU(t *testing.T) {
 
 func TestVLLMWaves(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 64, 128, 512, 1.0, 16)
-	v := NewVLLM()
+	v := &vllm{}
 	waves, err := v.Waves(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +241,7 @@ func TestVLLMWaves(t *testing.T) {
 
 func TestVLLMSingleWaveWhenFits(t *testing.T) {
 	ctx := newTestContext(t, memsim.H100_80G(), "opt-6.7b", 8, 128, 128, 1.0, 16)
-	waves, err := NewVLLM().Waves(ctx)
+	waves, err := (&vllm{}).Waves(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +252,12 @@ func TestVLLMSingleWaveWhenFits(t *testing.T) {
 
 func TestVLLMBlockGranularAllocation(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 4, 100, 8, 1.0, 16)
-	v := NewVLLM()
+	v := &vllm{}
 	gpuBefore, _ := ctx.Sys.Usage()
 	drive(t, v, ctx)
 	gpuAfter, _ := ctx.Sys.Usage()
 	used := gpuAfter - gpuBefore
-	blockBytes := int64(v.BlockSize) * ctx.TokenBytes()
+	blockBytes := vllmBlockSize * ctx.TokenBytes()
 	if used%blockBytes != 0 {
 		t.Fatalf("vLLM allocation %d not block-granular (block %d)", used, blockBytes)
 	}
@@ -263,7 +269,7 @@ func TestVLLMBlockGranularAllocation(t *testing.T) {
 
 func TestNoCachePlansFullRecompute(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 4, 16, 8, 1.0, 16)
-	plans := drive(t, NewNoCache(), ctx)
+	plans := drive(t, &noCache{}, ctx)
 	for j, plan := range plans {
 		if !plan.FullRecompute {
 			t.Fatalf("step %d should be full recompute", j)
@@ -323,7 +329,7 @@ func TestByNameAndNames(t *testing.T) {
 
 func TestTokenStoreConservationThroughRun(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 64, 128, 256, 0.2, 16)
-	a := NewAlisaManual(0.5, 50, true)
+	a := manualAlisa(0.5, 50, true)
 	if err := a.Init(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -9,59 +9,31 @@ import (
 	"repro/internal/sched"
 )
 
-// Snapshot is a frozen deep copy of a running Loop, taken between turns.
-// It is inert — it has no transitions of its own — and exists to be
-// forked: each Fork call clones the snapshot again, so any number of
-// independent continuations can branch from the same point, each free to
-// Inject different futures. The snapshot stays valid however far the
-// original loop (or any fork) advances.
+// Fork builds a live Loop resuming from this one's current state, taken
+// between turns, with obs (which may be nil) as its observer. The fork
+// is a deep copy: it and the original advance independently, each free
+// to Inject different futures, and forking the same loop again gives
+// another independent continuation from wherever the loop then stands.
+// It fails on a finalized or errored loop.
 //
 // The copy is cheap in the sense that matters at scale: its size is the
 // live state — wait-queue backlog, active batch, live-ID index, digest
-// state — not the history of the run, so snapshotting a million-request
-// run mid-stream costs what snapshotting a thousand-request run costs
-// (plus the completed records and IDs the exact path keeps, when the run
-// is below the exact-metrics threshold).
-type Snapshot struct {
-	s *server
-}
-
-// Snapshot freezes the loop's current state. It fails on a finalized or
-// errored loop.
+// state — not the history of the run, so forking a million-request run
+// mid-stream costs what forking a thousand-request run costs (plus the
+// completed records and IDs the exact path keeps, when the run is below
+// the exact-metrics threshold).
 //
 // Determinism contract, pinned by TestForkDeterminism: a fork driven
 // through the same Inject/Advance sequence as the original produces a
 // bit-identical Result — fork-then-advance ≡ straight-line advance.
-func (l *Loop) Snapshot() (*Snapshot, error) {
+func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
 	if l.finalized {
-		return nil, fmt.Errorf("serve: cannot snapshot a finalized loop")
+		return nil, fmt.Errorf("serve: cannot fork a finalized loop")
 	}
 	if l.err != nil {
-		return nil, fmt.Errorf("serve: cannot snapshot a failed loop: %w", l.err)
+		return nil, fmt.Errorf("serve: cannot fork a failed loop: %w", l.err)
 	}
-	s := l.s.clone(nil)
-	// The frozen copy must not retain the live loop's observer: events
-	// belong to continuations, which attach their own through Fork.
-	s.cfg.Observer = nil
-	return &Snapshot{s: s}, nil
-}
-
-// Fork builds a live Loop resuming from the snapshot, with obs (which may
-// be nil) as its observer. Each call clones the snapshot's state again,
-// so forks are fully independent of each other and of the snapshot.
-func (sn *Snapshot) Fork(obs events.Observer) *Loop {
-	return &Loop{s: *sn.s.clone(obs)}
-}
-
-// Fork is the one-shot convenience: Snapshot then Fork, for callers that
-// want a single divergent continuation rather than a reusable branch
-// point.
-func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
-	sn, err := l.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return sn.Fork(obs), nil
+	return &Loop{s: *l.s.clone(obs)}, nil
 }
 
 // clone deep-copies the server so the copy can advance independently:

@@ -64,12 +64,11 @@ func forkAt(t *testing.T, cfg Config, k int) (orig *Loop, origRec *recorder, for
 	t.Helper()
 	orig, origRec = recordedLoop(t, cfg)
 	advanceTurns(t, orig, k)
-	sn, err := orig.Snapshot()
+	forkRec = &recorder{events: append([]string(nil), origRec.events...)}
+	fork, err := orig.Fork(forkRec.observer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	forkRec = &recorder{events: append([]string(nil), origRec.events...)}
-	fork = sn.Fork(forkRec.observer())
 	return orig, origRec, fork, forkRec
 }
 
@@ -138,7 +137,7 @@ func TestForkScaleMode(t *testing.T) {
 }
 
 // TestForkDivergentFutures exercises the reason Fork exists: multiple
-// independent continuations from one snapshot, each free to take a
+// independent continuations from one loop state, each free to take a
 // different future. The undisturbed fork must still match the
 // straight-line run exactly while its sibling diverges.
 func TestForkDivergentFutures(t *testing.T) {
@@ -154,12 +153,14 @@ func TestForkDivergentFutures(t *testing.T) {
 		t.Fatal(err)
 	}
 	advanceTurns(t, l, 6)
-	sn, err := l.Snapshot()
+	base, err := l.Fork(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := sn.Fork(nil)
-	extra := sn.Fork(nil)
+	extra, err := l.Fork(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := extra.Inject(workload.Request{ID: 9001, Arrival: extra.Clock(), Input: 64, Output: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +176,15 @@ func TestForkDivergentFutures(t *testing.T) {
 	}
 }
 
-// TestSnapshotGates pins the failure modes: a finalized loop cannot be
-// snapshotted.
-func TestSnapshotGates(t *testing.T) {
+// TestForkGates pins the failure modes: a finalized loop cannot be
+// forked.
+func TestForkGates(t *testing.T) {
 	l, err := NewLoop(forkConfig("gpu-only"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainResult(t, l)
-	if _, err := l.Snapshot(); err == nil {
-		t.Fatal("snapshot of a finalized loop succeeded")
+	if _, err := l.Fork(nil); err == nil {
+		t.Fatal("fork of a finalized loop succeeded")
 	}
 }

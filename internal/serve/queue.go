@@ -67,7 +67,7 @@ func (q *reqQueue) Pop() (workload.Request, uint64) {
 }
 
 // Clone returns an independent deep copy — the wait-queue half of
-// Loop.Snapshot.
+// Loop.Fork.
 func (q *reqQueue) Clone() reqQueue {
 	return reqQueue{h: append([]queuedReq(nil), q.h...), nextSeq: q.nextSeq}
 }

@@ -1117,7 +1117,7 @@ type scaleDigests struct {
 	ttft, tpot, e2e *metrics.LatencyDigest
 }
 
-// clone deep-copies the digests for Loop.Snapshot.
+// clone deep-copies the digests for Loop.Fork.
 func (d *scaleDigests) clone() *scaleDigests {
 	return &scaleDigests{ttft: d.ttft.Clone(), tpot: d.tpot.Clone(), e2e: d.e2e.Clone()}
 }

@@ -46,22 +46,6 @@ func (b *Breakdown) Add(cat Category, dt float64) {
 // Get returns the seconds charged to cat.
 func (b *Breakdown) Get(cat Category) float64 { return b.seconds[cat] }
 
-// Total returns the sum across categories.
-func (b *Breakdown) Total() float64 {
-	var t float64
-	for _, v := range b.seconds {
-		t += v
-	}
-	return t
-}
-
-// Merge adds every category of o into b.
-func (b *Breakdown) Merge(o *Breakdown) {
-	for c, v := range o.seconds {
-		b.seconds[c] += v
-	}
-}
-
 // Clone returns an independent copy of the breakdown.
 func (b *Breakdown) Clone() *Breakdown {
 	c := NewBreakdown()

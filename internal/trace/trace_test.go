@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestBreakdownAddGetTotal(t *testing.T) {
@@ -14,9 +12,6 @@ func TestBreakdownAddGetTotal(t *testing.T) {
 	b.Add(CatFFN, 1.0)
 	if b.Get(CatMHA) != 2.0 {
 		t.Fatalf("MHA = %v, want 2.0", b.Get(CatMHA))
-	}
-	if b.Total() != 3.0 {
-		t.Fatalf("Total = %v, want 3.0", b.Total())
 	}
 	if b.Get(CatQuant) != 0 {
 		t.Fatal("unset category should be zero")
@@ -30,18 +25,6 @@ func TestBreakdownNegativePanics(t *testing.T) {
 		}
 	}()
 	NewBreakdown().Add(CatMHA, -1)
-}
-
-func TestBreakdownMerge(t *testing.T) {
-	a := NewBreakdown()
-	a.Add(CatMHA, 1)
-	b := NewBreakdown()
-	b.Add(CatMHA, 2)
-	b.Add(CatTransfer, 3)
-	a.Merge(b)
-	if a.Get(CatMHA) != 3 || a.Get(CatTransfer) != 3 {
-		t.Fatalf("merge wrong: %v", a)
-	}
 }
 
 func TestBreakdownStringSorted(t *testing.T) {
@@ -85,25 +68,5 @@ func TestMemSeries(t *testing.T) {
 	var empty MemSeries
 	if empty.PeakGPU() != 0 || empty.PeakCPU() != 0 {
 		t.Fatal("empty series peaks should be zero")
-	}
-}
-
-// Property: Total equals the sum of all category gets, under any sequence
-// of additions.
-func TestTotalConsistencyProperty(t *testing.T) {
-	cats := []Category{CatPrefill, CatMHA, CatFFN, CatTransfer, CatRecompute, CatQuant, CatOther}
-	f := func(charges []uint16) bool {
-		b := NewBreakdown()
-		for i, c := range charges {
-			b.Add(cats[i%len(cats)], float64(c)/1000)
-		}
-		var sum float64
-		for _, c := range cats {
-			sum += b.Get(c)
-		}
-		return math.Abs(sum-b.Total()) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

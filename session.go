@@ -276,64 +276,26 @@ func (e *Engine) ServeClosedLoop(ctx context.Context, cl ClosedLoop) (*ServeResu
 	if err := cl.validate(); err != nil {
 		return nil, err
 	}
-	s, err := e.Open(ctx)
-	if err != nil {
-		return nil, err
-	}
-
 	rngs := make([]*rand.Rand, cl.Clients)
 	for i := range rngs {
 		rngs[i] = rand.New(rand.NewSource(cl.Seed + int64(i)*1_000_003))
 	}
-	clientOf := make([]int, 0, cl.Requests)
-	issued := 0
-	var pushErr error
-
-	// issue pushes client c's next request: think, then sample a shape
-	// from the client's own stream, arriving think seconds after now.
-	issue := func(c int, now float64) {
-		if pushErr != nil || issued >= cl.Requests {
-			return
+	budget := cl.Requests
+	// Client c thinks, then samples a shape from its own stream, until the
+	// shared request budget is spent.
+	return e.serveClosed(ctx, cl.Clients, func(c int) (Request, float64, bool) {
+		if budget == 0 {
+			return Request{}, 0, false
 		}
+		budget--
 		rng := rngs[c]
-		wait := 0.0
+		think := 0.0
 		if cl.ThinkTime > 0 {
-			wait = rng.ExpFloat64() * cl.ThinkTime
+			think = rng.ExpFloat64() * cl.ThinkTime
 		}
 		input, output := workload.SampleShape(rng)
-		id := issued
-		issued++
-		clientOf = append(clientOf, c)
-		if err := s.Push(Request{ID: id, Arrival: now + wait, Input: input, Output: output}); err != nil {
-			pushErr = err
-		}
-	}
-
-	if err := s.Subscribe(ObserverFuncs{Completion: func(ev CompletionEvent) {
-		// The completing request's client closes its loop: think, then
-		// issue the next request at the completion clock plus think.
-		if ev.Request >= 0 && ev.Request < len(clientOf) {
-			issue(clientOf[ev.Request], ev.Clock)
-		}
-	}}); err != nil {
-		return nil, err
-	}
-
-	for c := 0; c < cl.Clients; c++ {
-		issue(c, 0)
-	}
-
-	for pushErr == nil {
-		progressed, err := s.Advance()
-		if err != nil || !progressed {
-			break // latched errors surface from Close
-		}
-	}
-	res, err := s.Close()
-	if err == nil && pushErr != nil {
-		return res, pushErr
-	}
-	return res, err
+		return Request{Input: input, Output: output}, think, true
+	})
 }
 
 // ServeScripted runs a closed-loop serving simulation over explicit
@@ -357,37 +319,42 @@ func (e *Engine) ServeScripted(ctx context.Context, clients []ClosedClient) (*Se
 			return nil, &ConfigError{Field: "Clients", Value: i, Reason: "nil scripted client"}
 		}
 	}
+	return e.serveClosed(ctx, len(clients), func(c int) (Request, float64, bool) {
+		tokens, output, think, ok := clients[c].Next()
+		return Request{Input: len(tokens), Output: output, Tokens: tokens}, think, ok
+	})
+}
+
+// serveClosed is the closed-loop driver behind ServeClosedLoop and
+// ServeScripted, built entirely on the Session API. Every client issues
+// a request at time 0 and its next one when the previous completes: next
+// returns client c's next request and think time, or false when c is
+// done. Request IDs follow issue order, and each arrival is the
+// completion clock plus the think time. The run ends when every issued
+// request has completed.
+func (e *Engine) serveClosed(ctx context.Context, clients int, next func(c int) (Request, float64, bool)) (*ServeResult, error) {
 	s, err := e.Open(ctx)
 	if err != nil {
 		return nil, err
 	}
 
-	clientOf := make([]int, 0, len(clients))
-	issued := 0
+	clientOf := make([]int, 0, clients)
 	var pushErr error
-
-	// issue pushes client c's next scripted request, arriving its think
-	// time after now; an exhausted script simply stops issuing.
 	issue := func(c int, now float64) {
 		if pushErr != nil {
 			return
 		}
-		tokens, output, think, ok := clients[c].Next()
+		req, think, ok := next(c)
 		if !ok {
 			return
 		}
-		id := issued
-		issued++
+		req.ID, req.Arrival = len(clientOf), now+think
 		clientOf = append(clientOf, c)
-		if err := s.Push(Request{
-			ID: id, Arrival: now + think,
-			Input: len(tokens), Output: output, Tokens: tokens,
-		}); err != nil {
-			pushErr = err
-		}
+		pushErr = s.Push(req)
 	}
 
 	if err := s.Subscribe(ObserverFuncs{Completion: func(ev CompletionEvent) {
+		// The completing request's client closes its loop.
 		if ev.Request >= 0 && ev.Request < len(clientOf) {
 			issue(clientOf[ev.Request], ev.Clock)
 		}
@@ -395,7 +362,7 @@ func (e *Engine) ServeScripted(ctx context.Context, clients []ClosedClient) (*Se
 		return nil, err
 	}
 
-	for c := range clients {
+	for c := 0; c < clients; c++ {
 		issue(c, 0)
 	}
 

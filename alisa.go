@@ -28,10 +28,10 @@
 //     paper's evaluation section.
 //
 // All three run methods take a context.Context and stream progress to an
-// optional Observer (WithObserver). The scheduler, attention-policy,
-// model, and hardware-profile names resolve through fixed tables that
-// hold the paper's evaluation sets; see Models, Schedulers, and
-// ClusterRouters.
+// optional Observer (WithObserver), a struct of one optional callback
+// per event kind. The scheduler, attention-policy, model, and
+// hardware-profile names resolve through fixed tables that hold the
+// paper's evaluation sets; see Models, Schedulers, and ClusterRouters.
 //
 // See DESIGN.md for the system inventory, the hardware-gate
 // substitutions, and the public API contract (§7), and EXPERIMENTS.md for

@@ -10,7 +10,7 @@ import (
 
 // ClusterAutoscale is the fleet capacity policy — scale-up on windowed
 // SLO attainment below target, scale-down on sustained idle, within
-// [Min, Max] and a cooldown (see cluster.Autoscale for field semantics).
+// [Min, Max] (see cluster.Autoscale for field semantics).
 type ClusterAutoscale = cluster.Autoscale
 
 // ClusterResult is the fleet outcome: per-replica serving results plus
@@ -47,7 +47,7 @@ type ClusterSpec struct {
 	Router string
 	// Autoscale, when non-nil, lets the fleet grow and shrink at
 	// runtime; each scale-up builds a fresh replica loop from replica
-	// Template's configuration.
+	// 0's configuration.
 	Autoscale *ClusterAutoscale
 }
 
@@ -124,8 +124,9 @@ func (e *Engine) clusterConfig(spec ClusterSpec) (cluster.Config, error) {
 }
 
 // Push routes one request through the fleet's policy and injects it into
-// the chosen replica. Arrival semantics match Session.Push; request IDs
-// must be unique fleet-wide.
+// the chosen replica. Arrival and error semantics match Session.Push: a
+// refused request returns its error and leaves the fleet unchanged.
+// Request IDs must be unique fleet-wide.
 func (c *Cluster) Push(req Request) error { return c.fleet.Push(req) }
 
 // Advance runs one fleet turn: the busy replica furthest behind in

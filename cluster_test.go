@@ -211,7 +211,7 @@ func TestClusterValidationErrors(t *testing.T) {
 // hears every replica's completions through the fleet tap chain.
 func TestClusterObserverDelivery(t *testing.T) {
 	done := 0
-	eng := clusterEngine(t, WithObserver(ObserverFuncs{Completion: func(CompletionEvent) { done++ }}))
+	eng := clusterEngine(t, WithObserver(Observer{Completion: func(CompletionEvent) { done++ }}))
 	res, err := eng.ServeCluster(context.Background(), ClusterSpec{Replicas: 2}, PoissonTrace(12, 6, 2))
 	if err != nil {
 		t.Fatal(err)

@@ -284,7 +284,7 @@ func addErrorRow(tb *textfmt.Table, label string, err error) {
 // progressObserver streams serving events live to stderr, prefixed with
 // the scheduler under test.
 func progressObserver(sched string) alisa.Observer {
-	return alisa.ObserverFuncs{
+	return alisa.Observer{
 		Admission: func(e alisa.AdmissionEvent) {
 			fmt.Fprintf(os.Stderr, "[%s] t=%-10s admit   r%-3d in=%d out=%d wait=%s batch=%d\n",
 				sched, textfmt.Seconds(e.Clock), e.Request, e.Input, e.Output,

@@ -21,7 +21,7 @@ func runSim(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	opts := f.engineOptions(f.sched)
 	if f.progress {
-		opts = append(opts, alisa.WithObserver(alisa.ObserverFuncs{
+		opts = append(opts, alisa.WithObserver(alisa.Observer{
 			Step: func(e alisa.StepEvent) {
 				if e.Step%64 == 0 {
 					fmt.Fprintf(os.Stderr, "step %d: t=%s batch=%d\n",

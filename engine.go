@@ -23,9 +23,9 @@ import (
 type ConfigError struct {
 	// Field names the offending option or argument: "Model", "Profile",
 	// "Scheduler", "KVSparsity", "KVBits", "MaxBatch", "SLOTTFT",
-	// "SLOTPOT", "Observer", "MetricsWindow", "Batch", "Input",
-	// "Output", "Trace", "Policy", "Steps", "Clients", "Requests",
-	// "ThinkTime", "Replicas", "Router", "Autoscale", or "PrefixBlock".
+	// "SLOTPOT", "MetricsWindow", "Batch", "Input", "Output", "Trace",
+	// "Policy", "Steps", "Clients", "Requests", "ThinkTime", "Replicas",
+	// "Router", "Autoscale", or "PrefixBlock".
 	Field  string
 	Value  any
 	Reason string
@@ -227,12 +227,9 @@ func WithPrefixCache(pc PrefixCache) Option {
 // WithObserver attaches a streaming Observer: Simulate sends step events,
 // Serve and Session send step, admission, first-token, token,
 // preemption, and completion events. Callbacks run inline on the
-// simulation loop.
+// simulation loop; the zero Observer observes nothing.
 func WithObserver(o Observer) Option {
 	return func(e *Engine) error {
-		if o == nil {
-			return &ConfigError{Field: "Observer", Value: nil, Reason: "observer must be non-nil"}
-		}
 		e.observer = o
 		return nil
 	}

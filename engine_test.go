@@ -31,7 +31,6 @@ func TestNewValidation(t *testing.T) {
 		{"negative max batch", "opt-6.7b", []Option{WithMaxBatch(-3)}, "MaxBatch"},
 		{"zero TTFT SLO", "opt-6.7b", []Option{WithSLO(0, 0.5)}, "SLOTTFT"},
 		{"negative TPOT SLO", "opt-6.7b", []Option{WithSLO(10, -1)}, "SLOTPOT"},
-		{"nil observer", "opt-6.7b", []Option{WithObserver(nil)}, "Observer"},
 		{"nil option", "opt-6.7b", []Option{nil}, "Option"},
 	}
 	// An unknown name's error ends by listing the names the table knows.
@@ -150,7 +149,7 @@ func TestSimulateCancellation(t *testing.T) {
 	const cancelAt = 5
 	eng, err := New("opt-6.7b",
 		WithScheduler("gpu-only"),
-		WithObserver(ObserverFuncs{Step: func(e StepEvent) {
+		WithObserver(Observer{Step: func(e StepEvent) {
 			if e.Step == cancelAt {
 				cancel()
 			}
@@ -189,7 +188,7 @@ func TestServeCancellation(t *testing.T) {
 	done := 0
 	eng, err := New("opt-6.7b",
 		WithKVSparsity(0.8), WithKVBits(8), WithMaxBatch(4),
-		WithObserver(ObserverFuncs{Completion: func(e CompletionEvent) {
+		WithObserver(Observer{Completion: func(e CompletionEvent) {
 			done++
 			if done == cancelAfter {
 				cancel()
@@ -239,7 +238,7 @@ func TestEvaluatePolicyCancellation(t *testing.T) {
 // run methods.
 func TestObserverEventStream(t *testing.T) {
 	var steps, admits, completes, preempts int
-	obs := ObserverFuncs{
+	obs := Observer{
 		Step:       func(StepEvent) { steps++ },
 		Admission:  func(AdmissionEvent) { admits++ },
 		Preemption: func(PreemptionEvent) { preempts++ },

@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Lifecycle events stream inline as the simulation advances.
-	err = s.Subscribe(alisa.ObserverFuncs{
+	err = s.Subscribe(alisa.Observer{
 		Admission: func(e alisa.AdmissionEvent) {
 			fmt.Printf("  t=%-9s admit  r%-2d in=%-4d out=%-3d batch=%d\n",
 				textfmt.Seconds(e.Clock), e.Request, e.Input, e.Output, e.Batch)

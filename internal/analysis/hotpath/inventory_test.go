@@ -21,8 +21,8 @@ import (
 var wantAnnotated = []string{
 	"internal/cluster.(*Cluster).advance",
 	"internal/gateway.(*Bridge).fanout",
+	"internal/gateway.(*Bridge).onToken",
 	"internal/gateway.(*Subscriber).publish",
-	"internal/gateway.(bridgeTap).OnToken",
 	"internal/kvcache.(*TokenStore).CountsBefore",
 	"internal/metrics.(*Window).Observe",
 	"internal/metrics/sketch.(*Sketch).Observe",

@@ -12,16 +12,15 @@ import (
 //   - Scale up when the fleet's rolling window holds at least MinObs
 //     completions and its windowed SLO attainment drops below SLOTarget —
 //     the load has outrun the fleet. The new replica is a fresh loop
-//     built from the template replica's config and gets a fresh,
-//     never-reused ID (affinity hashing stays stable).
+//     built from replica 0's config and gets a fresh, never-reused ID
+//     (affinity hashing stays stable).
 //   - Scale down when a replica has been idle — no queued or in-flight
 //     work — for more than IdleAfter simulated seconds of fleet
 //     frontier time. The retired replica is finalized immediately; its
 //     completions stay in the fleet roll-up.
 //
-// Both directions respect the [Min, Max] size bounds and a shared
-// Cooldown between actions, so one congested window cannot stampede the
-// fleet to Max in consecutive turns.
+// Both directions respect the [Min, Max] size bounds, and the policy
+// takes at most one action per fleet turn.
 type Autoscale struct {
 	// Min and Max bound the live fleet size. Min must be ≥ 1 and ≤ the
 	// initial replica count; Max must be ≥ Min.
@@ -36,12 +35,6 @@ type Autoscale struct {
 	// IdleAfter is the sustained-idle span, in simulated seconds, after
 	// which a replica beyond Min is retired. 0 disables scale-down.
 	IdleAfter float64
-	// Cooldown is the minimum fleet-frontier time between scale actions,
-	// in simulated seconds.
-	Cooldown float64
-	// Template indexes Config.Replicas: scale-ups build their loop from
-	// this member's configuration.
-	Template int
 }
 
 // validate reports the first invalid autoscale field. n is the initial
@@ -60,10 +53,6 @@ func (a Autoscale) validate(n int) error {
 		return fmt.Errorf("cluster: autoscale MinObs must be >= 0, got %d", a.MinObs)
 	case a.IdleAfter < 0:
 		return fmt.Errorf("cluster: autoscale IdleAfter must be >= 0 seconds, got %v", a.IdleAfter)
-	case a.Cooldown < 0:
-		return fmt.Errorf("cluster: autoscale Cooldown must be >= 0 seconds, got %v", a.Cooldown)
-	case a.Template < 0 || a.Template >= n:
-		return fmt.Errorf("cluster: autoscale Template %d outside initial fleet [0,%d)", a.Template, n)
 	}
 	return nil
 }
@@ -86,8 +75,10 @@ func (c *Cluster) autoscaleStep(ctx context.Context) error {
 	if as == nil {
 		return nil
 	}
+	// The frontier falls back when a replica with an older clock takes
+	// new work; act again only once it has caught up with the last action.
 	f := c.Frontier()
-	if f-c.lastScale < as.Cooldown && (c.scaleUps > 0 || c.scaleDowns > 0) {
+	if f < c.lastScale {
 		return nil
 	}
 
@@ -109,7 +100,7 @@ func (c *Cluster) autoscaleStep(ctx context.Context) error {
 	if c.Size() < as.Max {
 		snap := c.window.Snapshot()
 		if snap.Count >= as.minObs() && snap.SLOAttainment < as.SLOTarget {
-			if _, err := c.addReplica(c.cfg.Replicas[as.Template], true); err != nil {
+			if _, err := c.addReplica(c.cfg.Replicas[0], true); err != nil {
 				return fmt.Errorf("cluster: scale-up: %w", err)
 			}
 			c.scaleUps++

@@ -32,8 +32,8 @@ type Config struct {
 	Window int
 
 	// Autoscale, when non-nil, lets the fleet grow and shrink at runtime;
-	// see the Autoscale type. A scale-up builds a fresh loop from the
-	// template replica's config.
+	// see the Autoscale type. A scale-up builds a fresh loop from replica
+	// 0's config.
 	Autoscale *Autoscale
 }
 
@@ -111,9 +111,8 @@ type Cluster struct {
 	replicas []*replica
 	nextID   int
 
-	// lastScale is the fleet frontier at the last autoscale action,
-	// enforcing the cooldown; scaleUps/scaleDowns and peak feed the
-	// result.
+	// lastScale is the fleet frontier at the last autoscale action;
+	// scaleUps/scaleDowns and peak feed the result.
 	lastScale    float64
 	scaleUps     int
 	scaleDowns   int
@@ -140,14 +139,13 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	window := cfg.Window
-	if window == 0 {
-		window = DefaultWindow
+	if cfg.Window == 0 {
+		cfg.Window = DefaultWindow
 	}
 	c := &Cluster{
 		cfg:    cfg,
 		router: router,
-		window: metrics.NewWindow(window),
+		window: metrics.NewWindow(cfg.Window),
 	}
 	for _, rc := range cfg.Replicas {
 		if _, err := c.addReplica(rc, false); err != nil {
@@ -166,10 +164,10 @@ func (c *Cluster) addReplica(rc serve.Config, forked bool) (*replica, error) {
 		id:     c.nextID,
 		tier:   rc.Profile.Name,
 		cfg:    rc,
-		window: metrics.NewWindow(c.windowCap()),
+		window: metrics.NewWindow(c.cfg.Window),
 		forked: forked,
 	}
-	rc.Observer = events.Multi(&fleetTap{c: c, r: r}, rc.Observer)
+	rc.Observer = events.Multi(c.fleetTap(r), rc.Observer)
 	loop, err := serve.NewLoop(rc)
 	if err != nil {
 		return nil, err
@@ -178,13 +176,6 @@ func (c *Cluster) addReplica(rc serve.Config, forked bool) (*replica, error) {
 	c.nextID++
 	c.replicas = append(c.replicas, r)
 	return r, nil
-}
-
-func (c *Cluster) windowCap() int {
-	if c.cfg.Window > 0 {
-		return c.cfg.Window
-	}
-	return DefaultWindow
 }
 
 // live appends the views of the non-retired replicas into buf.
@@ -269,13 +260,25 @@ func (c *Cluster) Frontier() float64 {
 // into the chosen replica. Like Session.Push, the arrival may lie in the
 // future (the replica jumps its clock when idle) or in the past
 // (immediately due); request IDs must be unique fleet-wide because
-// routing is sticky — a request lives on one replica.
+// routing is sticky — a request lives on one replica. A refused request
+// returns its error and leaves the fleet as it was, so later pushes
+// and turns carry on; only a router picking a replica that does not
+// exist fails the fleet.
 func (c *Cluster) Push(req workload.Request) error {
 	if c.closed {
 		return fmt.Errorf("cluster: fleet closed")
 	}
 	if c.err != nil {
 		return c.err
+	}
+	// Refuse a malformed request before the router sees it, so routing
+	// state (a round-robin cursor) stays where it was.
+	for _, r := range c.replicas {
+		if !r.retired {
+			if err := serve.CheckRequest(req, r.cfg.Model.MaxSeq); err != nil {
+				return err
+			}
+		}
 	}
 	views := c.live(make([]ReplicaView, 0, len(c.replicas)))
 	idx := c.router.Pick(req, views)
@@ -285,7 +288,6 @@ func (c *Cluster) Push(req workload.Request) error {
 	}
 	r := c.replicaByID(views[idx].ID)
 	if err := r.loop.Inject(req); err != nil {
-		c.err = err
 		return err
 	}
 	r.routed++
@@ -408,7 +410,7 @@ type ReplicaStatus struct {
 	ReplicaView
 	Retired bool
 	// Forked marks replicas the autoscaler added at runtime, each a
-	// fresh loop built from the template replica's config.
+	// fresh loop built from replica 0's config.
 	Forked bool
 	Routed int
 	Window metrics.WindowSnapshot
@@ -430,37 +432,29 @@ func (c *Cluster) Status() []ReplicaStatus {
 	return out
 }
 
-// fleetTap is each replica's fleet-side observer: completions feed the
-// replica and fleet windows and the roll-up counters before the event
-// reaches the replica config's own observer (the Multi in addReplica
-// orders fleet tap first, mirroring the session's engine-observer-first
-// contract).
-type fleetTap struct {
-	c *Cluster
-	r *replica
-}
-
-func (t *fleetTap) OnStep(events.Step) {}
-
-func (t *fleetTap) OnAdmission(e events.Admission) {
-	if e.PrefixProbed {
-		t.r.window.ObservePrefix(e.CachedTokens, e.SharedBytes)
-		t.c.window.ObservePrefix(e.CachedTokens, e.SharedBytes)
-	}
-}
-
-func (t *fleetTap) OnFirstToken(events.FirstToken) {}
-func (t *fleetTap) OnToken(events.Token)           {}
-func (t *fleetTap) OnPreemption(events.Preemption) {}
-
-func (t *fleetTap) OnCompletion(e events.Completion) {
-	t.r.window.Observe(e.Clock, e.TTFT, e.TPOT, e.E2E, e.Output, e.SLOMet)
-	t.c.window.Observe(e.Clock, e.TTFT, e.TPOT, e.E2E, e.Output, e.SLOMet)
-	t.r.completed++
-	t.r.tokens += int64(e.Output)
-	if e.SLOMet {
-		t.r.goodTokens += int64(e.Output)
-		t.r.sloMet++
+// fleetTap is replica r's fleet-side observer: prefix-probed admissions
+// and completions feed the replica and fleet windows, and completions
+// the roll-up counters, before the event reaches the replica config's
+// own observer (the Multi in addReplica orders the fleet tap first,
+// mirroring the session's window-tap-first contract).
+func (c *Cluster) fleetTap(r *replica) events.Observer {
+	return events.Observer{
+		Admission: func(e events.Admission) {
+			if e.PrefixProbed {
+				r.window.ObservePrefix(e.CachedTokens, e.SharedBytes)
+				c.window.ObservePrefix(e.CachedTokens, e.SharedBytes)
+			}
+		},
+		Completion: func(e events.Completion) {
+			r.window.Observe(e.Clock, e.TTFT, e.TPOT, e.E2E, e.Output, e.SLOMet)
+			c.window.Observe(e.Clock, e.TTFT, e.TPOT, e.E2E, e.Output, e.SLOMet)
+			r.completed++
+			r.tokens += int64(e.Output)
+			if e.SLOMet {
+				r.goodTokens += int64(e.Output)
+				r.sloMet++
+			}
+		},
 	}
 }
 
@@ -484,7 +478,7 @@ func Replay(ctx context.Context, cfg Config, tr workload.Trace) (*Result, error)
 	for {
 		if next < len(tr) && (tr[next].Arrival <= c.Frontier() || c.Idle()) {
 			if err := c.Push(tr[next]); err != nil {
-				break // latched; Close reports it
+				return nil, err
 			}
 			next++
 			continue

@@ -343,9 +343,7 @@ func TestClusterValidation(t *testing.T) {
 		{Min: 2, Max: 4}, // Min above initial size 1
 		{Min: 1, Max: 2, SLOTarget: 1.5},
 		{Min: 1, Max: 2, IdleAfter: -1},
-		{Min: 1, Max: 2, Cooldown: -1},
 		{Min: 1, Max: 2, MinObs: -1},
-		{Min: 1, Max: 2, Template: 5},
 	}
 	for i, as := range bad {
 		a := as
@@ -366,6 +364,71 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if _, err := c.Advance(context.Background()); err == nil {
 		t.Fatal("advance on closed fleet accepted")
+	}
+}
+
+// TestRefusedPushLeavesFleetUnchanged pins that a request Push refuses
+// returns its error without failing the fleet: later pushes and turns
+// carry on, the round-robin cursor stays put, and the run is
+// bit-identical to the same fleet never offered the bad requests.
+func TestRefusedPushLeavesFleetUnchanged(t *testing.T) {
+	ctx := context.Background()
+	tr := workload.PoissonTrace(24, 6, 13)
+	bad := map[int]workload.Request{
+		3:  {ID: 100, Arrival: 0, Input: 0, Output: 4},
+		7:  {ID: 101, Arrival: -1, Input: 8, Output: 4},
+		13: {ID: 102, Arrival: 0, Input: 2000, Output: 100}, // over opt-6.7b's 2048
+		19: {ID: 103, Arrival: 0, Input: 8, Output: 4, Tokens: []int{1, 2}},
+	}
+	run := func(bad map[int]workload.Request) string {
+		t.Helper()
+		c, err := New(fleetConfig(3, "round-robin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, req := range tr {
+			if b, ok := bad[i]; ok {
+				if err := c.Push(b); err == nil {
+					t.Fatalf("invalid request %+v accepted", b)
+				}
+			}
+			for req.Arrival > c.Frontier() && !c.Idle() {
+				if _, err := c.Advance(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Push(req); err != nil {
+				t.Fatalf("push %d: %v", i, err)
+			}
+		}
+		res, err := c.Close(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != len(tr) || res.Pushed != len(tr) {
+			t.Fatalf("completed %d pushed %d of %d", res.Completed, res.Pushed, len(tr))
+		}
+		return res.Fingerprint()
+	}
+	if got, want := run(bad), run(nil); got != want {
+		t.Fatalf("refused pushes changed the run:\n got %s\nwant %s", got, want)
+	}
+
+	// A duplicate ID is refused by the replica it was routed to, after
+	// routing; that too leaves the fleet serving.
+	c, err := New(fleetConfig(1, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := workload.Request{ID: 0, Arrival: 0, Input: 8, Output: 4}
+	if err := c.Push(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Push(req); err == nil {
+		t.Fatal("duplicate ID accepted")
+	}
+	if res, err := c.Close(ctx); err != nil || res.Completed != 1 {
+		t.Fatalf("Close after a refused duplicate: %v (result %v)", err, res)
 	}
 }
 

@@ -43,8 +43,9 @@ type Config struct {
 	// 4 (the INT4 extension the paper cites as viable for OPT).
 	KVBits int
 
-	// Observer, when non-nil, receives one events.Step per decode step as
-	// the run unfolds. Callbacks run inline on the simulation loop.
+	// Observer's Step callback, when set, receives one events.Step per
+	// decode step as the run unfolds, inline on the simulation loop. The
+	// lockstep engine emits no other kind.
 	Observer events.Observer
 }
 
@@ -235,8 +236,8 @@ func runWave(ctx context.Context, cfg Config, wave int, res *Result) error {
 		gpu, cpu := sys.Usage()
 		res.Memory.Record(j, gpu, cpu)
 		res.Steps = append(res.Steps, StepSample{Step: j, Seconds: sys.Clock() - before})
-		if cfg.Observer != nil {
-			cfg.Observer.OnStep(events.Step{
+		if f := cfg.Observer.Step; f != nil {
+			f(events.Step{
 				Step: j, Batch: wave,
 				Clock: base + sys.Clock(), Seconds: sys.Clock() - before,
 			})

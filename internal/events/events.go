@@ -1,17 +1,20 @@
 // Package events defines the streaming observer contract shared by the
 // lockstep engine (internal/core) and the serving simulator
-// (internal/serve). An Observer receives progress events as a run
-// unfolds — decode steps, request admissions, preemptions, and
-// completions — instead of only the final Result, so CLIs can show live
-// progress and harnesses can collect per-cell timing without re-parsing
-// rendered reports.
+// (internal/serve). An Observer is a struct of optional callbacks, one
+// per event kind — decode steps, request admissions, first tokens,
+// generated tokens, preemptions, and completions — that receive progress
+// as a run unfolds instead of only the final Result, so CLIs can show
+// live progress and harnesses can collect per-cell timing without
+// re-parsing rendered reports.
 //
 // All times are simulated seconds on the run's clock, not wall time.
 // Events are emitted synchronously from the single-goroutine event loops,
 // in deterministic order: replaying a run replays its event sequence
-// exactly, and a nil observer costs nothing. An observer
-// shared across concurrent runs (a parallel sweep) can be wrapped with
-// Synchronized to serialize delivery instead of locking internally.
+// exactly. A callback left nil costs one nil check per event: the loop
+// builds no event for it. Multi composes observers per kind, and an
+// observer shared across concurrent runs (a parallel sweep) can be
+// wrapped with Synchronized to serialize delivery instead of locking
+// internally.
 package events
 
 import "sync"
@@ -108,23 +111,15 @@ type Completion struct {
 	Preemptions int
 }
 
-// Observer receives streaming run events. Implementations must be fast:
-// callbacks run inline on the simulation loop. They need not be
-// goroutine-safe — each run delivers its events from one goroutine — but
-// one Observer attached to several concurrent runs must synchronise
-// internally.
-type Observer interface {
-	OnStep(Step)
-	OnAdmission(Admission)
-	OnFirstToken(FirstToken)
-	OnToken(Token)
-	OnPreemption(Preemption)
-	OnCompletion(Completion)
-}
-
-// Funcs adapts a set of optional callbacks to the Observer interface;
-// nil fields ignore their events.
-type Funcs struct {
+// Observer is a set of optional callbacks, one per event kind, in the
+// style of net/http/httptrace.ClientTrace. Callbacks run inline on the
+// simulation loop, so they must be fast. They need not be
+// goroutine-safe — each run delivers its events from one goroutine —
+// but one Observer attached to several concurrent runs must synchronise
+// (see Synchronized). A nil field ignores its events, and the emitting
+// loop checks it before building the event, so the zero Observer
+// observes nothing at the cost of one nil check per event.
+type Observer struct {
 	Step       func(Step)
 	Admission  func(Admission)
 	FirstToken func(FirstToken)
@@ -133,160 +128,68 @@ type Funcs struct {
 	Completion func(Completion)
 }
 
-// OnStep implements Observer.
-func (f Funcs) OnStep(e Step) {
-	if f.Step != nil {
-		f.Step(e)
+// Multi composes obs per event kind. A kind no observer sets stays nil;
+// a kind exactly one observer sets is that callback itself; otherwise
+// one callback calls them in argument order.
+func Multi(obs ...Observer) Observer {
+	return Observer{
+		Step:       fan(obs, func(o Observer) func(Step) { return o.Step }),
+		Admission:  fan(obs, func(o Observer) func(Admission) { return o.Admission }),
+		FirstToken: fan(obs, func(o Observer) func(FirstToken) { return o.FirstToken }),
+		Token:      fan(obs, func(o Observer) func(Token) { return o.Token }),
+		Preemption: fan(obs, func(o Observer) func(Preemption) { return o.Preemption }),
+		Completion: fan(obs, func(o Observer) func(Completion) { return o.Completion }),
 	}
 }
 
-// OnAdmission implements Observer.
-func (f Funcs) OnAdmission(e Admission) {
-	if f.Admission != nil {
-		f.Admission(e)
+// fan composes one kind's callbacks, read from obs by kind, for Multi.
+func fan[E any](obs []Observer, kind func(Observer) func(E)) func(E) {
+	var fs []func(E)
+	for _, o := range obs {
+		if f := kind(o); f != nil {
+			fs = append(fs, f)
+		}
 	}
-}
-
-// OnFirstToken implements Observer.
-func (f Funcs) OnFirstToken(e FirstToken) {
-	if f.FirstToken != nil {
-		f.FirstToken(e)
+	switch len(fs) {
+	case 0:
+		return nil
+	case 1:
+		return fs[0]
 	}
-}
-
-// OnToken implements Observer.
-func (f Funcs) OnToken(e Token) {
-	if f.Token != nil {
-		f.Token(e)
-	}
-}
-
-// OnPreemption implements Observer.
-func (f Funcs) OnPreemption(e Preemption) {
-	if f.Preemption != nil {
-		f.Preemption(e)
-	}
-}
-
-// OnCompletion implements Observer.
-func (f Funcs) OnCompletion(e Completion) {
-	if f.Completion != nil {
-		f.Completion(e)
+	return func(e E) {
+		for _, f := range fs {
+			f(e)
+		}
 	}
 }
 
 // Synchronized wraps obs so callbacks arriving from several goroutines —
 // an observer shared across the concurrent cells of a parallel sweep —
-// are serialized through one mutex: each callback runs exclusively, so
-// the wrapped observer needs no internal locking. Events from different
-// cells interleave in completion order (cells are independent runs), but
-// every individual event is delivered exactly once and atomically.
-// A nil observer wraps to nil.
+// are serialized through one mutex shared by every kind: each callback
+// runs exclusively, so the wrapped observer needs no internal locking.
+// Events from different cells interleave in completion order (cells are
+// independent runs), but every individual event is delivered exactly
+// once and atomically. Unset callbacks stay unset.
 func Synchronized(obs Observer) Observer {
-	if obs == nil {
+	mu := new(sync.Mutex)
+	return Observer{
+		Step:       locked(mu, obs.Step),
+		Admission:  locked(mu, obs.Admission),
+		FirstToken: locked(mu, obs.FirstToken),
+		Token:      locked(mu, obs.Token),
+		Preemption: locked(mu, obs.Preemption),
+		Completion: locked(mu, obs.Completion),
+	}
+}
+
+// locked wraps f under mu for Synchronized; a nil f stays nil.
+func locked[E any](mu *sync.Mutex, f func(E)) func(E) {
+	if f == nil {
 		return nil
 	}
-	return &synced{obs: obs}
-}
-
-type synced struct {
-	mu  sync.Mutex
-	obs Observer
-}
-
-func (s *synced) OnStep(e Step) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs.OnStep(e)
-}
-
-func (s *synced) OnAdmission(e Admission) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs.OnAdmission(e)
-}
-
-func (s *synced) OnFirstToken(e FirstToken) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs.OnFirstToken(e)
-}
-
-func (s *synced) OnToken(e Token) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs.OnToken(e)
-}
-
-func (s *synced) OnPreemption(e Preemption) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs.OnPreemption(e)
-}
-
-func (s *synced) OnCompletion(e Completion) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs.OnCompletion(e)
-}
-
-// Fanout delivers every event to each of its observers in order.
-type Fanout struct{ obs []Observer }
-
-// Multi returns a Fanout over obs, in order; nil entries are skipped.
-func Multi(obs ...Observer) *Fanout {
-	f := &Fanout{obs: make([]Observer, 0, len(obs))}
-	for _, o := range obs {
-		f.Add(o)
-	}
-	return f
-}
-
-// Add appends obs to the end of the fan-out; a nil observer is skipped.
-func (f *Fanout) Add(obs Observer) {
-	if obs != nil {
-		f.obs = append(f.obs, obs)
-	}
-}
-
-// OnStep implements Observer.
-func (f *Fanout) OnStep(e Step) {
-	for _, o := range f.obs {
-		o.OnStep(e)
-	}
-}
-
-// OnAdmission implements Observer.
-func (f *Fanout) OnAdmission(e Admission) {
-	for _, o := range f.obs {
-		o.OnAdmission(e)
-	}
-}
-
-// OnFirstToken implements Observer.
-func (f *Fanout) OnFirstToken(e FirstToken) {
-	for _, o := range f.obs {
-		o.OnFirstToken(e)
-	}
-}
-
-// OnToken implements Observer.
-func (f *Fanout) OnToken(e Token) {
-	for _, o := range f.obs {
-		o.OnToken(e)
-	}
-}
-
-// OnPreemption implements Observer.
-func (f *Fanout) OnPreemption(e Preemption) {
-	for _, o := range f.obs {
-		o.OnPreemption(e)
-	}
-}
-
-// OnCompletion implements Observer.
-func (f *Fanout) OnCompletion(e Completion) {
-	for _, o := range f.obs {
-		o.OnCompletion(e)
+	return func(e E) {
+		mu.Lock()
+		defer mu.Unlock()
+		f(e)
 	}
 }

@@ -117,7 +117,7 @@ func newBridge(eng *alisa.Engine, scale float64, buffer int, policy OverflowPoli
 		cancel()
 		return nil, err
 	}
-	if err := session.Subscribe(bridgeTap{b}); err != nil {
+	if err := session.Subscribe(b.observer()); err != nil {
 		cancel()
 		return nil, err
 	}
@@ -496,32 +496,32 @@ func (b *Bridge) logCompletion(e alisa.CompletionEvent) {
 		"clock", e.Clock, "ttft", e.TTFT, "e2e", e.E2E, "slo_met", e.SLOMet)
 }
 
-// bridgeTap adapts the session's observer stream onto the fan-out. Step
+// observer adapts the session's observer stream onto the fan-out. Step
 // events are batch-level, not request-level; no subscriber carries them.
-type bridgeTap struct{ b *Bridge }
-
-func (t bridgeTap) OnStep(alisa.StepEvent) {}
-
-func (t bridgeTap) OnAdmission(e alisa.AdmissionEvent) {
-	t.b.fanout(Event{Kind: KindAdmission, Request: e.Request, Clock: e.Clock,
-		Wait: e.Wait, Input: e.Input, Output: e.Output, Batch: e.Batch})
+func (b *Bridge) observer() alisa.Observer {
+	return alisa.Observer{
+		Admission: func(e alisa.AdmissionEvent) {
+			b.fanout(Event{Kind: KindAdmission, Request: e.Request, Clock: e.Clock,
+				Wait: e.Wait, Input: e.Input, Output: e.Output, Batch: e.Batch})
+		},
+		FirstToken: func(e alisa.FirstTokenEvent) {
+			b.fanout(Event{Kind: KindFirstToken, Request: e.Request, Clock: e.Clock, TTFT: e.TTFT})
+		},
+		Token: b.onToken,
+		Preemption: func(e alisa.PreemptionEvent) {
+			b.fanout(Event{Kind: KindPreemption, Request: e.Request, Clock: e.Clock, Generated: e.Generated})
+		},
+		Completion: func(e alisa.CompletionEvent) {
+			b.logCompletion(e)
+			b.fanout(Event{Kind: KindCompletion, Request: e.Request, Clock: e.Clock,
+				TTFT: e.TTFT, TPOT: e.TPOT, E2E: e.E2E, SLOMet: e.SLOMet, Preemptions: e.Preemptions})
+		},
+	}
 }
 
-func (t bridgeTap) OnFirstToken(e alisa.FirstTokenEvent) {
-	t.b.fanout(Event{Kind: KindFirstToken, Request: e.Request, Clock: e.Clock, TTFT: e.TTFT})
-}
-
+// onToken is the per-token callback, the finest-grained event.
+//
 //alisa:hotpath
-func (t bridgeTap) OnToken(e alisa.TokenEvent) {
-	t.b.fanout(Event{Kind: KindToken, Request: e.Request, Clock: e.Clock, Index: e.Index})
-}
-
-func (t bridgeTap) OnPreemption(e alisa.PreemptionEvent) {
-	t.b.fanout(Event{Kind: KindPreemption, Request: e.Request, Clock: e.Clock, Generated: e.Generated})
-}
-
-func (t bridgeTap) OnCompletion(e alisa.CompletionEvent) {
-	t.b.logCompletion(e)
-	t.b.fanout(Event{Kind: KindCompletion, Request: e.Request, Clock: e.Clock,
-		TTFT: e.TTFT, TPOT: e.TPOT, E2E: e.E2E, SLOMet: e.SLOMet, Preemptions: e.Preemptions})
+func (b *Bridge) onToken(e alisa.TokenEvent) {
+	b.fanout(Event{Kind: KindToken, Request: e.Request, Clock: e.Clock, Index: e.Index})
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -259,6 +261,72 @@ func TestGatewayBodyLimit(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "event: completion\n") || !strings.HasSuffix(string(body), "data: [DONE]\n\n") {
 		t.Errorf("stream after 413 did not complete: %q", body)
+	}
+}
+
+// TestGatewayMidStreamDisconnect is the disconnect fault test: a client
+// that reads the first SSE event of a long completion and hangs up,
+// under Block backpressure with a 1-event buffer, must neither wedge the
+// driver nor leave its subscriber or any goroutine behind.
+func TestGatewayMidStreamDisconnect(t *testing.T) {
+	g := newTestGateway(t, Config{TimeScale: 0, OnFull: Block, Buffer: 1})
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	client := srv.Client()
+	client.Timeout = 10 * time.Second // a wedged driver fails, not hangs
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/completions",
+		strings.NewReader(`{"input_tokens":64,"max_tokens":1000,"stream":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil || line != "event: admission\n" {
+		t.Fatalf("first SSE line = %q (%v), want the admission event", line, err)
+	}
+	cancel()
+	resp.Body.Close()
+
+	// The driver, stalled on the abandoned full buffer, must be released
+	// by the disconnect: a later blocking completion still answers.
+	resp, err = client.Post(srv.URL+"/v1/completions", "application/json",
+		strings.NewReader(`{"input_tokens":32,"max_tokens":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("completion after a disconnect = %d (%v), want 200", resp.StatusCode, err)
+	}
+
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer dcancel()
+	res, err := g.Drain(dctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 2 {
+		t.Errorf("drain completed %d requests, want 2", res.Completed)
+	}
+	g.bridge.mu.Lock()
+	subs := len(g.bridge.subs)
+	g.bridge.mu.Unlock()
+	if subs != 0 {
+		t.Errorf("bridge still holds %d subscribers", subs)
+	}
+
+	client.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the requests, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -43,7 +43,7 @@ func BenchmarkIterate(b *testing.B) {
 	// Count the iterations one run performs (outside the timed region).
 	iters := 0
 	counted := cfg
-	counted.Observer = events.Funcs{Step: func(events.Step) { iters++ }}
+	counted.Observer = events.Observer{Step: func(events.Step) { iters++ }}
 	if _, err := Run(ctx, counted); err != nil {
 		b.Fatal(err)
 	}

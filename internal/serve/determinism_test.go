@@ -35,7 +35,7 @@ func replayConfig(scheduler string) Config {
 type recorder struct{ events []string }
 
 func (r *recorder) observer() events.Observer {
-	return events.Funcs{
+	return events.Observer{
 		Step: func(e events.Step) {
 			r.events = append(r.events, fmt.Sprintf("step %+v", e))
 		},
@@ -146,7 +146,7 @@ func TestServeEventStreamShape(t *testing.T) {
 		}
 		last = clock
 	}
-	cfg.Observer = events.Funcs{
+	cfg.Observer = events.Observer{
 		Step:       func(e events.Step) { at("step", e.Clock) },
 		Admission:  func(e events.Admission) { admits++; at("admission", e.Clock) },
 		FirstToken: func(e events.FirstToken) { firsts++; at("first token", e.Clock) },

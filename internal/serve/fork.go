@@ -10,11 +10,11 @@ import (
 )
 
 // Fork builds a live Loop resuming from this one's current state, taken
-// between turns, with obs (which may be nil) as its observer. The fork
-// is a deep copy: it and the original advance independently, each free
-// to Inject different futures, and forking the same loop again gives
-// another independent continuation from wherever the loop then stands.
-// It fails on a finalized or errored loop.
+// between turns, with obs as its observer (the zero Observer observes
+// nothing). The fork is a deep copy: it and the original advance
+// independently, each free to Inject different futures, and forking the
+// same loop again gives another independent continuation from wherever
+// the loop then stands. It fails on a finalized or errored loop.
 //
 // The copy is cheap in the sense that matters at scale: its size is the
 // live state — wait-queue backlog, active batch, live-ID index, digest

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/workload"
 )
 
@@ -124,7 +125,7 @@ func TestForkScaleMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	advanceTurns(t, l, 8)
-	fork, err := l.Fork(nil)
+	fork, err := l.Fork(events.Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +154,11 @@ func TestForkDivergentFutures(t *testing.T) {
 		t.Fatal(err)
 	}
 	advanceTurns(t, l, 6)
-	base, err := l.Fork(nil)
+	base, err := l.Fork(events.Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra, err := l.Fork(nil)
+	extra, err := l.Fork(events.Observer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestForkGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainResult(t, l)
-	if _, err := l.Fork(nil); err == nil {
+	if _, err := l.Fork(events.Observer{}); err == nil {
 		t.Fatal("fork of a finalized loop succeeded")
 	}
 }

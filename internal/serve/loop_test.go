@@ -169,7 +169,7 @@ func TestIdleJumpLandsOnArrival(t *testing.T) {
 }
 
 // TestLoopInjectDuringAdmissionCallback pins the mid-admission
-// injection hazard: an Inject fired from an OnAdmission callback with an
+// injection hazard: an Inject fired from an Admission callback with an
 // arrival EARLIER than the request being admitted must not claim the
 // queue slot that admission is consuming. Before the head-pop reorder,
 // this stranded the injected request behind the head (silently dropped)
@@ -180,7 +180,7 @@ func TestLoopInjectDuringAdmissionCallback(t *testing.T) {
 	admitted := map[int]int{}
 	completed := map[int]int{}
 	injected := false
-	cfg.Observer = events.Funcs{
+	cfg.Observer = events.Observer{
 		Admission: func(e events.Admission) {
 			admitted[e.Request]++
 			// From request 2's admission (arrival 1.0), push a request

@@ -248,7 +248,7 @@ func TestScaleModeDeterministic(t *testing.T) {
 }
 
 // TestSwitchInsideCompletionCallback crosses the exact-metrics threshold
-// from an OnCompletion callback, as a closed-loop client issuing its
+// from a Completion callback, as a closed-loop client issuing its
 // next request does: the request completing at the switch must count
 // once, not once as a kept record and again as a fresh completion.
 func TestSwitchInsideCompletionCallback(t *testing.T) {
@@ -264,7 +264,7 @@ func TestSwitchInsideCompletionCallback(t *testing.T) {
 		}
 		next++
 	}
-	cfg.Observer = events.Funcs{Completion: func(events.Completion) {
+	cfg.Observer = events.Observer{Completion: func(events.Completion) {
 		done++
 		if next < total {
 			inject()

@@ -93,10 +93,12 @@ type Config struct {
 	SLOTTFT float64
 	SLOTPOT float64
 
-	// Observer, when non-nil, receives streaming admission, first-token,
-	// token, preemption, completion, and per-iteration step events — the
-	// run's event record, which the replay-determinism suite pins.
-	// Callbacks run inline on the event loop.
+	// Observer receives streaming admission, first-token, token,
+	// preemption, completion, and per-iteration step events — the run's
+	// event record, which the replay-determinism suite pins. Callbacks
+	// run inline on the event loop; a kind whose callback is nil costs
+	// one nil check and builds no event. Loop.SetObserver replaces it
+	// mid-run.
 	Observer events.Observer
 
 	// ExactMetrics is the exact-metrics threshold: while the total number
@@ -518,15 +520,8 @@ func (l *Loop) Inject(req workload.Request) error {
 		return err
 	}
 	s := &l.s
-	switch {
-	case req.Input <= 0 || req.Output <= 0:
-		return fmt.Errorf("serve: request %d has non-positive lengths s=%d n=%d", req.ID, req.Input, req.Output)
-	case s.cfg.Model.MaxSeq > 0 && req.Input+req.Output > s.cfg.Model.MaxSeq:
-		return fmt.Errorf("serve: request %d sequence %d exceeds max %d", req.ID, req.Input+req.Output, s.cfg.Model.MaxSeq)
-	case req.Arrival < 0:
-		return fmt.Errorf("serve: request %d has negative arrival %v", req.ID, req.Arrival)
-	case req.Tokens != nil && len(req.Tokens) != req.Input:
-		return fmt.Errorf("serve: request %d carries %d token IDs for an input of %d", req.ID, len(req.Tokens), req.Input)
+	if err := CheckRequest(req, s.cfg.Model.MaxSeq); err != nil {
+		return err
 	}
 	// Duplicate detection spans every request ever injected on the exact
 	// path; scale mode forgets completed IDs, so it covers live requests
@@ -553,6 +548,25 @@ func (l *Loop) Inject(req workload.Request) error {
 	s.ids[req.ID] = 0
 	if s.dig == nil && s.exactLimit >= 0 && s.injected > s.exactLimit {
 		s.enterScaleMode()
+	}
+	return nil
+}
+
+// CheckRequest reports why Inject would refuse req on its own merits —
+// non-positive lengths, a sequence over the model's maxSeq budget (0:
+// unbounded), a negative arrival, or token IDs that do not match the
+// input length — or nil. It needs no loop, so a fleet front-end can
+// refuse a request before routing it.
+func CheckRequest(req workload.Request, maxSeq int) error {
+	switch {
+	case req.Input <= 0 || req.Output <= 0:
+		return fmt.Errorf("serve: request %d has non-positive lengths s=%d n=%d", req.ID, req.Input, req.Output)
+	case maxSeq > 0 && req.Input+req.Output > maxSeq:
+		return fmt.Errorf("serve: request %d sequence %d exceeds max %d", req.ID, req.Input+req.Output, maxSeq)
+	case req.Arrival < 0:
+		return fmt.Errorf("serve: request %d has negative arrival %v", req.ID, req.Arrival)
+	case req.Tokens != nil && len(req.Tokens) != req.Input:
+		return fmt.Errorf("serve: request %d carries %d token IDs for an input of %d", req.ID, len(req.Tokens), req.Input)
 	}
 	return nil
 }
@@ -635,6 +649,11 @@ func (l *Loop) GPUHeadroom() int64 { return l.s.sys.GPUHeadroom() }
 
 // Err returns the latched fatal or cancellation error, if any.
 func (l *Loop) Err() error { return l.err }
+
+// SetObserver replaces the loop's observer, effective from the next
+// event: a callback may call it mid-turn, and the event being delivered
+// finishes with the observer it started with.
+func (l *Loop) SetObserver(obs events.Observer) { l.s.cfg.Observer = obs }
 
 // gate rejects transitions on a finalized or failed loop.
 func (l *Loop) gate() error {
@@ -857,7 +876,7 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 	}
 	st.req, st.sch, st.seq = req, sch, seq
 	s.active = append(s.active, st)
-	if s.cfg.Observer != nil {
+	if f := s.cfg.Observer.Admission; f != nil {
 		adm := events.Admission{
 			Request: req.ID, Clock: s.sys.Clock(), Wait: st.rec.Admitted - req.Arrival,
 			Input: req.Input, Output: req.Output, Batch: len(s.active),
@@ -867,12 +886,12 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 			adm.CachedTokens = cached
 			adm.SharedBytes = s.cache.ResidentBytes()
 		}
-		s.cfg.Observer.OnAdmission(adm)
-		// Prefill just finished: this is the request's first output token
-		// (re-emitted after each readmission; the last one is the TTFT).
-		s.cfg.Observer.OnFirstToken(events.FirstToken{
-			Request: req.ID, Clock: s.sys.Clock(), TTFT: s.sys.Clock() - req.Arrival,
-		})
+		f(adm)
+	}
+	// Prefill just finished: this is the request's first output token
+	// (re-emitted after each readmission; the last one is the TTFT).
+	if f := s.cfg.Observer.FirstToken; f != nil {
+		f(events.FirstToken{Request: req.ID, Clock: s.sys.Clock(), TTFT: s.sys.Clock() - req.Arrival})
 	}
 	return true, nil
 }
@@ -968,10 +987,8 @@ func (s *server) iterate() error {
 	finished := 0
 	for _, p := range plans {
 		p.st.j++
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.OnToken(events.Token{
-				Request: p.st.req.ID, Clock: s.sys.Clock(), Index: p.st.j,
-			})
+		if f := s.cfg.Observer.Token; f != nil {
+			f(events.Token{Request: p.st.req.ID, Clock: s.sys.Clock(), Index: p.st.j})
 		}
 		if p.st.j >= p.st.req.Output {
 			s.complete(p.st)
@@ -999,8 +1016,8 @@ func (s *server) iterate() error {
 	// compaction, so the truncation on entry is what drops those
 	// references.
 	s.plans, s.attended = plans, attended
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.OnStep(events.Step{
+	if f := s.cfg.Observer.Step; f != nil {
+		f(events.Step{
 			Step: iteration, Batch: startBatch,
 			Clock: s.sys.Clock(), Seconds: s.sys.Clock() - startClock,
 		})
@@ -1018,10 +1035,8 @@ func (s *server) preempt(victim *seqState) {
 	s.cacheRelease(victim)
 	s.ids[victim.req.ID]++
 	s.preemptions++
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.OnPreemption(events.Preemption{
-			Request: victim.req.ID, Clock: s.sys.Clock(), Generated: victim.j,
-		})
+	if f := s.cfg.Observer.Preemption; f != nil {
+		f(events.Preemption{Request: victim.req.ID, Clock: s.sys.Clock(), Generated: victim.j})
 	}
 
 	s.active = s.active[:len(s.active)-1]
@@ -1049,8 +1064,8 @@ func (s *server) complete(st *seqState) {
 	st.done = true
 	s.admissionBlockedHeadroom = -1
 	met := s.sloMet(rec)
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.OnCompletion(events.Completion{
+	if f := s.cfg.Observer.Completion; f != nil {
+		f(events.Completion{
 			Request: st.req.ID, Clock: s.sys.Clock(),
 			TTFT: rec.TTFT(), TPOT: rec.TPOT(),
 			E2E: s.sys.Clock() - rec.Arrival, Output: st.req.Output,

@@ -143,7 +143,7 @@ func TestServePreemptionRecovers(t *testing.T) {
 		MaxBatch: 4,
 	}
 	streamed := 0
-	cfg.Observer = events.Funcs{Preemption: func(events.Preemption) { streamed++ }}
+	cfg.Observer = events.Observer{Preemption: func(events.Preemption) { streamed++ }}
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -3,16 +3,19 @@ package alisa
 import "repro/internal/events"
 
 // Observer receives streaming run events — decode steps, request
-// admissions, preemptions, and completions — as a simulation unfolds,
-// instead of only the final report. Attach one to an Engine with
-// WithObserver; it then sees events from both Simulate (step events) and
-// Serve (all four kinds), delivered synchronously and in deterministic
-// order from the single-goroutine simulation loops. All event times are
-// simulated seconds, not wall time.
-//
-// Implement the interface directly, or use ObserverFuncs to subscribe to
-// a subset of events.
+// admissions, first tokens, generated tokens, preemptions, and
+// completions — as a simulation unfolds, instead of only the final
+// report. It is a struct of optional callbacks, one per event kind:
+// set the kinds you need and leave the rest nil, which costs one nil
+// check per event. The zero Observer observes nothing. Attach one to an
+// Engine with WithObserver; it then sees events from both Simulate (step
+// events) and Serve (every kind), delivered synchronously and in
+// deterministic order from the single-goroutine simulation loops. All
+// event times are simulated seconds, not wall time.
 type Observer = events.Observer
+
+// Deprecated: use Observer, which this former name now aliases.
+type ObserverFuncs = Observer
 
 // StepEvent reports one completed decode step (Simulate) or one
 // continuous-batching decode iteration (Serve).
@@ -27,8 +30,8 @@ type FirstTokenEvent = events.FirstToken
 
 // TokenEvent reports one generated output token of one request, emitted
 // once per active sequence per decode iteration (Serve and Session).
-// Leave the callback nil unless you need token-level streaming; a nil
-// subscriber costs nothing.
+// Leave the callback nil unless you need token-level streaming; the
+// loop then builds no token events at all.
 type TokenEvent = events.Token
 
 // PreemptionEvent reports a sequence losing its KV under memory pressure
@@ -39,19 +42,11 @@ type PreemptionEvent = events.Preemption
 // (Serve).
 type CompletionEvent = events.Completion
 
-// ObserverFuncs adapts a set of optional callbacks to Observer; nil
-// fields ignore their events.
-type ObserverFuncs = events.Funcs
-
-// MultiObserver fans every event out to each observer in order; nil
-// entries are skipped.
-func MultiObserver(obs ...Observer) Observer { return events.Multi(obs...) }
-
 // SynchronizedObserver wraps an observer so callbacks arriving from
 // several goroutines — one observer shared across the concurrent cells
 // of ServeMany or a `-parallel` sweep — are serialized through one
 // mutex; the wrapped observer then needs no internal locking. ServeMany
 // applies this wrapping to the engine's observer automatically; use it
 // directly when sharing one observer across engines run concurrently.
-// A nil observer wraps to nil.
+// Unset callbacks stay unset.
 func SynchronizedObserver(o Observer) Observer { return events.Synchronized(o) }

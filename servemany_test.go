@@ -86,18 +86,15 @@ func TestServeManyCancellation(t *testing.T) {
 // must serialize delivery so this stays race-free under -race.
 type countingObserver struct{ completions int }
 
-func (c *countingObserver) OnStep(StepEvent)             {}
-func (c *countingObserver) OnAdmission(AdmissionEvent)   {}
-func (c *countingObserver) OnFirstToken(FirstTokenEvent) {}
-func (c *countingObserver) OnToken(TokenEvent)           {}
-func (c *countingObserver) OnPreemption(PreemptionEvent) {}
-func (c *countingObserver) OnCompletion(CompletionEvent) { c.completions++ }
+func (c *countingObserver) observer() Observer {
+	return Observer{Completion: func(CompletionEvent) { c.completions++ }}
+}
 
 // TestServeManyObserverSerialized checks every cell's events reach the
 // shared observer exactly once, with delivery serialized by ServeMany.
 func TestServeManyObserverSerialized(t *testing.T) {
 	obs := &countingObserver{}
-	eng, err := New("opt-6.7b", WithObserver(obs))
+	eng, err := New("opt-6.7b", WithObserver(obs.observer()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +113,7 @@ func TestServeManyObserverSerialized(t *testing.T) {
 // engines run concurrently by hand.
 func TestSynchronizedObserverShared(t *testing.T) {
 	obs := &countingObserver{}
-	shared := SynchronizedObserver(obs)
+	shared := SynchronizedObserver(obs.observer())
 	var wg sync.WaitGroup
 	for _, name := range []string{"alisa", "vllm"} {
 		opts := []Option{WithScheduler(name), WithObserver(shared)}
@@ -139,7 +136,7 @@ func TestSynchronizedObserverShared(t *testing.T) {
 	if want := 2 * 6; obs.completions != want {
 		t.Fatalf("shared observer saw %d completions, want %d", obs.completions, want)
 	}
-	if SynchronizedObserver(nil) != nil {
-		t.Fatal("nil observer must wrap to nil")
+	if SynchronizedObserver(Observer{}).Completion != nil {
+		t.Fatal("an unset callback must wrap to nil")
 	}
 }

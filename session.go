@@ -52,9 +52,8 @@ type Session struct {
 	ctx    context.Context
 	loop   *serve.Loop
 	window *metrics.Window
-	// tap is the loop's observer: the window feed first, then the
-	// engine's observer, then subscribers in Subscribe order.
-	tap    *events.Fanout
+	// subs are the Subscribe'd observers, in Subscribe order.
+	subs   []Observer
 	closed bool
 	result *ServeResult
 	err    error
@@ -75,8 +74,7 @@ func (e *Engine) Open(ctx context.Context) (*Session, error) {
 		ctx:    ctx,
 		window: metrics.NewWindow(e.metricsWindow),
 	}
-	s.tap = newSessionTap(s.window, e.observer)
-	loop, err := serve.NewLoop(e.serveConfig(nil, s.tap))
+	loop, err := serve.NewLoop(e.serveConfig(nil, s.observer()))
 	if err != nil {
 		return nil, err
 	}
@@ -160,8 +158,7 @@ func (s *Session) Fork() (*Session, error) {
 		ctx:    s.ctx,
 		window: s.window.Clone(),
 	}
-	f.tap = newSessionTap(f.window, s.eng.observer)
-	loop, err := s.loop.Fork(f.tap)
+	loop, err := s.loop.Fork(f.observer())
 	if err != nil {
 		return nil, err
 	}
@@ -173,15 +170,14 @@ func (s *Session) Fork() (*Session, error) {
 // the session, alongside the engine's compiled Observer. Events are
 // delivered to the engine's observer first, then to subscribers in
 // Subscribe order, inline on the simulation loop. Subscribing mid-
-// session is allowed; the new observer sees events from now on.
+// session is allowed, from a callback too; the new observer sees events
+// from the next one on.
 func (s *Session) Subscribe(obs Observer) error {
-	if obs == nil {
-		return &ConfigError{Field: "Observer", Value: nil, Reason: "observer must be non-nil"}
-	}
 	if s.closed {
 		return ErrSessionClosed
 	}
-	s.tap.Add(obs)
+	s.subs = append(s.subs, obs)
+	s.loop.SetObserver(s.observer())
 	return nil
 }
 
@@ -211,11 +207,12 @@ func (s *Session) Close() (*ServeResult, error) {
 	return s.result, nil
 }
 
-// newSessionTap builds a session's observer fan-out: a tap feeding the
+// observer composes the session's loop observer: a tap feeding the
 // rolling metrics window from completions and prefix-probed admissions,
-// then the engine's observer. Subscribe appends to it.
-func newSessionTap(w *metrics.Window, engine Observer) *events.Fanout {
-	return events.Multi(ObserverFuncs{
+// then the engine's observer, then subscribers in Subscribe order.
+func (s *Session) observer() Observer {
+	w := s.window
+	tap := Observer{
 		Admission: func(e AdmissionEvent) {
 			if e.PrefixProbed {
 				w.ObservePrefix(e.CachedTokens, e.SharedBytes)
@@ -224,7 +221,8 @@ func newSessionTap(w *metrics.Window, engine Observer) *events.Fanout {
 		Completion: func(e CompletionEvent) {
 			w.Observe(e.Clock, e.TTFT, e.TPOT, e.E2E, e.Output, e.SLOMet)
 		},
-	}, engine)
+	}
+	return events.Multi(append([]Observer{tap, s.eng.observer}, s.subs...)...)
 }
 
 // ClosedLoop describes a closed-loop serving workload: Clients
@@ -353,7 +351,7 @@ func (e *Engine) serveClosed(ctx context.Context, clients int, next func(c int) 
 		pushErr = s.Push(req)
 	}
 
-	if err := s.Subscribe(ObserverFuncs{Completion: func(ev CompletionEvent) {
+	if err := s.Subscribe(Observer{Completion: func(ev CompletionEvent) {
 		// The completing request's client closes its loop.
 		if ev.Request >= 0 && ev.Request < len(clientOf) {
 			issue(clientOf[ev.Request], ev.Clock)

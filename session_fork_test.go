@@ -28,7 +28,7 @@ func TestSessionFork(t *testing.T) {
 
 	straightSess, _ := open()
 	straightRec := &recordingObserver{}
-	if err := straightSess.Subscribe(straightRec.funcs()); err != nil {
+	if err := straightSess.Subscribe(straightRec.observer()); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range trace {
@@ -43,7 +43,7 @@ func TestSessionFork(t *testing.T) {
 
 	s, _ := open()
 	rec := &recordingObserver{}
-	if err := s.Subscribe(rec.funcs()); err != nil {
+	if err := s.Subscribe(rec.observer()); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range trace {
@@ -68,7 +68,7 @@ func TestSessionFork(t *testing.T) {
 	// branch point, so a same-future fork must end with the straight
 	// run's whole stream.
 	sameRec := &recordingObserver{events: append([]string(nil), rec.events...)}
-	if err := same.Subscribe(sameRec.funcs()); err != nil {
+	if err := same.Subscribe(sameRec.observer()); err != nil {
 		t.Fatal(err)
 	}
 	diverged, err := s.Fork()

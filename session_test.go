@@ -27,8 +27,8 @@ func sessionEngineOpts(name string, extra ...Option) []Option {
 // one slice.
 type recordingObserver struct{ events []string }
 
-func (r *recordingObserver) funcs() Observer {
-	return ObserverFuncs{
+func (r *recordingObserver) observer() Observer {
+	return Observer{
 		Step: func(e StepEvent) {
 			r.events = append(r.events, fmt.Sprintf("step %+v", e))
 		},
@@ -68,7 +68,7 @@ func TestSessionMatchesServe(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			serveRec := &recordingObserver{}
-			serveEng, err := New("opt-6.7b", sessionEngineOpts(name, WithObserver(serveRec.funcs()))...)
+			serveEng, err := New("opt-6.7b", sessionEngineOpts(name, WithObserver(serveRec.observer()))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestSessionMatchesServe(t *testing.T) {
 			}
 
 			sessRec := &recordingObserver{}
-			sessEng, err := New("opt-6.7b", sessionEngineOpts(name, WithObserver(sessRec.funcs()))...)
+			sessEng, err := New("opt-6.7b", sessionEngineOpts(name, WithObserver(sessRec.observer()))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +218,7 @@ func TestSessionWindowedMetrics(t *testing.T) {
 func TestSessionLifecycleEvents(t *testing.T) {
 	var admits, firsts, tokens int
 	outputs := map[int]int{}
-	obs := ObserverFuncs{
+	obs := Observer{
 		Admission:  func(AdmissionEvent) { admits++ },
 		FirstToken: func(FirstTokenEvent) { firsts++ },
 		Token: func(e TokenEvent) {
@@ -253,6 +253,62 @@ func TestSessionLifecycleEvents(t *testing.T) {
 	}
 }
 
+// TestSubscribeFromCallback pins Subscribe's "from the next event on"
+// contract from inside a callback: a recorder subscribed during the
+// first recorder's completion of one request misses that completion's
+// fan-out and then sees exactly the events the first one sees.
+func TestSubscribeFromCallback(t *testing.T) {
+	eng, err := New("opt-6.7b", sessionEngineOpts("alisa")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := eng.Open(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := &recordingObserver{}, &recordingObserver{}
+	const trigger = 3
+	mark := -1
+	obs := first.observer()
+	record := obs.Completion
+	obs.Completion = func(e CompletionEvent) {
+		record(e)
+		if e.Request == trigger {
+			mark = len(first.events)
+			if err := s.Subscribe(second.observer()); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	if err := s.Subscribe(obs); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range PoissonTrace(12, 4, 5) {
+		if err := s.Push(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Advance, not Close: Subscribe during Close's drain is refused.
+	for {
+		progressed, err := s.Advance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !progressed {
+			break
+		}
+	}
+	if mark < 0 || mark == len(first.events) {
+		t.Fatalf("request %d's completion left no later events to compare (mark %d of %d)", trigger, mark, len(first.events))
+	}
+	if !reflect.DeepEqual(second.events, first.events[mark:]) {
+		t.Fatalf("late subscriber saw %d events, want the %d after request %d's completion", len(second.events), len(first.events)-mark, trigger)
+	}
+	if _, err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSessionStateErrors pins the session state machine: pushing,
 // advancing, or subscribing after Close fails; Close is idempotent.
 func TestSessionStateErrors(t *testing.T) {
@@ -263,9 +319,6 @@ func TestSessionStateErrors(t *testing.T) {
 	s, err := eng.Open(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := s.Subscribe(nil); err == nil {
-		t.Fatal("nil subscriber accepted")
 	}
 	if err := s.Push(Request{ID: 0, Arrival: 0, Input: 32, Output: 8}); err != nil {
 		t.Fatal(err)
@@ -286,7 +339,7 @@ func TestSessionStateErrors(t *testing.T) {
 	if _, err := s.Advance(); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Advance after Close: %v, want ErrSessionClosed", err)
 	}
-	if err := s.Subscribe(ObserverFuncs{}); !errors.Is(err, ErrSessionClosed) {
+	if err := s.Subscribe(Observer{}); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Subscribe after Close: %v, want ErrSessionClosed", err)
 	}
 	if _, err := s.Fork(); !errors.Is(err, ErrSessionClosed) {
@@ -303,7 +356,7 @@ func TestSessionCancellation(t *testing.T) {
 	const n, cancelAfter = 16, 3
 	done := 0
 	eng, err := New("opt-6.7b", WithKVSparsity(0.8), WithKVBits(8), WithMaxBatch(4),
-		WithObserver(ObserverFuncs{Completion: func(CompletionEvent) {
+		WithObserver(Observer{Completion: func(CompletionEvent) {
 			done++
 			if done == cancelAfter {
 				cancel()
@@ -399,7 +452,7 @@ func TestServeClosedLoopDeterministicAndComplete(t *testing.T) {
 	// The closed loop self-limits: never more in flight than clients.
 	peak := 0
 	probe, err := New("opt-6.7b", WithKVSparsity(0.8), WithKVBits(8),
-		WithObserver(ObserverFuncs{Admission: func(e AdmissionEvent) {
+		WithObserver(Observer{Admission: func(e AdmissionEvent) {
 			if e.Batch > peak {
 				peak = e.Batch
 			}

@@ -22,6 +22,7 @@ var wantAnnotated = []string{
 	"internal/cluster.(*Cluster).advance",
 	"internal/gateway.(*Bridge).fanout",
 	"internal/gateway.(*Bridge).onToken",
+	"internal/gateway.(*Subscriber).insert",
 	"internal/gateway.(*Subscriber).publish",
 	"internal/kvcache.(*TokenStore).CountsBefore",
 	"internal/metrics.(*Window).Observe",

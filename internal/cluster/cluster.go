@@ -118,12 +118,10 @@ type Cluster struct {
 	scaleDowns   int
 	peakReplicas int
 
-	pushed    int
-	err       error
-	closed    bool
-	result    *Result
-	closeErr  error
-	finalized bool
+	pushed int
+	err    error
+	closed bool
+	result *Result
 }
 
 // New validates the fleet configuration and builds an idle cluster.
@@ -358,7 +356,7 @@ func (c *Cluster) advance(ctx context.Context) (bool, error) {
 // return a nil result. Close is idempotent.
 func (c *Cluster) Close(ctx context.Context) (*Result, error) {
 	if c.closed {
-		return c.result, c.closeErr
+		return c.result, c.err
 	}
 	c.closed = true
 	for c.err == nil {
@@ -381,13 +379,11 @@ func (c *Cluster) Close(ctx context.Context) (*Result, error) {
 		}
 	}
 	if c.err != nil && !serve.IsCancellation(c.err) {
-		c.closeErr = c.err
-		return nil, c.closeErr
+		return nil, c.err
 	}
 	c.finalizeReplicas()
 	c.result = c.rollup()
-	c.closeErr = c.err
-	return c.result, c.closeErr
+	return c.result, c.err
 }
 
 // finalizeReplicas finalizes every live replica; retired replicas were

@@ -70,10 +70,10 @@ type Factory func() Router
 // written after package initialization, so lookups need no lock.
 var routers = map[string]Factory{
 	"round-robin":       func() Router { return &roundRobin{} },
-	"least-outstanding": func() Router { return leastOutstanding{} },
-	"least-kv":          func() Router { return leastKV{} },
-	"affinity":          func() Router { return affinity{} },
-	"prefix-affinity":   func() Router { return prefixAffinity{} },
+	"least-outstanding": func() Router { return argmax{"least-outstanding", negOutstanding} },
+	"least-kv":          func() Router { return argmax{"least-kv", kvFreeFrac} },
+	"affinity":          func() Router { return rendezvous{"affinity", requestKey} },
+	"prefix-affinity":   func() Router { return rendezvous{"prefix-affinity", prefixKey} },
 }
 
 // RouterByName instantiates a routing policy by name.
@@ -108,46 +108,37 @@ func (r *roundRobin) Pick(_ workload.Request, views []ReplicaView) int {
 	return i
 }
 
-// leastOutstanding dispatches to the replica with the fewest in-system
-// requests (queued + in batch), ties to the lowest replica ID — classic
-// least-connections balancing, which tracks load directly instead of
-// assuming homogeneous replicas.
-type leastOutstanding struct{}
+// argmax dispatches to the replica with the highest score, ties to the
+// lowest replica ID. Two policies are scores:
+//   - least-outstanding scores the negated in-system request count
+//     (queued + in batch): classic least-connections balancing, which
+//     tracks load directly instead of assuming homogeneous replicas;
+//   - least-kv scores the free-KV fraction (GPU headroom over
+//     capacity). The fraction — not the absolute byte count — is what
+//     makes a mixed fleet fair: a half-empty 16G card beats a
+//     nearly-full 80G card even though the latter has more bytes free.
+type argmax struct {
+	name  string
+	score func(ReplicaView) float64
+}
 
-func (leastOutstanding) Name() string { return "least-outstanding" }
+func (a argmax) Name() string { return a.name }
 
-func (leastOutstanding) Pick(_ workload.Request, views []ReplicaView) int {
-	best := 0
+func (a argmax) Pick(_ workload.Request, views []ReplicaView) int {
+	best, bestScore := 0, a.score(views[0])
 	for i := 1; i < len(views); i++ {
-		if views[i].Outstanding() < views[best].Outstanding() {
-			best = i
+		if s := a.score(views[i]); s > bestScore {
+			best, bestScore = i, s
 		}
 	}
 	return best
 }
 
-// leastKV dispatches to the replica with the largest free-KV fraction
-// (GPU headroom over capacity), ties to the lowest replica ID. The
-// fraction — not the absolute byte count — is what makes a mixed fleet
-// fair: a half-empty 16G card beats a nearly-full 80G card even though
-// the latter has more absolute bytes free.
-type leastKV struct{}
+// negOutstanding is least-outstanding's score.
+func negOutstanding(v ReplicaView) float64 { return -float64(v.Outstanding()) }
 
-func (leastKV) Name() string { return "least-kv" }
-
-func (leastKV) Pick(_ workload.Request, views []ReplicaView) int {
-	best := 0
-	bestFrac := kvFreeFrac(views[0])
-	for i := 1; i < len(views); i++ {
-		if f := kvFreeFrac(views[i]); f > bestFrac {
-			best, bestFrac = i, f
-		}
-	}
-	return best
-}
-
-// kvFreeFrac is the replica's free-GPU fraction; a degenerate capacity
-// ranks last.
+// kvFreeFrac is least-kv's score, the replica's free-GPU fraction; a
+// degenerate capacity ranks last.
 func kvFreeFrac(v ReplicaView) float64 {
 	if v.GPUCapacity <= 0 {
 		return -1
@@ -155,47 +146,31 @@ func kvFreeFrac(v ReplicaView) float64 {
 	return float64(v.GPUHeadroom) / float64(v.GPUCapacity)
 }
 
-// affinity pins each request key to a replica by rendezvous
+// rendezvous pins each request key to a replica by rendezvous
 // (highest-random-weight) hashing over the live replica IDs: the chosen
 // replica is the one whose (key, ID) hash scores highest. Session and
 // prefix caches love this policy — a key always lands on the same
 // replica while that replica lives, and when the autoscaler adds or
 // removes a replica only the keys whose winner changed move (~1/N of
-// them), instead of the wholesale reshuffle modulo hashing causes.
-// The key is the request ID, the session identity in this simulator.
-type affinity struct{}
-
-func (affinity) Name() string { return "affinity" }
-
-func (affinity) Pick(req workload.Request, views []ReplicaView) int {
-	best, bestScore := 0, rendezvousScore(uint64(req.ID), views[0].ID)
-	for i := 1; i < len(views); i++ {
-		if s := rendezvousScore(uint64(req.ID), views[i].ID); s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
+// them), instead of the wholesale reshuffle modulo hashing causes. Two
+// policies are keys:
+//   - affinity keys on the request ID, the session identity in this
+//     simulator;
+//   - prefix-affinity keys on the prompt prefix (prefixKey), so requests
+//     that share one — a conversation's turns, an agent fleet's common
+//     tool preamble — land on the replica whose prefix cache already
+//     holds their blocks. That turns per-replica caching into a
+//     fleet-level hit rate: replicas keep independent caches, and the
+//     router is the only cross-replica sharing mechanism.
+type rendezvous struct {
+	name string
+	key  func(workload.Request) uint64
 }
 
-// prefixPinTokens bounds how many leading token IDs prefixAffinity
-// hashes: enough to tell conversations (distinct system prompts) apart,
-// cheap enough to stay off the routing hot path's conscience.
-const prefixPinTokens = 64
+func (r rendezvous) Name() string { return r.name }
 
-// prefixAffinity pins each request's prompt prefix to a replica by
-// rendezvous hashing over the first prefixPinTokens token IDs. Requests
-// that share a prefix — a conversation's turns, an agent fleet's common
-// tool preamble — then land on the replica whose prefix cache already
-// holds their blocks, which is what turns per-replica caching into a
-// fleet-level hit rate (replicas keep independent caches; the router is
-// the only cross-replica sharing mechanism). Requests without token IDs
-// fall back to request-ID affinity.
-type prefixAffinity struct{}
-
-func (prefixAffinity) Name() string { return "prefix-affinity" }
-
-func (prefixAffinity) Pick(req workload.Request, views []ReplicaView) int {
-	key := prefixKey(req)
+func (r rendezvous) Pick(req workload.Request, views []ReplicaView) int {
+	key := r.key(req)
 	best, bestScore := 0, rendezvousScore(key, views[0].ID)
 	for i := 1; i < len(views); i++ {
 		if s := rendezvousScore(key, views[i].ID); s > bestScore {
@@ -205,8 +180,17 @@ func (prefixAffinity) Pick(req workload.Request, views []ReplicaView) int {
 	return best
 }
 
-// prefixKey hashes the request's leading token IDs with FNV-1a; a
-// token-less request keys on its ID, degrading to plain affinity.
+// requestKey is affinity's key, the request ID.
+func requestKey(req workload.Request) uint64 { return uint64(req.ID) }
+
+// prefixPinTokens bounds how many leading token IDs prefixKey hashes:
+// enough to tell conversations (distinct system prompts) apart, cheap
+// enough to stay off the routing hot path's conscience.
+const prefixPinTokens = 64
+
+// prefixKey is prefix-affinity's key: the request's leading token IDs
+// hashed with FNV-1a. A token-less request keys on its ID, degrading to
+// plain affinity.
 func prefixKey(req workload.Request) uint64 {
 	if len(req.Tokens) == 0 {
 		return uint64(req.ID)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,31 +34,32 @@ type SubmitSpec struct {
 	// in tokens.
 	Input, Output int
 	// Arrival is an explicit simulated arrival time — the scripted-load
-	// mode whose results are independent of wall-clock delivery. When
-	// HasArrival is false the request is stamped with the current
-	// simulated clock: live mode, where the wall clock shapes the
-	// simulated arrival process.
-	Arrival    float64
-	HasArrival bool
+	// mode whose results are independent of wall-clock delivery. Nil
+	// stamps the request with the current simulated clock: live mode,
+	// where the wall clock shapes the simulated arrival process.
+	Arrival *float64
 }
 
 // Status is a point-in-time view of the bridge for the metrics and
-// readiness endpoints.
+// readiness endpoints, tagged as GET /v1/metrics spells it.
 type Status struct {
-	Clock    float64
-	Pending  int
-	InFlight int
-	Held     bool
-	Draining bool
-	Window   alisa.WindowSnapshot
+	Clock    float64              `json:"clock"`
+	Pending  int                  `json:"pending"`
+	InFlight int                  `json:"in_flight"`
+	Draining bool                 `json:"draining"`
+	Held     bool                 `json:"held"`
+	Window   alisa.WindowSnapshot `json:"window"`
 }
 
 // Bridge is the virtual-time↔wall-clock pacing bridge: a single driver
 // goroutine owns the alisa.Session (single-goroutine by contract) and
-// advances simulated time no faster than `scale` simulated seconds per
-// wall second, while concurrent connection handlers reach the session
-// only through a command channel. Events fan out to per-request
-// Subscriber buffers inline on the driver.
+// every mutable field of the bridge but the admission gate, and advances
+// simulated time no faster than `scale` simulated seconds per wall
+// second. Concurrent connection handlers reach that state only through
+// the command channel, which the driver serves before every simulation
+// turn, through the `refused` atomic, and — for the run's outcome —
+// after doneCh has closed. Events fan out to per-request Subscriber
+// buffers inline on the driver.
 //
 // Determinism contract (DESIGN.md §14): the simulated outcome is a pure
 // function of the submitted requests and their arrival stamps. The
@@ -74,10 +74,15 @@ type Bridge struct {
 
 	session *alisa.Session
 	cancel  context.CancelFunc
+	abort   <-chan struct{} // the session context's Done: closed by Abort
 
-	cmds      chan func()
-	doneCh    chan struct{}
-	accepting atomic.Bool
+	cmds   chan func()
+	doneCh chan struct{}
+	// refused is nil while the bridge admits requests; after that it
+	// holds the error every submission gets: ErrDraining once a drain or
+	// abort begins, the ErrFailed-wrapped cause once the session fails,
+	// ErrClosed once a run that did not fail has closed.
+	refused atomic.Pointer[error]
 
 	// Driver-goroutine state; never touched elsewhere.
 	nextID   int
@@ -86,10 +91,10 @@ type Bridge struct {
 	failed   error
 	anchored bool
 	anchor   time.Time
+	subs     map[int]*Subscriber
 
-	mu          sync.Mutex
-	subs        map[int]*Subscriber
-	failedCause error
+	// The outcome: finish writes it before closing doneCh, and it is
+	// read only after doneCh has closed.
 	finalStatus Status
 	result      *alisa.ServeResult
 	resultErr   error
@@ -107,6 +112,7 @@ func newBridge(eng *alisa.Engine, scale float64, buffer int, policy OverflowPoli
 		policy: policy,
 		log:    log,
 		cancel: cancel,
+		abort:  ctx.Done(),
 		cmds:   make(chan func()),
 		doneCh: make(chan struct{}),
 		held:   hold,
@@ -122,7 +128,6 @@ func newBridge(eng *alisa.Engine, scale float64, buffer int, policy OverflowPoli
 		return nil, err
 	}
 	b.session = session
-	b.accepting.Store(true)
 	go b.run()
 	return b, nil
 }
@@ -142,6 +147,15 @@ func (b *Bridge) run() {
 			cmd := <-b.cmds
 			cmd()
 			continue
+		}
+		// Serve one waiting command before every turn, so handlers are
+		// answered between turns even when nothing paces the run. No
+		// command can fail, hold or idle the session, so the turn below
+		// still has work.
+		select {
+		case cmd := <-b.cmds:
+			cmd()
+		default:
 		}
 		if b.scale > 0 && !b.draining {
 			// Fix the wall anchor BEFORE the turn runs, so the simulated
@@ -217,31 +231,28 @@ func (b *Bridge) pace(target time.Time) bool {
 // event so no connection hangs.
 func (b *Bridge) fail(err error) {
 	b.failed = err
-	b.mu.Lock()
-	b.failedCause = err
-	b.mu.Unlock()
-	b.accepting.Store(false)
+	refusal := fmt.Errorf("%w: %v", ErrFailed, err)
+	b.refused.Store(&refusal)
 	b.log.Error("gateway: session failed", "err", err)
 	clock := b.session.Clock()
-	b.mu.Lock()
-	subs := b.subs
-	b.subs = make(map[int]*Subscriber)
-	b.mu.Unlock()
-	for req, sub := range subs {
+	for req, sub := range b.subs {
 		sub.terminate(Event{Kind: KindError, ID: sub.id, Request: req, Clock: clock, Err: err.Error()})
 	}
+	clear(b.subs)
 }
 
 // finish closes the session, records the final outcome, and releases
-// every waiter. Runs once, on the driver, as its last act.
+// every waiter. Runs once, on the driver, as its last act: closing
+// doneCh publishes the outcome fields to every reader.
 func (b *Bridge) finish() {
 	res, err := b.session.Close()
 	st := b.status()
 	st.Draining = true
-	b.mu.Lock()
 	b.finalStatus = st
 	b.result, b.resultErr = res, err
-	b.mu.Unlock()
+	if b.failed == nil {
+		b.refused.Store(&ErrClosed)
+	}
 	if res != nil {
 		b.log.Info("gateway: drained",
 			"completed", res.Completed, "clock", st.Clock,
@@ -268,40 +279,21 @@ func (b *Bridge) status() Status {
 	}
 }
 
-// do enqueues fn for the driver; it fails only when the bridge is
-// closed or ctx ends first.
-func (b *Bridge) do(ctx context.Context, fn func()) error {
+// call runs fn on the driver and waits for it to finish; it fails only
+// when the bridge is closed or ctx ends before the driver takes fn. The
+// driver runs a command the moment it receives it, so once the send has
+// landed the wait is for fn alone.
+func (b *Bridge) call(ctx context.Context, fn func()) error {
+	done := make(chan struct{})
 	select {
-	case b.cmds <- fn:
-		return nil
+	case b.cmds <- func() { fn(); close(done) }:
 	case <-b.doneCh:
 		return ErrClosed
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// call runs fn on the driver and waits for it to finish.
-func (b *Bridge) call(ctx context.Context, fn func()) error {
-	done := make(chan struct{})
-	if err := b.do(ctx, func() { fn(); close(done) }); err != nil {
-		return err
-	}
-	select {
-	case <-done:
-		return nil
-	case <-b.doneCh:
-		// The driver may have exited with our command still queued —
-		// or run it on its way out; only the former is a failure.
-		select {
-		case <-done:
-			return nil
-		default:
-			return ErrClosed
-		}
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	<-done
+	return nil
 }
 
 // Submit pushes one request onto the simulated timeline and returns its
@@ -312,20 +304,9 @@ func (b *Bridge) call(ctx context.Context, fn func()) error {
 func (b *Bridge) Submit(ctx context.Context, spec SubmitSpec) (*Subscriber, error) {
 	// Fast-path rejection once admission is closed: a drain must refuse
 	// new work immediately even while the driver is deep in a paced (or
-	// backpressured) advance and not serving commands.
-	if !b.accepting.Load() {
-		b.mu.Lock()
-		ferr := b.failedCause
-		b.mu.Unlock()
-		if ferr != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFailed, ferr)
-		}
-		select {
-		case <-b.doneCh:
-			return nil, ErrClosed
-		default:
-			return nil, ErrDraining
-		}
+	// backpressured) turn and not serving commands.
+	if refusal := b.refused.Load(); refusal != nil {
+		return nil, *refusal
 	}
 	var sub *Subscriber
 	var err error
@@ -337,29 +318,24 @@ func (b *Bridge) Submit(ctx context.Context, spec SubmitSpec) (*Subscriber, erro
 
 // submit runs on the driver.
 func (b *Bridge) submit(spec SubmitSpec) (*Subscriber, error) {
-	if b.draining {
-		return nil, ErrDraining
-	}
-	if b.failed != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFailed, b.failed)
+	if refusal := b.refused.Load(); refusal != nil {
+		return nil, *refusal
 	}
 	req := b.nextID
 	id := spec.ID
 	if id == "" {
 		id = fmt.Sprintf("req-%d", req)
 	}
-	arrival := spec.Arrival
-	if !spec.HasArrival {
-		arrival = b.session.Clock()
+	arrival := b.session.Clock()
+	if spec.Arrival != nil {
+		arrival = *spec.Arrival
 	}
 	if err := b.session.Push(alisa.Request{ID: req, Arrival: arrival, Input: spec.Input, Output: spec.Output}); err != nil {
 		return nil, err
 	}
 	b.nextID++
-	sub := newSubscriber(id, req, b.buffer, b.policy)
-	b.mu.Lock()
+	sub := newSubscriber(id, req, b.buffer, b.policy, b.abort)
 	b.subs[req] = sub
-	b.mu.Unlock()
 	b.log.Info("gateway: accepted", "id", id, "request", req,
 		"input", spec.Input, "output", spec.Output, "arrival", arrival)
 	return sub, nil
@@ -371,30 +347,17 @@ func (b *Bridge) Status(ctx context.Context) (Status, error) {
 	var st Status
 	err := b.call(ctx, func() { st = b.status() })
 	if errors.Is(err, ErrClosed) {
-		b.mu.Lock()
-		st = b.finalStatus
-		b.mu.Unlock()
-		return st, nil
+		return b.finalStatus, nil
 	}
 	return st, err
 }
 
-// Result returns the final ServeResult once the bridge has closed, or
-// nil while it is still running.
-func (b *Bridge) Result() (*alisa.ServeResult, error) {
-	select {
-	case <-b.doneCh:
-	default:
-		return nil, nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.result, b.resultErr
-}
-
 // Accepting reports whether new submissions are admitted — the readiness
 // signal. False once a drain begins or the session fails.
-func (b *Bridge) Accepting() bool { return b.accepting.Load() }
+func (b *Bridge) Accepting() bool { return b.refused.Load() == nil }
+
+// refuse closes admission with ErrDraining unless it is already closed.
+func (b *Bridge) refuse() { b.refused.CompareAndSwap(nil, &ErrDraining) }
 
 // Release opens a held bridge: the simulation starts advancing (and the
 // wall anchor is set now). Idempotent; a no-op on a closed bridge.
@@ -421,14 +384,12 @@ func (b *Bridge) Drain(ctx context.Context) (*alisa.ServeResult, error) {
 	// Admission closes the instant a drain is requested, not when the
 	// driver next reads a command — new submissions see ErrDraining
 	// right away while in-flight work runs to completion.
-	b.accepting.Store(false)
-	if err := b.do(ctx, b.startDrain); err != nil && !errors.Is(err, ErrClosed) {
+	b.refuse()
+	if err := b.call(ctx, b.startDrain); err != nil && !errors.Is(err, ErrClosed) {
 		return nil, err
 	}
 	select {
 	case <-b.doneCh:
-		b.mu.Lock()
-		defer b.mu.Unlock()
 		return b.result, b.resultErr
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -442,15 +403,16 @@ func (b *Bridge) startDrain() {
 	}
 	b.draining = true
 	b.held = false
-	b.accepting.Store(false)
+	b.refuse()
 }
 
 // Abort cancels the session's context — in-flight KV is released, the
 // partial result over completed requests is computed, and every open
 // stream ends with an error event — then drains. The escalation path
-// when a graceful Drain outlives its deadline.
+// when a graceful Drain outlives its deadline: the cancellation also
+// ends a Block-mode wait on a consumer that stopped reading.
 func (b *Bridge) Abort() {
-	b.accepting.Store(false)
+	b.refuse()
 	b.cancel()
 	select {
 	case b.cmds <- b.startDrain:
@@ -459,41 +421,28 @@ func (b *Bridge) Abort() {
 }
 
 // fanout delivers one simulation event to its request's subscriber, if
-// any. It runs inline on the driver's simulation turn — the fan-out hot
-// path — so it must not allocate, format, or log.
+// any, and returns that subscriber. It runs inline on the driver's
+// simulation turn — the fan-out hot path — so it must not allocate,
+// format, or log.
 //
 //alisa:hotpath
-func (b *Bridge) fanout(ev Event) {
+func (b *Bridge) fanout(ev Event) *Subscriber {
 	if b.scale > 0 && b.anchored {
 		// Stamp the dilated delivery deadline: a turn publishes all its
 		// events at once, wall-wise at the turn's start; the consumer
 		// holds each until the wall instant its simulated clock maps to.
 		ev.At = b.wallFor(ev.Clock)
 	}
-	b.mu.Lock()
 	sub := b.subs[ev.Request]
-	if sub != nil && ev.Kind.Terminal() {
-		delete(b.subs, ev.Request)
-	}
-	b.mu.Unlock()
 	if sub == nil {
-		return
+		return nil
+	}
+	if ev.Kind.Terminal() {
+		delete(b.subs, ev.Request)
 	}
 	ev.ID = sub.id
 	sub.publish(ev)
-}
-
-// logCompletion emits the per-request correlation log line, looked up
-// before fanout retires the subscriber.
-func (b *Bridge) logCompletion(e alisa.CompletionEvent) {
-	b.mu.Lock()
-	sub := b.subs[e.Request]
-	b.mu.Unlock()
-	if sub == nil {
-		return
-	}
-	b.log.Info("gateway: completion", "id", sub.id, "request", e.Request,
-		"clock", e.Clock, "ttft", e.TTFT, "e2e", e.E2E, "slo_met", e.SLOMet)
+	return sub
 }
 
 // observer adapts the session's observer stream onto the fan-out. Step
@@ -512,9 +461,12 @@ func (b *Bridge) observer() alisa.Observer {
 			b.fanout(Event{Kind: KindPreemption, Request: e.Request, Clock: e.Clock, Generated: e.Generated})
 		},
 		Completion: func(e alisa.CompletionEvent) {
-			b.logCompletion(e)
-			b.fanout(Event{Kind: KindCompletion, Request: e.Request, Clock: e.Clock,
+			sub := b.fanout(Event{Kind: KindCompletion, Request: e.Request, Clock: e.Clock,
 				TTFT: e.TTFT, TPOT: e.TPOT, E2E: e.E2E, SLOMet: e.SLOMet, Preemptions: e.Preemptions})
+			if sub != nil {
+				b.log.Info("gateway: completion", "id", sub.id, "request", e.Request,
+					"clock", e.Clock, "ttft", e.TTFT, "e2e", e.E2E, "slo_met", e.SLOMet)
+			}
 		},
 	}
 }

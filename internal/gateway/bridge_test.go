@@ -43,6 +43,9 @@ func testBridge(t *testing.T, scale float64, buffer int, policy OverflowPolicy, 
 	return b
 }
 
+// at is an explicit simulated arrival time for a SubmitSpec.
+func at(v float64) *float64 { return &v }
+
 // drainEvents pulls events until the terminal one (or the deadline),
 // returning them along with the accumulated drop counts Next reported.
 func drainEvents(t *testing.T, sub *Subscriber) (events []Event, drops []int) {
@@ -68,7 +71,7 @@ func drainEvents(t *testing.T, sub *Subscriber) (events []Event, drops []int) {
 // order with zero drops.
 func TestBridgeBlockDeliversEverything(t *testing.T) {
 	b := testBridge(t, 0, 1, Block, false)
-	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "blk", Input: 16, Output: 5, HasArrival: true})
+	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "blk", Input: 16, Output: 5, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,20 +115,22 @@ func TestBridgeBlockDeliversEverything(t *testing.T) {
 // published last, so it is never the oldest at overflow time).
 func TestBridgeDropOldestMarksLoss(t *testing.T) {
 	b := testBridge(t, 0, 2, DropOldest, false)
-	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "slow", Input: 16, Output: 8, HasArrival: true})
+	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "slow", Input: 16, Output: 8, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
 
-	// Wait for the generation to finish before reading a single event:
-	// the driver serves Status only once it has gone idle.
+	// Let the whole generation run before reading a single event.
+	if _, err := b.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	st, err := b.Status(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Pending != 0 || st.InFlight != 0 {
-		t.Fatalf("status after idle = %+v, want drained queues", st)
+		t.Fatalf("final status = %+v, want drained queues", st)
 	}
 
 	events, drops := drainEvents(t, sub)
@@ -151,7 +156,7 @@ func TestBridgeDropOldestMarksLoss(t *testing.T) {
 // serve commands.
 func TestBridgeDrainRejectsSubmissions(t *testing.T) {
 	b := testBridge(t, 0, 1, Block, false)
-	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "inflight", Input: 16, Output: 4, HasArrival: true})
+	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "inflight", Input: 16, Output: 4, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,16 +165,20 @@ func TestBridgeDrainRejectsSubmissions(t *testing.T) {
 	// Don't consume: the driver wedges on the 1-slot buffer, so the
 	// drain below cannot complete (ruling out an ErrClosed race) until
 	// we drain the events ourselves.
-	drainDone := make(chan error, 1)
+	type outcome struct {
+		res *alisa.ServeResult
+		err error
+	}
+	drainDone := make(chan outcome, 1)
 	go func() {
-		_, err := b.Drain(context.Background())
-		drainDone <- err
+		res, err := b.Drain(context.Background())
+		drainDone <- outcome{res, err}
 	}()
 	for b.Accepting() {
 		time.Sleep(time.Millisecond)
 	}
 
-	if _, err := b.Submit(context.Background(), SubmitSpec{ID: "late", Input: 8, Output: 2, HasArrival: true}); !errors.Is(err, ErrDraining) {
+	if _, err := b.Submit(context.Background(), SubmitSpec{ID: "late", Input: 8, Output: 2, Arrival: at(0)}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit during drain: %v, want ErrDraining", err)
 	}
 
@@ -177,12 +186,8 @@ func TestBridgeDrainRejectsSubmissions(t *testing.T) {
 	if events[len(events)-1].Kind != KindCompletion {
 		t.Fatalf("in-flight request must complete through a drain, got %+v", events)
 	}
-	if err := <-drainDone; err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	res, err := b.Result()
-	if err != nil || res == nil || res.Completed != 1 {
-		t.Fatalf("Result after drain = %+v, %v; want 1 completion", res, err)
+	if d := <-drainDone; d.err != nil || d.res == nil || d.res.Completed != 1 {
+		t.Fatalf("Drain = %+v, %v; want 1 completion", d.res, d.err)
 	}
 	if _, err := b.Submit(context.Background(), SubmitSpec{Input: 8, Output: 2}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after close: %v, want ErrClosed", err)
@@ -199,7 +204,7 @@ func TestBridgeHoldGatesClock(t *testing.T) {
 	b := testBridge(t, 0, 8, DropOldest, true)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		spec := SubmitSpec{Input: 16, Output: 2, Arrival: float64(i) * 0.25, HasArrival: true}
+		spec := SubmitSpec{Input: 16, Output: 2, Arrival: at(float64(i) * 0.25)}
 		if _, err := b.Submit(ctx, spec); err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +233,7 @@ func TestBridgeHoldGatesClock(t *testing.T) {
 // rather than hang, and the bridge must report the failure.
 func TestBridgeAbortTerminatesStreams(t *testing.T) {
 	b := testBridge(t, 1, 64, DropOldest, false)
-	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "doomed", Input: 256, Output: 64, HasArrival: true})
+	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "doomed", Input: 256, Output: 64, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,5 +255,108 @@ func TestBridgeAbortTerminatesStreams(t *testing.T) {
 	defer cancel()
 	if _, err := b.Drain(ctx); err == nil {
 		t.Error("Drain after Abort should surface the cancellation")
+	}
+}
+
+// TestBridgeServesCommandsMidRun pins the driver's command poll: while
+// an unpaced run is busy — a request streaming through a Block-mode,
+// 1-slot buffer, read one event at a time — a live Submit is answered
+// between turns, and the new request joins the running batch instead of
+// waiting for the session to go idle.
+func TestBridgeServesCommandsMidRun(t *testing.T) {
+	b := testBridge(t, 0, 1, Block, false)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	first, err := b.Submit(ctx, SubmitSpec{ID: "first", Input: 16, Output: 24, Arrival: at(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+
+	type submitted struct {
+		sub *Subscriber
+		err error
+	}
+	live := make(chan submitted, 1)
+	go func() {
+		sub, err := b.Submit(ctx, SubmitSpec{ID: "live", Input: 16, Output: 2})
+		live <- submitted{sub, err}
+	}()
+	var second submitted
+	for second.sub == nil && second.err == nil {
+		ev, _, ok := first.Next(ctx)
+		if !ok || ev.Kind.Terminal() {
+			t.Fatalf("first stream ended (%q, ok=%v) with the live Submit still waiting", ev.Kind, ok)
+		}
+		select {
+		case second = <-live:
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	if second.err != nil {
+		t.Fatal(second.err)
+	}
+	defer second.sub.Close()
+
+	// Both buffers hold one event: keep the first stream moving in the
+	// background while the second is read here.
+	firstEnd := make(chan Event, 1)
+	go func() {
+		for {
+			ev, _, ok := first.Next(ctx)
+			if !ok || ev.Kind.Terminal() {
+				firstEnd <- ev
+				return
+			}
+		}
+	}()
+	events, _ := drainEvents(t, second.sub)
+	adm, end := events[0], <-firstEnd
+	if adm.Kind != KindAdmission || adm.Batch != 2 {
+		t.Errorf("live request's first event = %+v, want an admission into a batch of 2", adm)
+	}
+	if end.Kind != KindCompletion || adm.Clock >= end.Clock {
+		t.Errorf("first request ended with %q at %v, want a completion after the live admission at %v", end.Kind, end.Clock, adm.Clock)
+	}
+}
+
+// TestBridgeAbortFreesStalledBlockStream is the stalled-drain fault
+// test: a Block-mode request nobody reads wedges the driver on its
+// 1-slot buffer, so a graceful Drain cannot finish. Abort must end the
+// wait, and both calls must return, Drain with the cancellation.
+func TestBridgeAbortFreesStalledBlockStream(t *testing.T) {
+	b := testBridge(t, 0, 1, Block, false)
+	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "stalled", Input: 16, Output: 64, Arrival: at(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	drained := make(chan error, 1)
+	go func() {
+		_, err := b.Drain(context.Background())
+		drained <- err
+	}()
+	for b.Accepting() {
+		time.Sleep(time.Millisecond)
+	}
+	aborted := make(chan struct{})
+	go func() {
+		b.Abort()
+		close(aborted)
+	}()
+	deadline := time.After(5 * time.Second)
+	select {
+	case <-aborted:
+	case <-deadline:
+		t.Fatal("Abort did not return while a Block-mode consumer stalled")
+	}
+	select {
+	case err := <-drained:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Drain after Abort = %v, want the cancellation", err)
+		}
+	case <-deadline:
+		t.Fatal("Drain did not return after Abort")
 	}
 }

@@ -6,11 +6,14 @@
 //
 // The core piece is the pacing bridge (Bridge): one driver goroutine
 // owns the alisa.Session — which is single-goroutine by contract — and
-// advances simulated time at a configurable dilation of the wall clock,
-// while concurrent HTTP handlers talk to it only through a command
-// channel and per-request Subscriber buffers. Simulated results are a
-// pure function of the pushed requests; the dilation factor changes only
-// when events are *delivered*, never what they contain (DESIGN.md §14).
+// every mutable field of the bridge but one atomic admission gate, and
+// advances simulated time at a configurable dilation of the wall clock.
+// Concurrent HTTP handlers reach it only through a command channel,
+// which the driver serves before every simulation turn, that gate, the
+// run's outcome once the driver has exited, and per-request Subscriber
+// buffers. Simulated results are a pure function of the pushed
+// requests; the dilation factor changes only when events are
+// *delivered*, never what they contain (DESIGN.md §14).
 package gateway
 
 import "time"

@@ -149,17 +149,13 @@ type completionResponse struct {
 	Clock        float64 `json:"clock"`
 }
 
-// metricsResponse is the GET /v1/metrics body: identification, queue
-// depths, and the rolling window in the WindowSnapshot wire format.
+// metricsResponse is the GET /v1/metrics body: identification, then the
+// bridge Status — queue depths and the rolling window in the
+// WindowSnapshot wire format.
 type metricsResponse struct {
-	Model     string               `json:"model"`
-	TimeScale float64              `json:"time_scale"`
-	Clock     float64              `json:"clock"`
-	Pending   int                  `json:"pending"`
-	InFlight  int                  `json:"in_flight"`
-	Draining  bool                 `json:"draining"`
-	Held      bool                 `json:"held"`
-	Window    alisa.WindowSnapshot `json:"window"`
+	Model     string  `json:"model"`
+	TimeScale float64 `json:"time_scale"`
+	Status
 }
 
 // errorBody is the structured error envelope, OpenAI-style: a type, the
@@ -228,15 +224,11 @@ func (g *Gateway) parseCompletion(w http.ResponseWriter, r *http.Request) (Submi
 		return SubmitSpec{}, false, &alisa.ConfigError{Field: "max_tokens", Value: creq.MaxTokens,
 			Reason: "must be positive"}
 	}
-	spec := SubmitSpec{ID: creq.ID, Input: input, Output: creq.MaxTokens}
-	if creq.Arrival != nil {
-		if *creq.Arrival < 0 || math.IsNaN(*creq.Arrival) || math.IsInf(*creq.Arrival, 0) {
-			return SubmitSpec{}, false, &alisa.ConfigError{Field: "arrival", Value: *creq.Arrival,
-				Reason: "must be a finite simulated time ≥ 0"}
-		}
-		spec.Arrival, spec.HasArrival = *creq.Arrival, true
+	if a := creq.Arrival; a != nil && (*a < 0 || math.IsNaN(*a) || math.IsInf(*a, 0)) {
+		return SubmitSpec{}, false, &alisa.ConfigError{Field: "arrival", Value: *a,
+			Reason: "must be a finite simulated time ≥ 0"}
 	}
-	return spec, creq.Stream, nil
+	return SubmitSpec{ID: creq.ID, Input: input, Output: creq.MaxTokens, Arrival: creq.Arrival}, creq.Stream, nil
 }
 
 // streamCompletion writes the request's lifecycle as SSE until its
@@ -315,11 +307,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, metricsResponse{
-		Model: g.model, TimeScale: g.scale,
-		Clock: st.Clock, Pending: st.Pending, InFlight: st.InFlight,
-		Draining: st.Draining, Held: st.Held, Window: st.Window,
-	})
+	writeJSON(w, http.StatusOK, metricsResponse{Model: g.model, TimeScale: g.scale, Status: st})
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {

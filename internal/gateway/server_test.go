@@ -54,6 +54,19 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// checkEqual reports a transcript mismatch at its first differing byte.
+func checkEqual(t *testing.T, got, want, desc string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	pos := 0
+	for pos < len(got) && pos < len(want) && got[pos] == want[pos] {
+		pos++
+	}
+	t.Errorf("%s: mismatch at byte %d\nwant from there: %q\ngot from there:  %q", desc, pos, want[pos:], got[pos:])
+}
+
 func TestGatewayConfigValidation(t *testing.T) {
 	eng := testEngine(t)
 	cases := []struct {
@@ -178,9 +191,67 @@ func TestGatewaySSEGoldenTranscript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(body) != goldenSSE {
-		t.Errorf("SSE transcript drifted:\n got: %q\nwant: %q", body, goldenSSE)
+	checkEqual(t, string(body), goldenSSE, "SSE transcript")
+}
+
+// stallWriter is a ResponseWriter whose first Flush reports the stall
+// and then blocks until release closes: a client that stops reading.
+type stallWriter struct {
+	*httptest.ResponseRecorder
+	once             sync.Once
+	stalled, release chan struct{}
+}
+
+func (w *stallWriter) Flush() {
+	w.once.Do(func() {
+		close(w.stalled)
+		<-w.release
+	})
+	w.ResponseRecorder.Flush()
+}
+
+// goldenSlowReader is the wire transcript of one scripted request (input
+// 8, max_tokens 6, arrival 0) whose client stalled for the whole run
+// behind a 2-slot drop-oldest buffer: of its nine events only the last
+// token and the completion survive, behind a marker counting the seven
+// lost.
+const goldenSlowReader = "event: dropped\n" +
+	"data: {\"type\":\"dropped\",\"id\":\"slow-1\",\"request\":0,\"dropped\":7}\n\n" +
+	"event: token\n" +
+	"data: {\"type\":\"token\",\"id\":\"slow-1\",\"request\":0,\"clock\":0.10570939010216449,\"index\":6}\n\n" +
+	"event: completion\n" +
+	"data: {\"type\":\"completion\",\"id\":\"slow-1\",\"request\":0,\"clock\":0.10570939010216449,\"ttft\":0.015131815275497834,\"tpot\":0.015096262471111108,\"e2e\":0.10570939010216449,\"slo_met\":true,\"preemptions\":0}\n\n" +
+	"data: [DONE]\n\n"
+
+// TestGatewaySlowReader is the slow-reader fault test over the handler:
+// the writer stalls on the flush the handler makes before reading any
+// event, the run finishes without waiting for it, and the released
+// client gets the dropped marker, the surviving events and [DONE].
+func TestGatewaySlowReader(t *testing.T) {
+	g := newTestGateway(t, Config{TimeScale: 0, Buffer: 2})
+	w := &stallWriter{ResponseRecorder: httptest.NewRecorder(),
+		stalled: make(chan struct{}), release: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodPost, "/v1/completions",
+		strings.NewReader(`{"id":"slow-1","input_tokens":8,"max_tokens":6,"arrival":0,"stream":true}`))
+	served := make(chan struct{})
+	go func() {
+		g.ServeHTTP(w, req)
+		close(served)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	select {
+	case <-w.stalled:
+	case <-ctx.Done():
+		t.Fatal("the handler never flushed")
 	}
+	res, err := g.Drain(ctx)
+	if err != nil || res.Completed != 1 {
+		t.Fatalf("Drain = %+v, %v; want 1 completion", res, err)
+	}
+	close(w.release)
+	<-served
+	checkEqual(t, w.Body.String(), goldenSlowReader, "slow-reader transcript")
 }
 
 func TestGatewayValidationErrors(t *testing.T) {
@@ -314,10 +385,8 @@ func TestGatewayMidStreamDisconnect(t *testing.T) {
 	if res.Completed != 2 {
 		t.Errorf("drain completed %d requests, want 2", res.Completed)
 	}
-	g.bridge.mu.Lock()
-	subs := len(g.bridge.subs)
-	g.bridge.mu.Unlock()
-	if subs != 0 {
+	// Drain returned after the driver exited, so its table is ours to read.
+	if subs := len(g.bridge.subs); subs != 0 {
 		t.Errorf("bridge still holds %d subscribers", subs)
 	}
 

@@ -21,7 +21,8 @@ const (
 	// Block applies backpressure instead: the simulation driver waits
 	// for the consumer to free a slot, trading simulated-time progress
 	// for lossless delivery. Delivery timing changes; simulated results
-	// do not (the pacing-bridge determinism contract).
+	// do not (the pacing-bridge determinism contract). Only Abort ends
+	// the wait early; the event given up is then counted as dropped.
 	Block
 )
 
@@ -39,29 +40,33 @@ func (p OverflowPolicy) String() string {
 // the consumer pulls them with Next. Exactly one goroutine produces and
 // one consumes.
 type Subscriber struct {
-	id    string
-	req   int
-	block bool
+	id  string
+	req int
 
 	mu      sync.Mutex
-	space   sync.Cond // producer waits here in Block mode
-	buf     []Event   // fixed-capacity ring
+	buf     []Event // fixed-capacity ring
 	head, n int
-	dropped int // events discarded since the last Next (DropOldest)
+	dropped int // events discarded since the last Next
 	closed  bool
 
 	wake chan struct{} // 1-buffered consumer wakeup
+	// space is the 1-buffered producer wakeup, nil unless the policy is
+	// Block; abort (the session context's Done) ends that wait early.
+	space chan struct{}
+	abort <-chan struct{}
 }
 
-func newSubscriber(id string, req, buffer int, policy OverflowPolicy) *Subscriber {
+func newSubscriber(id string, req, buffer int, policy OverflowPolicy, abort <-chan struct{}) *Subscriber {
 	s := &Subscriber{
-		id:    id,
-		req:   req,
-		block: policy == Block,
-		buf:   make([]Event, buffer),
-		wake:  make(chan struct{}, 1),
+		id:   id,
+		req:  req,
+		buf:  make([]Event, buffer),
+		wake: make(chan struct{}, 1),
 	}
-	s.space.L = &s.mu
+	if policy == Block {
+		s.space = make(chan struct{}, 1)
+		s.abort = abort
+	}
 	return s
 }
 
@@ -71,34 +76,58 @@ func (s *Subscriber) ID() string { return s.id }
 // Request returns the session's numeric request ID.
 func (s *Subscriber) Request() int { return s.req }
 
-// publish appends one event, honouring the overflow policy. It runs on
-// the bridge's driver goroutine, inline with the simulation — this is
-// the fan-out hot path, so it must not allocate or format.
+// publish appends one event, honouring the overflow policy: in Block
+// mode it first waits for a free slot, or for Abort, which gives the
+// event up as dropped. It runs on the bridge's driver goroutine, inline
+// with the simulation — this is the fan-out hot path, so it must not
+// allocate or format.
 //
 //alisa:hotpath
 func (s *Subscriber) publish(ev Event) {
 	s.mu.Lock()
-	if s.closed {
+	for s.space != nil && s.n == len(s.buf) && !s.closed {
 		s.mu.Unlock()
+		select {
+		case <-s.space:
+		case <-s.abort:
+			s.mu.Lock()
+			s.dropped++
+			s.mu.Unlock()
+			return
+		}
+		s.mu.Lock()
+	}
+	s.insert(ev)
+	s.mu.Unlock()
+	notify(s.wake)
+}
+
+// terminate force-publishes a terminal event, dropping the oldest
+// buffered event to make room if needed — regardless of policy, and
+// without ever blocking. A dying session must be able to end every
+// stream even when a consumer has stalled a full Block-mode buffer.
+func (s *Subscriber) terminate(ev Event) {
+	s.mu.Lock()
+	s.insert(ev)
+	s.mu.Unlock()
+	notify(s.wake)
+}
+
+// insert appends ev to the ring under s.mu, discarding and counting the
+// oldest event when the ring is full; a closed subscriber takes nothing.
+//
+//alisa:hotpath
+func (s *Subscriber) insert(ev Event) {
+	if s.closed {
 		return
 	}
 	if s.n == len(s.buf) {
-		if s.block {
-			for s.n == len(s.buf) && !s.closed {
-				s.space.Wait()
-			}
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-		} else {
-			s.head++
-			if s.head == len(s.buf) {
-				s.head = 0
-			}
-			s.n--
-			s.dropped++
+		s.head++
+		if s.head == len(s.buf) {
+			s.head = 0
 		}
+		s.n--
+		s.dropped++
 	}
 	i := s.head + s.n
 	if i >= len(s.buf) {
@@ -106,11 +135,6 @@ func (s *Subscriber) publish(ev Event) {
 	}
 	s.buf[i] = ev
 	s.n++
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
 }
 
 // Next pops the oldest buffered event, blocking until one is available
@@ -130,10 +154,8 @@ func (s *Subscriber) Next(ctx context.Context) (ev Event, dropped int, ok bool) 
 			s.n--
 			dropped = s.dropped
 			s.dropped = 0
-			if s.block {
-				s.space.Signal()
-			}
 			s.mu.Unlock()
+			notify(s.space)
 			return ev, dropped, true
 		}
 		s.mu.Unlock()
@@ -145,37 +167,6 @@ func (s *Subscriber) Next(ctx context.Context) (ev Event, dropped int, ok bool) 
 	}
 }
 
-// terminate force-publishes a terminal event, dropping the oldest
-// buffered event to make room if needed — regardless of policy, and
-// without ever blocking. A dying session must be able to end every
-// stream even when a consumer has stalled a full Block-mode buffer.
-func (s *Subscriber) terminate(ev Event) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if s.n == len(s.buf) {
-		s.head++
-		if s.head == len(s.buf) {
-			s.head = 0
-		}
-		s.n--
-		s.dropped++
-	}
-	i := s.head + s.n
-	if i >= len(s.buf) {
-		i -= len(s.buf)
-	}
-	s.buf[i] = ev
-	s.n++
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
 // Close marks the consumer gone: pending and future publishes become
 // no-ops and a producer blocked on backpressure is released. Idempotent;
 // called by the handler when its connection ends and by the bridge when
@@ -184,5 +175,14 @@ func (s *Subscriber) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.space.Broadcast()
+	notify(s.space)
+}
+
+// notify posts a wakeup on a 1-buffered channel without blocking; a
+// wakeup already pending (or a nil channel) makes it a no-op.
+func notify(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
 }

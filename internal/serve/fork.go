@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/events"
-	"repro/internal/sched"
 )
 
 // Fork builds a live Loop resuming from this one's current state, taken
@@ -33,45 +32,28 @@ func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
 	if l.err != nil {
 		return nil, fmt.Errorf("serve: cannot fork a failed loop: %w", l.err)
 	}
-	return &Loop{s: *l.s.clone(obs)}, nil
+	return &Loop{s: l.s.clone(obs)}, nil
 }
 
-// clone deep-copies the server so the copy can advance independently:
-// simulated system, wait queue, ID index, kept records, totals, digest
-// state, per-sequence scheduler state and records, and the
-// result-in-progress are all duplicated; the
-// factory and cost model are shared (stateless). obs becomes the copy's
-// observer. Scratch (plans, attended, pools) starts empty — it is
-// rebuilt on demand and never observable.
-func (s *server) clone(obs events.Observer) *server {
-	c := &server{
-		cfg:                      s.cfg,
-		sys:                      s.sys.Clone(),
-		cost:                     s.cost,
-		newSched:                 s.newSched,
-		queue:                    s.queue.Clone(),
-		injected:                 s.injected,
-		exactLimit:               s.exactLimit,
-		ids:                      maps.Clone(s.ids),
-		kept:                     slices.Clone(s.kept),
-		tot:                      s.tot,
-		preemptions:              s.preemptions,
-		iterations:               s.iterations,
-		batchSum:                 s.batchSum,
-		staticGPU:                s.staticGPU,
-		staticCPU:                s.staticCPU,
-		admissionBlockedHeadroom: s.admissionBlockedHeadroom,
-		lastAdmitErr:             s.lastAdmitErr,
-		kvTokenFP16:              s.kvTokenFP16,
-		cacheTokenBytes:          s.cacheTokenBytes,
-		prefillTokens:            s.prefillTokens,
-		prefixPeakBytes:          s.prefixPeakBytes,
-		res: &Result{
-			Scheduler: s.res.Scheduler,
-			Breakdown: s.res.Breakdown.Clone(),
-		},
-	}
+// clone copies the server by value, so a field added later is carried
+// over without being listed here, then deep-copies every field that
+// would otherwise share memory: simulated system, wait queue, ID index,
+// kept records, digest state, prefix cache, the result-in-progress, and
+// each active sequence with its scheduler. The factory and cost model
+// stay shared (stateless); obs becomes the copy's observer. Scratch
+// (plans, attended, the sequence pool) starts empty — it is rebuilt on
+// demand and never observable.
+func (s *server) clone(obs events.Observer) server {
+	c := *s
 	c.cfg.Observer = obs
+	c.sys = s.sys.Clone()
+	c.queue = s.queue.Clone()
+	c.ids = maps.Clone(s.ids)
+	c.kept = slices.Clone(s.kept)
+	c.plans, c.attended, c.seqPool = nil, nil, nil
+	res := *s.res
+	res.Breakdown = s.res.Breakdown.Clone()
+	c.res = &res
 	if s.dig != nil {
 		c.dig = s.dig.clone()
 	}
@@ -81,23 +63,15 @@ func (s *server) clone(obs events.Observer) *server {
 		// release, so no pointer translation is needed.
 		c.cache = s.cache.Clone()
 	}
-
-	c.active = make([]*seqState, 0, len(s.active))
-	for _, st := range s.active {
-		ctx := &sched.Context{}
-		*ctx = *st.ctx
+	c.active = make([]*seqState, len(s.active))
+	for i, st := range s.active {
+		ctx := *st.ctx
 		ctx.Sys = c.sys
 		ctx.Breakdown = c.res.Breakdown
-		c.active = append(c.active, &seqState{
-			req:      st.req,
-			sch:      st.sch.CloneScheduler(),
-			ctx:      ctx,
-			j:        st.j,
-			rec:      st.rec,
-			seq:      st.seq,
-			done:     st.done,
-			leaseLen: st.leaseLen,
-		})
+		seq := *st
+		seq.sch = st.sch.CloneScheduler()
+		seq.ctx = &ctx
+		c.active[i] = &seq
 	}
 	return c
 }

@@ -34,7 +34,7 @@ func runTune(ctx context.Context, args []string, stdout io.Writer) error {
 	tb := textfmt.NewTable("KV sparsity", "alpha", "beta", "p1", "p2", "predicted", "measured tput")
 	shape := alisa.Shape{Batch: f.batch, Input: f.input, Output: f.output}
 	for _, sparsity := range []float64{0, 0.2, 0.4, 0.6, 0.8} {
-		params := optimize(mc, prof, shape, sparsity, f.bits)
+		params, predicted := optimize(mc, prof, shape, sparsity, f.bits)
 		eng, err := alisa.New(mc.Name, append(f.engineOptions("alisa"), alisa.WithKVSparsity(sparsity))...)
 		if err != nil {
 			return err
@@ -53,7 +53,7 @@ func runTune(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Sprintf("%.2f", params.Beta),
 			fmt.Sprint(params.P1),
 			fmt.Sprint(params.P2),
-			textfmt.Seconds(params.PredictedSeconds),
+			textfmt.Seconds(predicted),
 			measured,
 		)
 	}
@@ -62,8 +62,9 @@ func runTune(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 // optimize reproduces the engine's pre-run state and invokes the offline
-// parameter search for one sparsity point.
-func optimize(mc model.Config, prof memsim.Profile, shape alisa.Shape, sparsity float64, kvbits int) sched.Params {
+// parameter search for one sparsity point, returning the chosen
+// parameters and their predicted decode time.
+func optimize(mc model.Config, prof memsim.Profile, shape alisa.Shape, sparsity float64, kvbits int) (sched.Params, float64) {
 	sys := memsim.NewSystem(prof)
 	ctx := &sched.Context{
 		Sys: sys, Cost: costmodel.New(prof), Model: mc,
@@ -74,5 +75,6 @@ func optimize(mc model.Config, prof memsim.Profile, shape alisa.Shape, sparsity 
 	_ = sys.AllocGPU(prof.ReserveBytes)
 	_ = sys.AllocGPU(ctx.WeightBytes())
 	_ = sys.AllocGPU(ctx.ActivationBytes())
-	return sched.Optimize(ctx)
+	p := sched.Optimize(ctx)
+	return p, sched.Predict(ctx, p)
 }

@@ -52,7 +52,7 @@ func main() {
 	must(sys.AllocGPU(ctx.ActivationBytes()))
 	p := sched.Optimize(ctx)
 	fmt.Printf("\noptimizer:  α=%.2f  β=%.2f  p1=%d  p2=%d  (predicted %s)\n",
-		p.Alpha, p.Beta, p.P1, p.P2, textfmt.Seconds(p.PredictedSeconds))
+		p.Alpha, p.Beta, p.P1, p.P2, textfmt.Seconds(sched.Predict(ctx, p)))
 
 	// End-to-end: Phase III on vs off.
 	run := func(s sched.Scheduler) *core.Result {

@@ -47,7 +47,7 @@ func TestOptimizerPredictionTracksMeasurement(t *testing.T) {
 		if err := sys.AllocGPU(ctx.ActivationBytes()); err != nil {
 			t.Fatal(err)
 		}
-		params := sched.Optimize(ctx)
+		predicted := sched.Predict(ctx, sched.Optimize(ctx))
 
 		res, err := Run(context.Background(), Config{
 			Model: mc, Profile: c.prof, Scheduler: sched.MustByName("alisa"),
@@ -60,10 +60,10 @@ func TestOptimizerPredictionTracksMeasurement(t *testing.T) {
 		// The prediction covers decode only; compare against the measured
 		// total minus prefill.
 		decode := res.TotalSeconds - res.Breakdown.Get("prefill")
-		rel := math.Abs(params.PredictedSeconds-decode) / decode
+		rel := math.Abs(predicted-decode) / decode
 		if rel > 0.3 {
 			t.Errorf("%s: predicted %.2fs vs measured decode %.2fs (%.0f%% off)",
-				c.model, params.PredictedSeconds, decode, rel*100)
+				c.model, predicted, decode, rel*100)
 		}
 	}
 }

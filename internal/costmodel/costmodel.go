@@ -219,6 +219,23 @@ func (c *Cost) Attention(cfg AttnConfig) AttnBreakdown {
 	return out
 }
 
+// attnSeconds is Attention(cfg).Total() for a batch of b sequences of
+// hidden size h and heads heads, each attending to sel tokens at kvb
+// bytes per KV element, with SWA window `window` (0 for dense) and
+// projection time qproj: the same six Seconds terms, added in Total's
+// order, without building the breakdown's FLOP and byte counts the
+// decode-time costing never reads. A zero window switches the SWA terms
+// off, as LocalWindow does, even on a sparse step (sel = 1).
+func (c *Cost) attnSeconds(qproj float64, b, h, heads, sel int64, kvb int, window int64) float64 {
+	t := qproj + c.BatchedGEMV(b, h, sel, kvb).Seconds
+	if window > 0 {
+		t += c.elementwise(b*window*sel, 1, 4, 0.2).Seconds
+		t += c.Gather(b*sel, 2*h*int64(kvb)).Seconds
+	}
+	t += c.Elementwise(b*heads*sel, 5, 2).Seconds
+	return t + c.BatchedGEMV(b, sel, h, kvb).Seconds
+}
+
 // FFNTime costs the feed-forward block for one step of a batch.
 func (c *Cost) FFNTime(batch, hidden, ffn int, gated bool) Sample {
 	mats := 2
@@ -236,23 +253,16 @@ func (c *Cost) FFNTime(batch, hidden, ffn int, gated bool) Sample {
 // DecodeLayerTime returns the MHA and FFN times for one decode step of one
 // layer at the given attended-token count.
 func (c *Cost) DecodeLayerTime(cfg model.Config, batch, attended, kvBytes int, swa bool) (mha, ffn float64) {
-	ac := AttnConfig{
-		Batch:    batch,
-		Hidden:   cfg.Hidden,
-		Heads:    cfg.Heads,
-		Attended: attended,
-		BytesKV:  kvBytes,
-	}
+	b, h := int64(batch), int64(cfg.Hidden)
+	var window int64
 	if swa {
-		ac.LocalWindow = attended / 2
+		window = int64(attended / 2)
 	}
-	br := c.Attention(ac)
-	f := c.FFNTime(batch, cfg.Hidden, cfg.FFN, cfg.GatedFFN)
-	mha = br.Total()
+	mha = c.attnSeconds(c.GEMM(b, h, 4*h, 2).Seconds, b, h, int64(cfg.Heads), int64(attended), kvBytes, window)
 	if swa {
 		mha += sparseBookkeeping
 	}
-	return mha, f.Seconds
+	return mha, c.FFNTime(batch, cfg.Hidden, cfg.FFN, cfg.GatedFFN).Seconds
 }
 
 // RaggedDecodeTime returns the model-wide MHA and FFN times of one fused
@@ -269,27 +279,24 @@ func (c *Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, s
 	if b == 0 {
 		return 0, 0
 	}
-	h := int64(cfg.Hidden)
-	proj := c.GEMM(int64(b), h, 4*h, 2)
-	mhaLayer := proj.Seconds
+	h, heads := int64(cfg.Hidden), int64(cfg.Heads)
+	mhaLayer := c.GEMM(int64(b), h, 4*h, 2).Seconds
 
 	kernels := 3.0 // QKT, softmax, AV
 	if swa {
 		kernels = 5 // + local sum, gather
 	}
+	// Each sequence is costed as a batch-1 module whose projection is
+	// fused into the batch-wide GEMM above, so its own projection term is
+	// added and taken back out — the lockstep engine's Total() − QProj,
+	// bit for bit.
+	proj1 := c.GEMM(1, h, 4*h, 2).Seconds
 	for _, sel := range attended {
-		ac := AttnConfig{
-			Batch:    1,
-			Hidden:   cfg.Hidden,
-			Heads:    cfg.Heads,
-			Attended: sel,
-			BytesKV:  kvBytes,
-		}
+		var window int64
 		if swa {
-			ac.LocalWindow = sel / 2
+			window = int64(sel / 2)
 		}
-		br := c.Attention(ac)
-		mhaLayer += br.Total() - br.QProj.Seconds // projection fused above
+		mhaLayer += c.attnSeconds(proj1, 1, h, heads, int64(sel), kvBytes, window) - proj1
 	}
 	mhaLayer -= float64(b-1) * kernels * launchLatency
 	if swa {

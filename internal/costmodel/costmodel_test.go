@@ -193,6 +193,37 @@ func TestRaggedDecodeTimeSingleMatchesLockstep(t *testing.T) {
 	}
 }
 
+// TestAttnSecondsMatchesAttentionTotal pins the decode-time helper to
+// its reference bit for bit: every term, the term order, and the SWA
+// switch. At one attended token the window sel/2 is 0, which must turn
+// the SWA terms off on a sparse step just as LocalWindow 0 does.
+func TestAttnSecondsMatchesAttentionTotal(t *testing.T) {
+	for _, prof := range []memsim.Profile{memsim.V100_16G(), memsim.V100_32G(), memsim.H100_80G()} {
+		c := New(prof)
+		for _, name := range model.Names() {
+			cfg := model.MustByName(name)
+			for _, batch := range []int{1, 2, 7, 64} {
+				for _, sel := range []int{1, 2, 3, 17, 300, 2049} {
+					for _, kvb := range []int{1, 2} {
+						for _, window := range []int{0, sel / 2} {
+							ref := c.Attention(AttnConfig{
+								Batch: batch, Hidden: cfg.Hidden, Heads: cfg.Heads,
+								Attended: sel, BytesKV: kvb, LocalWindow: window,
+							})
+							got := c.attnSeconds(ref.QProj.Seconds, int64(batch), int64(cfg.Hidden), int64(cfg.Heads),
+								int64(sel), kvb, int64(window))
+							if want := ref.Total(); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s %s b=%d sel=%d kv=%d window=%d: attnSeconds %v, Attention total %v",
+									prof.Name, name, batch, sel, kvb, window, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRaggedDecodeTimeProperties(t *testing.T) {
 	c := New(memsim.V100_16G())
 	cfg := model.MustByName("opt-6.7b")

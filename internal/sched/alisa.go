@@ -84,9 +84,13 @@ func (a *alisa) CloneScheduler() Scheduler {
 }
 
 // Init implements Scheduler: tune parameters, then place the prefill KV —
-// GPU first, overflow to CPU oldest-first.
+// GPU first, overflow to CPU oldest-first. A used instance empties its
+// token store in place, keeping the backing array.
 func (a *alisa) Init(ctx *Context) error {
-	a.store = kvcache.NewTokenStore()
+	if a.store == nil {
+		a.store = kvcache.NewTokenStore()
+	}
+	a.store.Reset()
 	a.phase2Start, a.phase3Start = -1, -1
 	if a.autoTune {
 		p := Optimize(ctx)

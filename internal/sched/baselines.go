@@ -56,9 +56,13 @@ func (v *vllm) Waves(ctx *Context) ([]int, error) {
 	return waves, nil
 }
 
-// Init implements Scheduler for one wave (ctx.Batch is the wave size).
+// Init implements Scheduler for one wave (ctx.Batch is the wave size). A
+// used instance empties its block store in place.
 func (v *vllm) Init(ctx *Context) error {
-	v.store = kvcache.NewBlockStore(vllmBlockSize)
+	if v.store == nil {
+		v.store = kvcache.NewBlockStore(vllmBlockSize)
+	}
+	v.store.Reset()
 	blockBytes := v.blockBytes(ctx)
 	for i := 0; i < ctx.Input; i++ {
 		// Reserve the block before growing the store, so a failed

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -96,27 +97,71 @@ func TestAlisaINT4QuartersTokenBytes(t *testing.T) {
 	}
 }
 
+// TestSchedulersDeterministic pins determinism and the reuse contract
+// of Scheduler.Init for every table member the serving loop accepts:
+// identical contexts give byte-identical placement traffic, clocks and
+// step plans, whether the instance is fresh, reused after Release, or
+// reused after an Init that failed for lack of memory. A run that fails
+// (gpu-only runs out of GPU memory here) must fail the same way.
 func TestSchedulersDeterministic(t *testing.T) {
-	// Identical contexts and schedulers must produce byte-identical
-	// placement traffic — the whole simulator is deterministic.
-	run := func() (int64, int64, float64) {
+	type outcome struct {
+		toCPU, toGPU   int64
+		clock          float64
+		plans          []StepPlan
+		err            string
+		phase2, phase3 int // alisa's phase starts, which the engine reports
+	}
+	run := func(s Scheduler) (outcome, *Context) {
 		ctx := newTestContext(t, memsim.V100_16G(), "opt-6.7b", 64, 128, 256, 0.2, 8)
-		a := autoAlisa()
-		if err := a.Init(ctx); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < ctx.Output; j++ {
-			if _, err := a.Step(ctx, j); err != nil {
-				t.Fatal(err)
+		var o outcome
+		err := s.Init(ctx)
+		for j := 0; err == nil && j < ctx.Output; j++ {
+			var plan StepPlan
+			if plan, err = s.Step(ctx, j); err == nil {
+				o.plans = append(o.plans, plan)
 			}
 		}
-		toCPU, toGPU, _ := ctx.Sys.TransferStats()
-		return toCPU, toGPU, ctx.Sys.Clock()
+		if err != nil {
+			o.err = err.Error()
+		}
+		o.toCPU, o.toGPU, _ = ctx.Sys.TransferStats()
+		o.clock = ctx.Sys.Clock()
+		if a, ok := s.(*alisa); ok {
+			o.phase2, o.phase3 = a.PhaseStarts()
+		}
+		return o, ctx
 	}
-	c1, g1, t1 := run()
-	c2, g2, t2 := run()
-	if c1 != c2 || g1 != g2 || t1 != t2 {
-		t.Fatalf("nondeterministic run: (%d,%d,%v) vs (%d,%d,%v)", c1, g1, t1, c2, g2, t2)
+	same := func(a, b outcome) bool {
+		return a.toCPU == b.toCPU && a.toGPU == b.toGPU && a.clock == b.clock &&
+			slices.Equal(a.plans, b.plans) && a.err == b.err &&
+			a.phase2 == b.phase2 && a.phase3 == b.phase3
+	}
+	for _, name := range Registered() {
+		s := MustByName(name)
+		if w, ok := s.(interface{ WeightsOnCPU() bool }); ok && w.WeightsOnCPU() {
+			continue // not servable: engine-wide weight streaming
+		}
+		fresh, ctx := run(s)
+		s.Release(ctx)
+		if reused, _ := run(s); !same(fresh, reused) {
+			t.Errorf("%s: rerun after Release differs from a fresh instance:\n%+v\n%+v", name, reused, fresh)
+		}
+
+		// No room for KV on either device. alisa caches an unplaceable
+		// prompt as deleted and no-cache caches nothing; every other
+		// member fails.
+		prof := memsim.V100_16G()
+		prof.CPUMemBytes = 0
+		starved := newTestContext(t, prof, "opt-6.7b", 64, 128, 256, 0.2, 8)
+		if err := starved.Sys.AllocGPU(starved.Sys.GPUHeadroom()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Init(starved); err == nil && name != "alisa" && name != "no-cache" {
+			t.Fatalf("%s: Init with no KV room succeeded", name)
+		}
+		if reused, _ := run(s); !same(fresh, reused) {
+			t.Errorf("%s: rerun after a starved Init differs from a fresh instance:\n%+v\n%+v", name, reused, fresh)
+		}
 	}
 }
 

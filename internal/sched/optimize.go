@@ -7,14 +7,13 @@ import (
 )
 
 // Params are the scheduling parameters of Eq. 5: offload ratio α,
-// recompute ratio β, and the phase switch steps p1 and p2.
+// recompute ratio β, and the phase switch steps p1 and p2. They carry no
+// cost estimate: the scheduler reads only the parameters, so Predict
+// computes the estimate for the callers that report it.
 type Params struct {
 	Alpha  float64
 	Beta   float64
 	P1, P2 int
-	// PredictedSeconds is the optimizer's cost estimate for the chosen
-	// parameters.
-	PredictedSeconds float64
 }
 
 // StepComputeSeconds returns the model-wide compute time (MHA + FFN over
@@ -47,8 +46,7 @@ func QuantSeconds(ctx *Context, positions int) float64 {
 // same cost model the runtime uses — the stand-in for the paper's
 // profiling tables.
 func Optimize(ctx *Context) Params {
-	tokenBytes := ctx.TokenBytes()
-	budget := int(ctx.Sys.GPUHeadroom() / tokenBytes)
+	budget := gpuTokenBudget(ctx)
 	maxSeq := ctx.MaxSeq()
 
 	// p1: the first decode step at which cached tokens exceed the GPU
@@ -68,12 +66,13 @@ func Optimize(ctx *Context) Params {
 		alpha = 1 - float64(budget)/float64(maxSeq)
 	}
 
-	best := Params{Alpha: alpha, Beta: 0, P1: p1, P2: ctx.Output,
-		PredictedSeconds: predictCost(ctx, budget, ctx.Output, 0)}
+	best := Params{Alpha: alpha, Beta: 0, P1: p1, P2: ctx.Output}
 	if p1 >= ctx.Output {
-		// Everything fits on the GPU; Phases II and III never trigger.
+		// Everything fits on the GPU; Phases II and III never trigger,
+		// so there is no candidate to cost.
 		return best
 	}
+	bestCost := predictCost(ctx, budget, ctx.Output, 0)
 	// Phase III candidates start one grid notch after p1: deletion acts on
 	// the CPU-resident pool, which Phase II must populate first, and
 	// deleting tokens straight after paying their offload transfer wastes
@@ -83,12 +82,26 @@ func Optimize(ctx *Context) Params {
 		for frac := 0.125; frac <= 1.0; frac += 0.125 {
 			p2 := p1 + int(frac*float64(ctx.Output-p1))
 			cost := predictCost(ctx, budget, p2, beta)
-			if cost < best.PredictedSeconds {
-				best = Params{Alpha: alpha, Beta: beta, P1: p1, P2: p2, PredictedSeconds: cost}
+			if cost < bestCost {
+				best, bestCost = Params{Alpha: alpha, Beta: beta, P1: p1, P2: p2}, cost
 			}
 		}
 	}
 	return best
+}
+
+// Predict returns the closed-form decode-time estimate (Eq. 5) that
+// Optimize ranks candidates by, for the parameters p. It reads the GPU
+// budget from the system's current headroom, as Optimize does, so call
+// it right after Optimize, before the run places any KV.
+func Predict(ctx *Context, p Params) float64 {
+	return predictCost(ctx, gpuTokenBudget(ctx), p.P2, p.Beta)
+}
+
+// gpuTokenBudget is how many token positions of the batch's KV fit in
+// the GPU's current headroom.
+func gpuTokenBudget(ctx *Context) int {
+	return int(ctx.Sys.GPUHeadroom() / ctx.TokenBytes())
 }
 
 // predictCost evaluates Eq. 5 for one parameter candidate with a

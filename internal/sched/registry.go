@@ -6,10 +6,12 @@ import (
 	"strings"
 )
 
-// Factory constructs a fresh scheduler instance. Every simulated run (and,
-// in the serving simulator, every admission) gets its own instance, so
-// factories must not share mutable state between the schedulers they
-// return.
+// Factory constructs a fresh scheduler instance. Instances are never
+// shared between concurrent runs, so factories must not share mutable
+// state between the schedulers they return. An instance is reusable:
+// Init starts a sequence on a new or used instance (see Scheduler.Init),
+// which is how the serving loop recycles one instance per pooled
+// sequence slot instead of calling the factory at every admission.
 type Factory func() Scheduler
 
 // factories maps canonical (and alias) names to factories. It is a fixed

@@ -128,6 +128,13 @@ type Scheduler interface {
 	Name() string
 	// Init allocates the prefill KV (s tokens) according to the policy.
 	// The engine has already reserved weights and activations.
+	//
+	// Init starts a sequence on a new or used instance: it resets all
+	// per-sequence state, whatever the instance ran before, so the run
+	// that follows is the one a fresh instance would make. Freeing the
+	// previous run's memory stays the caller's job (Release, or rolling
+	// back a failed Init). The lockstep engine re-Inits one instance per
+	// wave, and the serving loop one per pooled sequence slot.
 	Init(ctx *Context) error
 	// Step plans decode step j ∈ [0, Output): placement changes for the
 	// new token, fetches for this step's attention, offloads and

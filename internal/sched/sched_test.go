@@ -187,8 +187,8 @@ func TestOptimizerConstraints(t *testing.T) {
 	if p.Alpha < 0 || p.Alpha >= 1 || p.Beta < 0 || p.Beta >= 1 {
 		t.Fatalf("ratios out of range: %+v", p)
 	}
-	if p.PredictedSeconds <= 0 {
-		t.Fatalf("predicted cost must be positive: %+v", p)
+	if predicted := Predict(ctx, p); predicted <= 0 {
+		t.Fatalf("predicted cost must be positive: %v for %+v", predicted, p)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/memsim"
@@ -69,6 +70,54 @@ func TestServeIterationAllocsFlat(t *testing.T) {
 	// 224 extra iterations; allow a little noise, not per-iteration cost.
 	if long > short+8 {
 		t.Errorf("allocations grew with iteration count: %v at 32 output tokens, %v at 256", short, long)
+	}
+}
+
+// TestServeAdmissionAllocsZero is the zero-allocation admission guard:
+// past warm-up, a paced scale-mode stream admits, serves and retires
+// requests without allocating under the three placement shapes — a
+// static split, ALISA's token store and vLLM's block store. The pooled
+// sequence state keeps its scheduler, and Init resets the scheduler's
+// store in place; a scheduler built per admission costs at least one
+// allocation per request.
+func TestServeAdmissionAllocsZero(t *testing.T) {
+	for _, tc := range []struct {
+		sched    string
+		sparsity float64
+		bits     int
+	}{
+		{"gpu-only", 0, 16},
+		{"alisa", 0.8, 8},
+		{"vllm", 0, 16},
+	} {
+		t.Run(tc.sched, func(t *testing.T) {
+			l, err := NewLoop(Config{
+				Model:        model.MustByName("opt-6.7b"),
+				Profile:      memsim.V100_32G(),
+				Scheduler:    tc.sched,
+				KVSparsity:   tc.sparsity,
+				KVBits:       tc.bits,
+				MaxBatch:     16,
+				ExactMetrics: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const liveCap, warm, total = 256, 4096, 4096 + 16384
+			runPacedStream(t, l, 0, warm, liveCap)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			runPacedStream(t, l, warm, total, liveCap)
+			runtime.ReadMemStats(&m1)
+			perReq := float64(m1.Mallocs-m0.Mallocs) / float64(total-warm)
+			t.Logf("%.4f allocations per request over %d requests", perReq, total-warm)
+			if perReq >= 0.01 {
+				t.Errorf("%s: %.4f heap allocations per request past warm-up, want < 0.01", tc.sched, perReq)
+			}
+			if err := l.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -66,11 +66,11 @@ func benchRequests(tb testing.TB) int {
 // BenchmarkServeMillion streams a million requests through a scale-mode
 // loop under paced injection and reports the steady-state allocation
 // rate per request — the headline number of the O(in-flight) rebuild.
-// Past warm-up the loop itself allocates nothing per request (records,
-// queue slots, sequence state, and digests all recycle); what remains is
-// exactly one small allocation per admission, the fresh policy instance
-// the scheduler contract requires ("every admission instantiates a
-// fresh scheduler"), so allocs/req reads ~1.0 with O(1) bytes behind it.
+// Past warm-up nothing is allocated per request: records, queue slots,
+// sequence state with its scheduler (re-Initialised, not rebuilt, at
+// each admission), and digests all recycle, so allocs/req reads ~0 —
+// what remains is the latency sketches' occasional compaction.
+// TestServeAdmissionAllocsZero guards the same property.
 func BenchmarkServeMillion(b *testing.B) {
 	total := benchRequests(b)
 	const liveCap = 256

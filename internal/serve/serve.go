@@ -29,11 +29,11 @@
 // independent of GOMAXPROCS.
 //
 // The steady state is engineered allocation-free: the per-iteration plan
-// and ragged-attention scratch, the per-admission scheduler Context and
-// sequence state, and the preemption requeue all reuse server-owned
-// storage. Run is safe to execute concurrently with other Runs — each
-// owns its state — which is what Engine.ServeMany and the parallel sweep
-// CLIs exploit. See DESIGN.md §8.
+// and ragged-attention scratch, the per-admission sequence state with its
+// scheduler and Context, and the preemption requeue all reuse
+// server-owned storage. Run is safe to execute concurrently with other
+// Runs — each owns its state — which is what Engine.ServeMany and the
+// parallel sweep CLIs exploit. See DESIGN.md §8.
 //
 // The event loop itself is step-driven: Loop exposes the three
 // transitions — Inject (push a request onto the timeline), Advance (one
@@ -69,10 +69,12 @@ type Config struct {
 	Model   model.Config
 	Profile memsim.Profile
 	// Scheduler is the per-request KV placement policy, by sched.ByName
-	// name. Every admission instantiates a fresh scheduler, so policies
-	// keep per-sequence state. A scheduler that keeps the weights in CPU
-	// memory (WeightsOnCPU, deepspeed-zero) is not servable: weight
-	// streaming is an engine-wide property, not a per-request one.
+	// name. Every admitted sequence runs its own instance, so policies
+	// keep per-sequence state; instances are pooled with the sequence
+	// state and re-Initialised at each admission (the sched.Scheduler
+	// reuse contract). A scheduler that keeps the weights in CPU memory
+	// (WeightsOnCPU, deepspeed-zero) is not servable: weight streaming is
+	// an engine-wide property, not a per-request one.
 	Scheduler string
 
 	Trace workload.Trace
@@ -291,9 +293,10 @@ func (r *Result) PrefixHitRate() float64 {
 	return 0
 }
 
-// seqState is one admitted request's runtime state. Instances (and their
-// embedded sched.Context) are owned by the server's seqPool and recycled
-// across admissions, so the steady-state loop does not allocate them.
+// seqState is one admitted request's runtime state. Instances (with their
+// sched.Context and scheduler) are owned by the server's seqPool and
+// recycled across admissions, so the steady-state loop does not allocate
+// them.
 type seqState struct {
 	req workload.Request
 	sch sched.Scheduler
@@ -328,7 +331,7 @@ type server struct {
 	cfg      Config
 	sys      *memsim.System
 	cost     costmodel.Cost
-	newSched sched.Factory // per-admission scheduler constructor
+	newSched sched.Factory // scheduler constructor for new pool members
 
 	// queue is the arrival-keyed indexed wait queue: a binary min-heap on
 	// (Arrival, ticket) that frees each slot on pop. Preemption requeues
@@ -376,8 +379,9 @@ type server struct {
 	// the ragged attended-token counts of the fused compute charge.
 	plans    []stepped
 	attended []int
-	// seqPool recycles seqState+Context pairs released by completion,
-	// preemption, or a failed admission probe; bounded by MaxBatch+1.
+	// seqPool recycles seqStates with their Context and scheduler,
+	// released by completion, preemption, or a failed admission probe;
+	// bounded by MaxBatch+1.
 	seqPool []*seqState
 	// kvTokenFP16 is the per-run constant Model.KVBytesPerToken(2),
 	// hoisted out of the quantization charge.
@@ -786,25 +790,24 @@ func (s *server) admit() error {
 	return nil
 }
 
-// getSeq takes a recycled seqState (with its Context) from the pool, or
-// allocates the pool's newest member.
+// getSeq takes a recycled seqState (with its Context and scheduler) from
+// the pool, or allocates the pool's newest member.
 func (s *server) getSeq() *seqState {
 	if n := len(s.seqPool); n > 0 {
 		st := s.seqPool[n-1]
 		s.seqPool = s.seqPool[:n-1]
 		return st
 	}
-	return &seqState{ctx: &sched.Context{}}
+	return &seqState{sch: s.newSched(), ctx: &sched.Context{}}
 }
 
 // putSeq resets a retired seqState and returns it to the pool. The
-// scheduler instance is dropped — policies keep per-sequence state, so a
-// fresh one is constructed per admission — but the seqState and Context
-// shells are reused.
+// Context is zeroed; the scheduler is kept as it stands, released or
+// after a failed Init, because the next admission's Init resets it.
 func (s *server) putSeq(st *seqState) {
-	ctx := st.ctx
+	ctx, sch := st.ctx, st.sch
 	*ctx = sched.Context{}
-	*st = seqState{ctx: ctx}
+	*st = seqState{sch: sch, ctx: ctx}
 	s.seqPool = append(s.seqPool, st)
 }
 
@@ -816,7 +819,6 @@ func (s *server) putSeq(st *seqState) {
 //
 //alisa:hotpath
 func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
-	sch := s.newSched()
 	st := s.getSeq()
 	ctx := st.ctx
 	*ctx = sched.Context{
@@ -849,7 +851,7 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 	}
 	s.sys.Advance(prefill)
 	s.res.Breakdown.Add(trace.CatPrefill, prefill)
-	if err := sch.Init(ctx); err != nil {
+	if err := st.sch.Init(ctx); err != nil {
 		// Roll back whatever Init managed to place, keeping the cause for
 		// the unservable diagnosis.
 		gpuAfter, cpuAfter := s.sys.Usage()
@@ -874,7 +876,7 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 		Admitted: s.sys.Clock() - prefill, FirstToken: s.sys.Clock(),
 		Preemptions: s.ids[req.ID],
 	}
-	st.req, st.sch, st.seq = req, sch, seq
+	st.req, st.seq = req, seq
 	s.active = append(s.active, st)
 	if f := s.cfg.Observer.Admission; f != nil {
 		adm := events.Admission{

@@ -26,18 +26,19 @@ import (
 //
 // Select returns, for the given layer, the cache indices (0..n-1, n =
 // tokens currently cached) the step attends to, in ascending order. The
-// returned slice may alias policy-owned scratch: it is valid only until
-// the next Select call on the same policy, and callers that retain it must
-// copy. Observe feeds back the post-softmax attention weights the step
-// produced: indices are global token positions with the current token
-// appended last, weights align with indices; implementations must copy
-// anything they keep and must tolerate Observe calls with indices they did
-// not select (the dense reference path).
+// returned slice aliases the layer's scratch: it is valid until the next
+// Select on the same layer, and callers that retain it must copy. Observe
+// feeds back the post-softmax attention weights the step produced:
+// indices are global token positions with the current token appended
+// last, weights align with indices; implementations must copy anything
+// they keep and must tolerate Observe calls with indices they did not
+// select (the dense reference path).
 //
-// Stateful policies confine mutable state to the layer argument, so
-// distinct layers of the same policy may be driven from distinct
-// goroutines concurrently (package oracle's parallel Evaluate relies on
-// this); a single layer is not safe for concurrent use.
+// Every policy confines mutable state, selection scratch included, to the
+// layer argument, so distinct layers of the same policy may be driven from
+// distinct goroutines concurrently (package oracle's parallel Evaluate
+// relies on this); a single layer is not safe for concurrent use. A layer
+// outside the count the policy was built for panics.
 type Policy interface {
 	Name() string
 	Select(layer, n int) []int
@@ -51,7 +52,9 @@ func Budget(n int, r float64) int {
 	if n <= 0 {
 		return 0
 	}
-	b := int(math.Floor(float64(n)*r + 0.5))
+	// The conversion rounds the product before the add, so no platform
+	// fuses the two into one multiply-add with a different rounding.
+	b := int(math.Floor(float64(float64(n)*r) + 0.5))
 	if b < 1 {
 		b = 1
 	}
@@ -61,21 +64,23 @@ func Budget(n int, r float64) int {
 	return b
 }
 
-// dense, local, and strided are stateless, so one instance may serve all
-// layers concurrently (package oracle's parallel Evaluate does exactly
-// that). That sharing is also why their Select allocates a fresh slice
-// per call rather than reusing scratch: policy-level scratch would race
-// across layer goroutines, and unlike SWA/H2O they have no per-layer
-// state to hang it from.
-
 // dense attends to every cached token — the accuracy reference.
-type dense struct{}
+type dense struct {
+	layers []*[]int // per-layer Select scratch
+}
 
 // Name implements Policy.
 func (*dense) Name() string { return "dense" }
 
 // Select implements Policy, returning every cache index.
-func (*dense) Select(_, n int) []int { return ascending(0, n) }
+func (p *dense) Select(layer, n int) []int {
+	if n <= 0 {
+		return nil
+	}
+	sel := layerOf(p.layers, layer)
+	*sel = appendAscending((*sel)[:0], 0, n)
+	return *sel
+}
 
 // Observe implements Policy as a no-op; dense attention is stateless.
 func (*dense) Observe(int, []int, []float64) {}
@@ -84,16 +89,21 @@ func (*dense) Observe(int, []int, []float64) {}
 // recent Budget(n, r) tokens. Its failure mode, per the paper's Fig. 4-5,
 // is losing important tokens that sit far from the current position.
 type local struct {
-	ratio float64
+	ratio  float64
+	layers []*[]int // per-layer Select scratch
 }
 
 // Name implements Policy.
 func (p *local) Name() string { return "local" }
 
 // Select implements Policy, returning the last ⌊n·r⌉ cache indices.
-func (p *local) Select(_, n int) []int {
-	b := Budget(n, p.ratio)
-	return ascending(n-b, n)
+func (p *local) Select(layer, n int) []int {
+	if n <= 0 {
+		return nil
+	}
+	sel := layerOf(p.layers, layer)
+	*sel = appendAscending((*sel)[:0], n-Budget(n, p.ratio), n)
+	return *sel
 }
 
 // Observe implements Policy as a no-op; the window ignores history.
@@ -103,28 +113,28 @@ func (*local) Observe(int, []int, []float64) {}
 // stride-th token walking back from the current position, with the stride
 // chosen so roughly ⌊n·r⌉ tokens are kept.
 type strided struct {
-	ratio float64
+	ratio  float64
+	layers []*[]int // per-layer Select scratch
 }
 
 // Name implements Policy.
 func (p *strided) Name() string { return "strided" }
 
-// Select implements Policy.
-func (p *strided) Select(_, n int) []int {
+// Select implements Policy: the b = Budget(n, r) positions n−1, n−1−s,
+// …, n−1−(b−1)·s with stride s = ⌊n/b⌋, emitted oldest first. b ≤ n
+// makes s ≥ 1 and b·s ≤ n keeps the oldest position in range.
+func (p *strided) Select(layer, n int) []int {
 	if n <= 0 {
 		return nil
 	}
 	b := Budget(n, p.ratio)
 	stride := n / b
-	if stride < 1 {
-		stride = 1
+	sel := layerOf(p.layers, layer)
+	*sel = (*sel)[:0]
+	for i := n - 1 - (b-1)*stride; i < n; i += stride {
+		*sel = append(*sel, i)
 	}
-	idx := make([]int, 0, b)
-	for i := n - 1; i >= 0 && len(idx) < b; i -= stride {
-		idx = append(idx, i)
-	}
-	reverse(idx)
-	return idx
+	return *sel
 }
 
 // Observe implements Policy as a no-op.
@@ -144,9 +154,10 @@ type swa struct {
 
 // swaLayer keeps the observation window as a ring of row descriptors over
 // a flat index/weight arena, plus the scratch the selection reuses across
-// steps. Pushes append to the arena and trims advance a start offset;
-// the arena compacts when its dead prefix outgrows the live data, so a
-// warmed-up layer is amortised allocation-free per decode step.
+// steps. Pushes append to the arena and trims advance a start offset over
+// a dead prefix, which a push that would overflow the arena drops first
+// (see push), so a warmed-up layer is amortised allocation-free per
+// decode step.
 type swaLayer struct {
 	ring  []winRow // circular descriptors, oldest at head
 	head  int      // ring index of the oldest retained row
@@ -166,34 +177,37 @@ type swaLayer struct {
 // policies' Select methods reduce to.
 type selScratch struct {
 	scores []float32 // per-position score vector
-	global []int     // top-k winners
 	sel    []int     // returned index slice
 	topk   tensor.TopKScratch
 }
 
 // selectTopPlusLocal builds the selection both budget-splitting policies
-// share: the top-g positions before localStart ranked by sum (ascending
-// after selection), followed by the local window [localStart, n). With
-// recencyEps, unobserved ties break toward newer tokens so cold-start
-// behaviour degrades to local attention. The result aliases the scratch.
+// share: the top-k positions before localStart ranked by sum (all of
+// them when k ≥ localStart), in ascending index order, followed by the
+// local window [localStart, n). With recencyEps, unobserved ties break
+// toward newer tokens so cold-start behaviour degrades to local
+// attention. The result aliases the scratch.
 func (sc *selScratch) selectTopPlusLocal(sum []float64, localStart, k, n int, recencyEps bool) []int {
-	scores := growScores(&sc.scores, localStart)
-	for pos := 0; pos < localStart && pos < len(sum); pos++ {
-		scores[pos] = float32(sum[pos])
+	if cap(sc.scores) < localStart {
+		// Grow geometrically: score vectors lengthen by one position per
+		// decode step and must not reallocate every call.
+		sc.scores = make([]float32, max(localStart, 2*cap(sc.scores)))
 	}
-	if recencyEps {
-		// Small recency epsilon for deterministic, recency-biased tie-breaks.
-		for pos := range scores {
-			scores[pos] += float32(pos) * 1e-12
+	scores := sc.scores[:localStart]
+	for pos := range scores {
+		var s float32 // a position never observed scores zero
+		if pos < len(sum) {
+			s = float32(sum[pos])
 		}
+		if recencyEps {
+			// Small recency epsilon for deterministic, recency-biased
+			// tie-breaks. The conversion keeps the product from fusing
+			// with the add.
+			s += float32(float32(pos) * 1e-12)
+		}
+		scores[pos] = s
 	}
-	g := k
-	if g > localStart {
-		g = localStart
-	}
-	sc.global = sc.topk.ArgTopK(scores, g, sc.global)
-	sortInts(sc.global)
-	sc.sel = append(sc.sel[:0], sc.global...)
+	sc.sel = sc.topk.TopKAscending(scores, k, sc.sel) // k clamps to localStart
 	sc.sel = appendAscending(sc.sel, localStart, n)
 	return sc.sel
 }
@@ -201,7 +215,12 @@ func (sc *selScratch) selectTopPlusLocal(sum []float64, localStart, k, n int, re
 // winRow locates one observed row inside the arenas.
 type winRow struct{ off, n int }
 
-// push appends one observed row to the window.
+// push appends one observed row to the window. A row that would overflow
+// the arena first moves the live rows to its front, dropping the dead
+// prefix of trimmed ones, into an arena twice the size when they and the
+// row would fill more than half of it. Either way at least half the arena
+// is free afterwards, so the copy is amortised O(1) per pushed weight and
+// the arena grows O(log n) times.
 func (st *swaLayer) push(indices []int, weights []float64) {
 	if st.count == len(st.ring) {
 		grown := make([]winRow, max(8, 2*len(st.ring)))
@@ -215,6 +234,9 @@ func (st *swaLayer) push(indices []int, weights []float64) {
 	if slot >= len(st.ring) {
 		slot -= len(st.ring)
 	}
+	if len(st.arenaIdx)+len(indices) > cap(st.arenaIdx) {
+		st.compact(len(indices))
+	}
 	st.ring[slot] = winRow{off: len(st.arenaIdx), n: len(indices)}
 	st.arenaIdx = append(st.arenaIdx, indices...)
 	st.arenaW = append(st.arenaW, weights...)
@@ -226,19 +248,22 @@ func (p *swa) Name() string { return "swa" }
 
 // K returns the per-half token budget k = ⌊n·r/2⌉ from Algorithm 1, at
 // least 1 for non-empty caches.
-func (p *swa) K(n int) int {
+func (p *swa) K(n int) int { return halfBudget(n, p.ratio) }
+
+// halfBudget is the per-half budget k = ⌊n·r/2⌉ of the policies that split
+// a caching ratio r between recent and scored tokens: at least 1 for a
+// non-empty cache, and 2k ≤ n where n allows.
+func halfBudget(n int, r float64) int {
 	if n <= 0 {
 		return 0
 	}
-	k := int(math.Floor(float64(n)*p.ratio/2 + 0.5))
+	// The conversion rounds the product before the add, as in Budget.
+	k := int(math.Floor(float64(float64(n)*r/2) + 0.5))
 	if k < 1 {
 		k = 1
 	}
 	if 2*k > n {
-		k = n / 2
-		if k < 1 {
-			k = 1
-		}
+		k = max(n/2, 1)
 	}
 	return k
 }
@@ -252,39 +277,18 @@ func (p *swa) Select(layer, n int) []int {
 		return nil
 	}
 	k := p.K(n)
-	st := p.layer(layer)
+	st := layerOf(p.layers, layer)
 	st.trimTo(k)
-
-	localStart := n - k
-	if localStart == 0 {
-		st.sel = appendAscending(st.sel[:0], 0, n)
-		return st.sel
-	}
-
 	// Globally dynamic: top-k positions before the local window, ranked by
 	// the local attention sum S. Positions never observed score zero and
 	// lose to any observed position.
-	return st.selectTopPlusLocal(st.sum, localStart, k, n, true)
-}
-
-// growScores returns (*buf)[:n] zeroed, growing the backing array
-// geometrically so score vectors that lengthen by one position per decode
-// step do not reallocate every call.
-func growScores(buf *[]float32, n int) []float32 {
-	if cap(*buf) < n {
-		*buf = make([]float32, max(n, 2*cap(*buf)))
-	}
-	scores := (*buf)[:n]
-	for i := range scores {
-		scores[i] = 0
-	}
-	return scores
+	return st.selectTopPlusLocal(st.sum, n-k, k, n, true)
 }
 
 // Observe implements Policy, pushing this step's attention row into the
 // layer's local-sum window. The indices and weights are copied.
 func (p *swa) Observe(layer int, indices []int, weights []float64) {
-	st := p.layer(layer)
+	st := layerOf(p.layers, layer)
 	st.push(indices, weights)
 	for i, pos := range indices {
 		st.grow(pos + 1)
@@ -292,11 +296,13 @@ func (p *swa) Observe(layer int, indices []int, weights []float64) {
 	}
 }
 
-func (p *swa) layer(l int) *swaLayer {
-	if l < 0 || l >= len(p.layers) {
-		panic(fmt.Sprintf("attention: layer %d out of range %d", l, len(p.layers)))
+// layerOf returns layer l's state, panicking when l is outside the layer
+// count the policy was built for.
+func layerOf[T any](layers []*T, l int) *T {
+	if l < 0 || l >= len(layers) {
+		panic(fmt.Sprintf("attention: layer %d out of range %d", l, len(layers)))
 	}
-	return p.layers[l]
+	return layers[l]
 }
 
 func (st *swaLayer) grow(n int) {
@@ -307,8 +313,7 @@ func (st *swaLayer) grow(n int) {
 
 // trimTo keeps only the most recent k observed rows in the running sum:
 // S = Σ AW[n−k : n−1] from Algorithm 1, maintained incrementally. Expired
-// rows become a dead arena prefix; when that prefix outgrows the live
-// data, the arena compacts in place (amortised O(1) per observed weight).
+// rows become a dead arena prefix, which the next overflowing push drops.
 func (st *swaLayer) trimTo(k int) {
 	for st.count > k {
 		row := st.ring[st.head]
@@ -326,17 +331,23 @@ func (st *swaLayer) trimTo(k int) {
 		}
 		st.count--
 	}
-	if st.start > len(st.arenaIdx)-st.start {
-		live := len(st.arenaIdx) - st.start
-		copy(st.arenaIdx, st.arenaIdx[st.start:])
-		copy(st.arenaW, st.arenaW[st.start:])
-		st.arenaIdx = st.arenaIdx[:live]
-		st.arenaW = st.arenaW[:live]
-		for i := 0; i < st.count; i++ {
-			st.ring[(st.head+i)%len(st.ring)].off -= st.start
-		}
-		st.start = 0
+}
+
+// compact moves the live rows to the front of the arena, into a new one of
+// twice the capacity when they and a next row of n entries would fill
+// more than half of the current one.
+func (st *swaLayer) compact(n int) {
+	idx, w := st.arenaIdx[:0], st.arenaW[:0]
+	if need := 2 * (len(st.arenaIdx) - st.start + n); need > cap(idx) {
+		c := max(need, 2*cap(idx))
+		idx, w = make([]int, 0, c), make([]float64, 0, c)
 	}
+	st.arenaIdx = append(idx, st.arenaIdx[st.start:]...)
+	st.arenaW = append(w, st.arenaW[st.start:]...)
+	for i := 0; i < st.count; i++ {
+		st.ring[(st.head+i)%len(st.ring)].off -= st.start
+	}
+	st.start = 0
 }
 
 // h2o is the heavy-hitter oracle baseline [43]: like SWA it splits the
@@ -367,30 +378,16 @@ func (p *h2o) Select(layer, n int) []int {
 	if n <= 0 {
 		return nil
 	}
-	k := int(math.Floor(float64(n)*p.ratio/2 + 0.5))
-	if k < 1 {
-		k = 1
-	}
-	if 2*k > n {
-		k = n / 2
-		if k < 1 {
-			k = 1
-		}
-	}
-	st := p.layers[layer]
-	localStart := n - k
-	if localStart == 0 {
-		st.sel = appendAscending(st.sel[:0], 0, n)
-		return st.sel
-	}
+	k := halfBudget(n, p.ratio)
+	st := layerOf(p.layers, layer)
 	// No recency epsilon: H2O ranks purely by cumulative mass, which is
 	// exactly the stale-hitter behaviour the ablation isolates.
-	return st.selectTopPlusLocal(st.sum, localStart, k, n, false)
+	return st.selectTopPlusLocal(st.sum, n-k, k, n, false)
 }
 
 // Observe implements Policy, accumulating into the cumulative sums.
 func (p *h2o) Observe(layer int, indices []int, weights []float64) {
-	st := p.layers[layer]
+	st := layerOf(p.layers, layer)
 	for i, pos := range indices {
 		for len(st.sum) <= pos {
 			st.sum = append(st.sum, 0)
@@ -399,37 +396,10 @@ func (p *h2o) Observe(layer int, indices []int, weights []float64) {
 	}
 }
 
-func ascending(from, to int) []int {
-	if to <= from {
-		return nil
-	}
-	idx := make([]int, to-from)
-	for i := range idx {
-		idx[i] = from + i
-	}
-	return idx
-}
-
 // appendAscending appends from, from+1, …, to−1 to dst.
 func appendAscending(dst []int, from, to int) []int {
 	for i := from; i < to; i++ {
 		dst = append(dst, i)
 	}
 	return dst
-}
-
-func reverse(v []int) {
-	for i, j := 0, len(v)-1; i < j; i, j = i+1, j-1 {
-		v[i], v[j] = v[j], v[i]
-	}
-}
-
-// sortInts is insertion sort: selection lists are short and nearly sorted,
-// and avoiding package sort keeps this hot path allocation-free.
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -2,6 +2,8 @@ package attention
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -171,6 +173,76 @@ func TestSWASelectionSorted(t *testing.T) {
 	}
 }
 
+// SWA against a plain rendering of Algorithm 1: rows kept as separate
+// slices, the local sum updated with the same additions and subtractions
+// in the same order, and the global half ranked by a full sort. 600 steps
+// at ratio 0.6 grow and compact the observation arena many times over.
+func TestSWAMatchesPlainReference(t *testing.T) {
+	const ratio, steps = 0.6, 600
+	p := MustByName("swa", ratio, 1)
+	type row struct {
+		idx []int
+		w   []float64
+	}
+	var rows []row
+	var sum []float64
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n < steps; n++ {
+		got := p.Select(0, n)
+
+		var want []int
+		if n > 0 {
+			k := halfBudget(n, ratio)
+			for len(rows) > k {
+				for i, pos := range rows[0].idx {
+					sum[pos] -= rows[0].w[i]
+				}
+				rows = rows[1:]
+			}
+			localStart := n - k
+			score := func(pos int) float32 {
+				var s float32
+				if pos < len(sum) {
+					s = float32(sum[pos])
+				}
+				return s + float32(float32(pos)*1e-12)
+			}
+			ranked := make([]int, localStart)
+			for i := range ranked {
+				ranked[i] = i
+			}
+			sort.SliceStable(ranked, func(a, b int) bool { return score(ranked[a]) > score(ranked[b]) })
+			want = ranked[:min(k, localStart)]
+			sort.Ints(want)
+			for i := localStart; i < n; i++ {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: Select = %v, want %v", n, got, want)
+		}
+
+		// Observe the selection plus the current token, and now and then
+		// one unselected position, as the dense reference path does.
+		idx := append(append([]int(nil), got...), n)
+		if n > 0 && rng.Intn(4) == 0 {
+			idx = append(idx, rng.Intn(n))
+		}
+		w := make([]float64, len(idx))
+		for i := range w {
+			w[i] = rng.Float64()
+		}
+		p.Observe(0, idx, w)
+		rows = append(rows, row{idx, w})
+		for i, pos := range idx {
+			for len(sum) <= pos {
+				sum = append(sum, 0)
+			}
+			sum[pos] += w[i]
+		}
+	}
+}
+
 func TestSWAPerLayerState(t *testing.T) {
 	p := MustByName("swa", 0.2, 2)
 	// Make position 1 hot on layer 0 only.
@@ -186,13 +258,42 @@ func TestSWAPerLayerState(t *testing.T) {
 	}
 }
 
-func TestSWALayerOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range layer")
+func TestLayerOutOfRangePanics(t *testing.T) {
+	for _, name := range Registered() {
+		for _, layer := range []int{-1, 1, 3} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Select on layer %d of 1 did not panic", name, layer)
+					}
+				}()
+				MustByName(name, 0.5, 1).Select(layer, 10)
+			}()
 		}
-	}()
-	MustByName("swa", 0.5, 1).Select(3, 10)
+	}
+}
+
+// Every policy's Select reuses per-layer scratch: once warmed at a cache
+// length, selecting again allocates nothing.
+func TestSelectAllocsZero(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(5))
+	for _, name := range Registered() {
+		p := MustByName(name, 0.3, 2)
+		for step := 1; step <= n; step++ {
+			for l := 0; l < 2; l++ {
+				sel := p.Select(l, step)
+				w := make([]float64, len(sel)+1)
+				for i := range w {
+					w[i] = rng.Float64()
+				}
+				p.Observe(l, append(append([]int(nil), sel...), step), w)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { p.Select(1, n) }); allocs != 0 {
+			t.Errorf("%s: warmed Select allocates %v times per call, want 0", name, allocs)
+		}
+	}
 }
 
 func TestH2OKeepsCumulativeHitters(t *testing.T) {

@@ -13,9 +13,9 @@ import (
 // lock; the policy types are unexported, so it is the only way to build
 // one.
 var factories = map[string]func(ratio float64, layers int) Policy{
-	"dense":   func(float64, int) Policy { return &dense{} },
-	"local":   func(r float64, _ int) Policy { return &local{ratio: r} },
-	"strided": func(r float64, _ int) Policy { return &strided{ratio: r} },
+	"dense":   func(_ float64, l int) Policy { return &dense{layers: newLayers[[]int](l)} },
+	"local":   func(r float64, l int) Policy { return &local{ratio: r, layers: newLayers[[]int](l)} },
+	"strided": func(r float64, l int) Policy { return &strided{ratio: r, layers: newLayers[[]int](l)} },
 	"swa":     func(r float64, l int) Policy { return &swa{ratio: r, layers: newLayers[swaLayer](l)} },
 	"h2o":     func(r float64, l int) Policy { return &h2o{ratio: r, layers: newLayers[h2oLayer](l)} },
 }

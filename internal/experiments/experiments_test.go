@@ -216,6 +216,17 @@ func TestFig8ShapeMatchesPaper(t *testing.T) {
 	if swaQA.Metric <= localQA.Metric {
 		t.Errorf("SWA acc %.3f should beat local %.3f", swaQA.Metric, localQA.Metric)
 	}
+	// Every alisa cell is exactly its swa cell less the INT8 penalty.
+	for _, c := range r.Cells {
+		if c.Method != "alisa" {
+			continue
+		}
+		swa := mustCell(t, r, c.Model, c.Dataset, "swa", c.KVSparsity)
+		if want := swa.Recall * (1 - int8RecallPenalty); c.Recall != want {
+			t.Errorf("%s/%s at %v: alisa recall %v, want swa %v × (1 − %v) = %v",
+				c.Model, c.Dataset, c.KVSparsity, c.Recall, swa.Recall, int8RecallPenalty, want)
+		}
+	}
 }
 
 func mustCell(t *testing.T, r *Fig8Result, m, d, method string, sp float64) Fig8Cell {

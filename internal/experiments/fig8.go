@@ -73,11 +73,12 @@ var fig8Methods = []string{"dense", "local", "strided", "swa", "alisa"}
 // mapping attention-mass recall to dataset metrics anchored at published
 // dense baselines. Cells group by (model, dataset): every cell of a group
 // shares one attention process (the seed depends only on those two
-// coordinates), so the group evaluates all its policies in a single
-// EvaluateMany pass over shared dense rows instead of regenerating the
-// process per cell. Groups are independent and run through grid.Run;
-// determinism is preserved because each group derives its seed from its
-// coordinates and writes a disjoint, pre-assigned block of the result.
+// coordinates), so the group evaluates all its policies — local, strided
+// and swa at each nonzero sparsity — in a single EvaluateMany pass over
+// shared dense rows instead of regenerating the process per cell. Groups
+// are independent and run through grid.Run; determinism is preserved
+// because each group derives its seed from its coordinates and writes a
+// disjoint, pre-assigned block of the result.
 func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 	type group struct {
 		model model.Config
@@ -135,6 +136,8 @@ type fig8Recall struct {
 // cell of one model × dataset group. All cells that need a live evaluation
 // share a single EvaluateMany pass — one attention process instead of one
 // per cell; dense and 0 %-sparsity cells have recall 1 by definition.
+// ALISA is SWA over INT8 KV, so an alisa cell is not evaluated: it is its
+// sparsity's swa cell less int8RecallPenalty.
 func groupRecalls(mc model.Config, seed int64, cfg Fig8Config) []fig8Recall {
 	spec := oracle.SpecForModel(mc, seed)
 	spec.Layers = cfg.Layers
@@ -145,36 +148,27 @@ func groupRecalls(mc model.Config, seed int64, cfg Fig8Config) []fig8Recall {
 	for _, sparsity := range cfg.Sparsities {
 		ratio := 1 - sparsity
 		for _, method := range fig8Methods {
-			r := fig8Recall{sparsity: sparsity, method: method}
-			if method == "dense" || ratio >= 1 {
-				r.recall = 1
-				if method == "alisa" {
-					r.recall = 1 - int8RecallPenalty
-				}
-				recalls = append(recalls, r)
-				continue
+			if method != "dense" && method != "alisa" && ratio < 1 {
+				pols = append(pols, attention.MustByName(method, ratio, spec.Layers))
+				evaluated = append(evaluated, len(recalls))
 			}
-			var pol attention.Policy
-			switch method {
-			case "local", "strided":
-				pol = attention.MustByName(method, ratio, spec.Layers)
-			case "swa", "alisa":
-				pol = attention.MustByName("swa", ratio, spec.Layers)
-			default:
-				panic(fmt.Sprintf("fig8: unknown method %q", method))
-			}
-			pols = append(pols, pol)
-			evaluated = append(evaluated, len(recalls))
-			recalls = append(recalls, r)
+			recalls = append(recalls, fig8Recall{sparsity: sparsity, method: method, recall: 1})
 		}
 	}
 	if len(pols) > 0 {
 		for i, res := range evalPolicies(spec, pols, cfg.Steps) {
-			r := &recalls[evaluated[i]]
-			r.recall = res.MeanRecall
-			if r.method == "alisa" {
-				r.recall *= 1 - int8RecallPenalty
-			}
+			recalls[evaluated[i]].recall = res.MeanRecall
+		}
+	}
+	// fig8Methods lists swa before alisa, so each alisa cell follows its
+	// sparsity's swa cell.
+	var swa float64
+	for i := range recalls {
+		switch recalls[i].method {
+		case "swa":
+			swa = recalls[i].recall
+		case "alisa":
+			recalls[i].recall = swa * (1 - int8RecallPenalty)
 		}
 	}
 	return recalls

@@ -136,7 +136,7 @@ func TestMaskRowExactRenormalisation(t *testing.T) {
 }
 
 func TestEvaluateDenseRecallIsOne(t *testing.T) {
-	res := Evaluate(DefaultSpec(2, 5), attention.MustByName("dense", 1, 1), 64)
+	res := Evaluate(DefaultSpec(2, 5), attention.MustByName("dense", 1, 2), 64)
 	if math.Abs(res.MeanRecall-1) > 1e-9 {
 		t.Fatalf("dense recall = %v, want 1", res.MeanRecall)
 	}

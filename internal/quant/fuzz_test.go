@@ -10,8 +10,9 @@ import (
 
 // FuzzQuantRoundTrip checks, on arbitrary finite matrices, that the
 // channel-wise quantizer honours its contract: codes stay on the b-bit
-// grid and the reconstruction error of every element respects the
-// per-channel half-step bound of Eq. 7 (with a float32-arithmetic slack).
+// grid, the reconstruction error of every element respects the
+// per-channel half-step bound of Eq. 7 (with a float32-arithmetic slack),
+// and the in-place RoundTrip reproduces Quantize + Dequantize bit for bit.
 func FuzzQuantRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, 2, 8)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, 1, 4)
@@ -68,6 +69,13 @@ func FuzzQuantRoundTrip(f *testing.F) {
 					t.Fatalf("channel %d row %d (bits %d): |%v - %v| = %g exceeds bound %g (scale %v)",
 						c, r, bits, m.At(r, c), d.At(r, c), err, bound, q.Scale[c])
 				}
+			}
+		}
+
+		RoundTrip(m, bits)
+		for i, x := range m.Data {
+			if math.Float32bits(x) != math.Float32bits(d.Data[i]) {
+				t.Fatalf("element %d (bits %d): RoundTrip %v, Quantize+Dequantize %v", i, bits, x, d.Data[i])
 			}
 		}
 	})

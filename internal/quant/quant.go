@@ -31,9 +31,7 @@ type Tensor struct {
 // Quantize compresses m channel-wise to the given bit width (1..16).
 // Constant channels quantize losslessly with λ chosen as 1.
 func Quantize(m *tensor.Matrix, bits int) *Tensor {
-	if bits < 1 || bits > 16 {
-		panic(fmt.Sprintf("quant: unsupported bit width %d", bits))
-	}
+	levels := topCode(bits)
 	q := &Tensor{
 		Rows:  m.Rows,
 		Cols:  m.Cols,
@@ -42,40 +40,33 @@ func Quantize(m *tensor.Matrix, bits int) *Tensor {
 		Scale: make([]float32, m.Cols),
 		Zero:  make([]float32, m.Cols),
 	}
-	levels := float64(int32(1)<<bits - 1)
 	for c := 0; c < m.Cols; c++ {
-		lo, hi := channelRange(m, c)
-		scale := (hi - lo) / levels
-		if scale == 0 {
-			scale = 1 // constant channel: every value maps to code 0 + zero offset
-		}
-		q.Scale[c] = float32(scale)
-		q.Zero[c] = float32(-lo / scale)
-		// Quantize against the parameters as stored (FP16/FP32 on the
-		// wire), not their exact float64 precursors: dequantization uses
-		// the stored values, so rounding them before computing codes keeps
-		// the round-trip error inside the half-step bound instead of
-		// adding a hidden parameter-rounding term.
-		sc := float64(q.Scale[c])
-		z := float64(q.Zero[c])
-		for r := 0; r < m.Rows; r++ {
-			code := math.Round(float64(m.At(r, c))/sc + z)
-			if code < 0 {
-				code = 0
-			}
-			if code > levels {
-				code = levels
-			}
-			q.Codes[r*m.Cols+c] = int32(code)
+		q.Scale[c], q.Zero[c] = channelParams(m, c, levels)
+		sc, z := float64(q.Scale[c]), float64(q.Zero[c])
+		for i := c; i < len(m.Data); i += m.Cols {
+			q.Codes[i] = encode(m.Data[i], sc, z, levels)
 		}
 	}
 	return q
 }
 
-func channelRange(m *tensor.Matrix, c int) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for r := 0; r < m.Rows; r++ {
-		v := float64(m.At(r, c))
+// topCode returns the largest b-bit code, 2^b − 1, panicking on a width
+// outside 1..16.
+func topCode(bits int) float64 {
+	if bits < 1 || bits > 16 {
+		panic(fmt.Sprintf("quant: unsupported bit width %d", bits))
+	}
+	return float64(int32(1)<<bits - 1)
+}
+
+// channelParams returns channel c's stored scale λ = (max − min)/levels
+// and zero point z = −min/λ, which maps the channel minimum to code 0.
+// λ is 1 for a constant channel, and for a range so narrow that λ rounds
+// to 0 in float32: a zero stored scale would make every code 0/0.
+func channelParams(m *tensor.Matrix, c int, levels float64) (scale, zero float32) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := c; i < len(m.Data); i += m.Cols {
+		v := float64(m.Data[i])
 		if v < lo {
 			lo = v
 		}
@@ -86,26 +77,51 @@ func channelRange(m *tensor.Matrix, c int) (lo, hi float64) {
 	if m.Rows == 0 {
 		lo, hi = 0, 0
 	}
-	return lo, hi
+	s := (hi - lo) / levels
+	if float32(s) == 0 {
+		s = 1 // every value maps to code 0 + zero offset
+	}
+	return float32(s), float32(-lo / s)
 }
 
-// Dequantize reconstructs the floating-point matrix: x = λ·(code − z).
-// The exact reconstruction never exceeds the observed channel range, so a
-// value pushed past float32 by the rounding of the stored λ is clamped to
-// the finite float32 range rather than overflowing to ±Inf.
+// encode returns x's code round(x/λ + z), clamped to [0, levels]. It takes
+// the parameters as stored (FP16/FP32 on the wire), not their exact
+// float64 precursors: decoding uses the stored values, so rounding them
+// before computing codes keeps the round-trip error inside the half-step
+// bound instead of adding a hidden parameter-rounding term.
+func encode(x float32, scale, zero, levels float64) int32 {
+	code := math.Round(float64(x)/scale + zero)
+	if code < 0 {
+		code = 0
+	}
+	if code > levels {
+		code = levels
+	}
+	return int32(code)
+}
+
+// decode reconstructs λ·(code − z). The exact reconstruction never
+// exceeds the observed channel range, so a value pushed past float32 by
+// the rounding of the stored λ is clamped to the finite float32 range
+// rather than overflowing to ±Inf.
+func decode(code int32, scale, zero float64) float32 {
+	x := scale * (float64(code) - zero)
+	if x > math.MaxFloat32 {
+		x = math.MaxFloat32
+	} else if x < -math.MaxFloat32 {
+		x = -math.MaxFloat32
+	}
+	return float32(x)
+}
+
+// Dequantize reconstructs the floating-point matrix: x = λ·(code − z),
+// clamped to the finite float32 range.
 func (q *Tensor) Dequantize() *tensor.Matrix {
 	m := tensor.New(q.Rows, q.Cols)
 	for c := 0; c < q.Cols; c++ {
-		scale := float64(q.Scale[c])
-		zero := float64(q.Zero[c])
-		for r := 0; r < q.Rows; r++ {
-			x := scale * (float64(q.Codes[r*q.Cols+c]) - zero)
-			if x > math.MaxFloat32 {
-				x = math.MaxFloat32
-			} else if x < -math.MaxFloat32 {
-				x = -math.MaxFloat32
-			}
-			m.Set(r, c, float32(x))
+		scale, zero := float64(q.Scale[c]), float64(q.Zero[c])
+		for i := c; i < len(m.Data); i += q.Cols {
+			m.Data[i] = decode(q.Codes[i], scale, zero)
 		}
 	}
 	return m
@@ -125,8 +141,17 @@ func (q *Tensor) Bytes() int64 {
 }
 
 // RoundTrip imposes quantization error on m in place, as the simulator does
-// when KV tensors cross the PCIe link in compressed form.
+// when KV tensors cross the PCIe link in compressed form. It leaves m
+// equal, bit for bit, to Quantize(m, bits).Dequantize(), without building
+// either: each element goes through its code and back in one pass per
+// channel.
 func RoundTrip(m *tensor.Matrix, bits int) {
-	d := Quantize(m, bits).Dequantize()
-	copy(m.Data, d.Data)
+	levels := topCode(bits)
+	for c := 0; c < m.Cols; c++ {
+		scale, zero := channelParams(m, c, levels)
+		sc, z := float64(scale), float64(zero)
+		for i := c; i < len(m.Data); i += m.Cols {
+			m.Data[i] = decode(encode(m.Data[i], sc, z, levels), sc, z)
+		}
+	}
 }

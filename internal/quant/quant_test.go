@@ -135,6 +135,11 @@ func TestRoundTripInPlace(t *testing.T) {
 			}
 		}
 	}
+	// The decode path round-trips the KV cache every step: it must build
+	// neither a Tensor nor a Matrix.
+	if allocs := testing.AllocsPerRun(20, func() { RoundTrip(m, 8) }); allocs != 0 {
+		t.Fatalf("RoundTrip allocates %v times per call, want 0", allocs)
+	}
 }
 
 // Property: quantization error never exceeds λ/2 per channel, for random

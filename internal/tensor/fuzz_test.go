@@ -3,6 +3,7 @@ package tensor
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -47,7 +48,9 @@ func decodeFloats(data []byte) []float32 {
 }
 
 // FuzzArgTopK cross-checks the deterministic quickselect against the
-// sort-based reference on arbitrary vectors and budgets.
+// sort-based reference on arbitrary vectors and budgets, in both output
+// orders: ArgTopK's descending values and TopKAscending's ascending
+// indices.
 func FuzzArgTopK(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 2)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, 1)         // ties
@@ -82,6 +85,13 @@ func FuzzArgTopK(f *testing.F) {
 				if dst[i] != want[i] {
 					t.Fatalf("scratch round %d diverged at %d: got %d want %d", round, i, dst[i], want[i])
 				}
+			}
+		}
+		sort.Ints(want)
+		for round := 0; round < 2; round++ {
+			dst = s.TopKAscending(v, k, dst)
+			if !slices.Equal(dst, want) {
+				t.Fatalf("len(v)=%d k=%d: TopKAscending round %d = %v, want %v", len(v), k, round, dst, want)
 			}
 		}
 	})

@@ -249,9 +249,10 @@ func ArgTopK(v []float32, k int) []int {
 	return s.ArgTopK(v, k, nil)
 }
 
-// TopKScratch holds the reusable index permutation behind ArgTopK so
-// repeated selections over same-sized inputs allocate nothing after the
-// first call. The zero value is ready to use. Not safe for concurrent use.
+// TopKScratch holds the reusable index permutation behind ArgTopK and
+// TopKAscending so repeated selections over same-sized inputs allocate
+// nothing after the first call. The zero value is ready to use. Not safe
+// for concurrent use.
 type TopKScratch struct {
 	perm []int
 }
@@ -263,12 +264,44 @@ type TopKScratch struct {
 // (median-of-three pivots) followed by an O(k log k) sort of the winners,
 // replacing the previous O(k·n) repeated-max scan. k is clamped to len(v).
 func (s *TopKScratch) ArgTopK(v []float32, k int, dst []int) []int {
-	if k > len(v) {
-		k = len(v)
-	}
+	k = min(k, len(v))
 	if k <= 0 {
 		return dst[:0]
 	}
+	perm := s.selectTop(v, k)
+	topKSort(v, perm)
+	return append(dst[:0], perm...)
+}
+
+// TopKAscending selects the same k indices as ArgTopK, written into
+// dst[:0] (grown as needed) but returned in ascending index order. After
+// the quickselect it needs no sort: it finds the last winner under the
+// selection order and sweeps v once, keeping every index that does not
+// follow it. k is clamped to len(v).
+func (s *TopKScratch) TopKAscending(v []float32, k int, dst []int) []int {
+	k = min(k, len(v))
+	if k <= 0 {
+		return dst[:0]
+	}
+	perm := s.selectTop(v, k)
+	last := perm[0]
+	for _, i := range perm[1:] {
+		if topKBefore(v, last, i) {
+			last = i
+		}
+	}
+	dst = dst[:0]
+	for i := range v {
+		if !topKBefore(v, last, i) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// selectTop returns the first k (1 ≤ k ≤ len(v)) indices of v under
+// topKBefore, in arbitrary order, in the scratch permutation.
+func (s *TopKScratch) selectTop(v []float32, k int) []int {
 	if cap(s.perm) < len(v) {
 		// Grow geometrically: selections over steadily lengthening inputs
 		// (one new token per decode step) must not reallocate every call.
@@ -279,8 +312,7 @@ func (s *TopKScratch) ArgTopK(v []float32, k int, dst []int) []int {
 		perm[i] = i
 	}
 	topKSelect(v, perm, k)
-	topKSort(v, perm[:k])
-	return append(dst[:0], perm[:k]...)
+	return perm[:k]
 }
 
 // topKBefore is the strict total order of the selection: larger value

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +145,34 @@ func TestArgTopK(t *testing.T) {
 	}
 	if len(ArgTopK(v, 99)) != len(v) {
 		t.Fatal("ArgTopK should clamp k to len(v)")
+	}
+}
+
+func TestTopKAscending(t *testing.T) {
+	inf := float32(math.Inf(1))
+	cases := []struct {
+		name string
+		v    []float32
+		k    int
+		want []int
+	}{
+		{"ties toward lower index", []float32{0.1, 0.9, 0.3, 0.9, 0.2}, 3, []int{1, 2, 3}},
+		{"k zero", []float32{3, 1, 2}, 0, []int{}},
+		{"k negative", []float32{3, 1, 2}, -2, []int{}},
+		{"k equals len", []float32{3, 1, 2}, 3, []int{0, 1, 2}},
+		{"k above len", []float32{3, 1, 2}, 9, []int{0, 1, 2}},
+		{"empty", nil, 2, []int{}},
+		{"all equal", []float32{5, 5, 5, 5, 5, 5}, 4, []int{0, 1, 2, 3}},
+		{"infinities", []float32{-inf, 1, inf, -inf, inf, 0}, 3, []int{1, 2, 4}},
+		{"only -Inf left", []float32{-inf, 1, -inf, inf}, 3, []int{0, 1, 3}},
+	}
+	var s TopKScratch
+	for _, c := range cases {
+		// A stale, longer dst must be overwritten from its start.
+		got := s.TopKAscending(c.v, c.k, []int{7, 7, 7, 7, 7, 7, 7})
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: TopKAscending(%v, %d) = %v, want %v", c.name, c.v, c.k, got, c.want)
+		}
 	}
 }
 

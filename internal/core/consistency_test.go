@@ -9,6 +9,7 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // The offline optimizer's closed-form cost prediction and the runtime
@@ -59,7 +60,7 @@ func TestOptimizerPredictionTracksMeasurement(t *testing.T) {
 		}
 		// The prediction covers decode only; compare against the measured
 		// total minus prefill.
-		decode := res.TotalSeconds - res.Breakdown.Get("prefill")
+		decode := res.TotalSeconds - res.Breakdown.Get(trace.CatPrefill)
 		rel := math.Abs(predicted-decode) / decode
 		if rel > 0.3 {
 			t.Errorf("%s: predicted %.2fs vs measured decode %.2fs (%.0f%% off)",

@@ -77,7 +77,9 @@ type StepSample struct {
 // Result is the outcome of a simulated run.
 type Result struct {
 	Scheduler string
-	Breakdown *trace.Breakdown
+	// Breakdown is the run's time ledger: every wave's charges by
+	// category, booked on one ledger carried from wave to wave.
+	Breakdown trace.Breakdown
 	Memory    trace.MemSeries
 	Steps     []StepSample
 
@@ -118,7 +120,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	res := &Result{
 		Scheduler:   cfg.Scheduler.Name(),
-		Breakdown:   trace.NewBreakdown(),
 		Phase2Start: -1,
 		Phase3Start: -1,
 	}
@@ -128,7 +129,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// system to measure headroom.
 	if wp, ok := cfg.Scheduler.(sched.WavePlanner); ok {
 		scratch := memsim.NewSystem(cfg.Profile)
-		sctx := newContext(cfg, scratch, cfg.Batch, trace.NewBreakdown())
+		sctx := newContext(cfg, scratch, cfg.Batch)
 		if err := reserveStatic(cfg, sctx); err != nil {
 			return failed(res, err)
 		}
@@ -162,7 +163,7 @@ func failed(res *Result, err error) (*Result, error) {
 	return res, err
 }
 
-func newContext(cfg Config, sys *memsim.System, batch int, b *trace.Breakdown) *sched.Context {
+func newContext(cfg Config, sys *memsim.System, batch int) *sched.Context {
 	return &sched.Context{
 		Sys:          sys,
 		Cost:         costmodel.New(cfg.Profile),
@@ -172,7 +173,6 @@ func newContext(cfg Config, sys *memsim.System, batch int, b *trace.Breakdown) *
 		Output:       cfg.Output,
 		CachingRatio: 1 - cfg.KVSparsity,
 		KVBits:       cfg.KVBits,
-		Breakdown:    b,
 	}
 }
 
@@ -201,37 +201,40 @@ func reserveStatic(cfg Config, ctx *sched.Context) error {
 	return nil
 }
 
+// runWave simulates one wave on a fresh system whose ledger continues the
+// previous waves'. On every exit, the OOM and cancellation ones included,
+// the wave's clock joins TotalSeconds and its ledger becomes the Result's
+// breakdown.
 func runWave(ctx context.Context, cfg Config, wave int, res *Result) error {
 	sys := memsim.NewSystem(cfg.Profile)
-	sctx := newContext(cfg, sys, wave, res.Breakdown)
+	sys.SeedLedger(res.Breakdown)
+	sctx := newContext(cfg, sys, wave)
 	base := res.TotalSeconds // absolute clock offset of this wave
+	defer func() {
+		res.TotalSeconds += sys.Clock()
+		res.Breakdown = sys.Ledger()
+	}()
 
 	if err := reserveStatic(cfg, sctx); err != nil {
-		res.TotalSeconds += sys.Clock()
 		return err
 	}
 
 	// Prefill: one pass over the prompt, then the scheduler places its KV.
-	prefill := sctx.Cost.PrefillTime(cfg.Model, wave, cfg.Input)
-	sys.Advance(prefill)
-	res.Breakdown.Add(trace.CatPrefill, prefill)
+	sys.Charge(trace.CatPrefill, sctx.Cost.PrefillTime(cfg.Model, wave, cfg.Input))
 	if err := cfg.Scheduler.Init(sctx); err != nil {
-		res.TotalSeconds += sys.Clock()
 		return err
 	}
 
 	for j := 0; j < cfg.Output; j++ {
 		if err := ctx.Err(); err != nil {
-			res.TotalSeconds += sys.Clock()
 			return err
 		}
 		before := sys.Clock()
 		plan, err := cfg.Scheduler.Step(sctx, j)
 		if err != nil {
-			res.TotalSeconds += sys.Clock()
 			return err
 		}
-		chargeCompute(sctx, plan, res.Breakdown)
+		chargeCompute(sctx, plan)
 
 		gpu, cpu := sys.Usage()
 		res.Memory.Record(j, gpu, cpu)
@@ -253,17 +256,13 @@ func runWave(ctx context.Context, cfg Config, wave int, res *Result) error {
 	if ps, ok := cfg.Scheduler.(interface{ PhaseStarts() (int, int) }); ok {
 		res.Phase2Start, res.Phase3Start = ps.PhaseStarts()
 	}
-
-	res.TotalSeconds += sys.Clock()
 	return nil
 }
 
-func chargeCompute(ctx *sched.Context, plan sched.StepPlan, b *trace.Breakdown) {
+func chargeCompute(ctx *sched.Context, plan sched.StepPlan) {
 	if plan.FullRecompute {
 		// KV caching disabled: the step reprocesses the whole sequence.
-		t := ctx.Cost.PrefillTime(ctx.Model, ctx.Batch, plan.Attended)
-		ctx.Sys.Advance(t)
-		b.Add(trace.CatFullForward, t)
+		ctx.Sys.Charge(trace.CatFullForward, ctx.Cost.PrefillTime(ctx.Model, ctx.Batch, plan.Attended))
 		return
 	}
 	sched.ChargeStepCompute(ctx, plan)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/textfmt"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func ExtensionInt4() (*Int4Result, error) {
 				Model:      name,
 				KVBits:     bits,
 				Throughput: out.Throughput,
-				TransferS:  out.Breakdown.Get("transfer"),
+				TransferS:  out.Breakdown.Get(trace.CatTransfer),
 			})
 		}
 	}

@@ -5,6 +5,12 @@
 // end-to-end execution time exactly as the paper compares FlexGen, vLLM,
 // and ALISA — by counting the bytes they move and the FLOPs they spend.
 //
+// The System is also the run's one time ledger. Every charge names a
+// trace.Category and advances the clock and that category together;
+// transfers book trace.CatTransfer. Only AdvanceTo, the idle jump to a
+// future arrival, moves the clock without a category, so the ledger sums
+// to the clock less the idle time, up to float rounding.
+//
 // The simulator is deliberately analytic, not cycle-accurate: the paper's
 // effects (I/O bottleneck at 20 GB/s PCIe, OOM without offload, the
 // caching-vs-recomputation crossover) are first-order consequences of
@@ -15,6 +21,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/trace"
 )
 
 // GiB is 2³⁰ bytes.
@@ -131,17 +139,18 @@ func (e *OOMError) Error() string {
 }
 
 // System is a running simulation instance: allocation state for both
-// memories, the transfer link, and the simulated clock.
+// memories, the transfer link, the simulated clock, and the ledger of
+// charged time by category.
 type System struct {
 	Prof Profile
 
-	clock float64 // seconds
+	clock  float64 // seconds
+	ledger trace.Breakdown
 
 	gpuUsed, cpuUsed int64
 	gpuPeak, cpuPeak int64
 
 	toCPUBytes, toGPUBytes int64
-	transferTime           float64
 }
 
 // NewSystem returns a fresh simulation over the profile.
@@ -149,10 +158,10 @@ func NewSystem(p Profile) *System {
 	return &System{Prof: p}
 }
 
-// Clone returns an independent copy of the system — clock, usage, peaks,
-// and transfer counters — advancing either side leaves the other
+// Clone returns an independent copy of the system — clock, ledger, usage,
+// peaks, and transfer counters — advancing either side leaves the other
 // untouched. System is plain value state, so a fork is one copy; the
-// serving loop's Snapshot relies on that.
+// serving loop's Fork relies on that.
 func (s *System) Clone() *System {
 	c := *s
 	return &c
@@ -161,17 +170,31 @@ func (s *System) Clone() *System {
 // Clock returns the simulated time in seconds.
 func (s *System) Clock() float64 { return s.clock }
 
-// Advance moves the clock forward by dt seconds of compute (dt ≥ 0).
-func (s *System) Advance(dt float64) {
-	if dt < 0 {
-		panic(fmt.Sprintf("memsim: negative time advance %v", dt))
-	}
+// Charge books dt seconds (dt ≥ 0) to cat and advances the clock by dt.
+func (s *System) Charge(cat trace.Category, dt float64) {
+	s.ledger.Add(cat, dt)
 	s.clock += dt
 }
 
-// AdvanceTo moves the clock to the absolute time t (t ≥ Clock()). Setting
-// the clock lands exactly on t, where Advance(t − Clock()) can round one
-// ulp short of it.
+// ChargeDecode books a decode iteration's compute: mha to trace.CatMHA and
+// ffn to trace.CatFFN, with the clock advanced by mha + ffn in one
+// addition. Two Charges would round the clock differently.
+func (s *System) ChargeDecode(mha, ffn float64) {
+	s.ledger.Add(trace.CatMHA, mha)
+	s.ledger.Add(trace.CatFFN, ffn)
+	s.clock += mha + ffn
+}
+
+// Ledger returns the seconds charged so far, by category.
+func (s *System) Ledger() trace.Breakdown { return s.ledger }
+
+// SeedLedger starts the ledger from b, so that this system's charges
+// continue the ledger an earlier system kept.
+func (s *System) SeedLedger(b trace.Breakdown) { s.ledger = b }
+
+// AdvanceTo moves the clock to the absolute time t (t ≥ Clock()), charging
+// the jump to no category: it is idle time. Setting the clock lands
+// exactly on t, where adding t − Clock() can round one ulp short of it.
 func (s *System) AdvanceTo(t float64) {
 	if t < s.clock {
 		panic(fmt.Sprintf("memsim: clock moved backwards from %v to %v", s.clock, t))
@@ -226,28 +249,24 @@ func (s *System) FreeCPU(bytes int64) {
 	s.cpuUsed -= bytes
 }
 
-// TransferToCPU charges a GPU→CPU transfer of the given bytes over PCIe,
-// advancing the clock, and returns the transfer time. Memory accounting is
-// the caller's responsibility (schedulers move logical tokens; the
-// simulator moves bytes).
-func (s *System) TransferToCPU(bytes int64) float64 {
-	return s.transfer(bytes, &s.toCPUBytes)
+// TransferToCPU charges a GPU→CPU transfer of the given bytes over PCIe
+// to trace.CatTransfer. Memory accounting is the caller's responsibility
+// (schedulers move logical tokens; the simulator moves bytes).
+func (s *System) TransferToCPU(bytes int64) {
+	s.transfer(bytes, &s.toCPUBytes)
 }
 
 // TransferToGPU charges a CPU→GPU transfer of the given bytes over PCIe.
-func (s *System) TransferToGPU(bytes int64) float64 {
-	return s.transfer(bytes, &s.toGPUBytes)
+func (s *System) TransferToGPU(bytes int64) {
+	s.transfer(bytes, &s.toGPUBytes)
 }
 
-func (s *System) transfer(bytes int64, counter *int64) float64 {
+func (s *System) transfer(bytes int64, counter *int64) {
 	if bytes < 0 {
 		panic("memsim: negative transfer")
 	}
-	dt := float64(bytes) / s.Prof.PCIeBandwidth
-	s.clock += dt
-	s.transferTime += dt
+	s.Charge(trace.CatTransfer, float64(bytes)/s.Prof.PCIeBandwidth)
 	*counter += bytes
-	return dt
 }
 
 // Usage reports current GPU and CPU memory consumption in bytes.
@@ -256,10 +275,10 @@ func (s *System) Usage() (gpu, cpu int64) { return s.gpuUsed, s.cpuUsed }
 // Peak reports the high-water marks of GPU and CPU memory.
 func (s *System) Peak() (gpu, cpu int64) { return s.gpuPeak, s.cpuPeak }
 
-// TransferStats reports cumulative bytes moved in each direction and the
-// total time spent on the link.
-func (s *System) TransferStats() (toCPU, toGPU int64, seconds float64) {
-	return s.toCPUBytes, s.toGPUBytes, s.transferTime
+// TransferStats reports cumulative bytes moved in each direction; the
+// link time is the ledger's trace.CatTransfer.
+func (s *System) TransferStats() (toCPU, toGPU int64) {
+	return s.toCPUBytes, s.toGPUBytes
 }
 
 // GPUHeadroom returns the free GPU bytes.

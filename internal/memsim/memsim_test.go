@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/trace"
 )
 
 func TestProfiles(t *testing.T) {
@@ -79,16 +81,17 @@ func TestOverFreePanics(t *testing.T) {
 
 func TestTransferTimeExact(t *testing.T) {
 	s := NewSystem(Profile{GPUMemBytes: 1, CPUMemBytes: 1, PCIeBandwidth: 20e9})
-	dt := s.TransferToCPU(40e9 / 2) // 20 GB over a 20 GB/s link
+	s.TransferToCPU(40e9 / 2) // 20 GB over a 20 GB/s link
+	dt := s.Ledger().Get(trace.CatTransfer)
 	if math.Abs(dt-1.0) > 1e-12 {
 		t.Fatalf("transfer time = %v, want exactly 1s", dt)
 	}
 	if s.Clock() != dt {
 		t.Fatalf("clock %v != transfer time %v", s.Clock(), dt)
 	}
-	toCPU, toGPU, secs := s.TransferStats()
-	if toCPU != 20e9 || toGPU != 0 || secs != dt {
-		t.Fatalf("stats = (%d,%d,%v)", toCPU, toGPU, secs)
+	toCPU, toGPU := s.TransferStats()
+	if toCPU != 20e9 || toGPU != 0 {
+		t.Fatalf("stats = (%d,%d)", toCPU, toGPU)
 	}
 }
 
@@ -107,17 +110,54 @@ func TestAdvanceNegativePanics(t *testing.T) {
 	s := NewSystem(V100_16G())
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on negative advance")
+			t.Fatal("expected panic on negative charge")
+		}
+		if s.Clock() != 0 || s.Ledger() != (trace.Breakdown{}) {
+			t.Fatalf("a refused charge moved the clock to %v or the ledger to %v", s.Clock(), s.Ledger())
 		}
 	}()
-	s.Advance(-1)
+	s.Charge(trace.CatMHA, -1)
+}
+
+// The ledger books each charge to its category and the decode pair to
+// two, while the clock takes the pair in one addition; Clone copies the
+// ledger, and SeedLedger continues one.
+func TestLedger(t *testing.T) {
+	s := NewSystem(Profile{GPUMemBytes: 1, CPUMemBytes: 1, PCIeBandwidth: 4})
+	s.Charge(trace.CatPrefill, 0.5)
+	s.ChargeDecode(0.1, 0.3)
+	// 0.5 + (0.1 + 0.3) is 0.9; two charges, (0.5 + 0.1) + 0.3, would
+	// round to 0.8999999999999999.
+	if s.Clock() != 0.9 {
+		t.Fatalf("clock after the decode pair %v, want 0.9", s.Clock())
+	}
+	s.TransferToGPU(2) // 0.5 s
+	c := s.Clone()
+	s.Charge(trace.CatQuant, 1)
+
+	var want trace.Breakdown
+	want[trace.CatPrefill], want[trace.CatMHA], want[trace.CatFFN], want[trace.CatTransfer] = 0.5, 0.1, 0.3, 0.5
+	if c.Ledger() != want {
+		t.Fatalf("clone's ledger %v, want %v", c.Ledger(), want)
+	}
+	want[trace.CatQuant] = 1
+	if s.Ledger() != want || s.Clock() != c.Clock()+1 {
+		t.Fatalf("ledger %v clock %v, want %v and %v", s.Ledger(), s.Clock(), want, c.Clock()+1)
+	}
+
+	next := NewSystem(s.Prof)
+	next.SeedLedger(s.Ledger())
+	next.Charge(trace.CatQuant, 1)
+	if next.Clock() != 1 || next.Ledger().Get(trace.CatQuant) != 2 {
+		t.Fatalf("seeded system: clock %v, quant %v; want 1 and 2", next.Clock(), next.Ledger().Get(trace.CatQuant))
+	}
 }
 
 func TestAdvanceTo(t *testing.T) {
 	s := NewSystem(V100_16G())
 	// 0.06037120142222222 + (0.12287120142222223 − 0.06037120142222222)
 	// rounds one ulp short of the target; AdvanceTo must not.
-	s.Advance(0.06037120142222222)
+	s.Charge(trace.CatMHA, 0.06037120142222222)
 	const target = 0.12287120142222223
 	s.AdvanceTo(target)
 	if s.Clock() != target {
@@ -152,7 +192,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 			case 2:
 				s.TransferToCPU(int64(op))
 			case 3:
-				s.Advance(float64(op) / 255)
+				s.Charge(trace.CatMHA, float64(op)/255)
 			}
 			if s.Clock() < prev {
 				return false
@@ -181,7 +221,8 @@ func TestTransferLinearityProperty(t *testing.T) {
 			s.TransferToGPU(int64(c))
 			total += int64(c)
 		}
-		_, toGPU, secs := s.TransferStats()
+		_, toGPU := s.TransferStats()
+		secs := s.Ledger().Get(trace.CatTransfer)
 		if toGPU != total {
 			return false
 		}

@@ -61,8 +61,10 @@ func topCode(bits int) float64 {
 
 // channelParams returns channel c's stored scale λ = (max − min)/levels
 // and zero point z = −min/λ, which maps the channel minimum to code 0.
-// λ is 1 for a constant channel, and for a range so narrow that λ rounds
-// to 0 in float32: a zero stored scale would make every code 0/0.
+// λ is 1 for a constant channel, and for a range so narrow that λ falls
+// below float32's smallest normal: a zero stored scale would make every
+// code 0/0, and a subnormal one keeps too few significant bits for
+// λ·(code − z) to land within half a step of the channel's values.
 func channelParams(m *tensor.Matrix, c int, levels float64) (scale, zero float32) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := c; i < len(m.Data); i += m.Cols {
@@ -78,7 +80,7 @@ func channelParams(m *tensor.Matrix, c int, levels float64) (scale, zero float32
 		lo, hi = 0, 0
 	}
 	s := (hi - lo) / levels
-	if float32(s) == 0 {
+	if float32(s) < 0x1p-126 {
 		s = 1 // every value maps to code 0 + zero offset
 	}
 	return float32(s), float32(-lo / s)

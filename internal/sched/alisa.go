@@ -111,7 +111,7 @@ func (a *alisa) Init(ctx *Context) error {
 		for {
 			errCPU := ctx.Sys.AllocCPU(tokenBytes)
 			if errCPU == nil {
-				ctx.ChargeToCPU(tokenBytes)
+				ctx.Sys.TransferToCPU(tokenBytes)
 				a.store.Append(kvcache.CPU)
 				break
 			}
@@ -133,9 +133,7 @@ func (a *alisa) Init(ctx *Context) error {
 	}
 	if ctx.KVBits < 16 {
 		// Quantize the prefill KV once (KV compression, §V-B).
-		q := ctx.Cost.Quantize(int64(ctx.Input) * ctx.TokenBytesFP16())
-		ctx.Sys.Advance(q.Seconds)
-		ctx.Breakdown.Add(trace.CatQuant, q.Seconds)
+		ctx.Sys.Charge(trace.CatQuant, ctx.Cost.Quantize(int64(ctx.Input)*ctx.TokenBytesFP16()).Seconds)
 	}
 	return nil
 }
@@ -185,7 +183,7 @@ func (a *alisa) Step(ctx *Context, j int) (StepPlan, error) {
 	}
 
 	if fetched > 0 {
-		ctx.ChargeToGPU(int64(fetched) * tokenBytes)
+		ctx.Sys.TransferToGPU(int64(fetched) * tokenBytes)
 	}
 	plan.FetchedTokens = fetched
 	plan.RecomputedTokens = recomputed
@@ -242,7 +240,7 @@ func (a *alisa) ensureGPUSpace(ctx *Context, tokenBytes int64, j int) (offloaded
 			a.markPhase3(j)
 			continue
 		}
-		ctx.ChargeToCPU(tokenBytes)
+		ctx.Sys.TransferToCPU(tokenBytes)
 		ctx.Sys.FreeGPU(tokenBytes)
 		a.store.Move(victims[0], kvcache.CPU)
 		offloaded++

@@ -132,7 +132,6 @@ func TestAlisaCloneStepsLikeOriginal(t *testing.T) {
 	}
 	cctx := *ctx
 	cctx.Sys = ctx.Sys.Clone()
-	cctx.Breakdown = ctx.Breakdown.Clone()
 	c := a.CloneScheduler().(*alisa)
 
 	want := stepAgainstScan(t, a, ctx, mid, ctx.Output)

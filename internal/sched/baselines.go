@@ -87,7 +87,7 @@ func (v *vllm) Step(ctx *Context, j int) (StepPlan, error) {
 	blockBytes := v.blockBytes(ctx)
 
 	if swapped := v.store.BlocksIn(kvcache.CPU); swapped > 0 {
-		ctx.ChargeToGPU(int64(swapped) * blockBytes)
+		ctx.Sys.TransferToGPU(int64(swapped) * blockBytes)
 		plan.FetchedTokens = swapped * vllmBlockSize
 	}
 
@@ -101,7 +101,7 @@ func (v *vllm) Step(ctx *Context, j int) (StepPlan, error) {
 				ctx.Sys.FreeCPU(blockBytes)
 				return plan, fmt.Errorf("vllm: GPU full with nothing to swap (block %d bytes)", blockBytes)
 			}
-			ctx.ChargeToCPU(blockBytes)
+			ctx.Sys.TransferToCPU(blockBytes)
 			ctx.Sys.FreeGPU(blockBytes)
 			plan.OffloadedTokens += vllmBlockSize
 		}

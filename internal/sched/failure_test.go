@@ -9,7 +9,6 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/memsim"
 	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 // tinyCPUContext builds a context on hardware whose CPU memory is barely
@@ -24,7 +23,6 @@ func tinyCPUContext(t *testing.T, cpuBytes int64, recompute bool) (*Context, *al
 		Sys: sys, Cost: costmodel.New(prof), Model: cfg,
 		Batch: 64, Input: 128, Output: 512,
 		CachingRatio: 0.2, KVBits: 16,
-		Breakdown: trace.NewBreakdown(),
 	}
 	if err := sys.AllocGPU(ctx.WeightBytes()); err != nil {
 		t.Fatal(err)
@@ -86,7 +84,6 @@ func TestAlisaINT4QuartersTokenBytes(t *testing.T) {
 			Model: model.MustByName("opt-6.7b"),
 			Batch: 8, Input: 32, Output: 8,
 			CachingRatio: 0.2, KVBits: bits,
-			Breakdown: trace.NewBreakdown(),
 		}
 	}
 	fp16 := mk(16).TokenBytes()
@@ -124,7 +121,7 @@ func TestSchedulersDeterministic(t *testing.T) {
 		if err != nil {
 			o.err = err.Error()
 		}
-		o.toCPU, o.toGPU, _ = ctx.Sys.TransferStats()
+		o.toCPU, o.toGPU = ctx.Sys.TransferStats()
 		o.clock = ctx.Sys.Clock()
 		if a, ok := s.(*alisa); ok {
 			o.phase2, o.phase3 = a.PhaseStarts()

@@ -77,9 +77,11 @@ func Optimize(ctx *Context) Params {
 	// the CPU-resident pool, which Phase II must populate first, and
 	// deleting tokens straight after paying their offload transfer wastes
 	// that transfer. The grid therefore keeps a structural Phase II, as in
-	// the paper's three-phase design.
+	// the paper's three-phase design. It stops short of p2 = Output: such a
+	// candidate deletes nothing, costs exactly the β = 0 baseline, and so
+	// never wins the strict comparison.
 	for _, beta := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-		for frac := 0.125; frac <= 1.0; frac += 0.125 {
+		for frac := 0.125; frac < 1.0; frac += 0.125 {
 			p2 := p1 + int(frac*float64(ctx.Output-p1))
 			cost := predictCost(ctx, budget, p2, beta)
 			if cost < bestCost {
@@ -176,24 +178,17 @@ func layoutFractions(prefix, del, cpu int) (gpuW, cpuW, delW float64) {
 	return float64(prefix-del-cpu) / total, float64(cpu) / total, float64(del) / total
 }
 
-// ChargeStepCompute charges a step's compute to the system and breakdown:
-// the MHA/FFN pair, recomputation, and the per-step quantization pass for
+// ChargeStepCompute charges a step's compute to the system's ledger: the
+// MHA/FFN pair, recomputation, and the per-step quantization pass for
 // compressed KV. It is shared by the engine so runtime charging and the
 // optimizer's predictions stay consistent.
 func ChargeStepCompute(ctx *Context, plan StepPlan) {
-	mha, ffn := StepComputeSeconds(ctx, plan.Attended, plan.Sparse)
-	ctx.Sys.Advance(mha + ffn)
-	ctx.Breakdown.Add(trace.CatMHA, mha)
-	ctx.Breakdown.Add(trace.CatFFN, ffn)
+	ctx.Sys.ChargeDecode(StepComputeSeconds(ctx, plan.Attended, plan.Sparse))
 	if plan.RecomputedTokens > 0 {
-		r := RecomputeSeconds(ctx, plan.RecomputedTokens)
-		ctx.Sys.Advance(r)
-		ctx.Breakdown.Add(trace.CatRecompute, r)
+		ctx.Sys.Charge(trace.CatRecompute, RecomputeSeconds(ctx, plan.RecomputedTokens))
 	}
 	if ctx.KVBits < 16 {
-		q := QuantSeconds(ctx, 1+plan.FetchedTokens)
-		ctx.Sys.Advance(q)
-		ctx.Breakdown.Add(trace.CatQuant, q)
+		ctx.Sys.Charge(trace.CatQuant, QuantSeconds(ctx, 1+plan.FetchedTokens))
 	}
 }
 

@@ -49,7 +49,7 @@ type Context struct {
 	// viable for OPT [14]).
 	KVBits int
 
-	// Breakdown receives transfer-time charges made by schedulers.
+	// Deprecated: nothing reads Breakdown; Sys's ledger books every charge.
 	Breakdown *trace.Breakdown
 }
 
@@ -84,19 +84,6 @@ func (c *Context) ActivationBytes() int64 { return c.Model.ActivationBytes(c.Bat
 
 // MaxSeq returns the final sequence length s + n.
 func (c *Context) MaxSeq() int { return c.Input + c.Output }
-
-// ChargeToGPU charges a CPU→GPU PCIe transfer to the system clock and the
-// breakdown.
-func (c *Context) ChargeToGPU(bytes int64) {
-	dt := c.Sys.TransferToGPU(bytes)
-	c.Breakdown.Add(trace.CatTransfer, dt)
-}
-
-// ChargeToCPU charges a GPU→CPU PCIe transfer.
-func (c *Context) ChargeToCPU(bytes int64) {
-	dt := c.Sys.TransferToCPU(bytes)
-	c.Breakdown.Add(trace.CatTransfer, dt)
-}
 
 // StepPlan is what a scheduler decided for one decode step. The scheduler
 // has already charged transfer time; the engine charges compute from the
@@ -171,7 +158,9 @@ func attendedTokens(ctx *Context, n int) int {
 	if ctx.CachingRatio >= 1 {
 		return n + 1
 	}
-	b := int(float64(n)*ctx.CachingRatio + 0.5)
+	// The conversion rounds the product before the add, so no platform
+	// fuses the two into one multiply-add with a different rounding.
+	b := int(float64(float64(n)*ctx.CachingRatio) + 0.5)
 	if b < 1 {
 		b = 1
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/memsim"
 	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 // newTestContext builds a context with weights and activations already
@@ -26,7 +25,6 @@ func newTestContext(t testing.TB, prof memsim.Profile, name string, batch, input
 		Output:       output,
 		CachingRatio: ratio,
 		KVBits:       kvBits,
-		Breakdown:    trace.NewBreakdown(),
 	}
 	if err := sys.AllocGPU(ctx.WeightBytes()); err != nil {
 		t.Fatalf("weights do not fit: %v", err)
@@ -64,7 +62,7 @@ func TestAlisaPhaseIWhenEverythingFits(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 4, 128, 128, 0.2, 16)
 	a := manualAlisa(0.5, 64, true)
 	drive(t, a, ctx)
-	toCPU, toGPU, _ := ctx.Sys.TransferStats()
+	toCPU, toGPU := ctx.Sys.TransferStats()
 	if toCPU != 0 || toGPU != 0 {
 		t.Fatalf("Phase I run moved bytes: toCPU=%d toGPU=%d", toCPU, toGPU)
 	}
@@ -91,7 +89,7 @@ func TestAlisaEntersPhaseIIUnderPressure(t *testing.T) {
 	if p3 != -1 {
 		t.Fatalf("Phase III should not trigger with β=0, got start %d", p3)
 	}
-	toCPU, _, _ := ctx.Sys.TransferStats()
+	toCPU, _ := ctx.Sys.TransferStats()
 	if toCPU == 0 {
 		t.Fatal("Phase II should offload bytes to CPU")
 	}
@@ -143,7 +141,7 @@ func TestAlisaSparsityReducesTraffic(t *testing.T) {
 	run := func(ratio float64) int64 {
 		ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 64, 128, 512, ratio, 16)
 		drive(t, manualAlisa(0, ctx.Output, true), ctx)
-		_, toGPU, _ := ctx.Sys.TransferStats()
+		_, toGPU := ctx.Sys.TransferStats()
 		return toGPU
 	}
 	dense := run(1.0)

@@ -101,7 +101,7 @@ func (s *static) Step(ctx *Context, j int) (StepPlan, error) {
 	plan := StepPlan{Attended: attended, Sparse: ctx.CachingRatio < 1}
 	gpu, cpu := s.split(ctx)
 	if cpu > 0 {
-		ctx.ChargeToGPU(int64(attended-1) * cpu)
+		ctx.Sys.TransferToGPU(int64(attended-1) * cpu)
 		plan.FetchedTokens = attended - 1
 	}
 	if s.weightsOnCPU {
@@ -112,8 +112,7 @@ func (s *static) Step(ctx *Context, j int) (StepPlan, error) {
 		mha, ffn := StepComputeSeconds(ctx, attended, plan.Sparse)
 		weightTime := float64(ctx.WeightBytes()) / ctx.Sys.Prof.PCIeBandwidth
 		if exposed := weightTime - (mha + ffn); exposed > 0 {
-			ctx.Sys.Advance(exposed)
-			ctx.Breakdown.Add(trace.CatTransfer, exposed)
+			ctx.Sys.Charge(trace.CatTransfer, exposed)
 		}
 	}
 	if err := s.allocToken(ctx, gpu, cpu); err != nil {
@@ -156,7 +155,7 @@ func (s *static) allocToken(ctx *Context, gpu, cpu int64) error {
 			ctx.Sys.FreeGPU(gpu)
 			return err
 		}
-		ctx.ChargeToCPU(cpu)
+		ctx.Sys.TransferToCPU(cpu)
 	}
 	s.tokens++
 	return nil

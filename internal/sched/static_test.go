@@ -9,7 +9,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/memsim"
 	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 // staticMembers returns one fresh instance of every static-placement
@@ -135,7 +134,7 @@ func TestPCIeSplitStreamsCPUShare(t *testing.T) {
 	tokenBytes := ctx.TokenBytes()
 	// Prefill stores half of every prompt token to CPU; each step fetches
 	// half of the attended context and stores half of the new token.
-	toCPU, toGPU, _ := ctx.Sys.TransferStats()
+	toCPU, toGPU := ctx.Sys.TransferStats()
 	wantToCPU := (int64(ctx.Input) + int64(ctx.Output)) * tokenBytes / 2
 	if toCPU != wantToCPU {
 		t.Fatalf("toCPU = %d, want %d", toCPU, wantToCPU)
@@ -157,7 +156,7 @@ func TestPCIeSplitStreamsCPUShare(t *testing.T) {
 func TestPCIeSplitZeroFractionIsGPUOnly(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 4, 64, 16, 1.0, 16)
 	drive(t, NewPCIeSplit(0), ctx)
-	toCPU, toGPU, _ := ctx.Sys.TransferStats()
+	toCPU, toGPU := ctx.Sys.TransferStats()
 	if toCPU != 0 || toGPU != 0 {
 		t.Fatalf("zero CPU fraction moved bytes: %d/%d", toCPU, toGPU)
 	}
@@ -192,7 +191,7 @@ func TestPCIeSplitBadFractionPanics(t *testing.T) {
 func TestGPUOnlyFitsSmallRun(t *testing.T) {
 	ctx := newTestContext(t, memsim.V100_32G(), "opt-6.7b", 4, 64, 32, 1.0, 16)
 	plans := drive(t, MustByName("gpu-only"), ctx)
-	toCPU, toGPU, _ := ctx.Sys.TransferStats()
+	toCPU, toGPU := ctx.Sys.TransferStats()
 	if toCPU != 0 || toGPU != 0 {
 		t.Fatal("gpu-only must never transfer")
 	}
@@ -223,7 +222,7 @@ func TestFlexGenStaticSplitAndStreaming(t *testing.T) {
 	if g := f.gpuFrac; g <= 0 || g >= 1 {
 		t.Fatalf("expected partial GPU fraction under pressure, got %v", g)
 	}
-	toCPU, toGPU, _ := ctx.Sys.TransferStats()
+	toCPU, toGPU := ctx.Sys.TransferStats()
 	if toCPU == 0 {
 		t.Fatal("FlexGen must store the CPU share over PCIe")
 	}
@@ -245,7 +244,7 @@ func TestFlexGenFullGPUWhenFits(t *testing.T) {
 	if g := f.gpuFrac; g != 1 {
 		t.Fatalf("GPU fraction = %v, want 1 when everything fits", g)
 	}
-	toCPU, toGPU, _ := ctx.Sys.TransferStats()
+	toCPU, toGPU := ctx.Sys.TransferStats()
 	if toCPU != 0 || toGPU != 0 {
 		t.Fatal("no transfers expected when split is 1.0")
 	}
@@ -260,7 +259,6 @@ func TestDeepSpeedOOMAtLargeBatch(t *testing.T) {
 		Model: model.MustByName("opt-6.7b"),
 		Batch: 64, Input: 128, Output: 512,
 		CachingRatio: 1.0, KVBits: 16,
-		Breakdown: trace.NewBreakdown(),
 	}
 	d := MustByName("deepspeed-zero").(*static)
 	// DeepSpeed keeps weights on CPU.

@@ -37,12 +37,12 @@ func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
 
 // clone copies the server by value, so a field added later is carried
 // over without being listed here, then deep-copies every field that
-// would otherwise share memory: simulated system, wait queue, ID index,
-// kept records, digest state, prefix cache, the result-in-progress, and
-// each active sequence with its scheduler. The factory and cost model
-// stay shared (stateless); obs becomes the copy's observer. Scratch
-// (plans, attended, the sequence pool) starts empty — it is rebuilt on
-// demand and never observable.
+// would otherwise share memory: simulated system (its time ledger
+// included), wait queue, ID index, kept records, digest state, prefix
+// cache, and each active sequence with its scheduler. The factory and
+// cost model stay shared (stateless); obs becomes the copy's observer.
+// Scratch (plans, attended, the sequence pool) starts empty — it is
+// rebuilt on demand and never observable.
 func (s *server) clone(obs events.Observer) server {
 	c := *s
 	c.cfg.Observer = obs
@@ -51,9 +51,6 @@ func (s *server) clone(obs events.Observer) server {
 	c.ids = maps.Clone(s.ids)
 	c.kept = slices.Clone(s.kept)
 	c.plans, c.attended, c.seqPool = nil, nil, nil
-	res := *s.res
-	res.Breakdown = s.res.Breakdown.Clone()
-	c.res = &res
 	if s.dig != nil {
 		c.dig = s.dig.clone()
 	}
@@ -67,7 +64,6 @@ func (s *server) clone(obs events.Observer) server {
 	for i, st := range s.active {
 		ctx := *st.ctx
 		ctx.Sys = c.sys
-		ctx.Breakdown = c.res.Breakdown
 		seq := *st
 		seq.sch = st.sch.CloneScheduler()
 		seq.ctx = &ctx

@@ -8,18 +8,20 @@ import (
 	"testing"
 
 	"repro/internal/memsim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // goldenDigest hashes everything a serving run reports: the replay
 // fingerprint (observer stream and per-request records) plus every
-// Result field at full float precision, the stage breakdown included.
+// Result field at full float precision, the ledger's seconds in every
+// category included (the breakdown's String rounds them to milliseconds).
 func goldenDigest(res *Result, stream []string) string {
 	h := sha256.New()
 	fmt.Fprint(h, resultFingerprint(res, stream))
 	r := *res
-	r.Breakdown = nil
-	fmt.Fprintf(h, "\n%v\n%v", r, *res.Breakdown)
+	r.Breakdown = trace.Breakdown{}
+	fmt.Fprintf(h, "\n%v\n%v", r, res.Breakdown[:])
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
@@ -149,27 +151,27 @@ func TestServeGoldenDigests(t *testing.T) {
 		run  func(t *testing.T) []goldenRun
 		want []string
 	}{
-		{"replay/alisa", goldenRecorded(replayConfig("alisa")), []string{"75ea191b67e57f59"}},
-		{"replay/vllm", goldenRecorded(replayConfig("vllm")), []string{"e28d2199ad1d10ae"}},
-		{"replay/hf-accelerate", goldenRecorded(replayConfig("hf-accelerate")), []string{"f8d669a1b4c1d393"}},
-		{"replay/flexgen", goldenRecorded(replayConfig("flexgen")), []string{"86eb69a791e7ba85"}},
-		{"replay/gpu-only", goldenRecorded(replayConfig("gpu-only")), []string{"8b03e1cb46cd9b53"}},
-		{"replay-scale/alisa", goldenRecorded(goldenScale(replayConfig("alisa"))), []string{"4a0ecb1557b3ea10"}},
-		{"replay-scale/vllm", goldenRecorded(goldenScale(replayConfig("vllm"))), []string{"03a238e39e625a7d"}},
-		{"replay-scale/hf-accelerate", goldenRecorded(goldenScale(replayConfig("hf-accelerate"))), []string{"9d5c9d467ff297fe"}},
-		{"replay-scale/flexgen", goldenRecorded(goldenScale(replayConfig("flexgen"))), []string{"5c2b0e9335a73b41"}},
-		{"replay-scale/gpu-only", goldenRecorded(goldenScale(replayConfig("gpu-only"))), []string{"01c0a03e64b29874"}},
-		{"preemption", goldenRecorded(preemptionConfig(8)), []string{"84f7a9b30e014936"}},
-		{"preemption-scale", goldenRecorded(goldenScale(preemptionConfig(8))), []string{"da5204143b9e1233"}},
-		{"mid-run-switch", goldenSwitch, []string{"4dfcdc5569dbf25b"}},
-		{"out-of-order", goldenOutOfOrder, []string{"384ae96a8f5395c7"}},
-		{"fork", goldenFork(replayConfig("alisa"), 40), []string{"75ea191b67e57f59", "75ea191b67e57f59"}},
-		{"fork-scale", goldenFork(goldenScale(replayConfig("alisa")), 40), []string{"4a0ecb1557b3ea10", "4a0ecb1557b3ea10"}},
-		{"fork-completed", goldenFork(replayConfig("alisa"), 150), []string{"75ea191b67e57f59", "75ea191b67e57f59"}},
-		{"fork-completed-scale", goldenFork(goldenScale(replayConfig("alisa")), 150), []string{"4a0ecb1557b3ea10", "4a0ecb1557b3ea10"}},
-		{"cancelled", goldenCancel(replayConfig("alisa")), []string{"479049e8c25ecc65"}},
-		{"cancelled-scale", goldenCancel(goldenScale(replayConfig("alisa"))), []string{"7a298ff3df0949a0"}},
-		{"prefix-cache", goldenPrefix, []string{"4ced291838291068"}},
+		{"replay/alisa", goldenRecorded(replayConfig("alisa")), []string{"58ac3cde5f12325e"}},
+		{"replay/vllm", goldenRecorded(replayConfig("vllm")), []string{"249f21eaac0462d3"}},
+		{"replay/hf-accelerate", goldenRecorded(replayConfig("hf-accelerate")), []string{"3e8ccc483b2557fc"}},
+		{"replay/flexgen", goldenRecorded(replayConfig("flexgen")), []string{"80f22ee946c714a0"}},
+		{"replay/gpu-only", goldenRecorded(replayConfig("gpu-only")), []string{"96db4101dd62eeac"}},
+		{"replay-scale/alisa", goldenRecorded(goldenScale(replayConfig("alisa"))), []string{"726c3a1135e82f36"}},
+		{"replay-scale/vllm", goldenRecorded(goldenScale(replayConfig("vllm"))), []string{"451438db3bc73e41"}},
+		{"replay-scale/hf-accelerate", goldenRecorded(goldenScale(replayConfig("hf-accelerate"))), []string{"f8a5a0daaa65ade3"}},
+		{"replay-scale/flexgen", goldenRecorded(goldenScale(replayConfig("flexgen"))), []string{"5500cdca27d12246"}},
+		{"replay-scale/gpu-only", goldenRecorded(goldenScale(replayConfig("gpu-only"))), []string{"9a5a46dd3bd59647"}},
+		{"preemption", goldenRecorded(preemptionConfig(8)), []string{"1c22984787a30afb"}},
+		{"preemption-scale", goldenRecorded(goldenScale(preemptionConfig(8))), []string{"fc60a5830cf1698e"}},
+		{"mid-run-switch", goldenSwitch, []string{"4298a63ece86e24f"}},
+		{"out-of-order", goldenOutOfOrder, []string{"48e378574bd9436c"}},
+		{"fork", goldenFork(replayConfig("alisa"), 40), []string{"58ac3cde5f12325e", "58ac3cde5f12325e"}},
+		{"fork-scale", goldenFork(goldenScale(replayConfig("alisa")), 40), []string{"726c3a1135e82f36", "726c3a1135e82f36"}},
+		{"fork-completed", goldenFork(replayConfig("alisa"), 150), []string{"58ac3cde5f12325e", "58ac3cde5f12325e"}},
+		{"fork-completed-scale", goldenFork(goldenScale(replayConfig("alisa")), 150), []string{"726c3a1135e82f36", "726c3a1135e82f36"}},
+		{"cancelled", goldenCancel(replayConfig("alisa")), []string{"177ac492f0e4e9ed"}},
+		{"cancelled-scale", goldenCancel(goldenScale(replayConfig("alisa"))), []string{"d6e6f51d5f641837"}},
+		{"prefix-cache", goldenPrefix, []string{"68b3fe55198b1a8f"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

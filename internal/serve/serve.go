@@ -243,7 +243,9 @@ type Result struct {
 	// Completed is the number of requests that ran to completion, in
 	// either mode.
 	Completed int
-	Breakdown *trace.Breakdown
+	// Breakdown is the system's time ledger: every charged second by
+	// category. Idle jumps to a future arrival are charged to none.
+	Breakdown trace.Breakdown
 
 	// Makespan is the simulated time from trace start to the last
 	// completion.
@@ -399,6 +401,7 @@ type server struct {
 	prefillTokens   int64
 	prefixPeakBytes int64
 
+	// res is the finalized Result, nil until finalize.
 	res *Result
 }
 
@@ -491,10 +494,6 @@ func newLoop(cfg Config) (*Loop, error) {
 		ids:                      make(map[int]int, len(cfg.Trace)),
 		admissionBlockedHeadroom: -1,
 		kvTokenFP16:              cfg.Model.KVBytesPerToken(2),
-		res: &Result{
-			Scheduler: cfg.Scheduler,
-			Breakdown: trace.NewBreakdown(),
-		},
 	}
 	s := &l.s
 	if exactLimit < 0 {
@@ -830,7 +829,6 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 		Output:       req.Output,
 		CachingRatio: 1 - s.cfg.KVSparsity,
 		KVBits:       s.cfg.KVBits,
-		Breakdown:    s.res.Breakdown,
 	}
 
 	cached := 0
@@ -849,8 +847,7 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 		// private allocation at HBM bandwidth.
 		prefill += s.cost.PrefixReuse(int64(cached) * s.cacheTokenBytes).Seconds
 	}
-	s.sys.Advance(prefill)
-	s.res.Breakdown.Add(trace.CatPrefill, prefill)
+	s.sys.Charge(trace.CatPrefill, prefill)
 	if err := st.sch.Init(ctx); err != nil {
 		// Roll back whatever Init managed to place, keeping the cause for
 		// the unservable diagnosis.
@@ -952,9 +949,7 @@ func (s *server) iterate() error {
 	sparse := false
 	for _, p := range plans {
 		if p.plan.FullRecompute {
-			t := s.cost.PrefillTime(s.cfg.Model, 1, p.plan.Attended)
-			s.sys.Advance(t)
-			s.res.Breakdown.Add(trace.CatFullForward, t)
+			s.sys.Charge(trace.CatFullForward, s.cost.PrefillTime(s.cfg.Model, 1, p.plan.Attended))
 			continue
 		}
 		attended = append(attended, p.plan.Attended)
@@ -967,20 +962,13 @@ func (s *server) iterate() error {
 		if s.cfg.KVBits < 16 {
 			kvWidth = 1
 		}
-		mha, ffn := s.cost.RaggedDecodeTime(s.cfg.Model, attended, kvWidth, sparse)
-		s.sys.Advance(mha + ffn)
-		s.res.Breakdown.Add(trace.CatMHA, mha)
-		s.res.Breakdown.Add(trace.CatFFN, ffn)
+		s.sys.ChargeDecode(s.cost.RaggedDecodeTime(s.cfg.Model, attended, kvWidth, sparse))
 	}
 	if recomputed > 0 {
-		t := s.cost.RecomputeTime(s.cfg.Model, 1, recomputed)
-		s.sys.Advance(t)
-		s.res.Breakdown.Add(trace.CatRecompute, t)
+		s.sys.Charge(trace.CatRecompute, s.cost.RecomputeTime(s.cfg.Model, 1, recomputed))
 	}
 	if s.cfg.KVBits < 16 && quantPos > 0 {
-		t := s.cost.Quantize(int64(quantPos) * s.kvTokenFP16).Seconds
-		s.sys.Advance(t)
-		s.res.Breakdown.Add(trace.CatQuant, t)
+		s.sys.Charge(trace.CatQuant, s.cost.Quantize(int64(quantPos)*s.kvTokenFP16).Seconds)
 	}
 
 	// Advance step counters and retire finished sequences. Token events
@@ -1171,7 +1159,8 @@ func (s *server) enterScaleMode() {
 // then the latency summaries from the kept records in insertion order
 // on the exact path, or from the digests in scale mode.
 func (s *server) finalize() {
-	res := s.res
+	res := &Result{Scheduler: s.cfg.Scheduler, Breakdown: s.sys.Ledger()}
+	s.res = res
 	res.Preemptions = s.preemptions
 	if s.iterations > 0 {
 		res.MeanBatch = float64(s.batchSum) / float64(s.iterations)

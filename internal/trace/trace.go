@@ -1,78 +1,71 @@
-// Package trace accumulates the per-category execution time and per-step
+// Package trace holds the per-category execution time and per-step
 // memory usage that the paper's breakdown figures report: Fig. 1 (MHA /
 // FFN / memory access), Fig. 2(c) (time and memory per step), and
-// Fig. 12(a) (per-phase time and GPU/CPU memory).
+// Fig. 12(a) (per-phase time and GPU/CPU memory). A Breakdown is a value:
+// memsim.System keeps a run's as its time ledger and books every charge
+// of simulated time to it.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Category labels a slice of execution time.
-type Category string
+// Category labels a slice of execution time. It indexes a Breakdown.
+type Category uint8
 
-// Execution-time categories used by the engine.
+// Execution-time categories, declared in name order so that index order
+// is render order.
 const (
-	CatPrefill     Category = "prefill"
-	CatMHA         Category = "mha"
-	CatFFN         Category = "ffn"
-	CatTransfer    Category = "transfer"
-	CatRecompute   Category = "recompute"
-	CatQuant       Category = "quant"
-	CatFullForward Category = "full-forward"
-	CatOther       Category = "other"
+	CatFFN Category = iota
+	CatFullForward
+	CatMHA
+	CatPrefill
+	CatQuant
+	CatRecompute
+	CatTransfer
+	numCategories
 )
 
-// Breakdown accumulates seconds by category.
-type Breakdown struct {
-	seconds map[Category]float64
-}
+var categoryNames = [numCategories]string{"ffn", "full-forward", "mha", "prefill", "quant", "recompute", "transfer"}
 
-// NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{seconds: make(map[Category]float64)}
-}
+// String returns the category's name.
+func (c Category) String() string { return categoryNames[c] }
+
+// Breakdown is seconds by category. The zero value is empty.
+type Breakdown [numCategories]float64
+
+// Deprecated: a Breakdown's zero value is empty, and memsim.System keeps the ledger.
+func NewBreakdown() *Breakdown { return new(Breakdown) }
 
 // Add charges dt seconds to the category; negative charges panic.
 func (b *Breakdown) Add(cat Category, dt float64) {
 	if dt < 0 {
 		panic(fmt.Sprintf("trace: negative charge %v to %s", dt, cat))
 	}
-	b.seconds[cat] += dt
+	b[cat] += dt
 }
 
 // Get returns the seconds charged to cat.
-func (b *Breakdown) Get(cat Category) float64 { return b.seconds[cat] }
+func (b Breakdown) Get(cat Category) float64 { return b[cat] }
 
-// Clone returns an independent copy of the breakdown.
-func (b *Breakdown) Clone() *Breakdown {
-	c := NewBreakdown()
-	for cat, v := range b.seconds {
-		c.seconds[cat] = v
-	}
-	return c
-}
-
-// Categories returns the non-zero categories in stable (sorted) order.
-func (b *Breakdown) Categories() []Category {
-	cats := make([]Category, 0, len(b.seconds))
-	for c, v := range b.seconds {
+// Categories returns the non-zero categories in name order.
+func (b Breakdown) Categories() []Category {
+	var cats []Category
+	for c, v := range b {
 		if v > 0 {
-			cats = append(cats, c)
+			cats = append(cats, Category(c))
 		}
 	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
 	return cats
 }
 
-// String formats the breakdown as "cat=1.234s" pairs in sorted order.
-func (b *Breakdown) String() string {
+// String formats the breakdown as "cat=1.234s" pairs in name order.
+func (b Breakdown) String() string {
 	cats := b.Categories()
 	parts := make([]string, 0, len(cats))
 	for _, c := range cats {
-		parts = append(parts, fmt.Sprintf("%s=%.3fs", c, b.seconds[c]))
+		parts = append(parts, fmt.Sprintf("%s=%.3fs", c, b[c]))
 	}
 	return strings.Join(parts, " ")
 }

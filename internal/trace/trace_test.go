@@ -6,7 +6,7 @@ import (
 )
 
 func TestBreakdownAddGetTotal(t *testing.T) {
-	b := NewBreakdown()
+	var b Breakdown
 	b.Add(CatMHA, 1.5)
 	b.Add(CatMHA, 0.5)
 	b.Add(CatFFN, 1.0)
@@ -24,11 +24,12 @@ func TestBreakdownNegativePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewBreakdown().Add(CatMHA, -1)
+	var b Breakdown
+	b.Add(CatMHA, -1)
 }
 
 func TestBreakdownStringSorted(t *testing.T) {
-	b := NewBreakdown()
+	var b Breakdown
 	b.Add(CatTransfer, 2)
 	b.Add(CatFFN, 1)
 	s := b.String()
@@ -40,8 +41,19 @@ func TestBreakdownStringSorted(t *testing.T) {
 	}
 }
 
+// Categories and String walk the array in index order and print it as
+// sorted text, which holds only while the constants are declared in name
+// order.
+func TestCategoriesDeclaredInNameOrder(t *testing.T) {
+	for c := Category(1); c < numCategories; c++ {
+		if c.String() <= (c - 1).String() {
+			t.Fatalf("category %d %q is declared after %q", c, c, c-1)
+		}
+	}
+}
+
 func TestCategoriesOmitZero(t *testing.T) {
-	b := NewBreakdown()
+	var b Breakdown
 	b.Add(CatMHA, 0)
 	b.Add(CatFFN, 1)
 	cats := b.Categories()

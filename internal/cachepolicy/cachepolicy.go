@@ -15,14 +15,17 @@ package cachepolicy
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/attention"
 	"repro/internal/oracle"
 )
 
 // Trace is a sequence of request sets over a growing token population:
-// token t is born at step t and Requests[t] lists the token indices step
-// t's attention touched (including t itself).
+// token t is born at step t and Requests[t] lists the distinct token
+// indices step t's attention touched (including t itself), each in
+// [0, t].
 type Trace struct {
 	Requests [][]int
 }
@@ -46,16 +49,65 @@ func TraceFromPolicy(spec oracle.Spec, pol attention.Policy, steps int) *Trace {
 	return tr
 }
 
-// Evictor decides which cached token leaves when the fast tier is full.
-type Evictor interface {
-	Name() string
-	// Touch notifies the evictor that token tok was requested at step.
-	Touch(step, tok int)
-	// Insert notifies that token tok entered the cache at step.
-	Insert(step, tok int)
-	// Victim picks the token to evict from cached (non-empty); step is
-	// the current step.
-	Victim(step int, cached []int) int
+// Policy is an eviction policy: a name and a rank over a token's replay
+// state. When the fast tier is full, the resident token of lowest
+// (rank, token) that the current step did not request leaves. FIFO, LRU,
+// Belady and AlisaHeuristic build the four policies.
+type Policy struct {
+	name string
+	rank func(step, tok int, st *tokenState) int
+}
+
+// Name returns the policy's name, as Result.Policy reports it.
+func (p Policy) Name() string { return p.name }
+
+// FIFO evicts the token inserted longest ago.
+func FIFO() Policy {
+	return Policy{"fifo", func(_, _ int, st *tokenState) int { return st.inserted }}
+}
+
+// LRU evicts the token requested longest ago, its birth counting as a
+// request.
+func LRU() Policy {
+	return Policy{"lru", func(_, tok int, st *tokenState) int {
+		if past := st.past(); len(past) > 0 {
+			return past[len(past)-1]
+		}
+		return tok
+	}}
+}
+
+// Belady evicts the token whose next request lies farthest in the
+// future, a token never requested again first — the clairvoyant optimum
+// the paper rules out as impractical ("this oracle algorithm assumes
+// future knowledge", §III-B).
+func Belady() Policy {
+	return Policy{"belady", func(_, _ int, st *tokenState) int {
+		if next := st.future(); len(next) > 0 {
+			return -next[0]
+		}
+		return math.MinInt
+	}}
+}
+
+// AlisaHeuristic is the paper's practical policy: the locally static
+// window (the newest window tokens) is evicted only when nothing older is
+// cached, and among the rest the token requested least often in the last
+// history steps goes first — the cache-level mirror of SWA's local
+// attention sum.
+func AlisaHeuristic(window, history int) Policy {
+	if window < 0 || history <= 0 {
+		panic(fmt.Sprintf("cachepolicy: bad heuristic parameters %d/%d", window, history))
+	}
+	return Policy{"alisa", func(step, tok int, st *tokenState) int {
+		if tok >= step-window {
+			return math.MaxInt // locally static: protected
+		}
+		// Requests in [step−history, step); the birth is not a use.
+		past := st.past()
+		from, _ := slices.BinarySearch(past, max(step-history, tok+1))
+		return len(past) - from
+	}}
 }
 
 // Result summarises one replay.
@@ -74,250 +126,122 @@ func (r Result) MissRate() float64 {
 	return float64(r.Misses) / float64(r.Requests)
 }
 
+// replay is Replay's state. Tokens are dense — token t is born at step t
+// — so the per-token state is one slice indexed by token.
+type replay struct {
+	resident []int // the cached tokens, in no particular order
+	capacity int
+	policy   Policy
+	toks     []tokenState
+}
+
+type tokenState struct {
+	slot     int   // index in resident; -1 when not cached
+	pin      int   // 1 + the last step that requested the token
+	inserted int   // step of the token's latest insertion
+	uses     []int // the token's ascending request steps
+	seen     int   // how many of uses lie at or before the current step
+}
+
+func (st *tokenState) past() []int   { return st.uses[:st.seen] }
+func (st *tokenState) future() []int { return st.uses[st.seen:] }
+
 // Replay serves the trace from a fast tier of the given token capacity
-// under the evictor's policy. Each step: requested tokens not in the tier
-// count as misses and are brought in (evicting victims as needed, but
-// never tokens requested this same step); the newborn token is inserted
-// last, matching the KV production order of a decode step.
-func Replay(tr *Trace, capacity int, ev Evictor) Result {
+// under the policy. Each step: requested tokens not in the tier count as
+// misses and are brought in (evicting victims as needed, but never tokens
+// requested this same step); the newborn token is inserted last, matching
+// the KV production order of a decode step. It panics naming the step on
+// a trace that breaks Trace's contract.
+func Replay(tr *Trace, capacity int, p Policy) Result {
 	if capacity < 2 {
 		panic(fmt.Sprintf("cachepolicy: capacity must be ≥ 2, got %d", capacity))
 	}
-	cached := make(map[int]bool, capacity)
-	res := Result{Policy: ev.Name(), Capacity: capacity}
-
-	pinned := make(map[int]bool)
-	evictOne := func(step int) {
-		candidates := make([]int, 0, len(cached))
-		for tok := range cached {
-			if !pinned[tok] {
-				candidates = append(candidates, tok)
-			}
-		}
-		if len(candidates) == 0 {
-			// Everything cached is needed this step; the request set
-			// exceeds capacity and the overflow simply streams through.
-			return
-		}
-		victim := ev.Victim(step, candidates)
-		delete(cached, victim)
-	}
-	insert := func(step, tok int) {
-		for len(cached) >= capacity {
-			before := len(cached)
-			evictOne(step)
-			if len(cached) == before {
-				return // nothing evictable; stream instead of caching
-			}
-		}
-		cached[tok] = true
-		ev.Insert(step, tok)
-	}
-
+	r := newReplay(tr, capacity, p)
+	res := Result{Policy: p.name, Capacity: capacity}
 	for step, req := range tr.Requests {
-		newborn := step
-		for k := range pinned {
-			delete(pinned, k)
+		for _, tok := range req {
+			st := &r.toks[tok]
+			if st.pin == step+1 {
+				panic(fmt.Sprintf("cachepolicy: step %d requests token %d twice", step, tok))
+			}
+			st.pin = step + 1
+			st.seen++
 		}
 		for _, tok := range req {
-			pinned[tok] = true
-		}
-		for _, tok := range req {
-			if tok == newborn {
+			if tok == step {
 				continue // produced this step, not served from cache
 			}
 			res.Requests++
-			ev.Touch(step, tok)
-			if !cached[tok] {
+			if r.toks[tok].slot < 0 {
 				res.Misses++
-				insert(step, tok)
+				r.insert(step, tok)
 			}
 		}
-		insert(step, newborn)
+		r.insert(step, step)
 	}
 	return res
 }
 
-// FIFO evicts the oldest inserted token.
-type FIFO struct {
-	inserted map[int]int
-}
-
-// NewFIFO returns a first-in-first-out evictor.
-func NewFIFO() *FIFO { return &FIFO{inserted: map[int]int{}} }
-
-// Name implements Evictor.
-func (f *FIFO) Name() string { return "fifo" }
-
-// Touch implements Evictor (no-op).
-func (f *FIFO) Touch(int, int) {}
-
-// Insert implements Evictor.
-func (f *FIFO) Insert(step, tok int) { f.inserted[tok] = step }
-
-// Victim implements Evictor.
-func (f *FIFO) Victim(_ int, cached []int) int {
-	best, bestStep := cached[0], int(^uint(0)>>1)
-	for _, tok := range cached {
-		if s := f.inserted[tok]; s < bestStep || (s == bestStep && tok < best) {
-			best, bestStep = tok, s
-		}
-	}
-	return best
-}
-
-// LRU evicts the least recently requested token.
-type LRU struct {
-	last map[int]int
-}
-
-// NewLRU returns a least-recently-used evictor.
-func NewLRU() *LRU { return &LRU{last: map[int]int{}} }
-
-// Name implements Evictor.
-func (l *LRU) Name() string { return "lru" }
-
-// Touch implements Evictor.
-func (l *LRU) Touch(step, tok int) { l.last[tok] = step }
-
-// Insert implements Evictor.
-func (l *LRU) Insert(step, tok int) {
-	if _, ok := l.last[tok]; !ok {
-		l.last[tok] = step
-	}
-}
-
-// Victim implements Evictor.
-func (l *LRU) Victim(_ int, cached []int) int {
-	best, bestStep := cached[0], int(^uint(0)>>1)
-	for _, tok := range cached {
-		if s := l.last[tok]; s < bestStep || (s == bestStep && tok < best) {
-			best, bestStep = tok, s
-		}
-	}
-	return best
-}
-
-// Belady evicts the token whose next request lies farthest in the future —
-// the clairvoyant optimum the paper rules out as impractical ("this oracle
-// algorithm assumes future knowledge", §III-B).
-type Belady struct {
-	// nextUse[tok] holds the ascending request steps of tok.
-	uses map[int][]int
-}
-
-// NewBelady builds the oracle evictor from the full trace.
-func NewBelady(tr *Trace) *Belady {
-	uses := make(map[int][]int)
+// newReplay indexes every token's request steps, counted in one pass and
+// filled in a second, in one backing array.
+func newReplay(tr *Trace, capacity int, p Policy) *replay {
+	n := tr.Steps()
+	r := &replay{resident: make([]int, 0, min(capacity, n)), capacity: capacity, policy: p, toks: make([]tokenState, n)}
+	total := 0
 	for step, req := range tr.Requests {
 		for _, tok := range req {
-			uses[tok] = append(uses[tok], step)
-		}
-	}
-	return &Belady{uses: uses}
-}
-
-// Name implements Evictor.
-func (b *Belady) Name() string { return "belady" }
-
-// Touch implements Evictor (the use lists already contain the future).
-func (b *Belady) Touch(int, int) {}
-
-// Insert implements Evictor (no-op).
-func (b *Belady) Insert(int, int) {}
-
-// Victim implements Evictor: farthest next use, never-again first.
-func (b *Belady) Victim(step int, cached []int) int {
-	best, bestNext := -1, -1
-	for _, tok := range cached {
-		next := b.nextUse(step, tok)
-		if next > bestNext || (next == bestNext && tok < best) {
-			best, bestNext = tok, next
-		}
-	}
-	return best
-}
-
-func (b *Belady) nextUse(step, tok int) int {
-	const never = int(^uint(0) >> 1)
-	for _, s := range b.uses[tok] {
-		if s > step {
-			return s
-		}
-	}
-	return never
-}
-
-// AlisaHeuristic is the paper's practical policy: the locally static
-// window (the newest tokens) is never evicted, and among the rest the
-// token with the smallest recent-use count goes first — the cache-level
-// mirror of SWA's local attention sum.
-type AlisaHeuristic struct {
-	// Window is the protected local-window size.
-	Window int
-	// HistoryLen bounds the recent-use horizon.
-	HistoryLen int
-
-	touches map[int][]int
-}
-
-// NewAlisaHeuristic returns the window+recent-score evictor.
-func NewAlisaHeuristic(window, historyLen int) *AlisaHeuristic {
-	if window < 0 || historyLen <= 0 {
-		panic(fmt.Sprintf("cachepolicy: bad heuristic parameters %d/%d", window, historyLen))
-	}
-	return &AlisaHeuristic{Window: window, HistoryLen: historyLen, touches: map[int][]int{}}
-}
-
-// Name implements Evictor.
-func (a *AlisaHeuristic) Name() string { return "alisa" }
-
-// Touch implements Evictor.
-func (a *AlisaHeuristic) Touch(step, tok int) {
-	hist := append(a.touches[tok], step)
-	if len(hist) > a.HistoryLen {
-		hist = hist[len(hist)-a.HistoryLen:]
-	}
-	a.touches[tok] = hist
-}
-
-// Insert implements Evictor (no-op; newborn tokens earn scores by use).
-func (a *AlisaHeuristic) Insert(int, int) {}
-
-// Victim implements Evictor.
-func (a *AlisaHeuristic) Victim(step int, cached []int) int {
-	horizon := step - a.HistoryLen
-	best, bestScore, bestTok := -1, int(^uint(0)>>1), -1
-	for _, tok := range cached {
-		if tok >= step-a.Window {
-			continue // locally static: protected
-		}
-		score := 0
-		for _, s := range a.touches[tok] {
-			if s >= horizon {
-				score++
+			if tok < 0 || tok > step {
+				panic(fmt.Sprintf("cachepolicy: step %d requests token %d outside [0, %d]", step, tok, step))
 			}
+			r.toks[tok].seen++
 		}
-		if score < bestScore || (score == bestScore && tok < bestTok) {
-			best, bestScore, bestTok = tok, score, tok
+		total += len(req)
+	}
+	backing, off := make([]int, total), 0
+	for i := range r.toks {
+		st := &r.toks[i]
+		st.slot, st.uses = -1, backing[off:off:off+st.seen]
+		off, st.seen = off+st.seen, 0
+	}
+	for step, req := range tr.Requests {
+		for _, tok := range req {
+			r.toks[tok].uses = append(r.toks[tok].uses, step)
 		}
 	}
-	if best < 0 {
-		// Everything unprotected is inside the window; fall back to the
-		// oldest cached token.
-		for _, tok := range cached {
-			if best < 0 || tok < best {
-				best = tok
-			}
-		}
-	}
-	return best
+	return r
 }
 
-// interface checks
-var (
-	_ Evictor = (*FIFO)(nil)
-	_ Evictor = (*LRU)(nil)
-	_ Evictor = (*Belady)(nil)
-	_ Evictor = (*AlisaHeuristic)(nil)
-)
+// insert caches tok, evicting the policy's victim when the tier is full;
+// when every cached token is requested this step, tok streams through
+// instead.
+func (r *replay) insert(step, tok int) {
+	if len(r.resident) == r.capacity && !r.evict(step) {
+		return
+	}
+	r.toks[tok].slot = len(r.resident)
+	r.toks[tok].inserted = step
+	r.resident = append(r.resident, tok)
+}
+
+// evict removes the unpinned resident token of lowest (rank, token) and
+// reports whether there was one.
+func (r *replay) evict(step int) bool {
+	victim, best := -1, 0
+	for _, tok := range r.resident {
+		st := &r.toks[tok]
+		if st.pin == step+1 {
+			continue
+		}
+		if rank := r.policy.rank(step, tok, st); victim < 0 || rank < best || rank == best && tok < victim {
+			victim, best = tok, rank
+		}
+	}
+	if victim < 0 {
+		return false
+	}
+	slot, last := r.toks[victim].slot, r.resident[len(r.resident)-1]
+	r.resident[slot], r.toks[last].slot = last, slot
+	r.resident = r.resident[:len(r.resident)-1]
+	r.toks[victim].slot = -1
+	return true
+}

@@ -298,7 +298,10 @@ func (c *Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, s
 		}
 		mhaLayer += c.attnSeconds(proj1, 1, h, heads, int64(sel), kvBytes, window) - proj1
 	}
-	mhaLayer -= float64(b-1) * kernels * launchLatency
+	// The conversion rounds the product before the subtraction, so no
+	// platform fuses the two into one multiply-add with a different
+	// rounding.
+	mhaLayer -= float64(float64(b-1) * kernels * launchLatency)
 	if swa {
 		mhaLayer += sparseBookkeeping
 	}
@@ -320,7 +323,9 @@ func (c *Cost) PrefillTime(cfg model.Config, batch, s int) float64 {
 	qkt := c.GEMM(sl, h, sl/2+1, 2)
 	av := c.GEMM(sl, sl/2+1, h, 2)
 	soft := c.Elementwise(rows*sl/2, 5, 2)
-	perLayer := proj.Seconds + ffn.Seconds + float64(batch)*(qkt.Seconds+av.Seconds) + soft.Seconds
+	// The conversion rounds the product before the sum, as in
+	// RaggedDecodeTime.
+	perLayer := proj.Seconds + ffn.Seconds + float64(float64(batch)*(qkt.Seconds+av.Seconds)) + soft.Seconds
 	return perLayer * float64(cfg.Layers)
 }
 

@@ -95,30 +95,24 @@ type NumericResult struct {
 func AblationNumeric() (*NumericResult, error) {
 	const tokens = 96
 	cfg := model.SmallConfig()
-	cases := []struct {
-		name   string
-		policy attention.Policy
-		bits   int
-	}{
-		{"dense", nil, 0},
-		{"dense+int8", nil, 8},
-		{"local", attention.MustByName("local", 0.4, cfg.Layers), 0},
-		{"swa", attention.MustByName("swa", 0.4, cfg.Layers), 0},
-		{"swa+int8", attention.MustByName("swa", 0.4, cfg.Layers), 8},
-		{"swa+int4", attention.MustByName("swa", 0.4, cfg.Layers), 4},
+	names := []string{"dense", "dense+int8", "local", "swa", "swa+int8", "swa+int4"}
+	cases := []numeric.Case{
+		{},
+		{KVBits: 8},
+		{Policy: attention.MustByName("local", 0.4, cfg.Layers)},
+		{Policy: attention.MustByName("swa", 0.4, cfg.Layers)},
+		{Policy: attention.MustByName("swa", 0.4, cfg.Layers), KVBits: 8},
+		{Policy: attention.MustByName("swa", 0.4, cfg.Layers), KVBits: 4},
+	}
+	reps, err := numeric.Compare(numeric.Config{ModelSeed: 11, DataSeed: 12, Tokens: tokens}, cases...)
+	if err != nil {
+		return nil, fmt.Errorf("numeric ablation: %w", err)
 	}
 	res := &NumericResult{Tokens: tokens}
-	for _, c := range cases {
-		rep, err := numeric.Compare(numeric.Config{
-			ModelSeed: 11, DataSeed: 12, Tokens: tokens,
-			Policy: c.policy, KVBits: c.bits,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("numeric ablation %s: %w", c.name, err)
-		}
+	for i, rep := range reps {
 		res.Rows = append(res.Rows, NumericRow{
-			Policy:       c.name,
-			KVBits:       c.bits,
+			Policy:       names[i],
+			KVBits:       cases[i].KVBits,
 			LogitCosine:  rep.LogitCosine,
 			TopAgreement: rep.TopAgreement,
 			NLLDelta:     rep.MeanNLL - rep.DenseNLL,

@@ -48,15 +48,14 @@ func AblationCaching() (*CachingResult, error) {
 
 	res := &CachingResult{Steps: steps}
 	for _, capacity := range []int{maxReq / 2, maxReq + 8, maxReq + 64} {
-		window := capacity / 3
-		evictors := []cachepolicy.Evictor{
-			cachepolicy.NewFIFO(),
-			cachepolicy.NewLRU(),
-			cachepolicy.NewAlisaHeuristic(window, 64),
-			cachepolicy.NewBelady(tr),
+		policies := []cachepolicy.Policy{
+			cachepolicy.FIFO(),
+			cachepolicy.LRU(),
+			cachepolicy.AlisaHeuristic(capacity/3, 64),
+			cachepolicy.Belady(),
 		}
-		for _, ev := range evictors {
-			r := cachepolicy.Replay(tr, capacity, ev)
+		for _, p := range policies {
+			r := cachepolicy.Replay(tr, capacity, p)
 			res.Rows = append(res.Rows, CachingRow{
 				Capacity: capacity,
 				Policy:   r.Policy,

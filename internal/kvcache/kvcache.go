@@ -126,41 +126,27 @@ func (s *TokenStore) Reset() {
 	s.before = [3]int{}
 }
 
-// OldestIn returns up to max position indices at loc, oldest first — the
-// eviction order of both ALISA's offload heuristic ("store the preceding
-// ones in the CPU") and its Phase III deletion ("delete the oldest KV
-// tensors in the CPU").
-func (s *TokenStore) OldestIn(loc Location, max int) []int {
-	if max <= 0 {
-		return nil
-	}
-	out := make([]int, 0, max)
+// Oldest returns the smallest position at loc, false when there is none —
+// the eviction order of both ALISA's offload heuristic ("store the
+// preceding ones in the CPU") and its Phase III deletion ("delete the
+// oldest KV tensors in the CPU").
+func (s *TokenStore) Oldest(loc Location) (int, bool) {
 	for i, l := range s.loc {
 		if l == loc {
-			out = append(out, i)
-			if len(out) == max {
-				break
-			}
+			return i, true
 		}
 	}
-	return out
+	return 0, false
 }
 
-// NewestIn returns up to max position indices at loc, newest first.
-func (s *TokenStore) NewestIn(loc Location, max int) []int {
-	if max <= 0 {
-		return nil
-	}
-	out := make([]int, 0, max)
+// Newest returns the largest position at loc, false when there is none.
+func (s *TokenStore) Newest(loc Location) (int, bool) {
 	for i := len(s.loc) - 1; i >= 0; i-- {
 		if s.loc[i] == loc {
-			out = append(out, i)
-			if len(out) == max {
-				break
-			}
+			return i, true
 		}
 	}
-	return out
+	return 0, false
 }
 
 // CountsBefore returns the location counts of positions [0, p), indexed

@@ -49,19 +49,23 @@ func TestTokenStoreOldestNewest(t *testing.T) {
 	s.Move(0, CPU)
 	s.Move(2, CPU)
 	s.Move(5, CPU)
-	oldest := s.OldestIn(CPU, 2)
-	if len(oldest) != 2 || oldest[0] != 0 || oldest[1] != 2 {
-		t.Fatalf("OldestIn = %v, want [0 2]", oldest)
+	if p, ok := s.Oldest(CPU); !ok || p != 0 {
+		t.Fatalf("Oldest(CPU) = %d, %v, want 0, true", p, ok)
 	}
-	newest := s.NewestIn(CPU, 2)
-	if len(newest) != 2 || newest[0] != 5 || newest[1] != 2 {
-		t.Fatalf("NewestIn = %v, want [5 2]", newest)
+	if p, ok := s.Newest(CPU); !ok || p != 5 {
+		t.Fatalf("Newest(CPU) = %d, %v, want 5, true", p, ok)
 	}
-	if got := s.OldestIn(Deleted, 3); len(got) != 0 {
-		t.Fatalf("no deleted positions expected, got %v", got)
+	if p, ok := s.Oldest(GPU); !ok || p != 1 {
+		t.Fatalf("Oldest(GPU) = %d, %v, want 1, true", p, ok)
 	}
-	if got := s.OldestIn(CPU, 0); len(got) != 0 {
-		t.Fatalf("max 0 should return nothing, got %v", got)
+	if p, ok := s.Newest(GPU); !ok || p != 4 {
+		t.Fatalf("Newest(GPU) = %d, %v, want 4, true", p, ok)
+	}
+	if _, ok := s.Oldest(Deleted); ok {
+		t.Fatal("Oldest(Deleted) found a position in a store with none deleted")
+	}
+	if _, ok := s.Newest(Deleted); ok {
+		t.Fatal("Newest(Deleted) found a position in a store with none deleted")
 	}
 }
 

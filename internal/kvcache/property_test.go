@@ -55,9 +55,10 @@ func checkTokenStore(t *testing.T, s *TokenStore, tokenBytes int64) {
 }
 
 // TestTokenStoreProperties drives random op sequences — append, move,
-// clone, reset — and checks the byte-accounting invariants after every
-// op, and the prefix cursor at a random prefix, so that the cursor moves
-// both ways between queries and Moves land on both sides of it.
+// clone, reset — and checks the byte-accounting invariants, Oldest and
+// Newest after every op, and the prefix cursor at a random prefix, so that
+// the cursor moves both ways between queries and Moves land on both sides
+// of it.
 func TestTokenStoreProperties(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -80,28 +81,34 @@ func TestTokenStoreProperties(t *testing.T) {
 				s.Reset()
 			}
 			checkTokenStore(t, s, tokenBytes)
+			checkOldestNewest(t, s, seed, op)
 			p := rng.Intn(s.Len() + 1)
 			if got, want := s.CountsBefore(p), recountPrefix(s, p); got != want {
 				t.Fatalf("seed %d op %d: CountsBefore(%d) = %v, recount %v", seed, op, p, got, want)
 			}
 		}
-		// Oldest/newest enumeration agrees with the counters and with
-		// each other (reversed) at every location.
-		for _, loc := range allLocations {
-			oldest := s.OldestIn(loc, s.Len())
-			newest := s.NewestIn(loc, s.Len())
-			if len(oldest) != s.Count(loc) || len(newest) != s.Count(loc) {
-				t.Fatalf("seed %d: enumeration of %v returned %d/%d, count %d",
-					seed, loc, len(oldest), len(newest), s.Count(loc))
-			}
-			for i := range oldest {
-				if oldest[i] != newest[len(newest)-1-i] {
-					t.Fatalf("seed %d: oldest/newest disagree at %d", seed, i)
+	}
+}
+
+// checkOldestNewest holds Oldest and Newest to the smallest and largest
+// position at each location, false when there is none.
+func checkOldestNewest(t *testing.T, s *TokenStore, seed int64, op int) {
+	t.Helper()
+	for _, loc := range allLocations {
+		first, last := -1, -1
+		for p := 0; p < s.Len(); p++ {
+			if s.Loc(p) == loc {
+				if first < 0 {
+					first = p
 				}
-				if s.Loc(oldest[i]) != loc {
-					t.Fatalf("seed %d: enumerated position %d not at %v", seed, oldest[i], loc)
-				}
+				last = p
 			}
+		}
+		if p, ok := s.Oldest(loc); ok != (first >= 0) || ok && p != first {
+			t.Fatalf("seed %d op %d: Oldest(%v) = %d, %v; smallest position at it %d", seed, op, loc, p, ok, first)
+		}
+		if p, ok := s.Newest(loc); ok != (last >= 0) || ok && p != last {
+			t.Fatalf("seed %d op %d: Newest(%v) = %d, %v; largest position at it %d", seed, op, loc, p, ok, last)
 		}
 	}
 }

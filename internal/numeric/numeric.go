@@ -23,13 +23,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Config describes one numeric comparison run.
+// Config describes the stream a comparison decodes: the decoder and the
+// teacher-forced tokens every case and the dense reference share.
 type Config struct {
 	// ModelSeed and DataSeed fix the decoder weights and the token
 	// stream.
 	ModelSeed, DataSeed int64
 	// Tokens is the stream length (teacher-forced).
 	Tokens int
+	// Model overrides the decoder shape; zero value uses SmallConfig.
+	Model model.Config
+}
+
+// Case is one configuration compared against the dense reference.
+type Case struct {
 	// Policy selects cached tokens; nil means dense.
 	Policy attention.Policy
 	// KVBits imposes KV storage precision by round-tripping the cache
@@ -37,8 +44,6 @@ type Config struct {
 	// runtime stores), 8 or 4 through the channel-wise quantizer; 0
 	// leaves the cache in full float32.
 	KVBits int
-	// Model overrides the decoder shape; zero value uses SmallConfig.
-	Model model.Config
 }
 
 // Report compares a policy run against the dense reference.
@@ -57,16 +62,19 @@ type Report struct {
 	LogitCosine float64
 }
 
-// Compare runs the policy and the dense reference over the same stream
-// and reports divergence measures.
-func Compare(cfg Config) (*Report, error) {
+// Compare decodes the stream once densely in float32 as the reference and
+// once per case, and reports each case's divergence from the reference,
+// in case order.
+func Compare(cfg Config, cases ...Case) ([]Report, error) {
 	if cfg.Tokens < 8 {
 		return nil, fmt.Errorf("numeric: need at least 8 tokens, got %d", cfg.Tokens)
 	}
-	switch cfg.KVBits {
-	case 0, 16, 8, 4:
-	default:
-		return nil, fmt.Errorf("numeric: unsupported KV bits %d", cfg.KVBits)
+	for _, c := range cases {
+		switch c.KVBits {
+		case 0, 16, 8, 4:
+		default:
+			return nil, fmt.Errorf("numeric: unsupported KV bits %d", c.KVBits)
+		}
 	}
 	mc := cfg.Model
 	if mc.Layers == 0 {
@@ -78,43 +86,48 @@ func Compare(cfg Config) (*Report, error) {
 	dec := model.NewDecoder(mc, cfg.ModelSeed)
 	stream := workload.NewGenerator(mc.Vocab, cfg.DataSeed).Prompt(cfg.Tokens)
 
-	denseLogits := run(dec, stream, nil, 0)
-	policyLogits := run(dec, stream, cfg.Policy, cfg.KVBits)
+	dense := run(dec, stream, Case{})
+	reps := make([]Report, len(cases))
+	for i, c := range cases {
+		reps[i] = report(stream, run(dec, stream, c), dense)
+	}
+	return reps, nil
+}
 
-	rep := &Report{Steps: cfg.Tokens - 1}
+// report scores one case's per-step logits against the dense reference's
+// on predicting each next token of the stream.
+func report(stream []int, logits, dense [][]float32) Report {
+	rep := Report{Steps: len(stream) - 1}
 	var agree int
 	var cosSum float64
-	for i := 0; i < cfg.Tokens-1; i++ {
+	for i := 0; i < rep.Steps; i++ {
 		next := stream[i+1]
-		rep.MeanNLL += nll(policyLogits[i], next)
-		rep.DenseNLL += nll(denseLogits[i], next)
-		if argmax(policyLogits[i]) == argmax(denseLogits[i]) {
+		rep.MeanNLL += nll(logits[i], next)
+		rep.DenseNLL += nll(dense[i], next)
+		if argmax(logits[i]) == argmax(dense[i]) {
 			agree++
 		}
-		cosSum += cosine(policyLogits[i], denseLogits[i])
+		cosSum += cosine(logits[i], dense[i])
 	}
-	n := float64(cfg.Tokens - 1)
+	n := float64(rep.Steps)
 	rep.MeanNLL /= n
 	rep.DenseNLL /= n
 	rep.TopAgreement = float64(agree) / n
 	rep.LogitCosine = cosSum / n
-	return rep, nil
+	return rep
 }
 
-// run teacher-forces the stream through the decoder and collects per-step
-// logits. The KV cache is round-tripped through the configured storage
-// precision after each step, imposing it on everything later steps read.
-func run(dec *model.Decoder, stream []int, pol attention.Policy, kvBits int) [][]float32 {
+// run teacher-forces the stream through the decoder under the case's
+// policy and collects per-step logits. The KV cache is round-tripped
+// through the case's storage precision after each step, imposing it on
+// everything later steps read.
+func run(dec *model.Decoder, stream []int, c Case) [][]float32 {
 	st := dec.NewState()
 	logits := make([][]float32, 0, len(stream))
-	var sel model.Selector
-	if pol != nil {
-		sel = policyAdapter{pol}
-	}
 	for _, tok := range stream {
-		res := dec.DecodeStep(st, tok, sel)
+		res := dec.DecodeStep(st, tok, c.Policy)
 		logits = append(logits, res.Logits)
-		switch kvBits {
+		switch c.KVBits {
 		case 16:
 			for l := range st.K {
 				f16.RoundTripSlice(st.K[l].Data)
@@ -122,23 +135,12 @@ func run(dec *model.Decoder, stream []int, pol attention.Policy, kvBits int) [][
 			}
 		case 8, 4:
 			for l := range st.K {
-				quant.RoundTrip(st.K[l], kvBits)
-				quant.RoundTrip(st.V[l], kvBits)
+				quant.RoundTrip(st.K[l], c.KVBits)
+				quant.RoundTrip(st.V[l], c.KVBits)
 			}
 		}
 	}
 	return logits
-}
-
-// policyAdapter bridges attention.Policy to the decoder's Selector hook.
-type policyAdapter struct {
-	p attention.Policy
-}
-
-func (a policyAdapter) Select(layer, n int) []int { return a.p.Select(layer, n) }
-
-func (a policyAdapter) Observe(layer int, indices []int, weights []float64) {
-	a.p.Observe(layer, indices, weights)
 }
 
 func nll(logits []float32, target int) float64 {

@@ -8,11 +8,21 @@ import (
 	"repro/internal/model"
 )
 
-func TestDenseSelfComparisonIsExact(t *testing.T) {
-	rep, err := Compare(Config{ModelSeed: 1, DataSeed: 2, Tokens: 32})
+// compare runs Compare and fails the test on an error.
+func compare(t *testing.T, cfg Config, cases ...Case) []Report {
+	t.Helper()
+	reps, err := Compare(cfg, cases...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(reps) != len(cases) {
+		t.Fatalf("%d reports for %d cases", len(reps), len(cases))
+	}
+	return reps
+}
+
+func TestDenseSelfComparisonIsExact(t *testing.T) {
+	rep := compare(t, Config{ModelSeed: 1, DataSeed: 2, Tokens: 32}, Case{})[0]
 	if rep.TopAgreement != 1 {
 		t.Fatalf("dense vs dense agreement = %v, want 1", rep.TopAgreement)
 	}
@@ -26,20 +36,10 @@ func TestDenseSelfComparisonIsExact(t *testing.T) {
 
 func TestSWATracksDenseOnLiveTensors(t *testing.T) {
 	cfg := model.SmallConfig()
-	swa, err := Compare(Config{
-		ModelSeed: 1, DataSeed: 2, Tokens: 96,
-		Policy: attention.MustByName("swa", 0.4, cfg.Layers),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := Compare(Config{
-		ModelSeed: 1, DataSeed: 2, Tokens: 96,
-		Policy: attention.MustByName("local", 0.4, cfg.Layers),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := compare(t, Config{ModelSeed: 1, DataSeed: 2, Tokens: 96},
+		Case{Policy: attention.MustByName("swa", 0.4, cfg.Layers)},
+		Case{Policy: attention.MustByName("local", 0.4, cfg.Layers)})
+	swa, local := reps[0], reps[1]
 	// The oracle-level ordering must hold on real softmax attention too.
 	if swa.LogitCosine <= local.LogitCosine {
 		t.Fatalf("SWA cosine %.4f should beat local %.4f", swa.LogitCosine, local.LogitCosine)
@@ -54,13 +54,8 @@ func TestSWATracksDenseOnLiveTensors(t *testing.T) {
 
 func TestSWAFullRatioMatchesDense(t *testing.T) {
 	cfg := model.SmallConfig()
-	rep, err := Compare(Config{
-		ModelSeed: 3, DataSeed: 4, Tokens: 48,
-		Policy: attention.MustByName("swa", 1.0, cfg.Layers),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := compare(t, Config{ModelSeed: 3, DataSeed: 4, Tokens: 48},
+		Case{Policy: attention.MustByName("swa", 1.0, cfg.Layers)})[0]
 	// Ratio 1.0 may drop one token on odd steps (k-clamping), so demand
 	// near-identity rather than exactness.
 	if rep.LogitCosine < 0.995 {
@@ -74,14 +69,8 @@ func TestSWAFullRatioMatchesDense(t *testing.T) {
 func TestINT8QuantizationNearlyFree(t *testing.T) {
 	// Fig. 8's compression finding on live tensors: INT8 KV storage
 	// barely moves the logits.
-	plain, err := Compare(Config{ModelSeed: 5, DataSeed: 6, Tokens: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	int8, err := Compare(Config{ModelSeed: 5, DataSeed: 6, Tokens: 64, KVBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := compare(t, Config{ModelSeed: 5, DataSeed: 6, Tokens: 64}, Case{}, Case{KVBits: 8})
+	plain, int8 := reps[0], reps[1]
 	if int8.LogitCosine < 0.99 {
 		t.Fatalf("INT8 KV cosine vs dense = %.4f, want ≥0.99", int8.LogitCosine)
 	}
@@ -95,14 +84,8 @@ func TestINT8QuantizationNearlyFree(t *testing.T) {
 }
 
 func TestINT4NoisierThanINT8(t *testing.T) {
-	int8, err := Compare(Config{ModelSeed: 7, DataSeed: 8, Tokens: 64, KVBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	int4, err := Compare(Config{ModelSeed: 7, DataSeed: 8, Tokens: 64, KVBits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := compare(t, Config{ModelSeed: 7, DataSeed: 8, Tokens: 64}, Case{KVBits: 8}, Case{KVBits: 4})
+	int8, int4 := reps[0], reps[1]
 	if int4.LogitCosine > int8.LogitCosine {
 		t.Fatalf("INT4 cosine %.4f should not beat INT8 %.4f", int4.LogitCosine, int8.LogitCosine)
 	}
@@ -113,33 +96,43 @@ func TestAlisaStackOnLiveTensors(t *testing.T) {
 	// pure SWA run — the compression is accuracy-neutral on top of
 	// sparsity, numerically.
 	cfg := model.SmallConfig()
-	swa, err := Compare(Config{
-		ModelSeed: 9, DataSeed: 10, Tokens: 96,
-		Policy: attention.MustByName("swa", 0.4, cfg.Layers),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alisa, err := Compare(Config{
-		ModelSeed: 9, DataSeed: 10, Tokens: 96,
-		Policy: attention.MustByName("swa", 0.4, cfg.Layers), KVBits: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := compare(t, Config{ModelSeed: 9, DataSeed: 10, Tokens: 96},
+		Case{Policy: attention.MustByName("swa", 0.4, cfg.Layers)},
+		Case{Policy: attention.MustByName("swa", 0.4, cfg.Layers), KVBits: 8})
+	swa, alisa := reps[0], reps[1]
 	if math.Abs(alisa.MeanNLL-swa.MeanNLL) > 0.15 {
 		t.Fatalf("ALISA NLL %.4f should track SWA %.4f", alisa.MeanNLL, swa.MeanNLL)
 	}
 }
 
+// Each case's report equals the report of a comparison of that case
+// alone: decoding the reference once shares nothing between cases.
+func TestCasesIndependent(t *testing.T) {
+	cfg := model.SmallConfig()
+	stream := Config{ModelSeed: 15, DataSeed: 16, Tokens: 40}
+	cases := func() []Case {
+		return []Case{
+			{Policy: attention.MustByName("swa", 0.5, cfg.Layers), KVBits: 4},
+			{KVBits: 16},
+			{Policy: attention.MustByName("local", 0.5, cfg.Layers)},
+		}
+	}
+	together := compare(t, stream, cases()...)
+	for i, c := range cases() {
+		if alone := compare(t, stream, c)[0]; alone != together[i] {
+			t.Fatalf("case %d: alone %+v, among others %+v", i, alone, together[i])
+		}
+	}
+}
+
 func TestCompareErrors(t *testing.T) {
-	if _, err := Compare(Config{Tokens: 4}); err == nil {
+	if _, err := Compare(Config{Tokens: 4}, Case{}); err == nil {
 		t.Fatal("expected error for short stream")
 	}
-	if _, err := Compare(Config{Tokens: 32, KVBits: 3}); err == nil {
+	if _, err := Compare(Config{Tokens: 32}, Case{}, Case{KVBits: 3}); err == nil {
 		t.Fatal("expected error for bad KV bits")
 	}
-	if _, err := Compare(Config{Tokens: 10000}); err == nil {
+	if _, err := Compare(Config{Tokens: 10000}, Case{}); err == nil {
 		t.Fatal("expected error for over-long stream")
 	}
 }
@@ -157,14 +150,8 @@ func TestNLLIsProperLoss(t *testing.T) {
 func TestFP16StorageNearlyExact(t *testing.T) {
 	// FP16 KV storage (what the paper's systems hold before compression)
 	// is effectively lossless at these magnitudes.
-	fp32, err := Compare(Config{ModelSeed: 13, DataSeed: 14, Tokens: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp16, err := Compare(Config{ModelSeed: 13, DataSeed: 14, Tokens: 64, KVBits: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := compare(t, Config{ModelSeed: 13, DataSeed: 14, Tokens: 64}, Case{}, Case{KVBits: 16}, Case{KVBits: 8})
+	fp32, fp16, int8 := reps[0], reps[1], reps[2]
 	if fp16.LogitCosine < 0.9999 {
 		t.Fatalf("FP16 KV cosine = %v, want ≈1", fp16.LogitCosine)
 	}
@@ -172,10 +159,6 @@ func TestFP16StorageNearlyExact(t *testing.T) {
 		t.Fatalf("FP16 NLL shift %v too large", math.Abs(fp16.MeanNLL-fp32.MeanNLL))
 	}
 	// Precision ladder: fp16 ≥ int8 ≥ int4 fidelity.
-	int8, err := Compare(Config{ModelSeed: 13, DataSeed: 14, Tokens: 64, KVBits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if int8.LogitCosine > fp16.LogitCosine+1e-9 {
 		t.Fatal("INT8 should not beat FP16 fidelity")
 	}

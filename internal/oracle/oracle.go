@@ -137,7 +137,10 @@ func New(spec Spec) *Process {
 	master := rand.New(rand.NewSource(spec.Seed))
 	decay := localityDecay(spec.LocalityTau)
 	for i := range p.layer {
-		tempo := 0.75 + 0.5*master.Float64()
+		// The conversion rounds the product before the add, so no
+		// platform fuses the two into one multiply-add with a different
+		// rounding.
+		tempo := 0.75 + float64(0.5*master.Float64())
 		p.layer[i] = &layerState{
 			rng:   rand.New(rand.NewSource(master.Int63())),
 			tempo: tempo,
@@ -197,8 +200,9 @@ func (st *layerState) reserve(steps int) {
 func (st *layerState) advance(spec *Spec, t int, dst []float64) []float64 {
 	// Birth of token t on this layer. The static part of its logit —
 	// concentration-scaled importance plus the position-0 sink boost —
-	// never changes, so it is computed once here.
-	stat := spec.Concentration * st.tempo * st.rng.NormFloat64()
+	// never changes, so it is computed once here. The conversion rounds
+	// the product before the boost's add, as in New.
+	stat := float64(spec.Concentration * st.tempo * st.rng.NormFloat64())
 	if t == 0 {
 		stat += spec.SinkBoost
 	}

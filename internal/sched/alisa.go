@@ -118,8 +118,8 @@ func (a *alisa) Init(ctx *Context) error {
 			if !a.recompute {
 				return fmt.Errorf("alisa: prefill KV exceeds CPU memory: %w", errCPU)
 			}
-			old := a.store.OldestIn(kvcache.CPU, 1)
-			if len(old) == 0 {
+			old, ok := a.store.Oldest(kvcache.CPU)
+			if !ok {
 				// Nothing deletable: cache this token as already deleted;
 				// it will be recomputed on demand.
 				a.store.Append(kvcache.Deleted)
@@ -127,7 +127,7 @@ func (a *alisa) Init(ctx *Context) error {
 				break
 			}
 			ctx.Sys.FreeCPU(tokenBytes)
-			a.store.Move(old[0], kvcache.Deleted)
+			a.store.Move(old, kvcache.Deleted)
 			a.markPhase3(0)
 		}
 	}
@@ -214,13 +214,14 @@ func (a *alisa) Step(ctx *Context, j int) (StepPlan, error) {
 // inverts it.
 func (a *alisa) ensureGPUSpace(ctx *Context, tokenBytes int64, j int) (offloaded, deleted int, err error) {
 	for ctx.Sys.GPUHeadroom() < tokenBytes {
-		var victims []int
+		var victim int
+		var ok bool
 		if a.evictNewestFirst {
-			victims = a.store.NewestIn(kvcache.GPU, 1)
+			victim, ok = a.store.Newest(kvcache.GPU)
 		} else {
-			victims = a.store.OldestIn(kvcache.GPU, 1)
+			victim, ok = a.store.Oldest(kvcache.GPU)
 		}
-		if len(victims) == 0 {
+		if !ok {
 			return offloaded, deleted, fmt.Errorf("alisa: GPU full with no evictable KV (token bytes %d, headroom %d)",
 				tokenBytes, ctx.Sys.GPUHeadroom())
 		}
@@ -230,19 +231,19 @@ func (a *alisa) ensureGPUSpace(ctx *Context, tokenBytes int64, j int) (offloaded
 			if !a.recompute {
 				return offloaded, deleted, fmt.Errorf("alisa: CPU memory exhausted and recomputation disabled: %w", errCPU)
 			}
-			old := a.store.OldestIn(kvcache.CPU, 1)
-			if len(old) == 0 {
+			old, ok := a.store.Oldest(kvcache.CPU)
+			if !ok {
 				return offloaded, deleted, fmt.Errorf("alisa: CPU memory exhausted with nothing deletable: %w", errCPU)
 			}
 			ctx.Sys.FreeCPU(tokenBytes)
-			a.store.Move(old[0], kvcache.Deleted)
+			a.store.Move(old, kvcache.Deleted)
 			deleted++
 			a.markPhase3(j)
 			continue
 		}
 		ctx.Sys.TransferToCPU(tokenBytes)
 		ctx.Sys.FreeGPU(tokenBytes)
-		a.store.Move(victims[0], kvcache.CPU)
+		a.store.Move(victim, kvcache.CPU)
 		offloaded++
 		a.markPhase2(j)
 	}
@@ -260,9 +261,9 @@ func (a *alisa) enforceDeletionShare(ctx *Context, tokenBytes int64, j int) int 
 		if cpu == 0 || float64(del) >= a.beta*float64(del+cpu) {
 			return deleted
 		}
-		victim := a.store.OldestIn(kvcache.CPU, 1)
+		victim, _ := a.store.Oldest(kvcache.CPU) // cpu > 0: there is one
 		ctx.Sys.FreeCPU(tokenBytes)
-		a.store.Move(victim[0], kvcache.Deleted)
+		a.store.Move(victim, kvcache.Deleted)
 		deleted++
 		a.markPhase3(j)
 	}

@@ -34,6 +34,14 @@ import (
 // they keep and must tolerate Observe calls with indices they did not
 // select (the dense reference path).
 //
+// Select(layer, 0) starts a sequence on that layer, on a new or used
+// instance: it clears what the layer observed, whatever the instance ran
+// before, so the selections that follow are the ones a fresh instance
+// would make, and the layer keeps its buffers. Every sequence opens with
+// n = 0 (no token cached yet), so a caller restarts an instance simply by
+// driving it through the next sequence; Fig. 8 reuses its policy sets
+// from group to group this way.
+//
 // Every policy confines mutable state, selection scratch included, to the
 // layer argument, so distinct layers of the same policy may be driven from
 // distinct goroutines concurrently (package oracle's parallel Evaluate
@@ -74,10 +82,10 @@ func (*dense) Name() string { return "dense" }
 
 // Select implements Policy, returning every cache index.
 func (p *dense) Select(layer, n int) []int {
+	sel := layerOf(p.layers, layer)
 	if n <= 0 {
 		return nil
 	}
-	sel := layerOf(p.layers, layer)
 	*sel = appendAscending((*sel)[:0], 0, n)
 	return *sel
 }
@@ -98,10 +106,10 @@ func (p *local) Name() string { return "local" }
 
 // Select implements Policy, returning the last ⌊n·r⌉ cache indices.
 func (p *local) Select(layer, n int) []int {
+	sel := layerOf(p.layers, layer)
 	if n <= 0 {
 		return nil
 	}
-	sel := layerOf(p.layers, layer)
 	*sel = appendAscending((*sel)[:0], n-Budget(n, p.ratio), n)
 	return *sel
 }
@@ -124,12 +132,12 @@ func (p *strided) Name() string { return "strided" }
 // …, n−1−(b−1)·s with stride s = ⌊n/b⌋, emitted oldest first. b ≤ n
 // makes s ≥ 1 and b·s ≤ n keeps the oldest position in range.
 func (p *strided) Select(layer, n int) []int {
+	sel := layerOf(p.layers, layer)
 	if n <= 0 {
 		return nil
 	}
 	b := Budget(n, p.ratio)
 	stride := n / b
-	sel := layerOf(p.layers, layer)
 	*sel = (*sel)[:0]
 	for i := n - 1 - (b-1)*stride; i < n; i += stride {
 		*sel = append(*sel, i)
@@ -217,10 +225,13 @@ type winRow struct{ off, n int }
 
 // push appends one observed row to the window. A row that would overflow
 // the arena first moves the live rows to its front, dropping the dead
-// prefix of trimmed ones, into an arena twice the size when they and the
-// row would fill more than half of it. Either way at least half the arena
-// is free afterwards, so the copy is amortised O(1) per pushed weight and
-// the arena grows O(log n) times.
+// prefix of trimmed ones; a row that, with the live rows, would fill more
+// than half of it first moves them into an arena twice the size. Either
+// way at least half the arena is free afterwards, so the copy is
+// amortised O(1) per pushed weight and the arena grows O(log n) times.
+// Growing before the arena fills keeps it at least twice the largest
+// window it has held, so a restarted sequence no longer than an earlier
+// one never grows it.
 func (st *swaLayer) push(indices []int, weights []float64) {
 	if st.count == len(st.ring) {
 		grown := make([]winRow, max(8, 2*len(st.ring)))
@@ -234,8 +245,9 @@ func (st *swaLayer) push(indices []int, weights []float64) {
 	if slot >= len(st.ring) {
 		slot -= len(st.ring)
 	}
-	if len(st.arenaIdx)+len(indices) > cap(st.arenaIdx) {
-		st.compact(len(indices))
+	n, c := len(indices), cap(st.arenaIdx)
+	if len(st.arenaIdx)+n > c || 2*(len(st.arenaIdx)-st.start+n) > c {
+		st.compact(n)
 	}
 	st.ring[slot] = winRow{off: len(st.arenaIdx), n: len(indices)}
 	st.arenaIdx = append(st.arenaIdx, indices...)
@@ -273,11 +285,12 @@ func halfBudget(n int, r float64) int {
 // returned slice is scratch owned by the layer, valid until the next
 // Select on the same layer.
 func (p *swa) Select(layer, n int) []int {
+	st := layerOf(p.layers, layer)
 	if n <= 0 {
+		st.restart()
 		return nil
 	}
 	k := p.K(n)
-	st := layerOf(p.layers, layer)
 	st.trimTo(k)
 	// Globally dynamic: top-k positions before the local window, ranked by
 	// the local attention sum S. Positions never observed score zero and
@@ -309,6 +322,14 @@ func (st *swaLayer) grow(n int) {
 	for len(st.sum) < n {
 		st.sum = append(st.sum, 0)
 	}
+}
+
+// restart empties the window, its arena and the sum, keeping their
+// buffers for the next sequence.
+func (st *swaLayer) restart() {
+	st.head, st.count, st.start = 0, 0, 0
+	st.arenaIdx, st.arenaW = st.arenaIdx[:0], st.arenaW[:0]
+	st.sum = st.sum[:0]
 }
 
 // trimTo keeps only the most recent k observed rows in the running sum:
@@ -375,11 +396,12 @@ func (p *h2o) Name() string { return "h2o" }
 // The returned slice is scratch owned by the layer, valid until the next
 // Select on the same layer.
 func (p *h2o) Select(layer, n int) []int {
+	st := layerOf(p.layers, layer)
 	if n <= 0 {
+		st.sum = st.sum[:0] // a new sequence: forget the old sums
 		return nil
 	}
 	k := halfBudget(n, p.ratio)
-	st := layerOf(p.layers, layer)
 	// No recency epsilon: H2O ranks purely by cumulative mass, which is
 	// exactly the stale-hitter behaviour the ablation isolates.
 	return st.selectTopPlusLocal(st.sum, n-k, k, n, false)

@@ -261,14 +261,16 @@ func TestSWAPerLayerState(t *testing.T) {
 func TestLayerOutOfRangePanics(t *testing.T) {
 	for _, name := range Registered() {
 		for _, layer := range []int{-1, 1, 3} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: Select on layer %d of 1 did not panic", name, layer)
-					}
+			for _, n := range []int{0, 10} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s: Select(%d, %d) on 1 layer did not panic", name, layer, n)
+						}
+					}()
+					MustByName(name, 0.5, 1).Select(layer, n)
 				}()
-				MustByName(name, 0.5, 1).Select(layer, 10)
-			}()
+			}
 		}
 	}
 }
@@ -404,4 +406,94 @@ func contains(v []int, x int) bool {
 		}
 	}
 	return false
+}
+
+// seqWeights draws the attention weights one sequence feeds back: for each
+// layer and step n, n+2 values, enough for any observed row (see obsRow).
+func seqWeights(seed int64, layers, steps int) [][][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	w := make([][][]float64, layers)
+	for l := range w {
+		w[l] = make([][]float64, steps)
+		for n := range w[l] {
+			w[l][n] = make([]float64, n+2)
+			for i := range w[l][n] {
+				w[l][n][i] = rng.Float64()
+			}
+		}
+	}
+	return w
+}
+
+// obsRow writes into idx[:0] the row a step with n cached tokens observes:
+// the selection, the current token n, and the sink token 0 when the
+// selection left it out (the dense path reports every position), so every
+// row carries weight for position 0.
+func obsRow(idx, sel []int, n int) []int {
+	idx = append(append(idx[:0], sel...), n)
+	if n > 0 && sel[0] != 0 {
+		idx = append(idx, 0)
+	}
+	return idx
+}
+
+// runSeq drives p through one sequence: at each step n every layer selects
+// from n cached tokens, then observes obsRow through the caller's buffer.
+func runSeq(p Policy, w [][][]float64, idx *[]int) {
+	for n := range w[0] {
+		for l := range w {
+			*idx = obsRow(*idx, p.Select(l, n), n)
+			p.Observe(l, *idx, w[l][n][:len(*idx)])
+		}
+	}
+}
+
+// A used instance's next sequence selects exactly what a fresh instance
+// selects: Select(l, 0) forgets what the layer observed before.
+func TestSelectZeroRestartsSequence(t *testing.T) {
+	const layers, steps = 2, 200
+	a, b := seqWeights(1, layers, steps), seqWeights(2, layers, steps)
+	for _, name := range Registered() {
+		for _, ratio := range []float64{0.2, 0.6} {
+			used, fresh := MustByName(name, ratio, layers), MustByName(name, ratio, layers)
+			var idx []int
+			runSeq(used, a, &idx)
+			for n := 0; n < steps; n++ {
+				for l := 0; l < layers; l++ {
+					got := used.Select(l, n)
+					want := fresh.Select(l, n)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s at ratio %v, layer %d, step %d of the second sequence: Select = %v, a fresh instance's = %v",
+							name, ratio, l, n, got, want)
+					}
+					idx = obsRow(idx, got, n)
+					used.Observe(l, idx, b[l][n][:len(idx)])
+					fresh.Observe(l, idx, b[l][n][:len(idx)])
+				}
+			}
+		}
+	}
+}
+
+// A restarted instance keeps its buffers: a second sequence as long as the
+// first allocates nothing in Select or Observe.
+func TestRestartedSequenceAllocsZero(t *testing.T) {
+	const layers, steps = 2, 300
+	seqs := [][][][]float64{seqWeights(3, layers, steps), seqWeights(4, layers, steps)}
+	for _, name := range Registered() {
+		for _, ratio := range []float64{0.2, 0.6} {
+			p := MustByName(name, ratio, layers)
+			idx := make([]int, 0, steps+2)
+			// AllocsPerRun's warm-up call runs the first sequence on the
+			// fresh instance; its one measured call runs the second.
+			i := 0
+			allocs := testing.AllocsPerRun(1, func() {
+				runSeq(p, seqs[i], &idx)
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s at ratio %v: the second sequence allocated %v times, want 0", name, ratio, allocs)
+			}
+		}
+	}
 }

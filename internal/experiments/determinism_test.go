@@ -10,15 +10,15 @@ import (
 // TestRenderedOutputMatchesSequentialReference proves the acceptance
 // criterion for the parallel accuracy hot path at the experiment level:
 // every oracle-backed figure renders byte-identical output whether the
-// cells are evaluated by the parallel scratch-reusing oracle.Evaluate or
-// by the retained sequential reference.
+// cells are evaluated by the parallel scratch-reusing oracle.Evaluate and
+// oracle.MeanRecalls or by the retained sequential reference.
 func TestRenderedOutputMatchesSequentialReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders several experiments twice")
 	}
 	defer func() {
 		evalPolicy = oracle.Evaluate
-		evalPolicies = oracle.EvaluateMany
+		meanRecalls = oracle.MeanRecalls
 	}()
 
 	fig8cfg := Fig8Config{
@@ -54,15 +54,15 @@ func TestRenderedOutputMatchesSequentialReference(t *testing.T) {
 	}
 
 	evalPolicy = oracle.Evaluate
-	evalPolicies = oracle.EvaluateMany
+	meanRecalls = oracle.MeanRecalls
 	parallel := render()
 	evalPolicy = oracle.EvaluateSequential
-	evalPolicies = func(spec oracle.Spec, pols []attention.Policy, steps int) []*oracle.Result {
+	meanRecalls = func(spec oracle.Spec, pols []attention.Policy, steps int) []float64 {
 		// Per-policy sequential reference: each policy gets its own fresh
-		// process, the semantics EvaluateMany promises to reproduce exactly.
-		out := make([]*oracle.Result, len(pols))
+		// process, the semantics MeanRecalls promises to reproduce exactly.
+		out := make([]float64, len(pols))
 		for i, pol := range pols {
-			out[i] = oracle.EvaluateSequential(spec, pol, steps)
+			out[i] = oracle.EvaluateSequential(spec, pol, steps).MeanRecall
 		}
 		return out
 	}

@@ -14,15 +14,16 @@ import (
 	"repro/internal/oracle"
 )
 
-// evalPolicy and evalPolicies are the accuracy-evaluation kernels every
-// experiment shares: oracle.Evaluate and oracle.EvaluateMany, the parallel
-// scratch-reusing hot path. The determinism test swaps in
-// oracle.EvaluateSequential (and a per-policy sequential loop for the
-// many-policy form) to prove rendered experiment output is byte-identical
-// to the sequential reference.
+// evalPolicy and meanRecalls are the accuracy-evaluation kernels the
+// experiments share, both on the parallel scratch-reusing hot path:
+// oracle.Evaluate for the figures that read a policy's full Result, and
+// oracle.MeanRecalls for Fig. 8, which reads only each policy's mean
+// recall. The determinism test swaps in oracle.EvaluateSequential, and a
+// per-policy loop over it for the recall-only form, to prove rendered
+// experiment output is byte-identical to the sequential reference.
 var (
-	evalPolicy   func(oracle.Spec, attention.Policy, int) *oracle.Result     = oracle.Evaluate
-	evalPolicies func(oracle.Spec, []attention.Policy, int) []*oracle.Result = oracle.EvaluateMany
+	evalPolicy  func(oracle.Spec, attention.Policy, int) *oracle.Result = oracle.Evaluate
+	meanRecalls func(oracle.Spec, []attention.Policy, int) []float64    = oracle.MeanRecalls
 )
 
 // Renderer is a result that can print itself for the CLI.

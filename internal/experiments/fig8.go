@@ -74,11 +74,17 @@ var fig8Methods = []string{"dense", "local", "strided", "swa", "alisa"}
 // dense baselines. Cells group by (model, dataset): every cell of a group
 // shares one attention process (the seed depends only on those two
 // coordinates), so the group evaluates all its policies — local, strided
-// and swa at each nonzero sparsity — in a single EvaluateMany pass over
+// and swa at each nonzero sparsity — in a single MeanRecalls pass over
 // shared dense rows instead of regenerating the process per cell. Groups
 // are independent and run through grid.Run; determinism is preserved
 // because each group derives its seed from its coordinates and writes a
 // disjoint, pre-assigned block of the result.
+//
+// Every group evaluates the same policy set, and a policy restarts on a
+// sequence's first Select (attention.Policy), so a group takes the set a
+// finished group put back on a free list before it builds one: at most
+// one set is built per concurrently running group. The list is local to
+// the call and is dropped with it.
 func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 	type group struct {
 		model model.Config
@@ -107,9 +113,19 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 	}
 
 	cells := make([]Fig8Cell, len(groups)*cellsPerGroup)
+	// The free list holds one slot per group, so putting a set back
+	// never blocks.
+	free := make(chan []attention.Policy, len(groups))
 	err := grid.Run(context.Background(), len(groups), 0, func(_ context.Context, gi int) {
 		g := groups[gi]
-		recalls := groupRecalls(g.model, seedFor(g.model.Name, g.ds.Name), cfg)
+		var pols []attention.Policy
+		select {
+		case pols = <-free:
+		default:
+			pols = fig8Policies(cfg)
+		}
+		recalls := groupRecalls(g.model, seedFor(g.model.Name, g.ds.Name), cfg, pols)
+		free <- pols
 		for i, r := range recalls {
 			cells[gi*cellsPerGroup+i] = Fig8Cell{
 				Model: g.model.Name, Dataset: g.ds.Name, Task: g.ds.Task,
@@ -132,43 +148,57 @@ type fig8Recall struct {
 	recall   float64
 }
 
+// fig8Evaluated reports whether a cell needs a live evaluation: dense and
+// 0 %-sparsity cells have recall 1 by definition, and ALISA is SWA over
+// INT8 KV, so an alisa cell is its sparsity's swa cell less
+// int8RecallPenalty.
+func fig8Evaluated(method string, sparsity float64) bool {
+	return method != "dense" && method != "alisa" && 1-sparsity < 1
+}
+
+// fig8Policies builds the policy set every group evaluates: one fresh
+// policy per evaluated cell, in cell order.
+func fig8Policies(cfg Fig8Config) []attention.Policy {
+	var pols []attention.Policy
+	for _, sparsity := range cfg.Sparsities {
+		for _, method := range fig8Methods {
+			if fig8Evaluated(method, sparsity) {
+				pols = append(pols, attention.MustByName(method, 1-sparsity, cfg.Layers))
+			}
+		}
+	}
+	return pols
+}
+
 // groupRecalls measures attention-mass recall for every (sparsity, method)
-// cell of one model × dataset group. All cells that need a live evaluation
-// share a single EvaluateMany pass — one attention process instead of one
-// per cell; dense and 0 %-sparsity cells have recall 1 by definition.
-// ALISA is SWA over INT8 KV, so an alisa cell is not evaluated: it is its
-// sparsity's swa cell less int8RecallPenalty.
-func groupRecalls(mc model.Config, seed int64, cfg Fig8Config) []fig8Recall {
+// cell of one model × dataset group. The evaluated cells share a single
+// MeanRecalls pass of pols, the group's fig8Policies set (new or used),
+// over one attention process instead of one per cell.
+func groupRecalls(mc model.Config, seed int64, cfg Fig8Config, pols []attention.Policy) []fig8Recall {
 	spec := oracle.SpecForModel(mc, seed)
 	spec.Layers = cfg.Layers
 
-	recalls := make([]fig8Recall, 0, len(cfg.Sparsities)*len(fig8Methods))
-	var pols []attention.Policy
-	var evaluated []int // indices into recalls awaiting a MeanRecall
-	for _, sparsity := range cfg.Sparsities {
-		ratio := 1 - sparsity
-		for _, method := range fig8Methods {
-			if method != "dense" && method != "alisa" && ratio < 1 {
-				pols = append(pols, attention.MustByName(method, ratio, spec.Layers))
-				evaluated = append(evaluated, len(recalls))
-			}
-			recalls = append(recalls, fig8Recall{sparsity: sparsity, method: method, recall: 1})
-		}
-	}
+	var measured []float64
 	if len(pols) > 0 {
-		for i, res := range evalPolicies(spec, pols, cfg.Steps) {
-			recalls[evaluated[i]].recall = res.MeanRecall
-		}
+		measured = meanRecalls(spec, pols, cfg.Steps)
 	}
+	recalls := make([]fig8Recall, 0, len(cfg.Sparsities)*len(fig8Methods))
 	// fig8Methods lists swa before alisa, so each alisa cell follows its
 	// sparsity's swa cell.
 	var swa float64
-	for i := range recalls {
-		switch recalls[i].method {
-		case "swa":
-			swa = recalls[i].recall
-		case "alisa":
-			recalls[i].recall = swa * (1 - int8RecallPenalty)
+	for _, sparsity := range cfg.Sparsities {
+		for _, method := range fig8Methods {
+			r := fig8Recall{sparsity: sparsity, method: method, recall: 1}
+			switch {
+			case fig8Evaluated(method, sparsity):
+				r.recall, measured = measured[0], measured[1:]
+			case method == "alisa":
+				r.recall = swa * (1 - int8RecallPenalty)
+			}
+			if method == "swa" {
+				swa = r.recall
+			}
+			recalls = append(recalls, r)
 		}
 	}
 	return recalls

@@ -64,7 +64,8 @@ type Report struct {
 
 // Compare decodes the stream once densely in float32 as the reference and
 // once per case, and reports each case's divergence from the reference,
-// in case order.
+// in case order. A dense float32 case (Case{}) is the reference itself, so
+// it reuses the reference's logits instead of decoding again.
 func Compare(cfg Config, cases ...Case) ([]Report, error) {
 	if cfg.Tokens < 8 {
 		return nil, fmt.Errorf("numeric: need at least 8 tokens, got %d", cfg.Tokens)
@@ -89,7 +90,11 @@ func Compare(cfg Config, cases ...Case) ([]Report, error) {
 	dense := run(dec, stream, Case{})
 	reps := make([]Report, len(cases))
 	for i, c := range cases {
-		reps[i] = report(stream, run(dec, stream, c), dense)
+		logits := dense
+		if c.Policy != nil || c.KVBits != 0 {
+			logits = run(dec, stream, c)
+		}
+		reps[i] = report(stream, logits, dense)
 	}
 	return reps, nil
 }

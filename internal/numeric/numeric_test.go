@@ -106,7 +106,9 @@ func TestAlisaStackOnLiveTensors(t *testing.T) {
 }
 
 // Each case's report equals the report of a comparison of that case
-// alone: decoding the reference once shares nothing between cases.
+// alone: decoding the reference once shares nothing between cases. The
+// dense float32 case, which reuses the reference's logits, reports an
+// exact match with it wherever it stands.
 func TestCasesIndependent(t *testing.T) {
 	cfg := model.SmallConfig()
 	stream := Config{ModelSeed: 15, DataSeed: 16, Tokens: 40}
@@ -114,6 +116,7 @@ func TestCasesIndependent(t *testing.T) {
 		return []Case{
 			{Policy: attention.MustByName("swa", 0.5, cfg.Layers), KVBits: 4},
 			{KVBits: 16},
+			{},
 			{Policy: attention.MustByName("local", 0.5, cfg.Layers)},
 		}
 	}
@@ -122,6 +125,10 @@ func TestCasesIndependent(t *testing.T) {
 		if alone := compare(t, stream, c)[0]; alone != together[i] {
 			t.Fatalf("case %d: alone %+v, among others %+v", i, alone, together[i])
 		}
+	}
+	if d := together[2]; d.LogitCosine != 1 || d.TopAgreement != 1 || d.MeanNLL != d.DenseNLL {
+		t.Fatalf("dense case: cosine %v, agreement %v, NLL %v against %v; want 1, 1 and equal NLLs",
+			d.LogitCosine, d.TopAgreement, d.MeanNLL, d.DenseNLL)
 	}
 }
 

@@ -102,6 +102,33 @@ func TestEvaluateManyMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestMeanRecallsMatchesEvaluateMany pins the recall-only path to
+// EvaluateMany's MeanRecall bit for bit, on fresh policies and on
+// policies that last evaluated another spec for another length: the first
+// step's Select(l, 0) restarts them.
+func TestMeanRecallsMatchesEvaluateMany(t *testing.T) {
+	const steps = 96
+	spec := SpecForModel(model.MustByName("opt-13b"), 55)
+	spec.Layers = 4
+	other := SpecForModel(model.MustByName("opt-30b"), 3)
+	other.Layers = 4
+	for _, ratio := range []float64{0.2, 0.6} {
+		want := EvaluateMany(spec, policiesUnderTest(ratio, spec.Layers), steps)
+		fresh := MeanRecalls(spec, policiesUnderTest(ratio, spec.Layers), steps)
+		used := policiesUnderTest(ratio, spec.Layers)
+		MeanRecalls(other, used, 2*steps)
+		reused := MeanRecalls(spec, used, steps)
+		for i, res := range want {
+			if fresh[i] != res.MeanRecall {
+				t.Errorf("ratio %.1f policy %s: MeanRecalls %v, EvaluateMany %v", ratio, res.PolicyName, fresh[i], res.MeanRecall)
+			}
+			if reused[i] != res.MeanRecall {
+				t.Errorf("ratio %.1f policy %s: MeanRecalls on reused policies %v, EvaluateMany %v", ratio, res.PolicyName, reused[i], res.MeanRecall)
+			}
+		}
+	}
+}
+
 // TestEvaluateRepeatable guards against scratch-reuse bugs that would make
 // two runs of the same configuration disagree (e.g. a buffer surviving
 // across Evaluate calls).

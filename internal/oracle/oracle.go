@@ -313,7 +313,8 @@ type Result struct {
 
 // layerAccum collects one layer's per-step measurements; merge combines
 // the layers in deterministic layer order, so parallel and sequential
-// evaluation produce bit-identical Results.
+// evaluation produce bit-identical Results. A recall-only accumulator
+// (MeanRecalls) holds the recall series alone.
 type layerAccum struct {
 	recall        []float64
 	denseSp       []float64
@@ -322,14 +323,15 @@ type layerAccum struct {
 	denseAvgScore []float64
 }
 
-func newLayerAccum(steps int) *layerAccum {
-	return &layerAccum{
-		recall:        make([]float64, steps),
-		denseSp:       make([]float64, steps),
-		maskedSp:      make([]float64, steps),
-		avgScore:      make([]float64, steps),
-		denseAvgScore: make([]float64, steps),
+func newLayerAccum(steps int, full bool) *layerAccum {
+	acc := &layerAccum{recall: make([]float64, steps)}
+	if full {
+		acc.denseSp = make([]float64, steps)
+		acc.maskedSp = make([]float64, steps)
+		acc.avgScore = make([]float64, steps)
+		acc.denseAvgScore = make([]float64, steps)
 	}
+	return acc
 }
 
 // Evaluate runs a policy against a fresh process for the given number of
@@ -364,7 +366,9 @@ func EvaluateContext(ctx context.Context, spec Spec, pol attention.Policy, steps
 // observes only its own masked rows, so EvaluateMany(spec, pols, steps)[i]
 // is bit-identical to Evaluate(spec, pols[i], steps) with a fresh policy —
 // the sweep experiments lean on this to avoid regenerating one process per
-// (policy, sparsity) cell. Policies must be distinct instances.
+// (policy, sparsity) cell. Policies must be distinct instances; they may be
+// new or used, since the first step's Select(l, 0) restarts each layer
+// (see attention.Policy).
 func EvaluateMany(spec Spec, pols []attention.Policy, steps int) []*Result {
 	// context.Background never cancels, so the error branch is unreachable.
 	res, _ := EvaluateManyContext(context.Background(), spec, pols, steps)
@@ -375,6 +379,37 @@ func EvaluateMany(spec Spec, pols []attention.Policy, steps int) []*Result {
 // goroutine checks ctx once per decode step and the whole evaluation
 // aborts with ctx.Err() when cancelled, returning nil Results.
 func EvaluateManyContext(ctx context.Context, spec Spec, pols []attention.Policy, steps int) ([]*Result, error) {
+	per, err := evalLayers(ctx, spec, pols, steps, true)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*Result, len(pols))
+	for pi, pol := range pols {
+		results[pi] = mergeLayers(pol.Name(), steps, per[pi])
+	}
+	return results, nil
+}
+
+// MeanRecalls returns what EvaluateMany(spec, pols, steps)[i].MeanRecall
+// returns, bit for bit, for every policy, and measures nothing else: the
+// same per-layer goroutines run the same loop, but no sparsity series,
+// score averages or Results are built. Fig. 8, which reads only the mean
+// recall, runs on it.
+func MeanRecalls(spec Spec, pols []attention.Policy, steps int) []float64 {
+	// context.Background never cancels, so the error is always nil.
+	per, _ := evalLayers(context.Background(), spec, pols, steps, false)
+	recalls := make([]float64, len(pols))
+	for pi := range pols {
+		recalls[pi] = meanRecall(steps, per[pi])
+	}
+	return recalls
+}
+
+// evalLayers drives every layer of a fresh process for spec through
+// evalLayerFast on its own goroutine, re-raises a panic on any layer once
+// all have stopped, and returns each policy's accumulators in layer
+// order, or ctx.Err() when ctx was cancelled.
+func evalLayers(ctx context.Context, spec Spec, pols []attention.Policy, steps int, full bool) ([][]*layerAccum, error) {
 	proc := New(spec)
 	per := make([][]*layerAccum, spec.Layers) // [layer][policy]
 	panics := make([]any, spec.Layers)
@@ -388,7 +423,7 @@ func EvaluateManyContext(ctx context.Context, spec Spec, pols []attention.Policy
 					panics[l] = r
 				}
 			}()
-			per[l] = evalLayerFast(ctx, &proc.Spec, proc.layer[l], pols, l, steps)
+			per[l] = evalLayerFast(ctx, &proc.Spec, proc.layer[l], pols, l, steps, full)
 		}(l)
 	}
 	wg.Wait()
@@ -400,15 +435,14 @@ func EvaluateManyContext(ctx context.Context, spec Spec, pols []attention.Policy
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	results := make([]*Result, len(pols))
-	for pi, pol := range pols {
-		perLayer := make([]*layerAccum, spec.Layers)
-		for l := range perLayer {
-			perLayer[l] = per[l][pi]
+	byPolicy := make([][]*layerAccum, len(pols))
+	for pi := range byPolicy {
+		byPolicy[pi] = make([]*layerAccum, spec.Layers)
+		for l := range per {
+			byPolicy[pi][l] = per[l][pi]
 		}
-		results[pi] = mergeLayers(pol.Name(), steps, perLayer)
 	}
-	return results, nil
+	return byPolicy, nil
 }
 
 // EvaluateSequential is the retained reference implementation of Evaluate:
@@ -432,14 +466,18 @@ func EvaluateSequential(spec Spec, pol attention.Policy, steps int) *Result {
 // sparsity is computed directly from the retained weights instead of
 // materialising the full-length row, and the policy-independent dense-row
 // measurements are computed once per step and shared across all policies.
-func evalLayerFast(ctx context.Context, spec *Spec, st *layerState, pols []attention.Policy, l, steps int) []*layerAccum {
+// Unless full is set it measures recall alone.
+func evalLayerFast(ctx context.Context, spec *Spec, st *layerState, pols []attention.Policy, l, steps int, full bool) []*layerAccum {
 	accs := make([]*layerAccum, len(pols))
 	for i := range accs {
-		accs[i] = newLayerAccum(steps)
+		accs[i] = newLayerAccum(steps, full)
 	}
 	st.reserve(steps)
 	row := make([]float64, 0, steps)
-	denseAvg := make([]float64, steps)
+	var denseAvg []float64
+	if full {
+		denseAvg = make([]float64, steps)
+	}
 	var idxBuf []int
 	var wBuf []float64
 	for t := 0; t < steps; t++ {
@@ -454,9 +492,12 @@ func evalLayerFast(ctx context.Context, spec *Spec, st *layerState, pols []atten
 		for _, w := range row {
 			total += w
 		}
-		denseSp := metrics.Sparsity(row, 0.01)
-		for i, w := range row {
-			denseAvg[i] += w
+		var denseSp float64
+		if full {
+			denseSp = metrics.Sparsity(row, 0.01)
+			for i, w := range row {
+				denseAvg[i] += w
+			}
 		}
 
 		for pi, pol := range pols {
@@ -476,17 +517,20 @@ func evalLayerFast(ctx context.Context, spec *Spec, st *layerState, pols []atten
 				acc.recall[t] = kept / total
 			}
 
-			acc.denseSp[t] = denseSp
-			acc.maskedSp[t] = metrics.SparsityMasked(wBuf, len(row), 0.01)
-
-			for i, idx := range idxBuf {
-				acc.avgScore[idx] += wBuf[i]
+			if full {
+				acc.denseSp[t] = denseSp
+				acc.maskedSp[t] = metrics.SparsityMasked(wBuf, len(row), 0.01)
+				for i, idx := range idxBuf {
+					acc.avgScore[idx] += wBuf[i]
+				}
 			}
 			pol.Observe(l, idxBuf, wBuf)
 		}
 	}
-	for _, acc := range accs {
-		copy(acc.denseAvgScore, denseAvg)
+	if full {
+		for _, acc := range accs {
+			copy(acc.denseAvgScore, denseAvg)
+		}
 	}
 	return accs
 }
@@ -496,7 +540,7 @@ func evalLayerFast(ctx context.Context, spec *Spec, st *layerState, pols []atten
 // materialised masked rows), making it the simple-but-slow oracle the
 // fused hot path is validated against.
 func evalLayerReference(spec *Spec, st *layerState, pol attention.Policy, l, steps int) *layerAccum {
-	acc := newLayerAccum(steps)
+	acc := newLayerAccum(steps, true)
 	for t := 0; t < steps; t++ {
 		row := st.advance(spec, t, nil)
 		sel := pol.Select(l, t)
@@ -536,14 +580,12 @@ func mergeLayers(policyName string, steps int, per []*layerAccum) *Result {
 		AvgScore:              make([]float64, steps),
 		DenseAvgScore:         make([]float64, steps),
 	}
-	var recallSum float64
 	for t := 0; t < steps; t++ {
 		var stepRecall, stepDenseSp, stepMaskedSp float64
 		for _, acc := range per {
 			stepRecall += acc.recall[t]
 			stepDenseSp += acc.denseSp[t]
 			stepMaskedSp += acc.maskedSp[t]
-			recallSum += acc.recall[t]
 		}
 		res.RecallPerStep[t] = stepRecall / layers
 		res.DenseSparsityPerStep[t] = stepDenseSp / layers
@@ -560,8 +602,20 @@ func mergeLayers(policyName string, steps int, per []*layerAccum) *Result {
 		res.AvgScore[i] = score / count
 		res.DenseAvgScore[i] = dense / count
 	}
-	res.MeanRecall = recallSum / (float64(steps) * layers)
+	res.MeanRecall = meanRecall(steps, per)
 	return res
+}
+
+// meanRecall averages the layers' per-step recalls, summing step by step
+// in layer order.
+func meanRecall(steps int, per []*layerAccum) float64 {
+	var sum float64
+	for t := 0; t < steps; t++ {
+		for _, acc := range per {
+			sum += acc.recall[t]
+		}
+	}
+	return sum / (float64(steps) * float64(len(per)))
 }
 
 // SpearmanVsDense computes the Spearman rank correlation between the

@@ -31,9 +31,9 @@ func refArgTopK(v []float32, k int) []int {
 	return idx[:k]
 }
 
-// decodeFloats turns fuzz bytes into a finite float32 vector. NaNs would
-// make the selection order itself ill-defined (x != x), so they map to 0;
-// infinities are kept — the quickselect must order them correctly.
+// decodeFloats turns fuzz bytes into a float32 vector without NaNs. NaNs
+// would make the selection order itself ill-defined (x != x), so they map
+// to 0; infinities are kept — the selection must order them correctly.
 func decodeFloats(data []byte) []float32 {
 	n := len(data) / 4
 	v := make([]float32, n)
@@ -47,15 +47,24 @@ func decodeFloats(data []byte) []float32 {
 	return v
 }
 
-// FuzzArgTopK cross-checks the deterministic quickselect against the
-// sort-based reference on arbitrary vectors and budgets, in both output
-// orders: ArgTopK's descending values and TopKAscending's ascending
-// indices.
+// FuzzArgTopK cross-checks the radix selection against the sort-based
+// reference on arbitrary vectors and budgets, in both output orders:
+// ArgTopK's descending values and TopKAscending's ascending indices.
 func FuzzArgTopK(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 2)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, 1)         // ties
 	f.Add([]byte{0, 0, 128, 127, 0, 0, 128, 255}, 2) // +Inf, -Inf
 	f.Add([]byte{}, 3)
+	// 1, −0, +0, −0, 2: the threshold is a tie of signed zeros.
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 64}, 3)
+	// 5, 3, 3, 3, 3, 1: a run of equal keys straddles k.
+	f.Add([]byte{0, 0, 160, 64, 0, 0, 64, 64, 0, 0, 64, 64, 0, 0, 64, 64, 0, 0, 64, 64, 0, 0, 128, 63}, 3)
+	// Subnormals either side of zero: +1 ulp, −1 ulp, +0, +2 ulp, −2 ulp.
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 128, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 128}, 2)
+	// +Inf, −Inf, +Inf, +Inf, −Inf, 1: ties at +Inf, then at −Inf.
+	inf := []byte{0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 128, 127, 0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 128, 63}
+	f.Add(inf, 2)
+	f.Add(inf, 5)
 	f.Fuzz(func(t *testing.T, data []byte, k int) {
 		if len(data) > 1<<16 {
 			t.Skip("cap input size")

@@ -11,6 +11,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Matrix is a dense row-major matrix of float32 values.
@@ -120,7 +121,9 @@ func MatMulT(a, b *Matrix) *Matrix {
 			brow := b.Row(j)
 			var sum float64
 			for k := range arow {
-				sum += float64(arow[k]) * float64(brow[k])
+				// The conversion rounds the product before the add, so no
+				// platform fuses the two into one multiply-add.
+				sum += float64(float64(arow[k]) * float64(brow[k]))
 			}
 			orow[j] = float32(sum)
 		}
@@ -221,7 +224,7 @@ func Dot(a, b []float32) float64 {
 	}
 	var sum float64
 	for i := range a {
-		sum += float64(a[i]) * float64(b[i])
+		sum += float64(float64(a[i]) * float64(b[i])) // rounded as in MatMulT
 	}
 	return sum
 }
@@ -240,7 +243,7 @@ func Sum(v []float32) float64 {
 // over repeated scans. k is clamped to len(v).
 //
 // This is the allocating convenience wrapper; hot paths should hold a
-// TopKScratch and call its ArgTopK to amortise the index permutation.
+// TopKScratch and call its ArgTopK to amortise the selection's buffers.
 func ArgTopK(v []float32, k int) []int {
 	if k <= 0 {
 		return nil
@@ -249,158 +252,164 @@ func ArgTopK(v []float32, k int) []int {
 	return s.ArgTopK(v, k, nil)
 }
 
-// TopKScratch holds the reusable index permutation behind ArgTopK and
-// TopKAscending so repeated selections over same-sized inputs allocate
-// nothing after the first call. The zero value is ready to use. Not safe
-// for concurrent use.
+// TopKScratch holds the reusable buffers behind ArgTopK and TopKAscending
+// so repeated selections over same-sized inputs allocate nothing after the
+// first call. The zero value is ready to use. Not safe for concurrent use.
+//
+// Both select under one order: larger value first, equal values by
+// ascending index, with −0 equal to +0. v must hold no NaN and fewer than
+// 2³² values.
 type TopKScratch struct {
-	perm []int
+	keys  []uint32 // order key of every value
+	cand  []uint32 // keys still in the running for the k-th largest
+	words []uint64 // ArgTopK's winners, packed for the sort
 }
 
 // ArgTopK selects the indices of the k largest values of v, written into
 // dst[:0] (grown as needed) and returned in descending value order with
 // ties breaking toward the lower index — the same total order as the
-// package-level ArgTopK. It runs an O(n) deterministic quickselect
-// (median-of-three pivots) followed by an O(k log k) sort of the winners,
-// replacing the previous O(k·n) repeated-max scan. k is clamped to len(v).
+// package-level ArgTopK. It runs TopKAscending's selection, then sorts
+// only the k winners. k is clamped to len(v).
 func (s *TopKScratch) ArgTopK(v []float32, k int, dst []int) []int {
-	k = min(k, len(v))
-	if k <= 0 {
-		return dst[:0]
+	dst = s.TopKAscending(v, k, dst)
+	if cap(s.words) < len(dst) {
+		s.words = make([]uint64, max(len(dst), 2*cap(s.words)))
 	}
-	perm := s.selectTop(v, k)
-	topKSort(v, perm)
-	return append(dst[:0], perm...)
+	words := s.words[:len(dst)]
+	for i, idx := range dst {
+		// Ascending (complemented key, index) is descending key, then
+		// ascending index.
+		words[i] = uint64(^s.keys[idx])<<32 | uint64(idx)
+	}
+	slices.Sort(words)
+	for i, w := range words {
+		dst[i] = int(uint32(w))
+	}
+	return dst
 }
 
 // TopKAscending selects the same k indices as ArgTopK, written into
-// dst[:0] (grown as needed) but returned in ascending index order. After
-// the quickselect it needs no sort: it finds the last winner under the
-// selection order and sweeps v once, keeping every index that does not
-// follow it. k is clamped to len(v).
+// dst[:0] (grown as needed) but returned in ascending index order, with
+// nothing sorted. It finds the k-th largest order key t, then sweeps the
+// keys once in index order, keeping every key above t and, lowest index
+// first, as many equal to t as the k winners hold. k is clamped to
+// len(v).
 func (s *TopKScratch) TopKAscending(v []float32, k int, dst []int) []int {
 	k = min(k, len(v))
 	if k <= 0 {
 		return dst[:0]
 	}
-	perm := s.selectTop(v, k)
-	last := perm[0]
-	for _, i := range perm[1:] {
-		if topKBefore(v, last, i) {
-			last = i
-		}
+	if uint64(len(v)) > math.MaxUint32 {
+		panic(fmt.Sprintf("tensor: top-k over %d values, more than 2³²−1", len(v)))
 	}
-	dst = dst[:0]
-	for i := range v {
-		if !topKBefore(v, last, i) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// selectTop returns the first k (1 ≤ k ≤ len(v)) indices of v under
-// topKBefore, in arbitrary order, in the scratch permutation.
-func (s *TopKScratch) selectTop(v []float32, k int) []int {
-	if cap(s.perm) < len(v) {
+	if cap(s.keys) < len(v) {
 		// Grow geometrically: selections over steadily lengthening inputs
 		// (one new token per decode step) must not reallocate every call.
-		s.perm = make([]int, max(len(v), 2*cap(s.perm)))
+		n := max(len(v), 2*cap(s.keys))
+		buf := make([]uint32, 2*n)
+		s.keys, s.cand = buf[:n:n], buf[n:]
 	}
-	perm := s.perm[:len(v)]
-	for i := range perm {
-		perm[i] = i
+	keys := s.keys[:len(v)]
+	for i, x := range v {
+		keys[i] = orderKey(x)
 	}
-	topKSelect(v, perm, k)
-	return perm[:k]
+	t, ties, equal := s.kthKey(keys, k)
+	// Keys equal to t win up to cut, the index after the ties-th of them.
+	cut := len(keys)
+	if ties < equal {
+		for i, key := range keys {
+			if key == t {
+				if ties--; ties == 0 {
+					cut = i + 1
+					break
+				}
+			}
+		}
+	}
+	// Write every index and advance past the winners only, so the sweep
+	// takes no branch on the scores; the k+1st slot absorbs the writes
+	// after the last winner.
+	dst = slices.Grow(dst[:0], k+1)[:k+1]
+	j := 0
+	for i, key := range keys[:cut] {
+		dst[j] = i
+		j += b2i(key >= t)
+	}
+	for i := cut; i < len(keys); i++ {
+		dst[j] = i
+		j += b2i(keys[i] > t)
+	}
+	return dst[:k]
 }
 
-// topKBefore is the strict total order of the selection: larger value
-// first, equal values ordered by ascending index. Because the index breaks
-// every tie, no two distinct perm entries compare equal, which keeps the
-// Hoare partition below well-defined.
-func topKBefore(v []float32, a, b int) bool {
-	if v[a] != v[b] {
-		return v[a] > v[b]
+// orderKey maps x to an unsigned key that orders as x does: 2³¹ plus the
+// magnitude bits for a positive x, 2³¹ minus them for a negative one, so
+// −0 and +0 share the key 2³¹.
+func orderKey(x float32) uint32 {
+	b := math.Float32bits(x)
+	mag := b &^ (1 << 31)
+	if b>>31 != 0 {
+		return 1<<31 - mag
 	}
-	return a < b
+	return 1<<31 + mag
 }
 
-// topKPartition runs a Hoare partition on perm[lo:hi] (hi−lo > 2) around
-// a median-of-three pivot (which guards against the already-sorted score
-// vectors the policies produce). On return, entries in perm[lo:j+1]
-// precede the pivot band and entries in perm[i:hi] follow it, with
-// j+1 ≤ i; any entries in perm[j+1:i] are settled in their final
-// positions under topKBefore.
-func topKPartition(v []float32, perm []int, lo, hi int) (i, j int) {
-	mid := lo + (hi-lo)/2
-	if topKBefore(v, perm[mid], perm[lo]) {
-		perm[mid], perm[lo] = perm[lo], perm[mid]
-	}
-	if topKBefore(v, perm[hi-1], perm[lo]) {
-		perm[hi-1], perm[lo] = perm[lo], perm[hi-1]
-	}
-	if topKBefore(v, perm[hi-1], perm[mid]) {
-		perm[hi-1], perm[mid] = perm[mid], perm[hi-1]
-	}
-	pivot := perm[mid]
-	i, j = lo, hi-1
-	for i <= j {
-		for topKBefore(v, perm[i], pivot) {
-			i++
+// kthKey returns the k-th largest of keys (1 ≤ k ≤ len(keys)), how many
+// keys equal to it the k largest hold, and how many keys equal it. It is a
+// radix select: each pass counts the candidates by one byte, most
+// significant first, and finds the bucket that holds the k-th largest.
+// When the k largest take that whole bucket, the least key in it is the
+// answer; otherwise the bucket's candidates are compacted into the scratch
+// for the next pass.
+func (s *TopKScratch) kthKey(keys []uint32, k int) (t uint32, ties, equal int) {
+	cand := keys
+	for shift := 24; ; shift -= 8 {
+		var hist [256]uint32
+		top := 0
+		for _, c := range cand {
+			d := int(uint8(c >> shift))
+			hist[d]++
+			top = max(top, d)
 		}
-		for topKBefore(v, pivot, perm[j]) {
-			j--
+		b := top
+		for k > int(hist[b]) {
+			k -= int(hist[b])
+			b--
 		}
-		if i <= j {
-			perm[i], perm[j] = perm[j], perm[i]
-			i++
-			j--
+		if shift == 0 {
+			// Every candidate in the bucket equals t.
+			return t | uint32(b), k, int(hist[b])
 		}
+		if int(hist[b]) == k {
+			t = math.MaxUint32
+			for _, c := range cand {
+				if int(uint8(c>>shift)) != b {
+					continue
+				}
+				if c < t {
+					t, ties = c, 1
+				} else if c == t {
+					ties++
+				}
+			}
+			return t, ties, ties
+		}
+		t |= uint32(b) << shift
+		next := s.cand[:0]
+		for _, c := range cand {
+			if int(uint8(c>>shift)) == b {
+				next = append(next, c)
+			}
+		}
+		cand = next
 	}
-	return i, j
 }
 
-// topKSelect partially orders perm so that perm[:k] holds the first k
-// entries under topKBefore, in arbitrary order. Average O(len(perm)).
-func topKSelect(v []float32, perm []int, k int) {
-	lo, hi := 0, len(perm)
-	for hi-lo > 12 {
-		i, j := topKPartition(v, perm, lo, hi)
-		switch {
-		case k <= j+1:
-			hi = j + 1
-		case k >= i:
-			lo = i
-		default:
-			return // boundary falls inside the settled [j+1, i) band
-		}
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	topKInsertionSort(v, perm[lo:hi])
-}
-
-// topKSort fully orders perm under topKBefore (quicksort, insertion base).
-func topKSort(v []float32, perm []int) {
-	for len(perm) > 12 {
-		i, j := topKPartition(v, perm, 0, len(perm))
-		// Recurse into the smaller side, loop on the larger.
-		if j+1 < len(perm)-i {
-			topKSort(v, perm[:j+1])
-			perm = perm[i:]
-		} else {
-			topKSort(v, perm[i:])
-			perm = perm[:j+1]
-		}
-	}
-	topKInsertionSort(v, perm)
-}
-
-func topKInsertionSort(v []float32, perm []int) {
-	for i := 1; i < len(perm); i++ {
-		for j := i; j > 0 && topKBefore(v, perm[j], perm[j-1]); j-- {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-		}
-	}
+	return 0
 }
 
 // LayerNorm normalises v in place to zero mean and unit variance, then
@@ -417,7 +426,7 @@ func LayerNorm(v []float32, g, b []float32, eps float64) {
 	var varsum float64
 	for _, x := range v {
 		d := float64(x) - mean
-		varsum += d * d
+		varsum += float64(d * d) // rounded as in MatMulT
 	}
 	inv := 1 / math.Sqrt(varsum/float64(len(v))+eps)
 	for i := range v {

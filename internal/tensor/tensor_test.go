@@ -150,6 +150,7 @@ func TestArgTopK(t *testing.T) {
 
 func TestTopKAscending(t *testing.T) {
 	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
 	cases := []struct {
 		name string
 		v    []float32
@@ -165,6 +166,8 @@ func TestTopKAscending(t *testing.T) {
 		{"all equal", []float32{5, 5, 5, 5, 5, 5}, 4, []int{0, 1, 2, 3}},
 		{"infinities", []float32{-inf, 1, inf, -inf, inf, 0}, 3, []int{1, 2, 4}},
 		{"only -Inf left", []float32{-inf, 1, -inf, inf}, 3, []int{0, 1, 3}},
+		{"signed zeros tie", []float32{0, negZero, 1, 0, negZero}, 3, []int{0, 1, 2}},
+		{"negatives", []float32{-3, -1, -2, -1}, 2, []int{1, 3}},
 	}
 	var s TopKScratch
 	for _, c := range cases {
@@ -371,8 +374,8 @@ func TestNegativeDimensionsPanics(t *testing.T) {
 }
 
 // argTopKReference is the original O(k·n) repeated-max selection, retained
-// as the semantic oracle for the quickselect implementation: descending
-// value order, ties toward the lower index.
+// as the semantic oracle for the radix selection: descending value order,
+// ties toward the lower index.
 func argTopKReference(v []float32, k int) []int {
 	if k <= 0 {
 		return nil
@@ -438,8 +441,8 @@ func TestArgTopKMatchesReference(t *testing.T) {
 }
 
 func TestArgTopKSortedInputs(t *testing.T) {
-	// Ascending, descending, and constant inputs are the quickselect's
-	// classic worst cases; median-of-three must keep them linear and exact.
+	// Ascending, descending, and constant inputs: a constant input is one
+	// run of ties, which the sweep must take lowest index first.
 	const n = 512
 	shapes := map[string]func(i int) float32{
 		"ascending":  func(i int) float32 { return float32(i) },

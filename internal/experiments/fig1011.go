@@ -99,7 +99,9 @@ func Fig11() (*Fig11Result, error) {
 	for _, name := range []string{"opt-6.7b", "opt-30b"} {
 		mc := model.MustByName(name)
 		for _, sparsity := range []float64{0, 0.4, 0.8} {
-			attended := int(float64(seqLen)*(1-sparsity) + 0.5)
+			// The conversion rounds the product before the add, so no
+			// platform fuses the two into one multiply-add.
+			attended := int(float64(float64(seqLen)*(1-sparsity)) + 0.5)
 			if attended < 1 {
 				attended = 1
 			}

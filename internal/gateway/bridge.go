@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -324,7 +325,7 @@ func (b *Bridge) submit(spec SubmitSpec) (*Subscriber, error) {
 	req := b.nextID
 	id := spec.ID
 	if id == "" {
-		id = fmt.Sprintf("req-%d", req)
+		id = "req-" + strconv.Itoa(req)
 	}
 	arrival := b.session.Clock()
 	if spec.Arrival != nil {

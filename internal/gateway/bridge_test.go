@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"errors"
-	"io"
 	"log/slog"
 	"testing"
 	"time"
@@ -25,7 +24,7 @@ func testEngine(t *testing.T) *alisa.Engine {
 }
 
 func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+	return slog.New(slog.DiscardHandler)
 }
 
 func testBridge(t *testing.T, scale float64, buffer int, policy OverflowPolicy, hold bool) *Bridge {
@@ -53,7 +52,7 @@ func drainEvents(t *testing.T, sub *Subscriber) (events []Event, drops []int) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for {
-		ev, dropped, ok := sub.Next(ctx)
+		ev, dropped, _, ok := sub.Next(ctx)
 		if !ok {
 			t.Fatalf("event stream ended before a terminal event (have %d events)", len(events))
 		}
@@ -284,7 +283,7 @@ func TestBridgeServesCommandsMidRun(t *testing.T) {
 	}()
 	var second submitted
 	for second.sub == nil && second.err == nil {
-		ev, _, ok := first.Next(ctx)
+		ev, _, _, ok := first.Next(ctx)
 		if !ok || ev.Kind.Terminal() {
 			t.Fatalf("first stream ended (%q, ok=%v) with the live Submit still waiting", ev.Kind, ok)
 		}
@@ -303,7 +302,7 @@ func TestBridgeServesCommandsMidRun(t *testing.T) {
 	firstEnd := make(chan Event, 1)
 	go func() {
 		for {
-			ev, _, ok := first.Next(ctx)
+			ev, _, _, ok := first.Next(ctx)
 			if !ok || ev.Kind.Terminal() {
 				firstEnd <- ev
 				return

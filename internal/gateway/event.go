@@ -45,8 +45,8 @@ func (k Kind) Terminal() bool { return k == KindCompletion || k == KindError }
 // between the simulation driver and a connection handler. It is a flat
 // union over the kinds — only the fields a kind documents are
 // meaningful — so the subscriber ring stores events by value with no
-// per-event allocation. The SSE encoder projects it onto per-kind wire
-// payloads; see encodeSSE.
+// per-event allocation. The connection handler's stream encoder writes
+// each kind's documented fields as JSON; see sseEncoder.
 type Event struct {
 	Kind    Kind
 	ID      string  // gateway correlation ID, threaded through logs

@@ -78,7 +78,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		log = slog.New(slog.DiscardHandler)
 	}
 	bridge, err := newBridge(cfg.Engine, cfg.TimeScale, buffer, cfg.OnFull, cfg.Hold, log)
 	if err != nil {
@@ -232,7 +232,12 @@ func (g *Gateway) parseCompletion(w http.ResponseWriter, r *http.Request) (Submi
 }
 
 // streamCompletion writes the request's lifecycle as SSE until its
-// terminal event (or the client goes away).
+// terminal event (or the client goes away). Frames collect in the
+// stream's encoder and go out with one write and one flush per burst: a
+// token waits in the buffer only while another event is already queued
+// behind it, every other event is flushed at once (the terminal one
+// together with [DONE]), and what is held is flushed before the handler
+// sleeps until a paced event's wall deadline.
 func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, sub *Subscriber) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -243,30 +248,35 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, sub *
 	if flusher != nil {
 		flusher.Flush()
 	}
+	enc := newSSEEncoder(sub.ID(), sub.Request())
 	for {
-		ev, dropped, ok := sub.Next(r.Context())
+		ev, dropped, more, ok := sub.Next(r.Context())
 		if !ok {
 			return // client disconnected; deferred Close unhooks the fan-out
+		}
+		if len(enc.buf) > 0 && !ev.At.IsZero() && time.Until(ev.At) > 0 {
+			if enc.flush(w, flusher) != nil {
+				return
+			}
 		}
 		if !holdUntil(r.Context(), ev.At) {
 			return
 		}
 		if dropped > 0 {
-			if writeDropMarker(w, sub.ID(), sub.Request(), dropped) != nil {
-				return
-			}
+			enc.dropped(dropped)
 		}
-		if encodeSSE(w, ev) != nil {
+		if err := enc.event(ev); err != nil {
+			// The frames ahead of the one that failed still go out.
+			_ = enc.flush(w, flusher)
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if ev.Kind == KindToken && more {
+			continue
 		}
 		if ev.Kind.Terminal() {
-			_ = writeDone(w)
-			if flusher != nil {
-				flusher.Flush()
-			}
+			enc.done()
+		}
+		if enc.flush(w, flusher) != nil || ev.Kind.Terminal() {
 			return
 		}
 	}
@@ -276,7 +286,7 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, sub *
 // body — the stream=false path.
 func (g *Gateway) blockCompletion(w http.ResponseWriter, r *http.Request, sub *Subscriber, spec SubmitSpec) {
 	for {
-		ev, _, ok := sub.Next(r.Context())
+		ev, _, _, ok := sub.Next(r.Context())
 		if !ok {
 			return
 		}

@@ -195,11 +195,14 @@ func TestGatewaySSEGoldenTranscript(t *testing.T) {
 }
 
 // stallWriter is a ResponseWriter whose first Flush reports the stall
-// and then blocks until release closes: a client that stops reading.
+// and then blocks until release closes: a client that stops reading. It
+// records the body's length at every Flush, the boundaries at which a
+// client receives the stream.
 type stallWriter struct {
 	*httptest.ResponseRecorder
 	once             sync.Once
 	stalled, release chan struct{}
+	flushes          []int
 }
 
 func (w *stallWriter) Flush() {
@@ -207,6 +210,7 @@ func (w *stallWriter) Flush() {
 		close(w.stalled)
 		<-w.release
 	})
+	w.flushes = append(w.flushes, w.Body.Len())
 	w.ResponseRecorder.Flush()
 }
 
@@ -252,6 +256,90 @@ func TestGatewaySlowReader(t *testing.T) {
 	close(w.release)
 	<-served
 	checkEqual(t, w.Body.String(), goldenSlowReader, "slow-reader transcript")
+}
+
+// TestGatewayStreamFlushesFirstTokenAlone pins the write rule unpaced.
+// The writer stalls on the header flush until the run has published the
+// golden request's every event, so each event pops with the rest queued
+// behind it: first_token must still reach the client before any later
+// byte is written, while the queued tail of tokens, completion and
+// [DONE] goes out in one burst.
+func TestGatewayStreamFlushesFirstTokenAlone(t *testing.T) {
+	g := newTestGateway(t, Config{TimeScale: 0})
+	w := &stallWriter{ResponseRecorder: httptest.NewRecorder(),
+		stalled: make(chan struct{}), release: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodPost, "/v1/completions",
+		strings.NewReader(`{"id":"golden-1","input_tokens":8,"max_tokens":3,"arrival":0,"stream":true}`))
+	served := make(chan struct{})
+	go func() {
+		g.ServeHTTP(w, req)
+		close(served)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	select {
+	case <-w.stalled:
+	case <-ctx.Done():
+		t.Fatal("the handler never flushed")
+	}
+	if res, err := g.Drain(ctx); err != nil || res.Completed != 1 {
+		t.Fatalf("Drain = %+v, %v; want 1 completion", res, err)
+	}
+	close(w.release)
+	<-served
+	checkEqual(t, w.Body.String(), goldenSSE, "SSE transcript")
+
+	firstTokenEnd := strings.Index(goldenSSE, "event: token\n")
+	i := 0
+	for i < len(w.flushes) && w.flushes[i] < firstTokenEnd {
+		i++
+	}
+	if i == len(w.flushes) || w.flushes[i] != firstTokenEnd {
+		t.Fatalf("flushes at body offsets %v: none ends at first_token's frame (offset %d)", w.flushes, firstTokenEnd)
+	}
+	if tail := w.flushes[i+1:]; len(tail) > 2 {
+		t.Errorf("the queued tail went out in %d flushes (at offsets %v), want at most 2", len(tail), tail)
+	}
+}
+
+// TestGatewayPacedStreamFlushesBeforeWaiting pins the write rule paced:
+// the golden request's events, stamped with the wall deadlines a bridge
+// at time scale 1 gives them and all queued before the handler reads
+// one, reach the client each at its own instant — every frame followed
+// by an event with a later clock is flushed before the handler sleeps
+// for that event.
+func TestGatewayPacedStreamFlushesBeforeWaiting(t *testing.T) {
+	b := testBridge(t, 0, 64, DropOldest, false)
+	src, err := b.Submit(context.Background(), SubmitSpec{ID: "golden-1", Input: 8, Output: 3, Arrival: at(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	events, _ := drainEvents(t, src)
+	sub := newSubscriber(src.ID(), src.Request(), 64, DropOldest, nil)
+	anchor := time.Now()
+	for _, ev := range events {
+		ev.At = anchor.Add(time.Duration(ev.Clock * float64(time.Second)))
+		sub.publish(ev)
+	}
+	release := make(chan struct{})
+	close(release)
+	w := &stallWriter{ResponseRecorder: httptest.NewRecorder(), stalled: make(chan struct{}), release: release}
+	(&Gateway{}).streamCompletion(w, httptest.NewRequest(http.MethodPost, "/v1/completions", nil), sub)
+	checkEqual(t, w.Body.String(), goldenSSE, "paced SSE transcript")
+
+	flushed := make(map[int]bool)
+	for _, n := range w.flushes {
+		flushed[n] = true
+	}
+	end := 0
+	for i, ev := range events[:len(events)-1] {
+		end += strings.Index(goldenSSE[end:], "\n\n") + 2
+		if next := events[i+1]; next.Clock > ev.Clock && !flushed[end] {
+			t.Errorf("%s at clock %v was held while the handler waited for the %s at clock %v (flushes at %v)",
+				ev.Kind, ev.Clock, next.Kind, next.Clock, w.flushes)
+		}
+	}
 }
 
 func TestGatewayValidationErrors(t *testing.T) {

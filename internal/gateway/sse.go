@@ -4,122 +4,142 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"net/http"
+	"strconv"
 )
 
-// The wire payloads are per-kind projections of Event: each SSE `data:`
-// line carries exactly the fields its kind documents, in a fixed order,
-// so a stream transcript is byte-stable and golden-testable. Every
-// payload leads with type/id/request/clock — the correlation spine a
-// client or log scraper keys on.
-
-type wireAdmission struct {
-	Type    Kind    `json:"type"`
-	ID      string  `json:"id"`
-	Request int     `json:"request"`
-	Clock   float64 `json:"clock"`
-	Wait    float64 `json:"wait"`
-	Input   int     `json:"input_tokens"`
-	Output  int     `json:"output_tokens"`
-	Batch   int     `json:"batch"`
+// sseEncoder renders one stream's server-sent events into a byte buffer
+// that the connection handler writes once per burst and then reuses.
+// Each frame carries the kind as the event name and, on its data line,
+// the JSON object encoding/json would write for the kind's payload:
+// exactly the fields the kind documents, in a fixed order, so a stream
+// transcript is byte-stable and golden-testable. Every payload leads
+// with type/id/request/clock, the correlation spine a client or log
+// scraper keys on.
+type sseEncoder struct {
+	buf []byte
+	// spine is `,"id":<id>,"request":<n>`, rendered once per stream. The
+	// ID goes through json.Marshal, so a client's ID is escaped exactly
+	// as encoding/json escapes it.
+	spine []byte
+	// finite is false once a float in the current frame was NaN or ±Inf.
+	finite bool
 }
 
-type wireFirstToken struct {
-	Type    Kind    `json:"type"`
-	ID      string  `json:"id"`
-	Request int     `json:"request"`
-	Clock   float64 `json:"clock"`
-	TTFT    float64 `json:"ttft"`
+func newSSEEncoder(id string, request int) *sseEncoder {
+	quoted, _ := json.Marshal(id) // a string always marshals
+	spine := append([]byte(`,"id":`), quoted...)
+	spine = append(spine, `,"request":`...)
+	spine = strconv.AppendInt(spine, int64(request), 10)
+	return &sseEncoder{buf: make([]byte, 0, 1024), spine: spine}
 }
 
-type wireToken struct {
-	Type    Kind    `json:"type"`
-	ID      string  `json:"id"`
-	Request int     `json:"request"`
-	Clock   float64 `json:"clock"`
-	Index   int     `json:"index"`
-}
-
-type wirePreemption struct {
-	Type      Kind    `json:"type"`
-	ID        string  `json:"id"`
-	Request   int     `json:"request"`
-	Clock     float64 `json:"clock"`
-	Generated int     `json:"generated"`
-}
-
-type wireCompletion struct {
-	Type        Kind    `json:"type"`
-	ID          string  `json:"id"`
-	Request     int     `json:"request"`
-	Clock       float64 `json:"clock"`
-	TTFT        float64 `json:"ttft"`
-	TPOT        float64 `json:"tpot"`
-	E2E         float64 `json:"e2e"`
-	SLOMet      bool    `json:"slo_met"`
-	Preemptions int     `json:"preemptions"`
-}
-
-type wireDropped struct {
-	Type    Kind   `json:"type"`
-	ID      string `json:"id"`
-	Request int    `json:"request"`
-	Dropped int    `json:"dropped"`
-}
-
-type wireError struct {
-	Type    Kind    `json:"type"`
-	ID      string  `json:"id"`
-	Request int     `json:"request"`
-	Clock   float64 `json:"clock"`
-	Error   string  `json:"error"`
-}
-
-// writeSSE emits one server-sent event: the kind as the event name, the
-// payload JSON as the data line.
-func writeSSE(w io.Writer, kind Kind, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", kind, data)
-	return err
-}
-
-// encodeSSE projects ev onto its kind's wire payload and writes it.
-func encodeSSE(w io.Writer, ev Event) error {
+// event appends ev's frame. A kind without a payload, or a float JSON
+// cannot carry, fails the frame and leaves the buffer as it was.
+func (e *sseEncoder) event(ev Event) error {
+	mark := len(e.buf)
+	e.finite = true
 	switch ev.Kind {
 	case KindAdmission:
-		return writeSSE(w, ev.Kind, wireAdmission{Type: ev.Kind, ID: ev.ID, Request: ev.Request,
-			Clock: ev.Clock, Wait: ev.Wait, Input: ev.Input, Output: ev.Output, Batch: ev.Batch})
+		e.open(ev.Kind, ev.Clock)
+		e.floatField(`,"wait":`, ev.Wait)
+		e.intField(`,"input_tokens":`, ev.Input)
+		e.intField(`,"output_tokens":`, ev.Output)
+		e.intField(`,"batch":`, ev.Batch)
 	case KindFirstToken:
-		return writeSSE(w, ev.Kind, wireFirstToken{Type: ev.Kind, ID: ev.ID, Request: ev.Request,
-			Clock: ev.Clock, TTFT: ev.TTFT})
+		e.open(ev.Kind, ev.Clock)
+		e.floatField(`,"ttft":`, ev.TTFT)
 	case KindToken:
-		return writeSSE(w, ev.Kind, wireToken{Type: ev.Kind, ID: ev.ID, Request: ev.Request,
-			Clock: ev.Clock, Index: ev.Index})
+		e.open(ev.Kind, ev.Clock)
+		e.intField(`,"index":`, ev.Index)
 	case KindPreemption:
-		return writeSSE(w, ev.Kind, wirePreemption{Type: ev.Kind, ID: ev.ID, Request: ev.Request,
-			Clock: ev.Clock, Generated: ev.Generated})
+		e.open(ev.Kind, ev.Clock)
+		e.intField(`,"generated":`, ev.Generated)
 	case KindCompletion:
-		return writeSSE(w, ev.Kind, wireCompletion{Type: ev.Kind, ID: ev.ID, Request: ev.Request,
-			Clock: ev.Clock, TTFT: ev.TTFT, TPOT: ev.TPOT, E2E: ev.E2E,
-			SLOMet: ev.SLOMet, Preemptions: ev.Preemptions})
+		e.open(ev.Kind, ev.Clock)
+		e.floatField(`,"ttft":`, ev.TTFT)
+		e.floatField(`,"tpot":`, ev.TPOT)
+		e.floatField(`,"e2e":`, ev.E2E)
+		e.buf = strconv.AppendBool(append(e.buf, `,"slo_met":`...), ev.SLOMet)
+		e.intField(`,"preemptions":`, ev.Preemptions)
 	case KindError:
-		return writeSSE(w, ev.Kind, wireError{Type: ev.Kind, ID: ev.ID, Request: ev.Request,
-			Clock: ev.Clock, Error: ev.Err})
+		e.open(ev.Kind, ev.Clock)
+		msg, _ := json.Marshal(ev.Err) // a string always marshals
+		e.buf = append(append(e.buf, `,"error":`...), msg...)
 	default:
 		return fmt.Errorf("gateway: unknown event kind %q", ev.Kind)
 	}
+	if !e.finite {
+		e.buf = e.buf[:mark]
+		return fmt.Errorf("gateway: %s event carries a non-finite number", ev.Kind)
+	}
+	e.buf = append(e.buf, "}\n\n"...)
+	return nil
 }
 
-// writeDropMarker surfaces a DropOldest overflow to the client: n events
-// were lost ahead of whatever follows.
-func writeDropMarker(w io.Writer, id string, request, n int) error {
-	return writeSSE(w, "dropped", wireDropped{Type: "dropped", ID: id, Request: request, Dropped: n})
+// dropped appends the marker that surfaces a DropOldest overflow to the
+// client: n events were lost ahead of whatever follows.
+func (e *sseEncoder) dropped(n int) {
+	e.buf = append(e.buf, "event: dropped\ndata: {\"type\":\"dropped\""...)
+	e.buf = append(e.buf, e.spine...)
+	e.intField(`,"dropped":`, n)
+	e.buf = append(e.buf, "}\n\n"...)
 }
 
-// writeDone terminates an SSE stream OpenAI-style.
-func writeDone(w io.Writer) error {
-	_, err := io.WriteString(w, "data: [DONE]\n\n")
+// done appends the OpenAI-style stream terminator.
+func (e *sseEncoder) done() { e.buf = append(e.buf, "data: [DONE]\n\n"...) }
+
+// open starts a frame: the event line, then the payload's type, the
+// stream's spine and the clock. Kind names need no JSON escaping.
+func (e *sseEncoder) open(kind Kind, clock float64) {
+	e.buf = append(e.buf, "event: "...)
+	e.buf = append(e.buf, kind...)
+	e.buf = append(e.buf, "\ndata: {\"type\":\""...)
+	e.buf = append(e.buf, kind...)
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, e.spine...)
+	e.floatField(`,"clock":`, clock)
+}
+
+func (e *sseEncoder) intField(key string, v int) {
+	e.buf = strconv.AppendInt(append(e.buf, key...), int64(v), 10)
+}
+
+func (e *sseEncoder) floatField(key string, v float64) {
+	var ok bool
+	e.buf, ok = appendJSONFloat(append(e.buf, key...), v)
+	e.finite = e.finite && ok
+}
+
+// flush writes the buffered frames with one Write, flushes the
+// connection, and empties the buffer for the next burst.
+func (e *sseEncoder) flush(w io.Writer, f http.Flusher) error {
+	_, err := w.Write(e.buf)
+	e.buf = e.buf[:0]
+	if err == nil && f != nil {
+		f.Flush()
+	}
 	return err
+}
+
+// appendJSONFloat appends x as encoding/json writes a float64, which is
+// how ES6 prints a number: 'f' format for zero and for magnitudes in
+// [1e-6, 1e21), 'e' format otherwise with a one-digit negative exponent
+// left unpadded (e-7, not e-07). ok is false for NaN and ±Inf, which
+// JSON cannot carry; json.Marshal fails on them.
+func appendJSONFloat(b []byte, x float64) (_ []byte, ok bool) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
 }

@@ -140,9 +140,11 @@ func (s *Subscriber) insert(ev Event) {
 // Next pops the oldest buffered event, blocking until one is available
 // or ctx is done. dropped is how many events were discarded (DropOldest
 // overflow) before the returned event — a non-zero count is surfaced to
-// the client as a marker ahead of the event. ok is false only when ctx
-// ended the wait.
-func (s *Subscriber) Next(ctx context.Context) (ev Event, dropped int, ok bool) {
+// the client as a marker ahead of the event. more reports whether the
+// ring still held an event after the pop, so the consumer may batch the
+// returned event with the next one. ok is false only when ctx ended the
+// wait.
+func (s *Subscriber) Next(ctx context.Context) (ev Event, dropped int, more, ok bool) {
 	for {
 		s.mu.Lock()
 		if s.n > 0 {
@@ -152,17 +154,18 @@ func (s *Subscriber) Next(ctx context.Context) (ev Event, dropped int, ok bool) 
 				s.head = 0
 			}
 			s.n--
+			more = s.n > 0
 			dropped = s.dropped
 			s.dropped = 0
 			s.mu.Unlock()
 			notify(s.space)
-			return ev, dropped, true
+			return ev, dropped, more, true
 		}
 		s.mu.Unlock()
 		select {
 		case <-s.wake:
 		case <-ctx.Done():
-			return Event{}, 0, false
+			return Event{}, 0, false, false
 		}
 	}
 }

@@ -3,6 +3,10 @@
 // sparsity under the paper's 1 %-of-row-max threshold (Fig. 3/10),
 // attention-mass recall (the accuracy mechanism behind Fig. 8), and basic
 // summary statistics for throughput reporting.
+//
+// A float64 conversion around a product that feeds an add rounds the
+// product first, which the Go spec forbids fusing into one multiply-add,
+// so every statistic is the same on every platform (DESIGN.md §4.2).
 package metrics
 
 import (
@@ -43,7 +47,7 @@ func FractionalRanks(v []float64) []float64 {
 			j++
 		}
 		// Average of 1-based ranks i+1 .. j+1.
-		avg := float64(i+j)/2 + 1
+		avg := float64(float64(i+j)/2) + 1
 		for k := i; k <= j; k++ {
 			ranks[idx[k]] = avg
 		}
@@ -68,9 +72,9 @@ func Pearson(a, b []float64) (float64, error) {
 	var cov, va, vb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+		cov += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va == 0 || vb == 0 {
 		return 0, fmt.Errorf("metrics: pearson undefined for zero-variance input")
@@ -194,7 +198,7 @@ func AccuracyProxy(denseAcc, chance, recall float64) float64 {
 	}
 	lost := 1 - recall
 	retainFrac := math.Exp(-5.5 * math.Pow(lost, 2.35))
-	return chance + (denseAcc-chance)*retainFrac
+	return chance + float64((denseAcc-chance)*retainFrac)
 }
 
 // Mean returns the arithmetic mean of v, or 0 for empty input.
@@ -285,11 +289,11 @@ func sortedPercentile(s []float64, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := float64(p / 100 * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= len(s) {
 		return s[lo]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }

@@ -27,7 +27,9 @@ func NewLatencyDigest(k int) *LatencyDigest {
 // be NaN (the sketch panics); every latency the serving loop produces is
 // a finite clock difference.
 func (d *LatencyDigest) Observe(v float64) {
-	d.sum += v
+	// The conversion rounds v, so a caller's product inlined here is not
+	// fused with the add into one multiply-add.
+	d.sum += float64(v)
 	d.sk.Observe(v)
 }
 

@@ -40,7 +40,8 @@ func main() {
 		fmt.Println("→ fetching wins per token; the optimizer should keep β = 0.")
 	}
 
-	// What the offline optimizer concludes (Eq. 5 greedy search).
+	// What the offline optimizer concludes: Eq. 5's greedy search, with
+	// each candidate costed by a dry run of the scheduler.
 	sys := memsim.NewSystem(prof)
 	ctx := &sched.Context{
 		Sys: sys, Cost: cost, Model: mc,

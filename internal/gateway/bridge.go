@@ -337,8 +337,10 @@ func (b *Bridge) submit(spec SubmitSpec) (*Subscriber, error) {
 	b.nextID++
 	sub := newSubscriber(id, req, b.buffer, b.policy, b.abort)
 	b.subs[req] = sub
-	b.log.Info("gateway: accepted", "id", id, "request", req,
-		"input", spec.Input, "output", spec.Output, "arrival", arrival)
+	if b.log.Enabled(context.Background(), slog.LevelInfo) {
+		b.log.Info("gateway: accepted", "id", id, "request", req,
+			"input", spec.Input, "output", spec.Output, "arrival", arrival)
+	}
 	return sub, nil
 }
 
@@ -464,7 +466,10 @@ func (b *Bridge) observer() alisa.Observer {
 		Completion: func(e alisa.CompletionEvent) {
 			sub := b.fanout(Event{Kind: KindCompletion, Request: e.Request, Clock: e.Clock,
 				TTFT: e.TTFT, TPOT: e.TPOT, E2E: e.E2E, SLOMet: e.SLOMet, Preemptions: e.Preemptions})
-			if sub != nil {
+			// Info boxes its arguments before the handler's Enabled
+			// check, so an unlogged gateway asks first and allocates
+			// nothing per stream.
+			if sub != nil && b.log.Enabled(context.Background(), slog.LevelInfo) {
 				b.log.Info("gateway: completion", "id", sub.id, "request", e.Request,
 					"clock", e.Clock, "ttft", e.TTFT, "e2e", e.E2E, "slo_met", e.SLOMet)
 			}

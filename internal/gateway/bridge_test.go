@@ -42,6 +42,26 @@ func testBridge(t *testing.T, scale float64, buffer int, policy OverflowPolicy, 
 	return b
 }
 
+// TestBridgeCompletionAllocsZero holds an unlogged gateway to boxing
+// nothing per stream: under the discard logger the gateway defaults to,
+// the completion fan-out to a live subscriber allocates nothing.
+func TestBridgeCompletionAllocsZero(t *testing.T) {
+	b := &Bridge{log: discardLogger(), subs: make(map[int]*Subscriber)}
+	sub := newSubscriber("req-7", 7, 4, DropOldest, nil)
+	completion := b.observer().Completion
+	ev := alisa.CompletionEvent{Request: 7, Clock: 12.5, TTFT: 0.25, TPOT: 0.05, E2E: 3.75, SLOMet: true}
+	allocs := testing.AllocsPerRun(100, func() {
+		b.subs[7] = sub // the terminal event removes it
+		completion(ev)
+	})
+	if allocs != 0 {
+		t.Fatalf("completion fan-out allocates %.1f objects per stream, want 0", allocs)
+	}
+	if got, _, _, _ := sub.Next(context.Background()); got.Kind != KindCompletion || got.ID != "req-7" {
+		t.Fatalf("subscriber got %+v, want the completion", got)
+	}
+}
+
 // at is an explicit simulated arrival time for a SubmitSpec.
 func at(v float64) *float64 { return &v }
 

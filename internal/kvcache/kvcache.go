@@ -51,6 +51,11 @@ type TokenStore struct {
 	// exact.
 	cursor int
 	before [3]int
+
+	// low is Oldest's scan bound: no position below low[l] lives at l.
+	// Oldest raises it to the position it finds and Move lowers it, so
+	// oldest-first eviction scans each position about once.
+	low [3]int
 }
 
 // NewTokenStore returns an empty token-level store.
@@ -62,9 +67,18 @@ func (s *TokenStore) Len() int { return len(s.loc) }
 // Clone returns an independent deep copy of the store, for scheduler
 // forking.
 func (s *TokenStore) Clone() *TokenStore {
-	c := *s
-	c.loc = append([]Location(nil), s.loc...)
-	return &c
+	c := new(TokenStore)
+	c.CopyFrom(s)
+	return c
+}
+
+// CopyFrom makes s an independent copy of src in s's retained backing
+// array, so restoring a saved store into a used one reallocates nothing
+// once the array is large enough.
+func (s *TokenStore) CopyFrom(src *TokenStore) {
+	loc := append(s.loc[:0], src.loc...)
+	*s = *src
+	s.loc = loc
 }
 
 // Append adds a new token position at the given location and returns its
@@ -95,6 +109,7 @@ func (s *TokenStore) Move(i int, to Location) {
 		s.before[from]--
 		s.before[to]++
 	}
+	s.low[to] = min(s.low[to], i)
 	s.loc[i] = to
 }
 
@@ -124,6 +139,7 @@ func (s *TokenStore) Reset() {
 	s.counts = [3]int{}
 	s.cursor = 0
 	s.before = [3]int{}
+	s.low = [3]int{}
 }
 
 // Oldest returns the smallest position at loc, false when there is none —
@@ -131,11 +147,13 @@ func (s *TokenStore) Reset() {
 // preceding ones in the CPU") and its Phase III deletion ("delete the
 // oldest KV tensors in the CPU").
 func (s *TokenStore) Oldest(loc Location) (int, bool) {
-	for i, l := range s.loc {
-		if l == loc {
+	for i := s.low[loc]; i < len(s.loc); i++ {
+		if s.loc[i] == loc {
+			s.low[loc] = i
 			return i, true
 		}
 	}
+	s.low[loc] = len(s.loc)
 	return 0, false
 }
 

@@ -55,14 +55,15 @@ func checkTokenStore(t *testing.T, s *TokenStore, tokenBytes int64) {
 }
 
 // TestTokenStoreProperties drives random op sequences — append, move,
-// clone, reset — and checks the byte-accounting invariants, Oldest and
-// Newest after every op, and the prefix cursor at a random prefix, so that
-// the cursor moves both ways between queries and Moves land on both sides
-// of it.
+// clone, copy into a used store, reset — and checks the byte-accounting
+// invariants, Oldest and Newest after every op, and the prefix cursor at a
+// random prefix, so that the cursor moves both ways between queries, Moves
+// land on both sides of it and behind Oldest's scan bound, and both carry
+// across copies.
 func TestTokenStoreProperties(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewTokenStore()
+		s, spare := NewTokenStore(), NewTokenStore()
 		tokenBytes := int64(1 + rng.Intn(1<<20))
 		for op := 0; op < 2000; op++ {
 			switch r := rng.Float64(); {
@@ -70,15 +71,30 @@ func TestTokenStoreProperties(t *testing.T) {
 				s.Append(allLocations[rng.Intn(3)])
 			case r < 0.93:
 				s.Move(rng.Intn(s.Len()), allLocations[rng.Intn(3)])
-			case r < 0.97:
+			case r < 0.95:
 				c := s.Clone()
 				if c.Len() != s.Len() || recount(c) != recount(s) {
 					t.Fatalf("seed %d op %d: clone holds %d positions %v, original %d %v",
 						seed, op, c.Len(), recount(c), s.Len(), recount(s))
 				}
 				s = c
+			case r < 0.97:
+				// Copy into the spare, a used store whose length the ops
+				// since the last copy have made differ, and go on with the
+				// copy; the original becomes the next spare.
+				spare.CopyFrom(s)
+				if spare.Len() != s.Len() || recount(spare) != recount(s) {
+					t.Fatalf("seed %d op %d: copy holds %d positions %v, original %d %v",
+						seed, op, spare.Len(), recount(spare), s.Len(), recount(s))
+				}
+				s, spare = spare, s
 			default:
+				// Refill some positions before the checks, so that Oldest
+				// meets them with the scan bound Reset left.
 				s.Reset()
+				for n := rng.Intn(8); n > 0; n-- {
+					s.Append(allLocations[rng.Intn(3)])
+				}
 			}
 			checkTokenStore(t, s, tokenBytes)
 			checkOldestNewest(t, s, seed, op)

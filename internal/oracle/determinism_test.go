@@ -81,49 +81,57 @@ func TestEvaluateMatchesSequentialReference(t *testing.T) {
 	}
 }
 
-// TestEvaluateManyMatchesSingle pins EvaluateMany's contract: evaluating a
-// batch of policies against one shared process is bit-identical to
-// evaluating each policy alone against its own fresh process.
+// TestEvaluateManyMatchesSingle pins that evaluating a batch of policies
+// one after another is bit-identical to evaluating each policy alone on
+// its own fresh instance: the singles run in reverse order, so no state may
+// pass from one Evaluate call to the next.
 func TestEvaluateManyMatchesSingle(t *testing.T) {
 	const steps = 96
 	spec := SpecForModel(model.MustByName("opt-13b"), 55)
 	spec.Layers = 4
 	for _, ratio := range []float64{0.2, 0.6} {
 		batch := policiesUnderTest(ratio, spec.Layers)
-		many := EvaluateMany(spec, batch, steps)
+		many := make([]*Result, len(batch))
+		for i, pol := range batch {
+			many[i] = Evaluate(spec, pol, steps)
+		}
 		singles := policiesUnderTest(ratio, spec.Layers)
-		for i := range singles {
+		for i := len(singles) - 1; i >= 0; i-- {
 			want := Evaluate(spec, singles[i], steps)
 			if field, ok := resultsIdentical(many[i], want); !ok {
-				t.Errorf("ratio %.1f policy %s: EvaluateMany diverges from Evaluate in %s",
+				t.Errorf("ratio %.1f policy %s: batch Evaluate diverges from a single Evaluate in %s",
 					ratio, want.PolicyName, field)
 			}
 		}
 	}
 }
 
-// TestMeanRecallsMatchesEvaluateMany pins the recall-only path to
-// EvaluateMany's MeanRecall bit for bit, on fresh policies and on
-// policies that last evaluated another spec for another length: the first
-// step's Select(l, 0) restarts them.
-func TestMeanRecallsMatchesEvaluateMany(t *testing.T) {
+// TestMeanRecallsMatchesEvaluate pins the recall-only path, which
+// evaluates every policy against one shared process, to each policy's own
+// Evaluate MeanRecall bit for bit, on fresh policies and on policies that
+// last evaluated another spec for another length: the first step's
+// Select(l, 0) restarts them.
+func TestMeanRecallsMatchesEvaluate(t *testing.T) {
 	const steps = 96
 	spec := SpecForModel(model.MustByName("opt-13b"), 55)
 	spec.Layers = 4
 	other := SpecForModel(model.MustByName("opt-30b"), 3)
 	other.Layers = 4
 	for _, ratio := range []float64{0.2, 0.6} {
-		want := EvaluateMany(spec, policiesUnderTest(ratio, spec.Layers), steps)
+		var want []*Result
+		for _, pol := range policiesUnderTest(ratio, spec.Layers) {
+			want = append(want, Evaluate(spec, pol, steps))
+		}
 		fresh := MeanRecalls(spec, policiesUnderTest(ratio, spec.Layers), steps)
 		used := policiesUnderTest(ratio, spec.Layers)
 		MeanRecalls(other, used, 2*steps)
 		reused := MeanRecalls(spec, used, steps)
 		for i, res := range want {
 			if fresh[i] != res.MeanRecall {
-				t.Errorf("ratio %.1f policy %s: MeanRecalls %v, EvaluateMany %v", ratio, res.PolicyName, fresh[i], res.MeanRecall)
+				t.Errorf("ratio %.1f policy %s: MeanRecalls %v, Evaluate %v", ratio, res.PolicyName, fresh[i], res.MeanRecall)
 			}
 			if reused[i] != res.MeanRecall {
-				t.Errorf("ratio %.1f policy %s: MeanRecalls on reused policies %v, EvaluateMany %v", ratio, res.PolicyName, reused[i], res.MeanRecall)
+				t.Errorf("ratio %.1f policy %s: MeanRecalls on reused policies %v, Evaluate %v", ratio, res.PolicyName, reused[i], res.MeanRecall)
 			}
 		}
 	}

@@ -345,7 +345,9 @@ func newLayerAccum(steps int, full bool) *layerAccum {
 // order, so Evaluate returns bit-identical results to the sequential
 // reference EvaluateSequential.
 func Evaluate(spec Spec, pol attention.Policy, steps int) *Result {
-	return EvaluateMany(spec, []attention.Policy{pol}, steps)[0]
+	// context.Background never cancels, so the error is always nil.
+	per, _ := evalLayers(context.Background(), spec, []attention.Policy{pol}, steps, true)
+	return mergeLayers(pol.Name(), steps, per[0])
 }
 
 // EvaluateContext is Evaluate with cancellation: every layer checks ctx
@@ -353,48 +355,21 @@ func Evaluate(spec Spec, pol attention.Policy, steps int) *Result {
 // cancelled. An accuracy evaluation has no meaningful partial result, so
 // a cancelled evaluation returns a nil Result.
 func EvaluateContext(ctx context.Context, spec Spec, pol attention.Policy, steps int) (*Result, error) {
-	res, err := EvaluateManyContext(ctx, spec, []attention.Policy{pol}, steps)
+	per, err := evalLayers(ctx, spec, []attention.Policy{pol}, steps, true)
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	return mergeLayers(pol.Name(), steps, per[0]), nil
 }
 
-// EvaluateMany evaluates several policies against the *same* attention
-// process, amortising row generation and the dense-row measurements
-// (which do not depend on the policy) across all of them. Each policy
-// observes only its own masked rows, so EvaluateMany(spec, pols, steps)[i]
-// is bit-identical to Evaluate(spec, pols[i], steps) with a fresh policy —
-// the sweep experiments lean on this to avoid regenerating one process per
-// (policy, sparsity) cell. Policies must be distinct instances; they may be
-// new or used, since the first step's Select(l, 0) restarts each layer
-// (see attention.Policy).
-func EvaluateMany(spec Spec, pols []attention.Policy, steps int) []*Result {
-	// context.Background never cancels, so the error branch is unreachable.
-	res, _ := EvaluateManyContext(context.Background(), spec, pols, steps)
-	return res
-}
-
-// EvaluateManyContext is EvaluateMany with cancellation: every layer
-// goroutine checks ctx once per decode step and the whole evaluation
-// aborts with ctx.Err() when cancelled, returning nil Results.
-func EvaluateManyContext(ctx context.Context, spec Spec, pols []attention.Policy, steps int) ([]*Result, error) {
-	per, err := evalLayers(ctx, spec, pols, steps, true)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*Result, len(pols))
-	for pi, pol := range pols {
-		results[pi] = mergeLayers(pol.Name(), steps, per[pi])
-	}
-	return results, nil
-}
-
-// MeanRecalls returns what EvaluateMany(spec, pols, steps)[i].MeanRecall
-// returns, bit for bit, for every policy, and measures nothing else: the
-// same per-layer goroutines run the same loop, but no sparsity series,
-// score averages or Results are built. Fig. 8, which reads only the mean
-// recall, runs on it.
+// MeanRecalls returns what Evaluate(spec, pols[i], steps).MeanRecall
+// returns, bit for bit, for every policy, and measures nothing else. It
+// evaluates all the policies against the *same* attention process, so row
+// generation and the dense-row work are paid once; each policy observes
+// only its own masked rows. No sparsity series, score averages or Results
+// are built. Fig. 8, which reads only the mean recall, runs on it.
+// Policies must be distinct instances; they may be new or used, since the
+// first step's Select(l, 0) restarts each layer (see attention.Policy).
 func MeanRecalls(spec Spec, pols []attention.Policy, steps int) []float64 {
 	// context.Background never cancels, so the error is always nil.
 	per, _ := evalLayers(context.Background(), spec, pols, steps, false)

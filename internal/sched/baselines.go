@@ -51,7 +51,7 @@ func (v *vllm) Waves(ctx *Context) ([]int, error) {
 	}
 	var waves []int
 	for remaining := ctx.Batch; remaining > 0; remaining -= fit {
-		waves = append(waves, minInt(fit, remaining))
+		waves = append(waves, min(fit, remaining))
 	}
 	return waves, nil
 }

@@ -3,6 +3,8 @@ package sched
 import (
 	"math"
 
+	"repro/internal/kvcache"
+	"repro/internal/memsim"
 	"repro/internal/trace"
 )
 
@@ -24,29 +26,13 @@ func StepComputeSeconds(ctx *Context, attended int, sparse bool) (mha, ffn float
 	return m * layers, f * layers
 }
 
-// RecomputeSeconds returns the time to recompute the KV of `tokens`
-// deleted positions (Tr in Table II).
-func RecomputeSeconds(ctx *Context, tokens int) float64 {
-	return ctx.Cost.RecomputeTime(ctx.Model, ctx.Batch, tokens)
-}
-
-// QuantSeconds returns the time to quantize (or dequantize) `positions`
-// token positions' worth of FP16 KV.
-func QuantSeconds(ctx *Context, positions int) float64 {
-	if positions <= 0 {
-		return 0
-	}
-	return ctx.Cost.Quantize(int64(positions) * ctx.TokenBytesFP16()).Seconds
-}
-
 // Optimize performs the paper's offline parameter search (§V-A): the data
 // transfer sub-problem is solved from hardware constraints (α and p1
 // follow from memory capacity), and the computation sub-problem by greedy
-// search over (β, p2) against a closed-form cost prediction built from the
-// same cost model the runtime uses — the stand-in for the paper's
-// profiling tables.
+// search over (β, p2), ranking each candidate by what Predict charges for
+// it — the simulator standing in for the paper's profiling tables.
 func Optimize(ctx *Context) Params {
-	budget := gpuTokenBudget(ctx)
+	budget := int(ctx.Sys.GPUHeadroom() / ctx.TokenBytes())
 	maxSeq := ctx.MaxSeq()
 
 	// p1: the first decode step at which cached tokens exceed the GPU
@@ -72,7 +58,6 @@ func Optimize(ctx *Context) Params {
 		// so there is no candidate to cost.
 		return best
 	}
-	bestCost := predictCost(ctx, budget, ctx.Output, 0)
 	// Phase III candidates start one grid notch after p1: deletion acts on
 	// the CPU-resident pool, which Phase II must populate first, and
 	// deleting tokens straight after paying their offload transfer wastes
@@ -80,121 +65,98 @@ func Optimize(ctx *Context) Params {
 	// the paper's three-phase design. It stops short of p2 = Output: such a
 	// candidate deletes nothing, costs exactly the β = 0 baseline, and so
 	// never wins the strict comparison.
+	var grid [7]int
+	for k := range grid {
+		frac := float64(k+1) / 8 // 0.125 … 0.875
+		grid[k] = p1 + int(frac*float64(ctx.Output-p1))
+	}
+
+	// β and p2 act only from step p2 on, so every candidate's run is the
+	// β = 0 baseline's up to its p2. The baseline saves the system and the
+	// token store at each grid p2 it reaches, and each candidate continues
+	// from there: it is charged exactly what Predict charges it.
+	dry := dryContext(ctx)
+	start := dry.Sys.Clock()
+	a := &alisa{recompute: true, p2: ctx.Output}
+	var saved [len(grid)]struct {
+		sys   memsim.System
+		store kvcache.TokenStore
+	}
+	reached, bestCost := 0, math.Inf(1)
+	if a.Init(dry) == nil {
+		j := 0
+		for ; reached < len(grid) && runSteps(dry, a, j, grid[reached]); reached++ {
+			j = grid[reached]
+			saved[reached].sys = *dry.Sys
+			saved[reached].store.CopyFrom(a.store)
+		}
+		if reached == len(grid) && runSteps(dry, a, j, ctx.Output) {
+			bestCost = dry.Sys.Clock() - start
+		}
+	}
 	for _, beta := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-		for frac := 0.125; frac < 1.0; frac += 0.125 {
-			p2 := p1 + int(frac*float64(ctx.Output-p1))
-			cost := predictCost(ctx, budget, p2, beta)
-			if cost < bestCost {
-				best, bestCost = Params{Alpha: alpha, Beta: beta, P1: p1, P2: p2}, cost
+		for k, p2 := range grid[:reached] {
+			*dry.Sys = saved[k].sys
+			a.store.CopyFrom(&saved[k].store)
+			a.beta, a.p2 = beta, p2
+			if runSteps(dry, a, p2, ctx.Output) {
+				if cost := dry.Sys.Clock() - start; cost < bestCost {
+					best, bestCost = Params{Alpha: alpha, Beta: beta, P1: p1, P2: p2}, cost
+				}
 			}
 		}
 	}
 	return best
 }
 
-// Predict returns the closed-form decode-time estimate (Eq. 5) that
-// Optimize ranks candidates by, for the parameters p. It reads the GPU
-// budget from the system's current headroom, as Optimize does, so call
-// it right after Optimize, before the run places any KV.
+// Predict returns the decode seconds a run with parameters p is charged:
+// a dry run of the oldest-first scheduler, with Phase III at β and p2,
+// through Init and every decode step, each charged as the engine charges
+// it, on a copy of the context's system. It is +Inf when the run cannot
+// place its KV. The run starts from the system's current state, as
+// Optimize's do, so call it right after Optimize, before the run places
+// any KV.
 func Predict(ctx *Context, p Params) float64 {
-	return predictCost(ctx, gpuTokenBudget(ctx), p.P2, p.Beta)
+	dry := dryContext(ctx)
+	start := dry.Sys.Clock()
+	a := &alisa{beta: p.Beta, p2: p.P2, recompute: true}
+	if a.Init(dry) != nil || !runSteps(dry, a, 0, ctx.Output) {
+		return math.Inf(1)
+	}
+	return dry.Sys.Clock() - start
 }
 
-// gpuTokenBudget is how many token positions of the batch's KV fit in
-// the GPU's current headroom.
-func gpuTokenBudget(ctx *Context) int {
-	return int(ctx.Sys.GPUHeadroom() / ctx.TokenBytes())
+// dryContext returns a copy of ctx over a copy of its system, so a dry
+// run leaves the caller's system untouched.
+func dryContext(ctx *Context) *Context {
+	dry, sys := *ctx, *ctx.Sys
+	dry.Sys = &sys
+	return &dry
 }
 
-// predictCost evaluates Eq. 5 for one parameter candidate with a
-// closed-form placement recurrence: the layout is always, oldest to
-// newest, [deleted | cpu | gpu], matching the scheduler's oldest-first
-// eviction, so per-step fetch and recompute expectations follow from three
-// counters.
-func predictCost(ctx *Context, budget, p2 int, beta float64) float64 {
-	var total float64
-	gpu := minInt(ctx.Input, budget)
-	cpu := ctx.Input - gpu
-	del := 0
-	tokenBytes := float64(ctx.TokenBytes())
-	pcie := ctx.Sys.Prof.PCIeBandwidth
-
-	for j := 0; j < ctx.Output; j++ {
-		n := ctx.Input + j
-		attended := attendedTokens(ctx, n)
-		local := (attended - 1) / 2
-		if ctx.CachingRatio >= 1 {
-			local = n
+// runSteps runs a's decode steps [from, to), charging each step's compute
+// as the engine does, and reports whether every step placed its KV.
+func runSteps(ctx *Context, a *alisa, from, to int) bool {
+	for j := from; j < to; j++ {
+		plan, err := a.Step(ctx, j)
+		if err != nil {
+			return false
 		}
-		global := attended - 1 - local
-		prefix := n - local
-
-		mha, ffn := StepComputeSeconds(ctx, attended, ctx.CachingRatio < 1)
-		total += mha + ffn
-
-		if global > 0 && prefix > 0 {
-			_, cpuW, delW := layoutFractions(prefix, del, cpu)
-			fetched := math.Round(float64(global) * cpuW)
-			recomp := math.Round(float64(global) * delW)
-			total += fetched * tokenBytes / pcie
-			total += RecomputeSeconds(ctx, int(recomp))
-		}
-		if ctx.KVBits < 16 {
-			total += QuantSeconds(ctx, 1)
-		}
-
-		// Placement recurrence: the new token lands on GPU; overflow
-		// spills the oldest GPU token to CPU; Phase III deletes to hold
-		// the β share.
-		gpu++
-		if gpu > budget {
-			gpu--
-			cpu++
-			total += tokenBytes / pcie // offload transfer
-		}
-		if j >= p2 && beta > 0 {
-			for cpu > 0 && float64(del) < beta*float64(del+cpu) {
-				cpu--
-				del++
-			}
-		}
+		ChargeStepCompute(ctx, plan)
 	}
-	return total
-}
-
-// layoutFractions is the closed-form analogue of weightedFractions for
-// the canonical [deleted | cpu | gpu] layout over a prefix: uniform
-// selection makes the fractions plain region shares.
-func layoutFractions(prefix, del, cpu int) (gpuW, cpuW, delW float64) {
-	if prefix <= 0 {
-		return 0, 0, 0
-	}
-	if del > prefix {
-		del, cpu = prefix, 0
-	} else if del+cpu > prefix {
-		cpu = prefix - del
-	}
-	total := float64(prefix)
-	return float64(prefix-del-cpu) / total, float64(cpu) / total, float64(del) / total
+	return true
 }
 
 // ChargeStepCompute charges a step's compute to the system's ledger: the
-// MHA/FFN pair, recomputation, and the per-step quantization pass for
-// compressed KV. It is shared by the engine so runtime charging and the
-// optimizer's predictions stay consistent.
+// MHA/FFN pair, the recomputation of deleted KV (Tr in Table II), and for
+// compressed KV one quantization pass over the new position and the
+// fetched ones. The engine and Predict's dry runs both charge through it.
 func ChargeStepCompute(ctx *Context, plan StepPlan) {
 	ctx.Sys.ChargeDecode(StepComputeSeconds(ctx, plan.Attended, plan.Sparse))
 	if plan.RecomputedTokens > 0 {
-		ctx.Sys.Charge(trace.CatRecompute, RecomputeSeconds(ctx, plan.RecomputedTokens))
+		ctx.Sys.Charge(trace.CatRecompute, ctx.Cost.RecomputeTime(ctx.Model, ctx.Batch, plan.RecomputedTokens))
 	}
 	if ctx.KVBits < 16 {
-		ctx.Sys.Charge(trace.CatQuant, QuantSeconds(ctx, 1+plan.FetchedTokens))
+		ctx.Sys.Charge(trace.CatQuant, ctx.Cost.Quantize(int64(1+plan.FetchedTokens)*ctx.TokenBytesFP16()).Seconds)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -484,22 +484,21 @@ func BenchmarkClosedLoop(b *testing.B) {
 }
 
 func BenchmarkOptimizer(b *testing.B) {
+	mc := model.MustByName("opt-13b")
+	prof := memsim.V100_32G()
 	for i := 0; i < b.N; i++ {
-		cfg := core.Config{
-			Model:   model.MustByName("opt-13b"),
-			Profile: memsim.V100_32G(),
-			Batch:   64, Input: 128, Output: 512,
-			KVSparsity: 0.8, KVBits: 8,
-			Scheduler: sched.MustByName("alisa"),
-		}
-		// Optimizer runs inside Init; isolate it through a direct call.
-		_ = cfg
-		sys := memsim.NewSystem(cfg.Profile)
-		_ = sys.AllocGPU(cfg.Model.WeightBytes(2))
 		ctx := &sched.Context{
-			Sys: sys, Cost: costmodel.New(cfg.Profile), Model: cfg.Model,
-			Batch: cfg.Batch, Input: cfg.Input, Output: cfg.Output,
+			Sys: memsim.NewSystem(prof), Cost: costmodel.New(prof), Model: mc,
+			Batch: 64, Input: 128, Output: 512,
 			CachingRatio: 0.2, KVBits: 8,
+		}
+		// Optimizer runs inside Init; isolate it through a direct call on
+		// the GPU budget the engine leaves it: the runtime reserve, the
+		// weights and the activations (core's reserveStatic).
+		for _, n := range []int64{prof.ReserveBytes, ctx.WeightBytes(), ctx.ActivationBytes()} {
+			if err := ctx.Sys.AllocGPU(n); err != nil {
+				b.Fatal(err)
+			}
 		}
 		sched.Optimize(ctx)
 	}

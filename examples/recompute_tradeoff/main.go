@@ -29,7 +29,7 @@ func main() {
 
 	// Per-token economics (Table II's Tr vs Tm): recomputing one token
 	// position vs fetching its KV over PCIe.
-	recompute := cost.RecomputeTime(mc, batch, 1)
+	recompute := cost.RecomputeTime(&mc, batch, 1)
 	fetch := float64(batch*int(mc.KVBytesPerToken(2))) / prof.PCIeBandwidth
 	fmt.Printf("%s on %s, batch %d, FP16 KV\n\n", mc.Name, prof.Name, batch)
 	fmt.Printf("per token position:  recompute %s   vs   PCIe fetch %s\n",

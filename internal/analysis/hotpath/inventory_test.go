@@ -15,10 +15,14 @@ import (
 // admission/decode path, the ALISA scheduler's per-step placement query,
 // the wait-queue heap ops, rolling-window and
 // sketch ingestion, the cluster turn loop, the prefix-cache probe/
-// insert/evict machinery, and the gateway's per-event fan-out. The test fails in BOTH directions — a lost
+// insert/evict machinery, the gateway's per-event fan-out, and the
+// accuracy path's per-step work: the oracle's layer loop, SWA and H2O
+// selection, and the live decoder's step with its vector-matrix products.
+// The test fails in BOTH directions — a lost
 // annotation shrinks coverage silently, and a new annotation is a
 // contract change that belongs in this list (and in DESIGN.md §12).
 var wantAnnotated = []string{
+	"internal/attention.(*selScratch).selectTopPlusLocal",
 	"internal/cluster.(*Cluster).advance",
 	"internal/gateway.(*Bridge).fanout",
 	"internal/gateway.(*Bridge).onToken",
@@ -26,6 +30,9 @@ var wantAnnotated = []string{
 	"internal/gateway.(*Subscriber).publish",
 	"internal/kvcache.(*TokenStore).CountsBefore",
 	"internal/metrics.(*Window).Observe",
+	"internal/model.(*Decoder).DecodeStep",
+	"internal/model.(*Decoder).multiHeadAttend",
+	"internal/oracle.evalLayerFast",
 	"internal/metrics/sketch.(*Sketch).Observe",
 	"internal/metrics/sketch.(*Sketch).compact",
 	"internal/metrics/sketch.(*Sketch).compress",
@@ -61,6 +68,8 @@ var wantAnnotated = []string{
 	"internal/serve/prefix.(*Index).matchedBlocks",
 	"internal/serve/prefix.(*Index).split",
 	"internal/serve/prefix.cmpBlock",
+	"internal/tensor.VecMatInto",
+	"internal/tensor.VecMatTInto",
 }
 
 // TestAnnotationInventory scans every non-test source file in the repo

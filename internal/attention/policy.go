@@ -53,6 +53,19 @@ type Policy interface {
 	Observe(layer int, indices []int, weights []float64)
 }
 
+// Observes reports whether p's selections depend on the weights Observe
+// feeds it. dense, local and strided select by position alone and their
+// Observe is a no-op, so a caller may skip building the masked row it
+// would pass them; any other Policy, one defined outside this package
+// included, is taken to observe.
+func Observes(p Policy) bool {
+	switch p.(type) {
+	case *dense, *local, *strided:
+		return false
+	}
+	return true
+}
+
 // Budget converts a caching ratio r into a token budget for n cached
 // tokens: ⌊n·r⌉, at least 1 when n > 0 (attending to nothing collapses the
 // distribution).
@@ -184,38 +197,44 @@ type swaLayer struct {
 // layer types, together with the top-k + local-window assembly both
 // policies' Select methods reduce to.
 type selScratch struct {
-	scores []float32 // per-position score vector
-	sel    []int     // returned index slice
-	topk   tensor.TopKScratch
+	sel  []int // returned index slice
+	topk tensor.TopKScratch
 }
 
 // selectTopPlusLocal builds the selection both budget-splitting policies
 // share: the top-k positions before localStart ranked by sum (all of
 // them when k ≥ localStart), in ascending index order, followed by the
-// local window [localStart, n). With recencyEps, unobserved ties break
-// toward newer tokens so cold-start behaviour degrades to local
-// attention. The result aliases the scratch.
+// local window [localStart, n). A position never observed scores zero.
+// With recencyEps, a position's score gains a recency epsilon, so
+// unobserved ties break toward newer tokens and cold-start behaviour
+// degrades to local attention. Each score goes straight into the
+// selection's order keys. The result aliases the scratch.
+//
+//alisa:hotpath
 func (sc *selScratch) selectTopPlusLocal(sum []float64, localStart, k, n int, recencyEps bool) []int {
-	if cap(sc.scores) < localStart {
-		// Grow geometrically: score vectors lengthen by one position per
-		// decode step and must not reallocate every call.
-		sc.scores = make([]float32, max(localStart, 2*cap(sc.scores)))
-	}
-	scores := sc.scores[:localStart]
-	for pos := range scores {
-		var s float32 // a position never observed scores zero
-		if pos < len(sum) {
-			s = float32(sum[pos])
+	keys := sc.topk.KeyBuffer(localStart)
+	observed := min(len(sum), localStart)
+	// The observed positions and the unobserved tail run as separate
+	// loops, with and without the epsilon, so none branches per position.
+	// The epsilon's conversion keeps its product from fusing with the add;
+	// the tail's zero score plus the epsilon is the epsilon.
+	if recencyEps {
+		for pos, s := range sum[:observed] {
+			keys[pos] = tensor.OrderKey(float32(s) + float32(float32(pos)*1e-12))
 		}
-		if recencyEps {
-			// Small recency epsilon for deterministic, recency-biased
-			// tie-breaks. The conversion keeps the product from fusing
-			// with the add.
-			s += float32(float32(pos) * 1e-12)
+		for pos := observed; pos < localStart; pos++ {
+			keys[pos] = tensor.OrderKey(float32(float32(pos) * 1e-12))
 		}
-		scores[pos] = s
+	} else {
+		for pos, s := range sum[:observed] {
+			keys[pos] = tensor.OrderKey(float32(s))
+		}
+		zero := tensor.OrderKey(0)
+		for pos := observed; pos < localStart; pos++ {
+			keys[pos] = zero
+		}
 	}
-	sc.sel = sc.topk.TopKAscending(scores, k, sc.sel) // k clamps to localStart
+	sc.sel = sc.topk.TopKAscendingKeys(keys, k, sc.sel) // k clamps to localStart
 	sc.sel = appendAscending(sc.sel, localStart, n)
 	return sc.sel
 }

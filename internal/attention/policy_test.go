@@ -275,6 +275,34 @@ func TestLayerOutOfRangePanics(t *testing.T) {
 	}
 }
 
+// TestObserves pins which policies observe: swa and h2o do, and a policy
+// Observes reports false for selects the same whether or not it is fed
+// weights, so skipping its Observe changes nothing.
+func TestObserves(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, name := range Registered() {
+		fed, starved := MustByName(name, 0.3, 1), MustByName(name, 0.3, 1)
+		want := name == "swa" || name == "h2o"
+		if got := Observes(fed); got != want {
+			t.Errorf("Observes(%s) = %v, want %v", name, got, want)
+		}
+		if want {
+			continue
+		}
+		for n := 0; n < 64; n++ {
+			sel := append([]int(nil), fed.Select(0, n)...)
+			if other := starved.Select(0, n); !slices.Equal(sel, other) {
+				t.Fatalf("%s at n=%d: selects %v when fed weights, %v when not", name, n, sel, other)
+			}
+			w := make([]float64, len(sel)+1)
+			for i := range w {
+				w[i] = rng.Float64()
+			}
+			fed.Observe(0, append(sel, n), w)
+		}
+	}
+}
+
 // Every policy's Select reuses per-layer scratch: once warmed at a cache
 // length, selecting again allocates nothing.
 func TestSelectAllocsZero(t *testing.T) {

@@ -252,7 +252,7 @@ func (c *Cost) FFNTime(batch, hidden, ffn int, gated bool) Sample {
 
 // DecodeLayerTime returns the MHA and FFN times for one decode step of one
 // layer at the given attended-token count.
-func (c *Cost) DecodeLayerTime(cfg model.Config, batch, attended, kvBytes int, swa bool) (mha, ffn float64) {
+func (c *Cost) DecodeLayerTime(cfg *model.Config, batch, attended, kvBytes int, swa bool) (mha, ffn float64) {
 	b, h := int64(batch), int64(cfg.Hidden)
 	var window int64
 	if swa {
@@ -332,7 +332,7 @@ func (c *Cost) PrefillTime(cfg model.Config, batch, s int) float64 {
 // RecomputeTime returns the time to recompute K/V tensors for n deleted
 // tokens of a batch: the K and V projections charged over the token rows
 // (paper Table II's Tr).
-func (c *Cost) RecomputeTime(cfg model.Config, batch, tokens int) float64 {
+func (c *Cost) RecomputeTime(cfg *model.Config, batch, tokens int) float64 {
 	if tokens <= 0 {
 		return 0
 	}

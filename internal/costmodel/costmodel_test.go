@@ -119,11 +119,11 @@ func TestPrefillScalesAtLeastLinearly(t *testing.T) {
 func TestRecomputeTimeProperties(t *testing.T) {
 	c := New(memsim.H100_80G())
 	cfg := model.MustByName("opt-30b")
-	if c.RecomputeTime(cfg, 64, 0) != 0 {
+	if c.RecomputeTime(&cfg, 64, 0) != 0 {
 		t.Fatal("zero tokens should cost zero")
 	}
-	r10 := c.RecomputeTime(cfg, 64, 10)
-	r20 := c.RecomputeTime(cfg, 64, 20)
+	r10 := c.RecomputeTime(&cfg, 64, 10)
+	r20 := c.RecomputeTime(&cfg, 64, 20)
 	if r20 <= r10 {
 		t.Fatal("recompute time should grow with token count")
 	}
@@ -155,8 +155,8 @@ func TestDecodeLayerTimeShape(t *testing.T) {
 	// At large batch the per-sequence KV traffic dominates, so attending
 	// 5× fewer tokens wins despite SWA's gather/local-sum/bookkeeping
 	// overheads.
-	mhaDense, ffn := c.DecodeLayerTime(cfg, 64, 640, 2, false)
-	mhaSparse, ffn2 := c.DecodeLayerTime(cfg, 64, 128, 2, true)
+	mhaDense, ffn := c.DecodeLayerTime(&cfg, 64, 640, 2, false)
+	mhaSparse, ffn2 := c.DecodeLayerTime(&cfg, 64, 128, 2, true)
 	if ffn != ffn2 {
 		t.Fatal("FFN time must not depend on attention sparsity")
 	}
@@ -165,7 +165,7 @@ func TestDecodeLayerTimeShape(t *testing.T) {
 	}
 	// At the SAME attended size the sparse path must cost more — the SWA
 	// overhead of Fig. 11.
-	mhaDenseSame, _ := c.DecodeLayerTime(cfg, 64, 128, 2, false)
+	mhaDenseSame, _ := c.DecodeLayerTime(&cfg, 64, 128, 2, false)
 	if mhaSparse <= mhaDenseSame {
 		t.Fatalf("SWA at equal attended size should carry overhead: %v vs %v", mhaSparse, mhaDenseSame)
 	}
@@ -182,7 +182,7 @@ func TestRaggedDecodeTimeSingleMatchesLockstep(t *testing.T) {
 	cfg := model.MustByName("opt-6.7b")
 	for _, swa := range []bool{false, true} {
 		for _, sel := range []int{1, 17, 300} {
-			mhaLock, ffnLock := c.DecodeLayerTime(cfg, 1, sel, 2, swa)
+			mhaLock, ffnLock := c.DecodeLayerTime(&cfg, 1, sel, 2, swa)
 			layers := float64(cfg.Layers)
 			mha, ffn := c.RaggedDecodeTime(cfg, []int{sel}, 2, swa)
 			if math.Abs(mha-mhaLock*layers) > mha*1e-12 || math.Abs(ffn-ffnLock*layers) > ffn*1e-12 {

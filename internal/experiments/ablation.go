@@ -36,28 +36,28 @@ func AblationScoring() (*ScoringResult, error) {
 	// Faster hitter turnover stresses the stale-hitter distinction.
 	spec.HitterLifetime = 24
 
-	res := &ScoringResult{}
+	// Every signal at every sparsity runs against one shared process.
+	var policies []attention.Policy
+	var sparsities []float64
 	for _, sparsity := range []float64{0.6, 0.8, 0.9} {
 		ratio := 1 - sparsity
-		policies := []attention.Policy{
-			attention.MustByName("local", ratio, spec.Layers),
-			attention.MustByName("strided", ratio, spec.Layers),
-			attention.MustByName("h2o", ratio, spec.Layers),
-			attention.MustByName("swa", ratio, spec.Layers),
+		for _, name := range []string{"local", "strided", "h2o", "swa"} {
+			policies = append(policies, attention.MustByName(name, ratio, spec.Layers))
+			sparsities = append(sparsities, sparsity)
 		}
-		for _, pol := range policies {
-			ev := evalPolicy(spec, pol, steps)
-			rho, err := ev.SpearmanVsDense()
-			if err != nil {
-				return nil, fmt.Errorf("ablation %s: %w", pol.Name(), err)
-			}
-			res.Rows = append(res.Rows, ScoringRow{
-				Policy:     pol.Name(),
-				KVSparsity: sparsity,
-				Recall:     ev.MeanRecall,
-				Spearman:   rho,
-			})
+	}
+	res := &ScoringResult{}
+	for i, ev := range evalPolicies(spec, policies, steps) {
+		rho, err := ev.SpearmanVsDense()
+		if err != nil {
+			return nil, fmt.Errorf("ablation %s: %w", ev.PolicyName, err)
 		}
+		res.Rows = append(res.Rows, ScoringRow{
+			Policy:     ev.PolicyName,
+			KVSparsity: sparsities[i],
+			Recall:     ev.MeanRecall,
+			Spearman:   rho,
+		})
 	}
 	return res, nil
 }

@@ -10,14 +10,15 @@ import (
 // TestRenderedOutputMatchesSequentialReference proves the acceptance
 // criterion for the parallel accuracy hot path at the experiment level:
 // every oracle-backed figure renders byte-identical output whether the
-// cells are evaluated by the parallel scratch-reusing oracle.Evaluate and
-// oracle.MeanRecalls or by the retained sequential reference.
+// cells are evaluated by the parallel scratch-reusing oracle.EvaluateAll
+// and oracle.MeanRecalls, each policy set against one shared process, or
+// by the retained sequential reference, one call per policy.
 func TestRenderedOutputMatchesSequentialReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders several experiments twice")
 	}
 	defer func() {
-		evalPolicy = oracle.Evaluate
+		evalPolicies = oracle.EvaluateAll
 		meanRecalls = oracle.MeanRecalls
 	}()
 
@@ -53,13 +54,20 @@ func TestRenderedOutputMatchesSequentialReference(t *testing.T) {
 		return out
 	}
 
-	evalPolicy = oracle.Evaluate
+	evalPolicies = oracle.EvaluateAll
 	meanRecalls = oracle.MeanRecalls
 	parallel := render()
-	evalPolicy = oracle.EvaluateSequential
+	// Per-policy sequential reference: each policy gets its own fresh
+	// process, the semantics EvaluateAll and MeanRecalls promise to
+	// reproduce exactly.
+	evalPolicies = func(spec oracle.Spec, pols []attention.Policy, steps int) []*oracle.Result {
+		out := make([]*oracle.Result, len(pols))
+		for i, pol := range pols {
+			out[i] = oracle.EvaluateSequential(spec, pol, steps)
+		}
+		return out
+	}
 	meanRecalls = func(spec oracle.Spec, pols []attention.Policy, steps int) []float64 {
-		// Per-policy sequential reference: each policy gets its own fresh
-		// process, the semantics MeanRecalls promises to reproduce exactly.
 		out := make([]float64, len(pols))
 		for i, pol := range pols {
 			out[i] = oracle.EvaluateSequential(spec, pol, steps).MeanRecall

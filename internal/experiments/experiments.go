@@ -14,16 +14,18 @@ import (
 	"repro/internal/oracle"
 )
 
-// evalPolicy and meanRecalls are the accuracy-evaluation kernels the
-// experiments share, both on the parallel scratch-reusing hot path:
-// oracle.Evaluate for the figures that read a policy's full Result, and
-// oracle.MeanRecalls for Fig. 8, which reads only each policy's mean
-// recall. The determinism test swaps in oracle.EvaluateSequential, and a
-// per-policy loop over it for the recall-only form, to prove rendered
-// experiment output is byte-identical to the sequential reference.
+// evalPolicies and meanRecalls are the accuracy-evaluation kernels the
+// experiments share, both on the parallel scratch-reusing hot path and
+// both evaluating a figure's policies against one shared process:
+// oracle.EvaluateAll for the figures that read each policy's full Result
+// (Fig. 4, Fig. 10 and the scoring ablation), and oracle.MeanRecalls for
+// Fig. 8, which reads only each policy's mean recall. The determinism test
+// swaps in a per-policy loop over oracle.EvaluateSequential for both, to
+// prove rendered experiment output is byte-identical to the sequential
+// reference.
 var (
-	evalPolicy  func(oracle.Spec, attention.Policy, int) *oracle.Result = oracle.Evaluate
-	meanRecalls func(oracle.Spec, []attention.Policy, int) []float64    = oracle.MeanRecalls
+	evalPolicies func(oracle.Spec, []attention.Policy, int) []*oracle.Result = oracle.EvaluateAll
+	meanRecalls  func(oracle.Spec, []attention.Policy, int) []float64        = oracle.MeanRecalls
 )
 
 // Renderer is a result that can print itself for the CLI.

@@ -35,16 +35,19 @@ func Fig10() (*Fig10Result, error) {
 		mc := model.MustByName(name)
 		spec := oracle.SpecForModel(mc, 404)
 		spec.Layers = 4
-		for _, sparsity := range []float64{0, 0.2, 0.4, 0.6, 0.8} {
+		sparsities := []float64{0, 0.2, 0.4, 0.6, 0.8}
+		pols := make([]attention.Policy, len(sparsities))
+		for i, sparsity := range sparsities {
 			ratio := 1 - sparsity
-			pol := attention.MustByName("swa", ratio, spec.Layers)
+			pols[i] = attention.MustByName("swa", ratio, spec.Layers)
 			if sparsity == 0 {
-				pol = attention.MustByName("dense", ratio, spec.Layers)
+				pols[i] = attention.MustByName("dense", ratio, spec.Layers)
 			}
-			ev := evalPolicy(spec, pol, steps)
+		}
+		for i, ev := range evalPolicies(spec, pols, steps) {
 			res.Points = append(res.Points, Fig10Point{
 				Model:             name,
-				KVSparsity:        sparsity,
+				KVSparsity:        sparsities[i],
 				AttentionSparsity: metrics.Mean(ev.MaskedSparsityPerStep[64:]),
 				DenseSparsity:     metrics.Mean(ev.DenseSparsityPerStep[64:]),
 			})

@@ -151,8 +151,8 @@ func Fig4() (*Fig4Result, error) {
 		attention.MustByName("swa", ratio, spec.Layers),
 	}
 	res := &Fig4Result{KVSparsity: 1 - ratio}
-	for _, pol := range policies {
-		ev := evalPolicy(spec, pol, steps)
+	for i, ev := range evalPolicies(spec, policies, steps) {
+		pol := policies[i]
 		rho := 1.0
 		if pol.Name() != "dense" {
 			var err error

@@ -33,7 +33,7 @@ type Config struct {
 }
 
 // ffnMatrices returns how many h×ffn projections the FFN block carries.
-func (c Config) ffnMatrices() int64 {
+func (c *Config) ffnMatrices() int64 {
 	if c.GatedFFN {
 		return 3
 	}
@@ -41,12 +41,12 @@ func (c Config) ffnMatrices() int64 {
 }
 
 // HeadDim returns the per-head dimension h/heads.
-func (c Config) HeadDim() int { return c.Hidden / c.Heads }
+func (c *Config) HeadDim() int { return c.Hidden / c.Heads }
 
 // Params returns the approximate parameter count: token + position
 // embeddings, per-layer attention (4h² + 4h), feed-forward (2·h·ffn +
 // h + ffn), and the two layer norms.
-func (c Config) Params() int64 {
+func (c *Config) Params() int64 {
 	h := int64(c.Hidden)
 	l := int64(c.Layers)
 	f := int64(c.FFN)
@@ -58,21 +58,21 @@ func (c Config) Params() int64 {
 }
 
 // WeightBytes returns the model weight footprint at the given precision.
-func (c Config) WeightBytes(bytesPerParam int) int64 {
+func (c *Config) WeightBytes(bytesPerParam int) int64 {
 	return c.Params() * int64(bytesPerParam)
 }
 
 // KVBytesPerToken returns the KV-cache bytes one token occupies across all
 // layers: 2 tensors (K and V) × layers × hidden × element size. With FP16
 // this is the paper's "4·b·l·h bytes" per batch row (§V-A).
-func (c Config) KVBytesPerToken(bytesPerElem int) int64 {
+func (c *Config) KVBytesPerToken(bytesPerElem int) int64 {
 	return 2 * int64(c.Layers) * int64(c.Hidden) * int64(bytesPerElem)
 }
 
 // ActivationBytes estimates per-step activation memory for a batch: the
 // working set of one layer's hidden states and FFN intermediate, double
 // buffered.
-func (c Config) ActivationBytes(batch, bytesPerElem int) int64 {
+func (c *Config) ActivationBytes(batch, bytesPerElem int) int64 {
 	per := int64(c.Hidden) + int64(c.FFN)
 	return 2 * int64(batch) * per * int64(bytesPerElem)
 }

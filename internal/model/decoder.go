@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -79,21 +80,48 @@ func ones(n int) []float32 {
 }
 
 // State is the per-sequence KV cache: one K and one V matrix per layer,
-// rows are tokens in generation order.
+// rows are tokens in generation order. It also carries the scratch a
+// decode step works in, the step's result included, so a step allocates
+// nothing.
 type State struct {
 	K, V []*tensor.Matrix
 	Len  int
+
+	h, normed   []float32 // residual stream and its layer-normed copy
+	q, k, v     []float32 // the new token's projections
+	ctx, proj   []float32 // attention context; Wo and W2 outputs
+	ffn, scores []float32 // FFN inner activations; one head's scores
+	res         StepResult
 }
 
-// NewState returns an empty KV cache for the decoder.
+// NewState returns an empty KV cache for the decoder, with room for
+// Cfg.MaxSeq tokens, and the scratch its decode steps reuse.
 func (d *Decoder) NewState() *State {
+	c := d.Cfg
 	s := &State{
-		K: make([]*tensor.Matrix, d.Cfg.Layers),
-		V: make([]*tensor.Matrix, d.Cfg.Layers),
+		K:      make([]*tensor.Matrix, c.Layers),
+		V:      make([]*tensor.Matrix, c.Layers),
+		h:      make([]float32, c.Hidden),
+		normed: make([]float32, c.Hidden),
+		q:      make([]float32, c.Hidden),
+		k:      make([]float32, c.Hidden),
+		v:      make([]float32, c.Hidden),
+		ctx:    make([]float32, c.Hidden),
+		proj:   make([]float32, c.Hidden),
+		ffn:    make([]float32, c.FFN),
+		scores: make([]float32, c.MaxSeq),
+		res: StepResult{
+			Hidden:      make([]float32, c.Hidden),
+			Logits:      make([]float32, c.Vocab),
+			AttnWeights: make([][]float64, c.Layers),
+			AttnIndices: make([][]int, c.Layers),
+		},
 	}
 	for l := range s.K {
-		s.K[l] = tensor.New(0, d.Cfg.Hidden)
-		s.V[l] = tensor.New(0, d.Cfg.Hidden)
+		s.K[l] = tensor.FromSlice(0, c.Hidden, make([]float32, 0, c.MaxSeq*c.Hidden))
+		s.V[l] = tensor.FromSlice(0, c.Hidden, make([]float32, 0, c.MaxSeq*c.Hidden))
+		s.res.AttnWeights[l] = make([]float64, 0, c.MaxSeq)
+		s.res.AttnIndices[l] = make([]int, 0, c.MaxSeq)
 	}
 	return s
 }
@@ -110,7 +138,9 @@ type Selector interface {
 	Observe(layer int, indices []int, weights []float64)
 }
 
-// StepResult carries the outputs of one decode step.
+// StepResult carries the outputs of one decode step. It belongs to the
+// State the step ran on and is valid until the next step on that State,
+// which overwrites it; a caller that keeps a field past that copies it.
 type StepResult struct {
 	Hidden []float32 // final hidden state of the new token
 	Logits []float32 // vocabulary logits (tied embedding head)
@@ -123,109 +153,116 @@ type StepResult struct {
 }
 
 // DecodeStep runs one autoregressive step: embeds token at position
-// st.Len, attends over the (optionally policy-restricted) KV cache, appends
-// the new token's K/V to the cache, and returns hidden state and logits.
+// st.Len, appends the new token's K/V to the cache, attends over the
+// (optionally policy-restricted) cache rows in place, and returns hidden
+// state and logits. The result is st's and is valid until the next step
+// on st. A warmed step allocates nothing (the Selector's own work aside).
+//
+//alisa:hotpath
 func (d *Decoder) DecodeStep(st *State, token int, sel Selector) *StepResult {
 	if token < 0 || token >= d.Cfg.Vocab {
-		panic(fmt.Sprintf("model: token %d out of vocab %d", token, d.Cfg.Vocab))
+		panicBadToken(token, d.Cfg.Vocab)
 	}
 	if st.Len >= d.Cfg.MaxSeq {
-		panic(fmt.Sprintf("model: sequence length %d exceeds max %d", st.Len, d.Cfg.MaxSeq))
+		panicFullState(st.Len, d.Cfg.MaxSeq)
 	}
-	h := make([]float32, d.Cfg.Hidden)
+	h := st.h
 	copy(h, d.Embed.Row(token))
 	pos := d.Pos.Row(st.Len)
 	for i := range h {
 		h[i] += pos[i]
 	}
 
-	res := &StepResult{
-		AttnWeights: make([][]float64, d.Cfg.Layers),
-		AttnIndices: make([][]int, d.Cfg.Layers),
-	}
-
+	res := &st.res
 	for l, blk := range d.Blocks {
-		normed := append([]float32(nil), h...)
-		tensor.LayerNorm(normed, blk.LN1G, blk.LN1B, 1e-5)
-		x := tensor.FromSlice(1, d.Cfg.Hidden, normed)
+		copy(st.normed, h)
+		tensor.LayerNorm(st.normed, blk.LN1G, blk.LN1B, 1e-5)
+		tensor.VecMatInto(st.q, st.normed, blk.Wq)
+		tensor.VecMatInto(st.k, st.normed, blk.Wk)
+		tensor.VecMatInto(st.v, st.normed, blk.Wv)
 
-		q := tensor.MatMul(x, blk.Wq)
-		k := tensor.MatMul(x, blk.Wk)
-		v := tensor.MatMul(x, blk.Wv)
-
-		// Select cached positions for this layer.
+		// Select cached positions for this layer; the new token, cache
+		// row n once appended, comes last.
 		n := st.K[l].Rows
-		var idx []int
+		idx := res.AttnIndices[l][:0]
 		if sel != nil {
-			idx = sel.Select(l, n)
+			idx = append(idx, sel.Select(l, n)...)
 		} else {
-			idx = allIndices(n)
+			for i := 0; i < n; i++ {
+				idx = append(idx, i)
+			}
 		}
-		keys := tensor.GatherRows(st.K[l], idx)
-		vals := tensor.GatherRows(st.V[l], idx)
-		keys = tensor.ConcatRows(keys, k)
-		vals = tensor.ConcatRows(vals, v)
+		idx = append(idx, st.Len)
+		st.K[l].AppendRow(st.k)
+		st.V[l].AppendRow(st.v)
 
-		attnOut, avgW := d.multiHeadAttend(q.Row(0), keys, vals)
-		proj := tensor.MatMul(tensor.FromSlice(1, d.Cfg.Hidden, attnOut), blk.Wo)
+		w := d.multiHeadAttend(st.ctx, st.q, st.K[l], st.V[l], idx, res.AttnWeights[l], st.scores)
+		tensor.VecMatInto(st.proj, st.ctx, blk.Wo)
 		for i := range h {
-			h[i] += proj.Data[i]
+			h[i] += st.proj[i]
 		}
-
-		indices := append(append([]int(nil), idx...), st.Len)
-		res.AttnWeights[l] = avgW
-		res.AttnIndices[l] = indices
+		res.AttnIndices[l], res.AttnWeights[l] = idx, w
 		if sel != nil {
-			sel.Observe(l, indices, avgW)
+			sel.Observe(l, idx, w)
 		}
-
-		// Append the new token's K/V to the cache.
-		st.K[l] = st.K[l].AppendRow(k.Row(0))
-		st.V[l] = st.V[l].AppendRow(v.Row(0))
 
 		// Feed-forward with pre-norm residual.
-		normed2 := append([]float32(nil), h...)
-		tensor.LayerNorm(normed2, blk.LN2G, blk.LN2B, 1e-5)
-		f := tensor.MatMul(tensor.FromSlice(1, d.Cfg.Hidden, normed2), blk.W1)
-		relu(f.Data)
-		f = tensor.MatMul(f, blk.W2)
+		copy(st.normed, h)
+		tensor.LayerNorm(st.normed, blk.LN2G, blk.LN2B, 1e-5)
+		tensor.VecMatInto(st.ffn, st.normed, blk.W1)
+		relu(st.ffn)
+		tensor.VecMatInto(st.proj, st.ffn, blk.W2)
 		for i := range h {
-			h[i] += f.Data[i]
+			h[i] += st.proj[i]
 		}
 	}
 	st.Len++
 
-	final := append([]float32(nil), h...)
-	tensor.LayerNorm(final, d.FinalG, d.FinalB, 1e-5)
-	res.Hidden = final
-	logits := tensor.MatMulT(tensor.FromSlice(1, d.Cfg.Hidden, final), d.Embed)
-	res.Logits = logits.Data
+	copy(res.Hidden, h)
+	tensor.LayerNorm(res.Hidden, d.FinalG, d.FinalB, 1e-5)
+	tensor.VecMatTInto(res.Logits, res.Hidden, d.Embed)
 	return res
 }
 
-// multiHeadAttend computes attention of the single query row against keys
-// and values (both t×hidden), returning the hidden-sized context vector and
-// the head-averaged attention weights (length t).
-func (d *Decoder) multiHeadAttend(query []float32, keys, vals *tensor.Matrix) ([]float32, []float64) {
+// panicBadToken and panicFullState format DecodeStep's panics on its cold
+// side.
+func panicBadToken(token, vocab int) {
+	panic(fmt.Sprintf("model: token %d out of vocab %d", token, vocab))
+}
+
+func panicFullState(n, maxSeq int) {
+	panic(fmt.Sprintf("model: sequence length %d exceeds max %d", n, maxSeq))
+}
+
+// multiHeadAttend computes attention of the single query row against the
+// rows idx of keys and vals (both cache×hidden), read in place. It writes
+// the hidden-sized context vector into out and returns the head-averaged
+// attention weights, one per index, in avg's backing array; scores is
+// scratch for one head's scores, at least len(idx) long.
+//
+//alisa:hotpath
+func (d *Decoder) multiHeadAttend(out, query []float32, keys, vals *tensor.Matrix, idx []int, avg []float64, scores []float32) []float64 {
 	heads := d.Cfg.Heads
 	dh := d.Cfg.HeadDim()
-	t := keys.Rows
-	out := make([]float32, d.Cfg.Hidden)
-	avg := make([]float64, t)
+	hidden := keys.Cols
+	t := len(idx)
+	clear(out)
+	avg = slices.Grow(avg[:0], t)[:t]
+	clear(avg)
+	scores = scores[:t]
 	scale := 1 / math.Sqrt(float64(dh))
-	scores := make([]float32, t)
 	for hd := 0; hd < heads; hd++ {
 		lo := hd * dh
 		qh := query[lo : lo+dh]
-		for i := 0; i < t; i++ {
-			krow := keys.Row(i)[lo : lo+dh]
+		for i, r := range idx {
+			krow := keys.Data[r*hidden+lo : r*hidden+lo+dh]
 			scores[i] = float32(tensor.Dot(qh, krow) * scale)
 		}
 		tensor.SoftmaxInPlace(scores)
-		for i := 0; i < t; i++ {
+		for i, r := range idx {
 			w := float64(scores[i])
 			avg[i] += w
-			vrow := vals.Row(i)[lo : lo+dh]
+			vrow := vals.Data[r*hidden+lo : r*hidden+lo+dh]
 			for j := 0; j < dh; j++ {
 				out[lo+j] += float32(w * float64(vrow[j]))
 			}
@@ -235,7 +272,7 @@ func (d *Decoder) multiHeadAttend(query []float32, keys, vals *tensor.Matrix) ([
 	for i := range avg {
 		avg[i] *= inv
 	}
-	return out, avg
+	return avg
 }
 
 func relu(v []float32) {
@@ -244,14 +281,6 @@ func relu(v []float32) {
 			v[i] = 0
 		}
 	}
-}
-
-func allIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // ForwardFull runs the whole sequence through the decoder without KV

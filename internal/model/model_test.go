@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/attention"
 )
 
 func TestCatalogShapes(t *testing.T) {
@@ -185,6 +187,38 @@ func TestDecodeStepPanicsOnBadToken(t *testing.T) {
 		}
 	}()
 	d.DecodeStep(d.NewState(), d.Cfg.Vocab+1, nil)
+}
+
+// TestDecodeStepAllocsZero holds a warmed decode step to zero allocations,
+// dense and under SWA: the step works in the State's scratch and appends
+// K/V into the cache's reserved capacity. The SWA instance first decodes
+// a longer sequence, so its own buffers already fit the measured one.
+func TestDecodeStepAllocsZero(t *testing.T) {
+	d := NewDecoder(SmallConfig(), 13)
+	swa := attention.MustByName("swa", 0.4, d.Cfg.Layers)
+	for _, tc := range []struct {
+		name string
+		sel  Selector
+	}{{"dense", nil}, {"swa", swa}} {
+		if tc.sel != nil {
+			st := d.NewState()
+			for i := 0; i < 160; i++ {
+				d.DecodeStep(st, i%d.Cfg.Vocab, tc.sel)
+			}
+		}
+		st := d.NewState()
+		tok := 0
+		step := func() {
+			d.DecodeStep(st, tok%d.Cfg.Vocab, tc.sel)
+			tok++
+		}
+		for tok < 48 {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
+			t.Errorf("%s: a warmed decode step allocates %v times, want 0", tc.name, allocs)
+		}
+	}
 }
 
 // restrictor is a Selector that limits attention to the most recent w

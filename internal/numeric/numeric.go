@@ -123,15 +123,19 @@ func report(stream []int, logits, dense [][]float32) Report {
 }
 
 // run teacher-forces the stream through the decoder under the case's
-// policy and collects per-step logits. The KV cache is round-tripped
-// through the case's storage precision after each step, imposing it on
-// everything later steps read.
+// policy and collects per-step logits, copied out of each step's result
+// into one arena. The KV cache is round-tripped through the case's
+// storage precision after each step, imposing it on everything later
+// steps read.
 func run(dec *model.Decoder, stream []int, c Case) [][]float32 {
 	st := dec.NewState()
-	logits := make([][]float32, 0, len(stream))
-	for _, tok := range stream {
+	vocab := dec.Cfg.Vocab
+	arena := make([]float32, len(stream)*vocab)
+	logits := make([][]float32, len(stream))
+	for i, tok := range stream {
 		res := dec.DecodeStep(st, tok, c.Policy)
-		logits = append(logits, res.Logits)
+		logits[i] = arena[i*vocab : (i+1)*vocab : (i+1)*vocab]
+		copy(logits[i], res.Logits)
 		switch c.KVBits {
 		case 16:
 			for l := range st.K {

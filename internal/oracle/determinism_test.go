@@ -81,25 +81,32 @@ func TestEvaluateMatchesSequentialReference(t *testing.T) {
 	}
 }
 
-// TestEvaluateManyMatchesSingle pins that evaluating a batch of policies
-// one after another is bit-identical to evaluating each policy alone on
-// its own fresh instance: the singles run in reverse order, so no state may
-// pass from one Evaluate call to the next.
+// TestEvaluateManyMatchesSingle pins EvaluateAll, which evaluates every
+// policy against one shared process, to each policy's own Evaluate on a
+// fresh instance, every Result field bit for bit: on fresh policies and on
+// policies that last evaluated another spec for another length, which the
+// first step's Select(l, 0) restarts. The singles run in reverse order,
+// so no state may pass from one call to the next.
 func TestEvaluateManyMatchesSingle(t *testing.T) {
 	const steps = 96
 	spec := SpecForModel(model.MustByName("opt-13b"), 55)
 	spec.Layers = 4
+	other := SpecForModel(model.MustByName("opt-30b"), 3)
+	other.Layers = 4
 	for _, ratio := range []float64{0.2, 0.6} {
-		batch := policiesUnderTest(ratio, spec.Layers)
-		many := make([]*Result, len(batch))
-		for i, pol := range batch {
-			many[i] = Evaluate(spec, pol, steps)
-		}
+		fresh := EvaluateAll(spec, policiesUnderTest(ratio, spec.Layers), steps)
+		used := policiesUnderTest(ratio, spec.Layers)
+		EvaluateAll(other, used, 2*steps)
+		reused := EvaluateAll(spec, used, steps)
 		singles := policiesUnderTest(ratio, spec.Layers)
 		for i := len(singles) - 1; i >= 0; i-- {
 			want := Evaluate(spec, singles[i], steps)
-			if field, ok := resultsIdentical(many[i], want); !ok {
-				t.Errorf("ratio %.1f policy %s: batch Evaluate diverges from a single Evaluate in %s",
+			if field, ok := resultsIdentical(fresh[i], want); !ok {
+				t.Errorf("ratio %.1f policy %s: EvaluateAll diverges from a single Evaluate in %s",
+					ratio, want.PolicyName, field)
+			}
+			if field, ok := resultsIdentical(reused[i], want); !ok {
+				t.Errorf("ratio %.1f policy %s: EvaluateAll on reused policies diverges from a single Evaluate in %s",
 					ratio, want.PolicyName, field)
 			}
 		}

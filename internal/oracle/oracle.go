@@ -337,7 +337,7 @@ func newLayerAccum(steps int, full bool) *layerAccum {
 // Evaluate runs a policy against a fresh process for the given number of
 // steps, feeding the policy masked attention rows exactly as a sparse
 // decoder would, and collecting recall, sparsity, and score-distribution
-// measurements.
+// measurements. It is EvaluateAll with one policy.
 //
 // Layers evaluate concurrently, one goroutine per layer: every layer has
 // its own random stream and policies confine per-layer state to the layer
@@ -345,9 +345,23 @@ func newLayerAccum(steps int, full bool) *layerAccum {
 // order, so Evaluate returns bit-identical results to the sequential
 // reference EvaluateSequential.
 func Evaluate(spec Spec, pol attention.Policy, steps int) *Result {
+	return EvaluateAll(spec, []attention.Policy{pol}, steps)[0]
+}
+
+// EvaluateAll returns what Evaluate(spec, pols[i], steps) returns, bit for
+// bit, for every policy. It evaluates all the policies against the *same*
+// attention process, so row generation and the dense row's measurements
+// are paid once; each policy observes only its own masked rows. Policies
+// must be distinct instances; they may be new or used, since the first
+// step's Select(l, 0) restarts each layer (see attention.Policy).
+func EvaluateAll(spec Spec, pols []attention.Policy, steps int) []*Result {
 	// context.Background never cancels, so the error is always nil.
-	per, _ := evalLayers(context.Background(), spec, []attention.Policy{pol}, steps, true)
-	return mergeLayers(pol.Name(), steps, per[0])
+	per, _ := evalLayers(context.Background(), spec, pols, steps, true)
+	results := make([]*Result, len(pols))
+	for pi, pol := range pols {
+		results[pi] = mergeLayers(pol.Name(), steps, per[pi])
+	}
+	return results
 }
 
 // EvaluateContext is Evaluate with cancellation: every layer checks ctx
@@ -363,13 +377,12 @@ func EvaluateContext(ctx context.Context, spec Spec, pol attention.Policy, steps
 }
 
 // MeanRecalls returns what Evaluate(spec, pols[i], steps).MeanRecall
-// returns, bit for bit, for every policy, and measures nothing else. It
-// evaluates all the policies against the *same* attention process, so row
-// generation and the dense-row work are paid once; each policy observes
-// only its own masked rows. No sparsity series, score averages or Results
-// are built. Fig. 8, which reads only the mean recall, runs on it.
-// Policies must be distinct instances; they may be new or used, since the
-// first step's Select(l, 0) restarts each layer (see attention.Policy).
+// returns, bit for bit, for every policy, and measures nothing else. Like
+// EvaluateAll it runs every policy against one shared process, under the
+// same rules for the policies; it builds no sparsity series, score
+// averages or Results, and a policy that does not observe (see
+// attention.Observes) costs one sum over its selection per step. Fig. 8,
+// which reads only the mean recall, runs on it.
 func MeanRecalls(spec Spec, pols []attention.Policy, steps int) []float64 {
 	// context.Background never cancels, so the error is always nil.
 	per, _ := evalLayers(context.Background(), spec, pols, steps, false)
@@ -441,11 +454,17 @@ func EvaluateSequential(spec Spec, pol attention.Policy, steps int) *Result {
 // sparsity is computed directly from the retained weights instead of
 // materialising the full-length row, and the policy-independent dense-row
 // measurements are computed once per step and shared across all policies.
-// Unless full is set it measures recall alone.
+// Unless full is set it measures recall alone, and a policy that does not
+// observe gets no masked row: its retained mass is summed straight from
+// the dense row.
+//
+//alisa:hotpath
 func evalLayerFast(ctx context.Context, spec *Spec, st *layerState, pols []attention.Policy, l, steps int, full bool) []*layerAccum {
 	accs := make([]*layerAccum, len(pols))
-	for i := range accs {
+	masks := make([]bool, len(pols)) // whether anything reads the masked row
+	for i, pol := range pols {
 		accs[i] = newLayerAccum(steps, full)
+		masks[i] = full || attention.Observes(pol)
 	}
 	st.reserve(steps)
 	row := make([]float64, 0, steps)
@@ -480,7 +499,16 @@ func evalLayerFast(ctx context.Context, spec *Spec, st *layerState, pols []atten
 			sel := pol.Select(l, t) // t cached tokens before this step
 
 			var kept float64
-			idxBuf, wBuf, kept = maskRowInto(row, sel, idxBuf, wBuf)
+			if masks[pi] {
+				idxBuf, wBuf, kept = maskRowInto(row, sel, idxBuf, wBuf)
+			} else {
+				// maskRowInto's retained mass, summed in its order, with
+				// nothing copied.
+				for _, i := range sel {
+					kept += row[i]
+				}
+				kept += row[t]
+			}
 
 			// Recall over the cached positions plus current token. Retained
 			// indices are distinct by construction (ascending policy indices
@@ -492,6 +520,9 @@ func evalLayerFast(ctx context.Context, spec *Spec, st *layerState, pols []atten
 				acc.recall[t] = kept / total
 			}
 
+			if !masks[pi] {
+				continue
+			}
 			if full {
 				acc.denseSp[t] = denseSp
 				acc.maskedSp[t] = metrics.SparsityMasked(wBuf, len(row), 0.01)

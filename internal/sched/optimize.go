@@ -21,7 +21,7 @@ type Params struct {
 // StepComputeSeconds returns the model-wide compute time (MHA + FFN over
 // all layers) of one decode step attending to `attended` tokens.
 func StepComputeSeconds(ctx *Context, attended int, sparse bool) (mha, ffn float64) {
-	m, f := ctx.Cost.DecodeLayerTime(ctx.Model, ctx.Batch, attended, ctx.kvComputeWidth(), sparse)
+	m, f := ctx.Cost.DecodeLayerTime(&ctx.Model, ctx.Batch, attended, ctx.kvComputeWidth(), sparse)
 	layers := float64(ctx.Model.Layers)
 	return m * layers, f * layers
 }
@@ -154,7 +154,7 @@ func runSteps(ctx *Context, a *alisa, from, to int) bool {
 func ChargeStepCompute(ctx *Context, plan StepPlan) {
 	ctx.Sys.ChargeDecode(StepComputeSeconds(ctx, plan.Attended, plan.Sparse))
 	if plan.RecomputedTokens > 0 {
-		ctx.Sys.Charge(trace.CatRecompute, ctx.Cost.RecomputeTime(ctx.Model, ctx.Batch, plan.RecomputedTokens))
+		ctx.Sys.Charge(trace.CatRecompute, ctx.Cost.RecomputeTime(&ctx.Model, ctx.Batch, plan.RecomputedTokens))
 	}
 	if ctx.KVBits < 16 {
 		ctx.Sys.Charge(trace.CatQuant, ctx.Cost.Quantize(int64(1+plan.FetchedTokens)*ctx.TokenBytesFP16()).Seconds)

@@ -965,7 +965,7 @@ func (s *server) iterate() error {
 		s.sys.ChargeDecode(s.cost.RaggedDecodeTime(s.cfg.Model, attended, kvWidth, sparse))
 	}
 	if recomputed > 0 {
-		s.sys.Charge(trace.CatRecompute, s.cost.RecomputeTime(s.cfg.Model, 1, recomputed))
+		s.sys.Charge(trace.CatRecompute, s.cost.RecomputeTime(&s.cfg.Model, 1, recomputed))
 	}
 	if s.cfg.KVBits < 16 && quantPos > 0 {
 		s.sys.Charge(trace.CatQuant, s.cost.Quantize(int64(quantPos)*s.kvTokenFP16).Seconds)

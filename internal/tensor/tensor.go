@@ -1,8 +1,8 @@
 // Package tensor provides the dense numeric substrate used by the runnable
 // transformer model and the attention policies: row-major float32 matrices
 // with the handful of operations LLM inference needs (matmul, softmax,
-// gather, concat, top-k). Accumulation is performed in float64 so results
-// are stable enough for cross-checking cached against uncached decoding.
+// top-k). Accumulation is performed in float64 so results are stable
+// enough for cross-checking cached against uncached decoding.
 //
 // Shape mismatches are programmer errors and panic, mirroring the behaviour
 // of the Go runtime on out-of-range slice indexing.
@@ -84,51 +84,80 @@ func (m *Matrix) Equal(n *Matrix, tol float64) bool {
 	return true
 }
 
-// MatMul returns a·b. a is m×k, b is k×n; the result is m×n.
+// MatMul returns a·b. a is m×k, b is k×n; the result is m×n. Row i is
+// VecMatInto of a's row i.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := float64(arow[k])
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += float32(av * float64(brow[j]))
-			}
-		}
+		VecMatInto(out.Row(i), a.Row(i), b)
 	}
 	return out
 }
 
+// VecMatInto writes the row vector a·b into dst: one row of MatMul, with
+// the same per-element arithmetic. len(a) must be b.Rows and len(dst)
+// b.Cols.
+//
+//alisa:hotpath
+func VecMatInto(dst, a []float32, b *Matrix) {
+	if len(a) != b.Rows || len(dst) != b.Cols {
+		panicVecShape("vecmat", len(dst), len(a), b)
+	}
+	clear(dst)
+	for k, x := range a {
+		av := float64(x)
+		if av == 0 {
+			continue
+		}
+		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+		for j := range dst {
+			dst[j] += float32(av * float64(brow[j]))
+		}
+	}
+}
+
 // MatMulT returns a·bᵀ. a is m×k, b is n×k; the result is m×n. This is the
-// QKᵀ shape used by attention, avoiding an explicit transpose.
+// QKᵀ shape used by attention, avoiding an explicit transpose. Row i is
+// VecMatTInto of a's row i.
 func MatMulT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var sum float64
-			for k := range arow {
-				// The conversion rounds the product before the add, so no
-				// platform fuses the two into one multiply-add.
-				sum += float64(float64(arow[k]) * float64(brow[k]))
-			}
-			orow[j] = float32(sum)
-		}
+		VecMatTInto(out.Row(i), a.Row(i), b)
 	}
 	return out
+}
+
+// VecMatTInto writes the row vector a·bᵀ into dst: one row of MatMulT,
+// with the same per-element arithmetic. len(a) must be b.Cols and len(dst)
+// b.Rows.
+//
+//alisa:hotpath
+func VecMatTInto(dst, a []float32, b *Matrix) {
+	if len(a) != b.Cols || len(dst) != b.Rows {
+		panicVecShape("vecmatT", len(dst), len(a), b)
+	}
+	for j := range dst {
+		brow := b.Data[j*b.Cols : (j+1)*b.Cols]
+		var sum float64
+		for k, x := range a {
+			// The conversion rounds the product before the add, so no
+			// platform fuses the two into one multiply-add.
+			sum += float64(float64(x) * float64(brow[k]))
+		}
+		dst[j] = float32(sum)
+	}
+}
+
+// panicVecShape reports a vector-matrix shape mismatch; it formats on the
+// cold side of VecMatInto and VecMatTInto.
+func panicVecShape(op string, dst, a int, b *Matrix) {
+	panic(fmt.Sprintf("tensor: %s shape mismatch dst %d, a %d, b %dx%d", op, dst, a, b.Rows, b.Cols))
 }
 
 // Scale multiplies every element of m by s in place and returns m.
@@ -183,38 +212,15 @@ func SoftmaxInPlace(v []float32) {
 	}
 }
 
-// GatherRows returns a new matrix whose i-th row is m's row idx[i]. Indices
-// may repeat; each must be in range. This is the "pack sparse KV tensors
-// into a dense one" gather from the paper's Algorithm 1.
-func GatherRows(m *Matrix, idx []int) *Matrix {
-	out := New(len(idx), m.Cols)
-	for i, r := range idx {
-		if r < 0 || r >= m.Rows {
-			panic(fmt.Sprintf("tensor: gather index %d out of range %d", r, m.Rows))
-		}
-		copy(out.Row(i), m.Row(r))
-	}
-	return out
-}
-
-// ConcatRows stacks a on top of b; both must have the same column count.
-func ConcatRows(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: concat col mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	out := New(a.Rows+b.Rows, a.Cols)
-	copy(out.Data[:len(a.Data)], a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
-// AppendRow appends row v (len == m.Cols) to m, returning a matrix that may
-// share m's backing array when capacity allows.
-func (m *Matrix) AppendRow(v []float32) *Matrix {
+// AppendRow appends row v (len == m.Cols) to m in place. The backing
+// array grows as append grows it, so a matrix made with spare capacity
+// takes rows up to that capacity without allocating.
+func (m *Matrix) AppendRow(v []float32) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: append row length %d != cols %d", len(v), m.Cols))
 	}
-	return &Matrix{Rows: m.Rows + 1, Cols: m.Cols, Data: append(m.Data, v...)}
+	m.Data = append(m.Data, v...)
+	m.Rows++
 }
 
 // Dot returns the inner product of a and b, accumulated in float64.
@@ -290,28 +296,43 @@ func (s *TopKScratch) ArgTopK(v []float32, k int, dst []int) []int {
 
 // TopKAscending selects the same k indices as ArgTopK, written into
 // dst[:0] (grown as needed) but returned in ascending index order, with
-// nothing sorted. It finds the k-th largest order key t, then sweeps the
-// keys once in index order, keeping every key above t and, lowest index
-// first, as many equal to t as the k winners hold. k is clamped to
-// len(v).
+// nothing sorted. It maps v into the scratch's key buffer and runs
+// TopKAscendingKeys on it. k is clamped to len(v).
 func (s *TopKScratch) TopKAscending(v []float32, k int, dst []int) []int {
-	k = min(k, len(v))
+	keys := s.KeyBuffer(len(v))
+	for i, x := range v {
+		keys[i] = OrderKey(x)
+	}
+	return s.TopKAscendingKeys(keys, k, dst)
+}
+
+// KeyBuffer returns the scratch's key buffer with length n, for a caller
+// that writes the order keys of its scores itself (OrderKey of each) and
+// then selects with TopKAscendingKeys. Its contents are whatever the last
+// selection left. Selections over steadily lengthening inputs (one new
+// token per decode step) grow it geometrically, not every call.
+func (s *TopKScratch) KeyBuffer(n int) []uint32 {
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("tensor: top-k over %d values, more than 2³²−1", n))
+	}
+	if cap(s.keys) < n {
+		c := max(n, 2*cap(s.keys))
+		buf := make([]uint32, 2*c)
+		s.keys, s.cand = buf[:c:c], buf[c:]
+	}
+	return s.keys[:n]
+}
+
+// TopKAscendingKeys selects the indices of the k largest order keys,
+// lowest index first among equal keys, into dst[:0] (grown as needed) in
+// ascending index order. keys is the scratch's KeyBuffer, filled by the
+// caller. It finds the k-th largest key t, then sweeps the keys once in
+// index order, keeping every key above t and, lowest index first, as many
+// equal to t as the k winners hold. k is clamped to len(keys).
+func (s *TopKScratch) TopKAscendingKeys(keys []uint32, k int, dst []int) []int {
+	k = min(k, len(keys))
 	if k <= 0 {
 		return dst[:0]
-	}
-	if uint64(len(v)) > math.MaxUint32 {
-		panic(fmt.Sprintf("tensor: top-k over %d values, more than 2³²−1", len(v)))
-	}
-	if cap(s.keys) < len(v) {
-		// Grow geometrically: selections over steadily lengthening inputs
-		// (one new token per decode step) must not reallocate every call.
-		n := max(len(v), 2*cap(s.keys))
-		buf := make([]uint32, 2*n)
-		s.keys, s.cand = buf[:n:n], buf[n:]
-	}
-	keys := s.keys[:len(v)]
-	for i, x := range v {
-		keys[i] = orderKey(x)
 	}
 	t, ties, equal := s.kthKey(keys, k)
 	// Keys equal to t win up to cut, the index after the ties-th of them.
@@ -342,10 +363,10 @@ func (s *TopKScratch) TopKAscending(v []float32, k int, dst []int) []int {
 	return dst[:k]
 }
 
-// orderKey maps x to an unsigned key that orders as x does: 2³¹ plus the
+// OrderKey maps x to an unsigned key that orders as x does: 2³¹ plus the
 // magnitude bits for a positive x, 2³¹ minus them for a negative one, so
-// −0 and +0 share the key 2³¹.
-func orderKey(x float32) uint32 {
+// −0 and +0 share the key 2³¹. The top-k selections rank by these keys.
+func OrderKey(x float32) uint32 {
 	b := math.Float32bits(x)
 	mag := b &^ (1 << 31)
 	if b>>31 != 0 {

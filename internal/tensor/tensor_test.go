@@ -74,6 +74,73 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(2, 3))
 }
 
+// TestVecMatIntoMatchesMatMulRows holds VecMatInto and VecMatTInto to the
+// rows of MatMul and MatMulT, and to the per-element arithmetic written
+// out, bit for bit: operands mix zeros of both signs (which VecMatInto
+// skips), negatives and subnormals, and dst starts out dirty.
+func TestVecMatIntoMatchesMatMulRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	specials := []float32{0, float32(math.Copysign(0, -1)), -1.5, -2e-39, 3e-40, math.SmallestNonzeroFloat32}
+	fill := func(m *Matrix) *Matrix {
+		for i := range m.Data {
+			if rng.Intn(3) == 0 {
+				m.Data[i] = specials[rng.Intn(len(specials))]
+			} else {
+				m.Data[i] = float32(rng.NormFloat64())
+			}
+		}
+		return m
+	}
+	a, b, bt := fill(New(6, 9)), fill(New(9, 5)), fill(New(7, 9))
+	prod, prodT := MatMul(a, b), MatMulT(a, bt)
+	same := func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		dst := slices.Repeat([]float32{float32(math.NaN())}, b.Cols)
+		VecMatInto(dst, arow, b)
+		for j, got := range dst {
+			var want float32
+			for k, x := range arow {
+				if x != 0 {
+					want += float32(float64(x) * float64(b.At(k, j)))
+				}
+			}
+			if !same(got, prod.At(i, j)) || !same(got, want) {
+				t.Fatalf("VecMatInto row %d col %d = %v, MatMul %v, reference %v", i, j, got, prod.At(i, j), want)
+			}
+		}
+		dstT := slices.Repeat([]float32{float32(math.NaN())}, bt.Rows)
+		VecMatTInto(dstT, arow, bt)
+		for j, got := range dstT {
+			var sum float64
+			for k, x := range arow {
+				sum += float64(float64(x) * float64(bt.At(j, k)))
+			}
+			if !same(got, prodT.At(i, j)) || !same(got, float32(sum)) {
+				t.Fatalf("VecMatTInto row %d col %d = %v, MatMulT %v, reference %v", i, j, got, prodT.At(i, j), float32(sum))
+			}
+		}
+	}
+}
+
+func TestVecMatIntoShapeMismatchPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"a":     func() { VecMatInto(make([]float32, 2), make([]float32, 3), New(2, 2)) },
+		"dst":   func() { VecMatInto(make([]float32, 3), make([]float32, 2), New(2, 2)) },
+		"T a":   func() { VecMatTInto(make([]float32, 2), make([]float32, 3), New(2, 2)) },
+		"T dst": func() { VecMatTInto(make([]float32, 3), make([]float32, 2), New(2, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on shape mismatch", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestSoftmaxAllNegInfBecomesZeros(t *testing.T) {
 	inf := float32(math.Inf(-1))
 	v := []float32{inf, inf, inf}
@@ -93,40 +160,20 @@ func TestSoftmaxLargeValuesStable(t *testing.T) {
 	}
 }
 
-func TestGatherRows(t *testing.T) {
-	m := FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6})
-	g := GatherRows(m, []int{2, 0, 2})
-	want := FromSlice(3, 2, []float32{5, 6, 1, 2, 5, 6})
-	if !g.Equal(want, 0) {
-		t.Fatalf("GatherRows = %v, want %v", g.Data, want.Data)
-	}
-}
-
-func TestGatherOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range gather")
-		}
-	}()
-	GatherRows(New(2, 2), []int{5})
-}
-
-func TestConcatRows(t *testing.T) {
-	a := FromSlice(1, 2, []float32{1, 2})
-	b := FromSlice(2, 2, []float32{3, 4, 5, 6})
-	c := ConcatRows(a, b)
-	want := FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6})
-	if !c.Equal(want, 0) {
-		t.Fatalf("ConcatRows = %v, want %v", c.Data, want.Data)
-	}
-}
-
 func TestAppendRow(t *testing.T) {
-	m := New(0, 3)
-	m = m.AppendRow([]float32{1, 2, 3})
-	m = m.AppendRow([]float32{4, 5, 6})
+	m := FromSlice(0, 3, make([]float32, 0, 6))
+	backing := &m.Data[:1][0]
+	m.AppendRow([]float32{1, 2, 3})
+	m.AppendRow([]float32{4, 5, 6})
 	if m.Rows != 2 || m.At(1, 1) != 5 {
 		t.Fatalf("AppendRow produced %v", m)
+	}
+	if &m.Data[0] != backing {
+		t.Fatal("AppendRow within capacity moved the backing array")
+	}
+	m.AppendRow([]float32{7, 8, 9})
+	if m.Rows != 3 || m.At(2, 0) != 7 || m.At(0, 2) != 3 {
+		t.Fatalf("AppendRow past capacity produced %v", m)
 	}
 }
 
@@ -214,24 +261,6 @@ func TestLayerNormGainBias(t *testing.T) {
 	}
 }
 
-// Property: gather with the identity permutation is the identity.
-func TestGatherIdentityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows := 1 + rng.Intn(8)
-		cols := 1 + rng.Intn(8)
-		m := randomMatrix(rng, rows, cols)
-		idx := make([]int, rows)
-		for i := range idx {
-			idx[i] = i
-		}
-		return GatherRows(m, idx).Equal(m, 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: softmax output is a probability distribution for finite input.
 func TestSoftmaxDistributionProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -255,8 +284,11 @@ func TestSoftmaxDistributionProperty(t *testing.T) {
 	}
 }
 
-// Property: MatMul distributes over ConcatRows on the left operand.
+// Property: MatMul distributes over stacking rows on the left operand.
 func TestMatMulConcatProperty(t *testing.T) {
+	stack := func(a, b *Matrix) *Matrix {
+		return FromSlice(a.Rows+b.Rows, a.Cols, append(slices.Clone(a.Data), b.Data...))
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := 1 + rng.Intn(5)
@@ -264,8 +296,8 @@ func TestMatMulConcatProperty(t *testing.T) {
 		a := randomMatrix(rng, 1+rng.Intn(4), k)
 		b := randomMatrix(rng, 1+rng.Intn(4), k)
 		w := randomMatrix(rng, k, n)
-		joint := MatMul(ConcatRows(a, b), w)
-		split := ConcatRows(MatMul(a, w), MatMul(b, w))
+		joint := MatMul(stack(a, b), w)
+		split := stack(MatMul(a, w), MatMul(b, w))
 		return joint.Equal(split, 1e-4)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -344,15 +376,6 @@ func TestAtOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	New(2, 2).At(0, 7)
-}
-
-func TestConcatColMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ConcatRows(New(1, 2), New(1, 3))
 }
 
 func TestAppendRowLengthMismatchPanics(t *testing.T) {

@@ -493,12 +493,9 @@ func BenchmarkOptimizer(b *testing.B) {
 			CachingRatio: 0.2, KVBits: 8,
 		}
 		// Optimizer runs inside Init; isolate it through a direct call on
-		// the GPU budget the engine leaves it: the runtime reserve, the
-		// weights and the activations (core's reserveStatic).
-		for _, n := range []int64{prof.ReserveBytes, ctx.WeightBytes(), ctx.ActivationBytes()} {
-			if err := ctx.Sys.AllocGPU(n); err != nil {
-				b.Fatal(err)
-			}
+		// the GPU budget the engine leaves it.
+		if err := ctx.ReserveStatic(false); err != nil {
+			b.Fatal(err)
 		}
 		sched.Optimize(ctx)
 	}

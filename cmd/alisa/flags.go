@@ -27,7 +27,7 @@ var accepts = map[string][]string{
 	"tune":    {"model", "bits", "batch", "input", "output"},
 	"serve":   {"model", "profile", "sched", "sparsity", "bits", "max-batch", "slo-ttft", "slo-tpot", "n", "seed", "rates", "closed-loop", "think", "parallel", "progress", "prefix-cache", "prefix-block", "workload"},
 	"cluster": {"model", "sched", "sparsity", "bits", "max-batch", "slo-ttft", "slo-tpot", "window", "n", "seed", "rates", "parallel", "replicas", "routers", "profiles", "autoscale", "as-max", "as-target", "as-idle"},
-	"gateway": {"model", "profile", "sched", "sparsity", "bits", "max-batch", "slo-ttft", "slo-tpot", "window", "addr", "time-scale", "buffer", "on-full", "hold", "drain-timeout"},
+	"gateway": {"model", "profile", "sched", "sparsity", "bits", "max-batch", "slo-ttft", "slo-tpot", "window", "addr", "time-scale", "buffer", "hold", "drain-timeout"},
 }
 
 // flags holds every flag of every subcommand. A flag a subcommand does
@@ -63,7 +63,7 @@ type flags struct {
 	asTarget, asIdle            float64
 
 	// gateway
-	addr, onFull string
+	addr         string
 	timeScale    float64
 	buffer       int
 	hold         bool
@@ -122,8 +122,7 @@ func parseFlags(cmd string, args []string) (*flags, error) {
 
 	all.StringVar(&f.addr, "addr", "127.0.0.1:8080", "listen address (port 0 = ephemeral; bound address printed on stdout)")
 	all.Float64Var(&f.timeScale, "time-scale", 1, "simulated seconds per wall second (0 = as fast as possible)")
-	all.IntVar(&f.buffer, "buffer", 64, "per-connection event buffer, events")
-	all.StringVar(&f.onFull, "on-full", "drop", "slow-consumer policy: drop (oldest, with marker) or block (backpressure)")
+	all.IntVar(&f.buffer, "buffer", 64, "per-connection event buffer, events; a full buffer drops its oldest event")
 	all.BoolVar(&f.hold, "hold", false, "gate the simulated clock until POST /v1/admin/release")
 	all.DurationVar(&f.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM before aborting")
 
@@ -192,8 +191,6 @@ func (f *flags) validate() error {
 		return fmt.Errorf("-time-scale must be a finite dilation ≥ 0 (0 = as fast as possible), got %v", f.timeScale)
 	case f.buffer <= 0:
 		return fmt.Errorf("-buffer must be positive, got %d", f.buffer)
-	case f.onFull != "drop" && f.onFull != "block":
-		return fmt.Errorf("unknown -on-full %q (want drop or block)", f.onFull)
 	case f.drainTimeout <= 0:
 		return fmt.Errorf("-drain-timeout must be positive, got %v", f.drainTimeout)
 	}

@@ -48,7 +48,7 @@ func TestValidateFlags(t *testing.T) {
 		{"cluster", "autoscale ok", "-replicas 2 -autoscale", ""},
 
 		{"gateway", "defaults", "", ""},
-		{"gateway", "ephemeral port", "-addr 127.0.0.1:0 -time-scale 0 -buffer 1 -on-full block -drain-timeout 1s", ""},
+		{"gateway", "ephemeral port", "-addr 127.0.0.1:0 -time-scale 0 -buffer 1 -drain-timeout 1s", ""},
 		{"gateway", "wildcard host", "-addr :9090 -time-scale 100 -buffer 8 -drain-timeout 1m", ""},
 		{"gateway", "missing port", "-addr 127.0.0.1", "-addr must be host:port"},
 		{"gateway", "negative port", "-addr 127.0.0.1:-1", "port must be in [0, 65535]"},
@@ -59,7 +59,7 @@ func TestValidateFlags(t *testing.T) {
 		{"gateway", "Inf time scale", "-time-scale Inf", "-time-scale"},
 		{"gateway", "zero buffer", "-buffer 0", "-buffer must be positive"},
 		{"gateway", "negative buffer", "-buffer -4", "-buffer must be positive"},
-		{"gateway", "unknown on-full", "-on-full oldest", `unknown -on-full "oldest"`},
+		{"gateway", "unknown on-full", "-on-full drop", errUsage.Error()},
 		{"gateway", "zero drain timeout", "-drain-timeout 0s", "-drain-timeout must be positive"},
 	}
 	for _, cmd := range []string{"serve", "cluster", "gateway"} {

@@ -59,10 +59,6 @@ func runGateway(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	policy := gateway.DropOldest
-	if f.onFull == "block" {
-		policy = gateway.Block
-	}
 	eng, err := alisa.New(f.model, f.engineOptions(f.sched)...)
 	if err != nil {
 		return err
@@ -74,7 +70,7 @@ func runGateway(ctx context.Context, args []string, stdout io.Writer) error {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	gw, err := gateway.New(gateway.Config{
 		Engine: eng, TimeScale: f.timeScale,
-		Buffer: f.buffer, OnFull: policy, Hold: f.hold, Logger: logger,
+		Buffer: f.buffer, Hold: f.hold, Logger: logger,
 	})
 	if err != nil {
 		ln.Close()
@@ -83,7 +79,7 @@ func runGateway(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "alisa gateway listening on http://%s\n", ln.Addr())
 	logger.Info("gateway: serving", "addr", ln.Addr().String(),
 		"model", eng.Model(), "profile", eng.Profile(), "sched", eng.Scheduler(),
-		"time_scale", f.timeScale, "on_full", policy.String(), "buffer", f.buffer, "hold", f.hold)
+		"time_scale", f.timeScale, "buffer", f.buffer, "hold", f.hold)
 
 	srv := newServer(gw)
 	serveErr := make(chan error, 1)

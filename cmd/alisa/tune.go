@@ -65,16 +65,14 @@ func runTune(ctx context.Context, args []string, stdout io.Writer) error {
 // parameter search for one sparsity point, returning the chosen
 // parameters and their predicted decode time.
 func optimize(mc model.Config, prof memsim.Profile, shape alisa.Shape, sparsity float64, kvbits int) (sched.Params, float64) {
-	sys := memsim.NewSystem(prof)
 	ctx := &sched.Context{
-		Sys: sys, Cost: costmodel.New(prof), Model: mc,
+		Sys: memsim.NewSystem(prof), Cost: costmodel.New(prof), Model: mc,
 		Batch: shape.Batch, Input: shape.Input, Output: shape.Output,
 		CachingRatio: 1 - sparsity, KVBits: kvbits,
 	}
-	// Mirror the engine's static reservations.
-	_ = sys.AllocGPU(prof.ReserveBytes)
-	_ = sys.AllocGPU(ctx.WeightBytes())
-	_ = sys.AllocGPU(ctx.ActivationBytes())
+	// A reservation that does not fit still gets a search; its row's
+	// measured column reports the OOM.
+	_ = ctx.ReserveStatic(false)
 	p := sched.Optimize(ctx)
 	return p, sched.Predict(ctx, p)
 }

@@ -42,15 +42,12 @@ func main() {
 
 	// What the offline optimizer concludes: Eq. 5's greedy search, with
 	// each candidate costed by a dry run of the scheduler.
-	sys := memsim.NewSystem(prof)
 	ctx := &sched.Context{
-		Sys: sys, Cost: cost, Model: mc,
+		Sys: memsim.NewSystem(prof), Cost: cost, Model: mc,
 		Batch: batch, Input: 128, Output: 512,
 		CachingRatio: 0.2, KVBits: 16,
 	}
-	must(sys.AllocGPU(prof.ReserveBytes))
-	must(sys.AllocGPU(ctx.WeightBytes()))
-	must(sys.AllocGPU(ctx.ActivationBytes()))
+	must(ctx.ReserveStatic(false))
 	p := sched.Optimize(ctx)
 	fmt.Printf("\noptimizer:  α=%.2f  β=%.2f  p1=%d  p2=%d  (predicted %s)\n",
 		p.Alpha, p.Beta, p.P1, p.P2, textfmt.Seconds(sched.Predict(ctx, p)))

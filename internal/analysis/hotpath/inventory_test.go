@@ -26,7 +26,6 @@ var wantAnnotated = []string{
 	"internal/cluster.(*Cluster).advance",
 	"internal/gateway.(*Bridge).fanout",
 	"internal/gateway.(*Bridge).onToken",
-	"internal/gateway.(*Subscriber).insert",
 	"internal/gateway.(*Subscriber).publish",
 	"internal/kvcache.(*TokenStore).CountsBefore",
 	"internal/metrics.(*Window).Observe",

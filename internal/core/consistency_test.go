@@ -34,19 +34,12 @@ func TestOptimizerPredictionTracksMeasurement(t *testing.T) {
 		mc := model.MustByName(c.model)
 		for _, spars := range []float64{0, 0.2, 0.4, 0.6, 0.8} {
 			// Reproduce the engine's pre-run state for the optimizer.
-			sys := memsim.NewSystem(c.prof)
 			ctx := &sched.Context{
-				Sys: sys, Cost: costmodel.New(c.prof), Model: mc,
+				Sys: memsim.NewSystem(c.prof), Cost: costmodel.New(c.prof), Model: mc,
 				Batch: batch, Input: input, Output: output,
 				CachingRatio: 1 - spars, KVBits: c.bits,
 			}
-			if err := sys.AllocGPU(c.prof.ReserveBytes); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.AllocGPU(ctx.WeightBytes()); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.AllocGPU(ctx.ActivationBytes()); err != nil {
+			if err := ctx.ReserveStatic(false); err != nil {
 				t.Fatal(err)
 			}
 			p := sched.Optimize(ctx)

@@ -176,27 +176,11 @@ func newContext(cfg Config, sys *memsim.System, batch int) *sched.Context {
 	}
 }
 
-// reserveStatic allocates weights and activations for the run: weights on
-// GPU unless the scheduler streams them from CPU (DeepSpeed-ZeRO).
+// reserveStatic allocates the run's static memory: weights on GPU
+// unless the scheduler streams them from CPU (DeepSpeed-ZeRO).
 func reserveStatic(cfg Config, ctx *sched.Context) error {
-	weightsOnCPU := false
-	if w, ok := cfg.Scheduler.(interface{ WeightsOnCPU() bool }); ok {
-		weightsOnCPU = w.WeightsOnCPU()
-	}
-	if err := ctx.Sys.AllocGPU(cfg.Profile.ReserveBytes); err != nil {
-		return fmt.Errorf("core: runtime reserve: %w", err)
-	}
-	if weightsOnCPU {
-		if err := ctx.Sys.AllocCPU(ctx.WeightBytes()); err != nil {
-			return fmt.Errorf("core: weights: %w", err)
-		}
-	} else {
-		if err := ctx.Sys.AllocGPU(ctx.WeightBytes()); err != nil {
-			return fmt.Errorf("core: weights: %w", err)
-		}
-	}
-	if err := ctx.Sys.AllocGPU(ctx.ActivationBytes()); err != nil {
-		return fmt.Errorf("core: activations: %w", err)
+	if err := ctx.ReserveStatic(sched.WeightsOnCPU(cfg.Scheduler)); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

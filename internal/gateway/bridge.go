@@ -64,24 +64,22 @@ type Status struct {
 //
 // Determinism contract (DESIGN.md §14): the simulated outcome is a pure
 // function of the submitted requests and their arrival stamps. The
-// dilation factor, consumer speed, and overflow policy change when and
+// dilation factor, consumer speed and buffer size change when and
 // whether events are delivered — never the events themselves or the
 // metrics.
 type Bridge struct {
 	scale  float64 // simulated seconds per wall second; 0 = as fast as possible
 	buffer int
-	policy OverflowPolicy
 	log    *slog.Logger
 
 	session *alisa.Session
 	cancel  context.CancelFunc
-	abort   <-chan struct{} // the session context's Done: closed by Abort
 
 	cmds   chan func()
 	doneCh chan struct{}
 	// refused is nil while the bridge admits requests; after that it
-	// holds the error every submission gets: ErrDraining once a drain or
-	// abort begins, the ErrFailed-wrapped cause once the session fails,
+	// holds the error every submission gets: ErrDraining once Drain or
+	// Abort begins, the ErrFailed-wrapped cause once the session fails,
 	// ErrClosed once a run that did not fail has closed.
 	refused atomic.Pointer[error]
 
@@ -105,15 +103,13 @@ type Bridge struct {
 // hold true starts the bridge gated: submissions queue on the simulated
 // timeline but the clock does not move until Release — the scripted-
 // workload mode that makes results independent of submission timing.
-func newBridge(eng *alisa.Engine, scale float64, buffer int, policy OverflowPolicy, hold bool, log *slog.Logger) (*Bridge, error) {
+func newBridge(eng *alisa.Engine, scale float64, buffer int, hold bool, log *slog.Logger) (*Bridge, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	b := &Bridge{
 		scale:  scale,
 		buffer: buffer,
-		policy: policy,
 		log:    log,
 		cancel: cancel,
-		abort:  ctx.Done(),
 		cmds:   make(chan func()),
 		doneCh: make(chan struct{}),
 		held:   hold,
@@ -228,8 +224,8 @@ func (b *Bridge) pace(target time.Time) bool {
 }
 
 // fail latches a fatal session error (cancellation included), stops
-// admitting, and terminates every live subscriber stream with an error
-// event so no connection hangs.
+// admitting, and ends every live subscriber stream with an error event
+// so no connection hangs.
 func (b *Bridge) fail(err error) {
 	b.failed = err
 	refusal := fmt.Errorf("%w: %v", ErrFailed, err)
@@ -237,7 +233,7 @@ func (b *Bridge) fail(err error) {
 	b.log.Error("gateway: session failed", "err", err)
 	clock := b.session.Clock()
 	for req, sub := range b.subs {
-		sub.terminate(Event{Kind: KindError, ID: sub.id, Request: req, Clock: clock, Err: err.Error()})
+		sub.publish(Event{Kind: KindError, Request: req, Clock: clock, Err: err.Error()})
 	}
 	clear(b.subs)
 }
@@ -304,8 +300,8 @@ func (b *Bridge) call(ctx context.Context, fn func()) error {
 // gateway is shutting down.
 func (b *Bridge) Submit(ctx context.Context, spec SubmitSpec) (*Subscriber, error) {
 	// Fast-path rejection once admission is closed: a drain must refuse
-	// new work immediately even while the driver is deep in a paced (or
-	// backpressured) turn and not serving commands.
+	// new work immediately even while the driver is deep in a turn and
+	// not serving commands.
 	if refusal := b.refused.Load(); refusal != nil {
 		return nil, *refusal
 	}
@@ -335,7 +331,7 @@ func (b *Bridge) submit(spec SubmitSpec) (*Subscriber, error) {
 		return nil, err
 	}
 	b.nextID++
-	sub := newSubscriber(id, req, b.buffer, b.policy, b.abort)
+	sub := newSubscriber(id, req, b.buffer)
 	b.subs[req] = sub
 	if b.log.Enabled(context.Background(), slog.LevelInfo) {
 		b.log.Info("gateway: accepted", "id", id, "request", req,
@@ -412,8 +408,7 @@ func (b *Bridge) startDrain() {
 // Abort cancels the session's context — in-flight KV is released, the
 // partial result over completed requests is computed, and every open
 // stream ends with an error event — then drains. The escalation path
-// when a graceful Drain outlives its deadline: the cancellation also
-// ends a Block-mode wait on a consumer that stopped reading.
+// when a graceful Drain outlives its deadline.
 func (b *Bridge) Abort() {
 	b.refuse()
 	b.cancel()
@@ -443,7 +438,6 @@ func (b *Bridge) fanout(ev Event) *Subscriber {
 	if ev.Kind.Terminal() {
 		delete(b.subs, ev.Request)
 	}
-	ev.ID = sub.id
 	sub.publish(ev)
 	return sub
 }

@@ -10,13 +10,13 @@ import (
 	alisa "repro"
 )
 
-func testEngine(t *testing.T) *alisa.Engine {
+func testEngine(t *testing.T, opts ...alisa.Option) *alisa.Engine {
 	t.Helper()
-	eng, err := alisa.New("opt-6.7b",
+	eng, err := alisa.New("opt-6.7b", append([]alisa.Option{
 		alisa.WithMaxBatch(4),
 		alisa.WithSLO(10, 0.5),
 		alisa.WithMetricsWindow(64),
-	)
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +27,9 @@ func discardLogger() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
 }
 
-func testBridge(t *testing.T, scale float64, buffer int, policy OverflowPolicy, hold bool) *Bridge {
+func testBridge(t *testing.T, scale float64, buffer int, hold bool, opts ...alisa.Option) *Bridge {
 	t.Helper()
-	b, err := newBridge(testEngine(t), scale, buffer, policy, hold, discardLogger())
+	b, err := newBridge(testEngine(t, opts...), scale, buffer, hold, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func testBridge(t *testing.T, scale float64, buffer int, policy OverflowPolicy, 
 // the completion fan-out to a live subscriber allocates nothing.
 func TestBridgeCompletionAllocsZero(t *testing.T) {
 	b := &Bridge{log: discardLogger(), subs: make(map[int]*Subscriber)}
-	sub := newSubscriber("req-7", 7, 4, DropOldest, nil)
+	sub := newSubscriber("req-7", 7, 4)
 	completion := b.observer().Completion
 	ev := alisa.CompletionEvent{Request: 7, Clock: 12.5, TTFT: 0.25, TPOT: 0.05, E2E: 3.75, SLOMet: true}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -57,13 +57,31 @@ func TestBridgeCompletionAllocsZero(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("completion fan-out allocates %.1f objects per stream, want 0", allocs)
 	}
-	if got, _, _, _ := sub.Next(context.Background()); got.Kind != KindCompletion || got.ID != "req-7" {
+	if got, _, _, _ := sub.Next(context.Background()); got.Kind != KindCompletion || got.Request != 7 {
 		t.Fatalf("subscriber got %+v, want the completion", got)
 	}
 }
 
 // at is an explicit simulated arrival time for a SubmitSpec.
 func at(v float64) *float64 { return &v }
+
+// gateTokens returns an engine option whose observer holds the driver
+// inside each turn that decodes a token of request 0 until a receive on
+// step succeeds or free is called. The engine's observer runs on the
+// driver, so an unpaced run stays busy, serving commands only between
+// turns, for as long as a test needs.
+func gateTokens() (gate alisa.Option, step chan struct{}, free context.CancelFunc) {
+	step = make(chan struct{})
+	freed, free := context.WithCancel(context.Background())
+	return alisa.WithObserver(alisa.Observer{Token: func(e alisa.TokenEvent) {
+		if e.Request == 0 {
+			select {
+			case <-step:
+			case <-freed.Done():
+			}
+		}
+	}}), step, free
+}
 
 // drainEvents pulls events until the terminal one (or the deadline),
 // returning them along with the accumulated drop counts Next reported.
@@ -84,19 +102,18 @@ func drainEvents(t *testing.T, sub *Subscriber) (events []Event, drops []int) {
 	}
 }
 
-// TestBridgeBlockDeliversEverything runs a request through a 1-slot
-// Block-mode buffer with a consumer in lockstep: backpressure stalls the
-// driver instead of losing events, so the full lifecycle arrives in
-// order with zero drops.
-func TestBridgeBlockDeliversEverything(t *testing.T) {
-	b := testBridge(t, 0, 1, Block, false)
-	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "blk", Input: 16, Output: 5, Arrival: at(0)})
+// TestBridgeBufferDeliversEverything runs a request whose eight
+// lifecycle events fit its buffer, read by a consumer in lockstep: the
+// full lifecycle arrives in order with zero drops.
+func TestBridgeBufferDeliversEverything(t *testing.T) {
+	b := testBridge(t, 0, 8, false)
+	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "every", Input: 16, Output: 5, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if sub.ID() != "blk" || sub.Request() != 0 {
-		t.Fatalf("subscriber identity = (%q, %d), want (blk, 0)", sub.ID(), sub.Request())
+	if sub.ID() != "every" || sub.Request() != 0 {
+		t.Fatalf("subscriber identity = (%q, %d), want (every, 0)", sub.ID(), sub.Request())
 	}
 
 	events, drops := drainEvents(t, sub)
@@ -110,10 +127,10 @@ func TestBridgeBlockDeliversEverything(t *testing.T) {
 			t.Errorf("event %d kind = %q, want %q", i, ev.Kind, wantKinds[i])
 		}
 		if drops[i] != 0 {
-			t.Errorf("event %d reported %d drops; Block mode must not lose events", i, drops[i])
+			t.Errorf("event %d reported %d drops; a buffer that holds the stream must not lose events", i, drops[i])
 		}
-		if ev.ID != "blk" || ev.Request != 0 {
-			t.Errorf("event %d correlation = (%q, %d), want (blk, 0)", i, ev.ID, ev.Request)
+		if ev.Request != sub.Request() {
+			t.Errorf("event %d request = %d, want %d", i, ev.Request, sub.Request())
 		}
 		if ev.Kind == KindToken {
 			tokenIndex++
@@ -128,12 +145,12 @@ func TestBridgeBlockDeliversEverything(t *testing.T) {
 	}
 }
 
-// TestBridgeDropOldestMarksLoss leaves a 2-slot DropOldest buffer
-// unconsumed until the whole generation has run: the oldest events are
-// discarded and counted, but the terminal completion survives (it is
-// published last, so it is never the oldest at overflow time).
+// TestBridgeDropOldestMarksLoss leaves a 2-slot buffer unconsumed until
+// the whole generation has run: the oldest events are discarded and
+// counted, but the terminal completion survives (it is published last,
+// so it is never the oldest at overflow time).
 func TestBridgeDropOldestMarksLoss(t *testing.T) {
-	b := testBridge(t, 0, 2, DropOldest, false)
+	b := testBridge(t, 0, 2, false)
 	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "slow", Input: 16, Output: 8, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
@@ -171,19 +188,19 @@ func TestBridgeDropOldestMarksLoss(t *testing.T) {
 
 // TestBridgeDrainRejectsSubmissions pins the admission gate: the instant
 // Drain is requested, Submit fails with ErrDraining — even while the
-// driver is stalled mid-advance on a backpressured subscriber and cannot
-// serve commands.
+// driver is held mid-turn and cannot serve commands.
 func TestBridgeDrainRejectsSubmissions(t *testing.T) {
-	b := testBridge(t, 0, 1, Block, false)
+	// The in-flight request's tokens wait for free, so the drain below
+	// cannot complete (ruling out an ErrClosed race) until they pass.
+	gate, _, free := gateTokens()
+	defer free()
+	b := testBridge(t, 0, 64, false, gate)
 	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "inflight", Input: 16, Output: 4, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
 
-	// Don't consume: the driver wedges on the 1-slot buffer, so the
-	// drain below cannot complete (ruling out an ErrClosed race) until
-	// we drain the events ourselves.
 	type outcome struct {
 		res *alisa.ServeResult
 		err error
@@ -201,6 +218,7 @@ func TestBridgeDrainRejectsSubmissions(t *testing.T) {
 		t.Fatalf("Submit during drain: %v, want ErrDraining", err)
 	}
 
+	free()
 	events, _ := drainEvents(t, sub)
 	if events[len(events)-1].Kind != KindCompletion {
 		t.Fatalf("in-flight request must complete through a drain, got %+v", events)
@@ -220,7 +238,7 @@ func TestBridgeDrainRejectsSubmissions(t *testing.T) {
 // against a held bridge queue on the simulated timeline but the clock
 // stays at zero until Release.
 func TestBridgeHoldGatesClock(t *testing.T) {
-	b := testBridge(t, 0, 8, DropOldest, true)
+	b := testBridge(t, 0, 8, true)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		spec := SubmitSpec{Input: 16, Output: 2, Arrival: at(float64(i) * 0.25)}
@@ -251,7 +269,7 @@ func TestBridgeHoldGatesClock(t *testing.T) {
 // bridge mid-generation: every open stream must end with an error event
 // rather than hang, and the bridge must report the failure.
 func TestBridgeAbortTerminatesStreams(t *testing.T) {
-	b := testBridge(t, 1, 64, DropOldest, false)
+	b := testBridge(t, 1, 64, false)
 	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "doomed", Input: 256, Output: 64, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
@@ -278,15 +296,18 @@ func TestBridgeAbortTerminatesStreams(t *testing.T) {
 }
 
 // TestBridgeServesCommandsMidRun pins the driver's command poll: while
-// an unpaced run is busy — a request streaming through a Block-mode,
-// 1-slot buffer, read one event at a time — a live Submit is answered
-// between turns, and the new request joins the running batch instead of
-// waiting for the session to go idle.
+// an unpaced run is busy — a request whose every token waits for the
+// test — a live Submit is answered between turns, and the new request
+// joins the running batch instead of waiting for the session to go
+// idle.
 func TestBridgeServesCommandsMidRun(t *testing.T) {
-	b := testBridge(t, 0, 1, Block, false)
+	const tokens = 24
+	gate, step, free := gateTokens()
+	defer free()
+	b := testBridge(t, 0, 64, false, gate)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	first, err := b.Submit(ctx, SubmitSpec{ID: "first", Input: 16, Output: 24, Arrival: at(0)})
+	first, err := b.Submit(ctx, SubmitSpec{ID: "first", Input: 16, Output: tokens, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +323,14 @@ func TestBridgeServesCommandsMidRun(t *testing.T) {
 		live <- submitted{sub, err}
 	}()
 	var second submitted
-	for second.sub == nil && second.err == nil {
-		ev, _, _, ok := first.Next(ctx)
-		if !ok || ev.Kind.Terminal() {
-			t.Fatalf("first stream ended (%q, ok=%v) with the live Submit still waiting", ev.Kind, ok)
+	for passed := 0; second.sub == nil && second.err == nil; passed++ {
+		if passed == tokens {
+			t.Fatalf("the first request decoded all %d tokens with the live Submit still waiting", tokens)
 		}
+		step <- struct{}{} // one more turn
 		select {
 		case second = <-live:
-		case <-time.After(20 * time.Millisecond):
+		case <-time.After(50 * time.Millisecond):
 		}
 	}
 	if second.err != nil {
@@ -317,65 +338,14 @@ func TestBridgeServesCommandsMidRun(t *testing.T) {
 	}
 	defer second.sub.Close()
 
-	// Both buffers hold one event: keep the first stream moving in the
-	// background while the second is read here.
-	firstEnd := make(chan Event, 1)
-	go func() {
-		for {
-			ev, _, _, ok := first.Next(ctx)
-			if !ok || ev.Kind.Terminal() {
-				firstEnd <- ev
-				return
-			}
-		}
-	}()
+	free()
 	events, _ := drainEvents(t, second.sub)
-	adm, end := events[0], <-firstEnd
+	rest, _ := drainEvents(t, first)
+	adm, end := events[0], rest[len(rest)-1]
 	if adm.Kind != KindAdmission || adm.Batch != 2 {
 		t.Errorf("live request's first event = %+v, want an admission into a batch of 2", adm)
 	}
 	if end.Kind != KindCompletion || adm.Clock >= end.Clock {
 		t.Errorf("first request ended with %q at %v, want a completion after the live admission at %v", end.Kind, end.Clock, adm.Clock)
-	}
-}
-
-// TestBridgeAbortFreesStalledBlockStream is the stalled-drain fault
-// test: a Block-mode request nobody reads wedges the driver on its
-// 1-slot buffer, so a graceful Drain cannot finish. Abort must end the
-// wait, and both calls must return, Drain with the cancellation.
-func TestBridgeAbortFreesStalledBlockStream(t *testing.T) {
-	b := testBridge(t, 0, 1, Block, false)
-	sub, err := b.Submit(context.Background(), SubmitSpec{ID: "stalled", Input: 16, Output: 64, Arrival: at(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	drained := make(chan error, 1)
-	go func() {
-		_, err := b.Drain(context.Background())
-		drained <- err
-	}()
-	for b.Accepting() {
-		time.Sleep(time.Millisecond)
-	}
-	aborted := make(chan struct{})
-	go func() {
-		b.Abort()
-		close(aborted)
-	}()
-	deadline := time.After(5 * time.Second)
-	select {
-	case <-aborted:
-	case <-deadline:
-		t.Fatal("Abort did not return while a Block-mode consumer stalled")
-	}
-	select {
-	case err := <-drained:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("Drain after Abort = %v, want the cancellation", err)
-		}
-	case <-deadline:
-		t.Fatal("Drain did not return after Abort")
 	}
 }

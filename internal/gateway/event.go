@@ -49,7 +49,6 @@ func (k Kind) Terminal() bool { return k == KindCompletion || k == KindError }
 // each kind's documented fields as JSON; see sseEncoder.
 type Event struct {
 	Kind    Kind
-	ID      string  // gateway correlation ID, threaded through logs
 	Request int     // session request ID
 	Clock   float64 // simulated seconds
 
@@ -58,8 +57,8 @@ type Event struct {
 	// A turn emits all its events at once, so without this stamp a
 	// consumer would see everything at the turn's start; the HTTP layer
 	// holds each event until At before writing it. Zero means deliver
-	// immediately (unpaced bridge, or a terminate path that must not
-	// wait).
+	// immediately (unpaced bridge, or the error event of a failed
+	// session).
 	At time.Time
 
 	// Admission.

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"net/http"
@@ -59,6 +60,63 @@ func FuzzCompletionRequest(f *testing.F) {
 		g.writeError(rec, err)
 		if rec.Code != want {
 			t.Fatalf("writeError(%v) status = %d, want %d", err, rec.Code, want)
+		}
+	})
+}
+
+// FuzzSubscriber runs a subscriber's ring through a script decoded from
+// the fuzz bytes — publish (of a terminal event or not), Next and Close,
+// all on one goroutine — beside a model: a plain slice that discards its
+// oldest event when full and counts the loss. Every Next must return the
+// model's event, drop count and more, and ok. Next pops a buffered event
+// before it looks at its context, so it is always given a cancelled one:
+// with nothing buffered it must return at once with ok false.
+func FuzzSubscriber(f *testing.F) {
+	f.Add(uint8(1), []byte{0, 2, 0, 0, 1, 2, 2})
+	f.Add(uint8(2), []byte{0, 0, 0, 0, 2, 2, 2, 0, 3, 0, 2, 2})
+	f.Add(uint8(3), []byte{2, 1, 0, 0, 0, 0, 2, 3, 1, 2, 2, 2})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Fuzz(func(t *testing.T, size uint8, script []byte) {
+		capacity := int(size%8) + 1
+		sub := newSubscriber("fuzz", 0, capacity)
+		var model []Event
+		dropped, closed := 0, false
+		for i, op := range script {
+			switch op % 4 {
+			case 0, 1:
+				ev := Event{Kind: KindToken, Index: i}
+				if op%4 == 1 {
+					ev.Kind = KindCompletion
+				}
+				sub.publish(ev)
+				if closed {
+					continue
+				}
+				if len(model) == capacity {
+					model = model[1:]
+					dropped++
+				}
+				model = append(model, ev)
+			case 2:
+				ev, gotDropped, more, ok := sub.Next(cancelled)
+				if len(model) == 0 {
+					if ok {
+						t.Fatalf("op %d: Next on an empty ring returned %+v", i, ev)
+					}
+					continue
+				}
+				want := model[0]
+				model = model[1:]
+				if !ok || ev != want || gotDropped != dropped || more != (len(model) > 0) {
+					t.Fatalf("op %d: Next = (%+v, %d, %v, %v), want (%+v, %d, %v, true)",
+						i, ev, gotDropped, more, ok, want, dropped, len(model) > 0)
+				}
+				dropped = 0
+			case 3:
+				sub.Close()
+				closed = true
+			}
 		}
 	})
 }

@@ -24,10 +24,12 @@ type Config struct {
 	// per wall-clock second. 1 is real time, 10 runs the simulation 10×
 	// faster than the wall, 0 means as fast as possible (no pacing).
 	TimeScale float64
-	// Buffer is the per-connection event-buffer capacity; 0 means 64.
+	// Buffer is the per-connection event-buffer capacity; 0 means 64. A
+	// stream that overflows it loses its oldest events (see Subscriber):
+	// to deliver every event, set it above a stream's event count.
 	Buffer int
-	// OnFull picks the slow-consumer policy: DropOldest (default) or
-	// Block. See OverflowPolicy.
+	// Deprecated: a full buffer always drops its oldest event (see
+	// Subscriber); OnFull accepts only DropOldest, the zero value.
 	OnFull OverflowPolicy
 	// Hold starts the gateway gated: requests are accepted and queued on
 	// the simulated timeline, but the clock does not advance until
@@ -73,14 +75,14 @@ func New(cfg Config) (*Gateway, error) {
 	if buffer < 0 {
 		return nil, &alisa.ConfigError{Field: "Buffer", Value: cfg.Buffer, Reason: "per-connection event buffer must be positive"}
 	}
-	if cfg.OnFull != DropOldest && cfg.OnFull != Block {
-		return nil, &alisa.ConfigError{Field: "OnFull", Value: cfg.OnFull, Reason: "unknown overflow policy"}
+	if cfg.OnFull != DropOldest {
+		return nil, &alisa.ConfigError{Field: "OnFull", Value: cfg.OnFull, Reason: "drop-oldest is the only overflow policy"}
 	}
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	bridge, err := newBridge(cfg.Engine, cfg.TimeScale, buffer, cfg.OnFull, cfg.Hold, log)
+	bridge, err := newBridge(cfg.Engine, cfg.TimeScale, buffer, cfg.Hold, log)
 	if err != nil {
 		return nil, err
 	}

@@ -77,7 +77,7 @@ func TestGatewayConfigValidation(t *testing.T) {
 		{"nil engine", Config{}, "Engine"},
 		{"negative time scale", Config{Engine: eng, TimeScale: -1}, "TimeScale"},
 		{"negative buffer", Config{Engine: eng, Buffer: -8}, "Buffer"},
-		{"unknown policy", Config{Engine: eng, OnFull: OverflowPolicy(7)}, "OnFull"},
+		{"unknown policy", Config{Engine: eng, OnFull: OverflowPolicy(1)}, "OnFull"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,14 +309,14 @@ func TestGatewayStreamFlushesFirstTokenAlone(t *testing.T) {
 // by an event with a later clock is flushed before the handler sleeps
 // for that event.
 func TestGatewayPacedStreamFlushesBeforeWaiting(t *testing.T) {
-	b := testBridge(t, 0, 64, DropOldest, false)
+	b := testBridge(t, 0, 64, false)
 	src, err := b.Submit(context.Background(), SubmitSpec{ID: "golden-1", Input: 8, Output: 3, Arrival: at(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
 	events, _ := drainEvents(t, src)
-	sub := newSubscriber(src.ID(), src.Request(), 64, DropOldest, nil)
+	sub := newSubscriber(src.ID(), src.Request(), 64)
 	anchor := time.Now()
 	for _, ev := range events {
 		ev.At = anchor.Add(time.Duration(ev.Clock * float64(time.Second)))
@@ -424,11 +424,12 @@ func TestGatewayBodyLimit(t *testing.T) {
 }
 
 // TestGatewayMidStreamDisconnect is the disconnect fault test: a client
-// that reads the first SSE event of a long completion and hangs up,
-// under Block backpressure with a 1-event buffer, must neither wedge the
-// driver nor leave its subscriber or any goroutine behind.
+// that reads the first SSE event of a long completion and hangs up must
+// neither wedge the gateway nor leave its subscriber or any goroutine
+// behind. The buffer holds the whole stream, so the admission event is
+// never the one dropped.
 func TestGatewayMidStreamDisconnect(t *testing.T) {
-	g := newTestGateway(t, Config{TimeScale: 0, OnFull: Block, Buffer: 1})
+	g := newTestGateway(t, Config{TimeScale: 0, Buffer: 1024})
 	srv := httptest.NewServer(g)
 	defer srv.Close()
 	client := srv.Client()
@@ -451,8 +452,7 @@ func TestGatewayMidStreamDisconnect(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 
-	// The driver, stalled on the abandoned full buffer, must be released
-	// by the disconnect: a later blocking completion still answers.
+	// A later blocking completion still answers.
 	resp, err = client.Post(srv.URL+"/v1/completions", "application/json",
 		strings.NewReader(`{"input_tokens":32,"max_tokens":4}`))
 	if err != nil {
@@ -484,6 +484,60 @@ func TestGatewayMidStreamDisconnect(t *testing.T) {
 			t.Fatalf("%d goroutines after the requests, %d before", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestGatewayStalledReaderStallsNobody holds the slow-consumer contract:
+// a stream nobody reads (a 1-slot buffer, unpaced, 64 tokens) stalls
+// neither the simulation nor any other caller. Another completion
+// finishes and the metrics endpoint answers, each within a second, and
+// the stalled stream, read at last, ends with its completion, every
+// event it lost counted.
+func TestGatewayStalledReaderStallsNobody(t *testing.T) {
+	g := newTestGateway(t, Config{TimeScale: 0, Buffer: 1})
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	client := srv.Client()
+	client.Timeout = time.Second
+
+	// A handler stuck writing to a client that stopped reading never
+	// calls Next: this subscriber is that handler.
+	stalled, err := g.bridge.Submit(context.Background(), SubmitSpec{ID: "stalled", Input: 16, Output: 64, Arrival: at(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+
+	resp, err := client.Post(srv.URL+"/v1/completions", "application/json",
+		strings.NewReader(`{"id":"other","input_tokens":32,"max_tokens":4}`))
+	if err != nil {
+		t.Fatalf("completion beside a stalled stream: %v", err)
+	}
+	var cr completionResponse
+	err = json.NewDecoder(resp.Body).Decode(&cr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || cr.ID != "other" {
+		t.Fatalf("completion beside a stalled stream = %d %+v (%v), want 200", resp.StatusCode, cr, err)
+	}
+	resp, err = client.Get(srv.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatalf("metrics beside a stalled stream: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics beside a stalled stream = %d, want 200", resp.StatusCode)
+	}
+
+	// Admission, first token, 64 tokens and the completion: 67 events,
+	// each delivered or counted as dropped.
+	events, drops := drainEvents(t, stalled)
+	lost := 0
+	for _, n := range drops {
+		lost += n
+	}
+	if final := events[len(events)-1]; final.Kind != KindCompletion || len(events)+lost != 67 {
+		t.Errorf("stalled stream: %d events ending in %q with %d dropped, want a completion and 67 in all",
+			len(events), final.Kind, lost)
 	}
 }
 

@@ -78,7 +78,7 @@ func (e *sseEncoder) event(ev Event) error {
 	return nil
 }
 
-// dropped appends the marker that surfaces a DropOldest overflow to the
+// dropped appends the marker that surfaces a buffer overflow to the
 // client: n events were lost ahead of whatever follows.
 func (e *sseEncoder) dropped(n int) {
 	e.buf = append(e.buf, "event: dropped\ndata: {\"type\":\"dropped\""...)

@@ -84,24 +84,26 @@ func referenceFrame(kind Kind, payload any) (string, error) {
 	return "event: " + string(kind) + "\ndata: " + string(data) + "\n\n", nil
 }
 
-func referenceEvent(ev Event) (string, error) {
+// referenceEvent renders ev, streamed for correlation ID id, through
+// json.Marshal of its kind's wire payload.
+func referenceEvent(ev Event, id string) (string, error) {
 	var payload any
 	switch ev.Kind {
 	case KindAdmission:
-		payload = wireAdmission{Type: ev.Kind, ID: ev.ID, Request: ev.Request,
+		payload = wireAdmission{Type: ev.Kind, ID: id, Request: ev.Request,
 			Clock: ev.Clock, Wait: ev.Wait, Input: ev.Input, Output: ev.Output, Batch: ev.Batch}
 	case KindFirstToken:
-		payload = wireFirstToken{Type: ev.Kind, ID: ev.ID, Request: ev.Request, Clock: ev.Clock, TTFT: ev.TTFT}
+		payload = wireFirstToken{Type: ev.Kind, ID: id, Request: ev.Request, Clock: ev.Clock, TTFT: ev.TTFT}
 	case KindToken:
-		payload = wireToken{Type: ev.Kind, ID: ev.ID, Request: ev.Request, Clock: ev.Clock, Index: ev.Index}
+		payload = wireToken{Type: ev.Kind, ID: id, Request: ev.Request, Clock: ev.Clock, Index: ev.Index}
 	case KindPreemption:
-		payload = wirePreemption{Type: ev.Kind, ID: ev.ID, Request: ev.Request, Clock: ev.Clock, Generated: ev.Generated}
+		payload = wirePreemption{Type: ev.Kind, ID: id, Request: ev.Request, Clock: ev.Clock, Generated: ev.Generated}
 	case KindCompletion:
-		payload = wireCompletion{Type: ev.Kind, ID: ev.ID, Request: ev.Request,
+		payload = wireCompletion{Type: ev.Kind, ID: id, Request: ev.Request,
 			Clock: ev.Clock, TTFT: ev.TTFT, TPOT: ev.TPOT, E2E: ev.E2E,
 			SLOMet: ev.SLOMet, Preemptions: ev.Preemptions}
 	case KindError:
-		payload = wireError{Type: ev.Kind, ID: ev.ID, Request: ev.Request, Clock: ev.Clock, Error: ev.Err}
+		payload = wireError{Type: ev.Kind, ID: id, Request: ev.Request, Clock: ev.Clock, Error: ev.Err}
 	default:
 		return "", errors.New("no wire payload")
 	}
@@ -134,19 +136,19 @@ func FuzzSSEFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, id, errText []byte, request, dropped, n1, n2, n3 int,
 		clock, f1, f2, f3, f4 uint64, slo bool) {
 		ev := Event{
-			Kind: Kind(kind), ID: string(id), Request: request,
+			Kind: Kind(kind), Request: request,
 			Clock: math.Float64frombits(clock), Wait: math.Float64frombits(f1),
 			Input: n1, Output: n2, Batch: n3, TTFT: math.Float64frombits(f2),
 			Index: n1, Generated: n2, TPOT: math.Float64frombits(f3),
 			E2E: math.Float64frombits(f4), SLOMet: slo, Preemptions: n3, Err: string(errText),
 		}
-		marker, err := referenceFrame("dropped", wireDropped{Type: "dropped", ID: ev.ID, Request: request, Dropped: dropped})
+		marker, err := referenceFrame("dropped", wireDropped{Type: "dropped", ID: string(id), Request: request, Dropped: dropped})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := referenceEvent(ev)
+		want, wantErr := referenceEvent(ev, string(id))
 
-		enc := newSSEEncoder(ev.ID, request)
+		enc := newSSEEncoder(string(id), request)
 		enc.dropped(dropped)
 		err = enc.event(ev)
 		if (err == nil) != (wantErr == nil) {
@@ -163,7 +165,7 @@ func FuzzSSEFrame(f *testing.F) {
 // allocating.
 func TestSSEEncoderTokenAllocsZero(t *testing.T) {
 	enc := newSSEEncoder("golden-1", 0)
-	ev := Event{Kind: KindToken, ID: "golden-1", Clock: 0.030226609657720054, Index: 1}
+	ev := Event{Kind: KindToken, Clock: 0.030226609657720054, Index: 1}
 	if err := enc.event(ev); err != nil {
 		t.Fatal(err)
 	}

@@ -5,40 +5,26 @@ import (
 	"sync"
 )
 
-// OverflowPolicy says what the bridge does when a subscriber's bounded
-// event buffer is full — the slow-consumer contract. Either way the
-// buffer never grows: a stalled SSE connection cannot hold unbounded
-// memory hostage.
+// Deprecated: drop-oldest is the gateway's only slow-consumer policy
+// (see Subscriber); Config.OnFull accepts DropOldest alone.
 type OverflowPolicy int
 
-const (
-	// DropOldest discards the oldest buffered event to admit the new one
-	// and counts the loss; the consumer sees a `dropped` marker carrying
-	// the count before its next delivered event. The simulation never
-	// stalls. A request's terminal event cannot be lost: it is published
-	// last, so it is never the oldest when an overflow happens.
-	DropOldest OverflowPolicy = iota
-	// Block applies backpressure instead: the simulation driver waits
-	// for the consumer to free a slot, trading simulated-time progress
-	// for lossless delivery. Delivery timing changes; simulated results
-	// do not (the pacing-bridge determinism contract). Only Abort ends
-	// the wait early; the event given up is then counted as dropped.
-	Block
-)
-
-// String names the policy as the -on-full flag spells it.
-func (p OverflowPolicy) String() string {
-	if p == Block {
-		return "block"
-	}
-	return "drop"
-}
+// Deprecated: DropOldest is the only OverflowPolicy, and the default.
+const DropOldest OverflowPolicy = 0
 
 // Subscriber is one request's bounded event stream between the bridge's
 // driver goroutine (producer) and its HTTP connection handler
 // (consumer). The producer publishes lifecycle events into a fixed ring;
 // the consumer pulls them with Next. Exactly one goroutine produces and
 // one consumes.
+//
+// The producer never waits. When the ring is full, publishing discards
+// the oldest buffered event and counts the loss; the consumer sees a
+// `dropped` marker carrying the count before its next delivered event.
+// A request's terminal event is published last, so it is never the
+// oldest when an overflow happens and always arrives. A consumer that
+// stops reading therefore loses events but stalls neither the
+// simulation nor any other stream, and its buffer never grows.
 type Subscriber struct {
 	id  string
 	req int
@@ -50,24 +36,15 @@ type Subscriber struct {
 	closed  bool
 
 	wake chan struct{} // 1-buffered consumer wakeup
-	// space is the 1-buffered producer wakeup, nil unless the policy is
-	// Block; abort (the session context's Done) ends that wait early.
-	space chan struct{}
-	abort <-chan struct{}
 }
 
-func newSubscriber(id string, req, buffer int, policy OverflowPolicy, abort <-chan struct{}) *Subscriber {
-	s := &Subscriber{
+func newSubscriber(id string, req, buffer int) *Subscriber {
+	return &Subscriber{
 		id:   id,
 		req:  req,
 		buf:  make([]Event, buffer),
 		wake: make(chan struct{}, 1),
 	}
-	if policy == Block {
-		s.space = make(chan struct{}, 1)
-		s.abort = abort
-	}
-	return s
 }
 
 // ID returns the gateway correlation ID the subscriber streams for.
@@ -76,49 +53,16 @@ func (s *Subscriber) ID() string { return s.id }
 // Request returns the session's numeric request ID.
 func (s *Subscriber) Request() int { return s.req }
 
-// publish appends one event, honouring the overflow policy: in Block
-// mode it first waits for a free slot, or for Abort, which gives the
-// event up as dropped. It runs on the bridge's driver goroutine, inline
-// with the simulation — this is the fan-out hot path, so it must not
-// allocate or format.
+// publish appends one event to the ring, discarding and counting the
+// oldest event when the ring is full; a closed subscriber takes nothing.
+// It runs on the bridge's driver goroutine, inline with the simulation —
+// this is the fan-out hot path, so it must not allocate, format or wait.
 //
 //alisa:hotpath
 func (s *Subscriber) publish(ev Event) {
 	s.mu.Lock()
-	for s.space != nil && s.n == len(s.buf) && !s.closed {
-		s.mu.Unlock()
-		select {
-		case <-s.space:
-		case <-s.abort:
-			s.mu.Lock()
-			s.dropped++
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Lock()
-	}
-	s.insert(ev)
-	s.mu.Unlock()
-	notify(s.wake)
-}
-
-// terminate force-publishes a terminal event, dropping the oldest
-// buffered event to make room if needed — regardless of policy, and
-// without ever blocking. A dying session must be able to end every
-// stream even when a consumer has stalled a full Block-mode buffer.
-func (s *Subscriber) terminate(ev Event) {
-	s.mu.Lock()
-	s.insert(ev)
-	s.mu.Unlock()
-	notify(s.wake)
-}
-
-// insert appends ev to the ring under s.mu, discarding and counting the
-// oldest event when the ring is full; a closed subscriber takes nothing.
-//
-//alisa:hotpath
-func (s *Subscriber) insert(ev Event) {
 	if s.closed {
+		s.mu.Unlock()
 		return
 	}
 	if s.n == len(s.buf) {
@@ -135,10 +79,15 @@ func (s *Subscriber) insert(ev Event) {
 	}
 	s.buf[i] = ev
 	s.n++
+	s.mu.Unlock()
+	select {
+	case s.wake <- struct{}{}:
+	default: // a wakeup is already pending
+	}
 }
 
 // Next pops the oldest buffered event, blocking until one is available
-// or ctx is done. dropped is how many events were discarded (DropOldest
+// or ctx is done. dropped is how many events were discarded (ring
 // overflow) before the returned event — a non-zero count is surfaced to
 // the client as a marker ahead of the event. more reports whether the
 // ring still held an event after the pop, so the consumer may batch the
@@ -158,7 +107,6 @@ func (s *Subscriber) Next(ctx context.Context) (ev Event, dropped int, more, ok 
 			dropped = s.dropped
 			s.dropped = 0
 			s.mu.Unlock()
-			notify(s.space)
 			return ev, dropped, more, true
 		}
 		s.mu.Unlock()
@@ -170,22 +118,10 @@ func (s *Subscriber) Next(ctx context.Context) (ev Event, dropped int, more, ok 
 	}
 }
 
-// Close marks the consumer gone: pending and future publishes become
-// no-ops and a producer blocked on backpressure is released. Idempotent;
-// called by the handler when its connection ends and by the bridge when
-// the session fails.
+// Close marks the consumer gone: later publishes become no-ops.
+// Idempotent; the handler calls it when its connection ends.
 func (s *Subscriber) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	notify(s.space)
-}
-
-// notify posts a wakeup on a 1-buffered channel without blocking; a
-// wakeup already pending (or a nil channel) makes it a no-op.
-func notify(c chan struct{}) {
-	select {
-	case c <- struct{}{}:
-	default:
-	}
 }

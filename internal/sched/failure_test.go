@@ -17,20 +17,12 @@ func tinyCPUContext(t *testing.T, cpuBytes int64, recompute bool) (*Context, *al
 	t.Helper()
 	prof := memsim.V100_16G()
 	prof.CPUMemBytes = cpuBytes
-	sys := memsim.NewSystem(prof)
-	cfg := model.MustByName("opt-6.7b")
 	ctx := &Context{
-		Sys: sys, Cost: costmodel.New(prof), Model: cfg,
+		Sys: memsim.NewSystem(prof), Cost: costmodel.New(prof), Model: model.MustByName("opt-6.7b"),
 		Batch: 64, Input: 128, Output: 512,
 		CachingRatio: 0.2, KVBits: 16,
 	}
-	if err := sys.AllocGPU(ctx.WeightBytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AllocGPU(ctx.ActivationBytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.AllocGPU(prof.ReserveBytes); err != nil {
+	if err := ctx.ReserveStatic(false); err != nil {
 		t.Fatal(err)
 	}
 	return ctx, manualAlisa(0.3, 200, recompute)
@@ -135,7 +127,7 @@ func TestSchedulersDeterministic(t *testing.T) {
 	}
 	for _, name := range Registered() {
 		s := MustByName(name)
-		if w, ok := s.(interface{ WeightsOnCPU() bool }); ok && w.WeightsOnCPU() {
+		if WeightsOnCPU(s) {
 			continue // not servable: engine-wide weight streaming
 		}
 		fresh, ctx := run(s)

@@ -107,9 +107,7 @@ func reservedContext(prof memsim.Profile, name string, batch, input, output int,
 		Batch: batch, Input: input, Output: output,
 		CachingRatio: ratio, KVBits: bits,
 	}
-	if ctx.Sys.AllocGPU(prof.ReserveBytes) != nil ||
-		ctx.Sys.AllocGPU(ctx.WeightBytes()) != nil ||
-		ctx.Sys.AllocGPU(ctx.ActivationBytes()) != nil {
+	if ctx.ReserveStatic(false) != nil {
 		return nil
 	}
 	return ctx

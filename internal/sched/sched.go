@@ -24,6 +24,8 @@
 package sched
 
 import (
+	"fmt"
+
 	"repro/internal/costmodel"
 	"repro/internal/memsim"
 	"repro/internal/model"
@@ -81,6 +83,28 @@ func (c *Context) WeightBytes() int64 { return c.Model.WeightBytes(2) }
 // ActivationBytes returns the transient activation footprint reserved on
 // the GPU for the whole run.
 func (c *Context) ActivationBytes() int64 { return c.Model.ActivationBytes(c.Batch, 2) }
+
+// ReserveStatic allocates what a run holds from start to end, before any
+// KV: the profile's runtime reserve and the activations on the GPU, and
+// the FP16 weights on the GPU, or in CPU memory when weightsOnCPU (see
+// WeightsOnCPU). The lockstep engine reserves for its batch, the serving
+// loop for its batch cap.
+func (c *Context) ReserveStatic(weightsOnCPU bool) error {
+	if err := c.Sys.AllocGPU(c.Sys.Prof.ReserveBytes); err != nil {
+		return fmt.Errorf("runtime reserve: %w", err)
+	}
+	allocWeights := c.Sys.AllocGPU
+	if weightsOnCPU {
+		allocWeights = c.Sys.AllocCPU
+	}
+	if err := allocWeights(c.WeightBytes()); err != nil {
+		return fmt.Errorf("weights: %w", err)
+	}
+	if err := c.Sys.AllocGPU(c.ActivationBytes()); err != nil {
+		return fmt.Errorf("activations: %w", err)
+	}
+	return nil
+}
 
 // MaxSeq returns the final sequence length s + n.
 func (c *Context) MaxSeq() int { return c.Input + c.Output }

@@ -59,11 +59,14 @@ func (s *static) CloneScheduler() Scheduler {
 	return &c
 }
 
-// WeightsOnCPU reports whether the weights stay in CPU memory; the engine
-// then skips the GPU weight reservation, and Step charges streaming
-// instead. The serving loop refuses such a scheduler: weight streaming is
-// engine-wide, not a per-request property.
-func (s *static) WeightsOnCPU() bool { return s.weightsOnCPU }
+// WeightsOnCPU reports whether s keeps the weights in CPU memory
+// (deepspeed-zero): the engine then reserves them there, and Step charges
+// streaming them. The serving loop refuses such a scheduler: weight
+// streaming is engine-wide, not a per-request property.
+func WeightsOnCPU(s Scheduler) bool {
+	st, ok := s.(*static)
+	return ok && st.weightsOnCPU
+}
 
 // Init implements Scheduler: solve flexgen's split, then place the
 // prefill KV.

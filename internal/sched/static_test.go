@@ -262,7 +262,7 @@ func TestDeepSpeedOOMAtLargeBatch(t *testing.T) {
 	}
 	d := MustByName("deepspeed-zero").(*static)
 	// DeepSpeed keeps weights on CPU.
-	if !d.WeightsOnCPU() {
+	if !WeightsOnCPU(d) {
 		t.Fatal("DeepSpeed should keep weights on CPU")
 	}
 	if err := sys.AllocCPU(ctx.WeightBytes()); err != nil {

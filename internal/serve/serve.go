@@ -73,7 +73,7 @@ type Config struct {
 	// keep per-sequence state; instances are pooled with the sequence
 	// state and re-Initialised at each admission (the sched.Scheduler
 	// reuse contract). A scheduler that keeps the weights in CPU memory
-	// (WeightsOnCPU, deepspeed-zero) is not servable: weight streaming is
+	// (sched.WeightsOnCPU: deepspeed-zero) is not servable: weight streaming is
 	// an engine-wide property, not a per-request one.
 	Scheduler string
 
@@ -173,7 +173,7 @@ func (c Config) validateStatic() error {
 	switch {
 	case c.Model.Layers <= 0:
 		return fmt.Errorf("serve: model config required")
-	case schedErr == nil && weightsOnCPU(factory()):
+	case schedErr == nil && sched.WeightsOnCPU(factory()):
 		return fmt.Errorf("serve: %s streams weights engine-wide and cannot act as a per-request policy", factory().Name())
 	case c.KVSparsity < 0 || c.KVSparsity >= 1:
 		return fmt.Errorf("serve: KV sparsity must be in [0,1), got %v", c.KVSparsity)
@@ -185,14 +185,6 @@ func (c Config) validateStatic() error {
 		return fmt.Errorf("serve: negative prefix cache block of %d tokens", c.PrefixBlock)
 	}
 	return schedErr
-}
-
-// weightsOnCPU reports the property core.Run reserves memory by: a
-// scheduler that keeps the weights in CPU memory streams them for the
-// whole engine, which no per-request policy can.
-func weightsOnCPU(s sched.Scheduler) bool {
-	w, ok := s.(interface{ WeightsOnCPU() bool })
-	return ok && w.WeightsOnCPU()
 }
 
 // RequestRecord is the per-request outcome of a serving run.
@@ -666,16 +658,12 @@ func (l *Loop) gate() error {
 	return l.err
 }
 
-// reserveStatic allocates weights and a MaxBatch worth of activations.
+// reserveStatic allocates the runtime reserve, the weights and a MaxBatch
+// worth of activations.
 func (s *server) reserveStatic() error {
-	if err := s.sys.AllocGPU(s.cfg.Profile.ReserveBytes); err != nil {
-		return fmt.Errorf("serve: runtime reserve: %w", err)
-	}
-	if err := s.sys.AllocGPU(s.cfg.Model.WeightBytes(2)); err != nil {
-		return fmt.Errorf("serve: weights: %w", err)
-	}
-	if err := s.sys.AllocGPU(s.cfg.Model.ActivationBytes(s.cfg.MaxBatch, 2)); err != nil {
-		return fmt.Errorf("serve: activations for batch cap %d: %w", s.cfg.MaxBatch, err)
+	ctx := sched.Context{Sys: s.sys, Model: s.cfg.Model, Batch: s.cfg.MaxBatch}
+	if err := ctx.ReserveStatic(false); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	s.staticGPU, s.staticCPU = s.sys.Usage()
 	return nil

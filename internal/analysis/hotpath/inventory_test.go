@@ -12,7 +12,8 @@ import (
 )
 
 // wantAnnotated is the agreed hot-path set: the serving loop's
-// admission/decode path, the ALISA scheduler's per-step placement query,
+// admission/decode path with its decode price table, the ALISA
+// scheduler's per-step placement query,
 // the wait-queue heap ops, rolling-window and
 // sketch ingestion, the cluster turn loop, the prefix-cache probe/
 // insert/evict machinery, the gateway's per-event fan-out, and the
@@ -24,6 +25,7 @@ import (
 var wantAnnotated = []string{
 	"internal/attention.(*selScratch).selectTopPlusLocal",
 	"internal/cluster.(*Cluster).advance",
+	"internal/costmodel.(*DecodePrices).Time",
 	"internal/gateway.(*Bridge).fanout",
 	"internal/gateway.(*Bridge).onToken",
 	"internal/gateway.(*Subscriber).publish",

@@ -16,6 +16,8 @@
 package costmodel
 
 import (
+	"slices"
+
 	"repro/internal/memsim"
 	"repro/internal/model"
 )
@@ -275,6 +277,14 @@ func (c *Cost) DecodeLayerTime(cfg *model.Config, batch, attended, kvBytes int, 
 // to DecodeLayerTime at batch 1 summed over layers, keeping the serving
 // loop's charges consistent with the lockstep engine's.
 func (c *Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, swa bool) (mha, ffn float64) {
+	return c.raggedDecode(&cfg, attended, kvBytes, swa, nil)
+}
+
+// raggedDecode is RaggedDecodeTime. A non-nil terms keeps each
+// sequence's per-layer attention term by attended count: a term is
+// read from it when present and stored in it on first use (0 marks an
+// unpriced count; every term is positive).
+func (c *Cost) raggedDecode(cfg *model.Config, attended []int, kvBytes int, swa bool, terms *[]float64) (mha, ffn float64) {
 	b := len(attended)
 	if b == 0 {
 		return 0, 0
@@ -291,12 +301,30 @@ func (c *Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, s
 	// added and taken back out — the lockstep engine's Total() − QProj,
 	// bit for bit.
 	proj1 := c.GEMM(1, h, 4*h, 2).Seconds
+	var kept []float64
+	if terms != nil {
+		kept = *terms
+	}
 	for _, sel := range attended {
+		if sel < len(kept) && kept[sel] != 0 {
+			mhaLayer += kept[sel]
+			continue
+		}
 		var window int64
 		if swa {
 			window = int64(sel / 2)
 		}
-		mhaLayer += c.attnSeconds(proj1, 1, h, heads, int64(sel), kvBytes, window) - proj1
+		t := c.attnSeconds(proj1, 1, h, heads, int64(sel), kvBytes, window) - proj1
+		if terms != nil {
+			if sel >= len(kept) {
+				kept = slices.Grow(kept, sel+1-len(kept))[:sel+1]
+			}
+			kept[sel] = t
+		}
+		mhaLayer += t
+	}
+	if terms != nil {
+		*terms = kept
 	}
 	// The conversion rounds the product before the subtraction, so no
 	// platform fuses the two into one multiply-add with a different
@@ -308,6 +336,48 @@ func (c *Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, s
 	layers := float64(cfg.Layers)
 	ffnLayer := c.FFNTime(b, cfg.Hidden, cfg.FFN, cfg.GatedFFN)
 	return mhaLayer * layers, ffnLayer.Seconds * layers
+}
+
+// DecodePrices is RaggedDecodeTime for one model and KV element width,
+// with each sequence's per-layer attention term priced once per
+// attended count and SWA flag: the term depends on nothing else, so a
+// serving loop whose sequences grow by one token per step prices each
+// length once instead of every iteration. Terms are filled on first
+// use, so building a table costs nothing. A table is not safe for
+// concurrent use; Clone gives another goroutine its own.
+type DecodePrices struct {
+	cost    Cost
+	cfg     model.Config
+	kvBytes int
+	terms   [2][]float64 // by SWA flag, then attended count
+}
+
+// NewDecodePrices returns an empty price table for cfg at kvBytes per
+// KV element under c.
+func NewDecodePrices(c Cost, cfg model.Config, kvBytes int) DecodePrices {
+	return DecodePrices{cost: c, cfg: cfg, kvBytes: kvBytes}
+}
+
+// Time returns RaggedDecodeTime(cfg, attended, kvBytes, swa) for the
+// table's model and width, bit for bit: the same terms added in the
+// same order, with only their derivation skipped once a count is
+// priced.
+//
+//alisa:hotpath
+func (p *DecodePrices) Time(attended []int, swa bool) (mha, ffn float64) {
+	terms := &p.terms[0]
+	if swa {
+		terms = &p.terms[1]
+	}
+	return p.cost.raggedDecode(&p.cfg, attended, p.kvBytes, swa, terms)
+}
+
+// Clone returns an independent copy of the table, priced terms
+// included.
+func (p *DecodePrices) Clone() DecodePrices {
+	c := *p
+	c.terms = [2][]float64{slices.Clone(p.terms[0]), slices.Clone(p.terms[1])}
+	return c
 }
 
 // PrefillTime returns the time to prefill a batch of prompts of length s:

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -250,5 +251,60 @@ func TestRaggedDecodeTimeProperties(t *testing.T) {
 	// Monotone in any sequence's attended count.
 	if more := total([]int{64, 512, 400, 1000}); more <= fused {
 		t.Errorf("more attended tokens not more expensive: %.6g <= %.6g", more, fused)
+	}
+}
+
+// TestDecodePricesMatchRaggedDecodeTime holds the price table to its
+// definition bit for bit on every profile, model, KV width and SWA flag:
+// batches of 1 to 16 whose first sequence is the longest, so the table
+// grows past counts it has not priced yet, then repeats and shorter
+// counts read what earlier batches filled in. A clone taken halfway
+// prices the rest of the batches as the original does.
+func TestDecodePricesMatchRaggedDecodeTime(t *testing.T) {
+	batches := make([][]int, 16)
+	for b := range batches {
+		attended := []int{2000 - 61*b}
+		for i := 1; i <= b; i++ {
+			attended = append(attended, 1+(i*397+b*113)%700)
+		}
+		batches[b] = attended
+	}
+	check := func(t *testing.T, p *DecodePrices, c *Cost, cfg model.Config, kvb int, swa bool, attended []int) {
+		t.Helper()
+		mha, ffn := p.Time(attended, swa)
+		wantMHA, wantFFN := c.RaggedDecodeTime(cfg, attended, kvb, swa)
+		if math.Float64bits(mha) != math.Float64bits(wantMHA) || math.Float64bits(ffn) != math.Float64bits(wantFFN) {
+			t.Fatalf("kv=%d swa=%v %v: table (%v, %v), RaggedDecodeTime (%v, %v)",
+				kvb, swa, attended, mha, ffn, wantMHA, wantFFN)
+		}
+	}
+	for _, profName := range memsim.ProfileNames() {
+		prof, err := memsim.ProfileByName(profName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(prof)
+		for _, name := range model.Names() {
+			cfg := model.MustByName(name)
+			for _, kvb := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%s/kv%d", profName, name, kvb), func(t *testing.T) {
+					p := NewDecodePrices(c, cfg, kvb)
+					var fork DecodePrices
+					for i, attended := range batches {
+						if i == len(batches)/2 {
+							fork = p.Clone()
+						}
+						for _, swa := range []bool{true, false} {
+							check(t, &p, &c, cfg, kvb, swa, attended)
+						}
+					}
+					for _, attended := range batches[len(batches)/2:] {
+						for _, swa := range []bool{true, false} {
+							check(t, &fork, &c, cfg, kvb, swa, attended)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -237,9 +237,10 @@ func (g *Gateway) parseCompletion(w http.ResponseWriter, r *http.Request) (Submi
 // terminal event (or the client goes away). Frames collect in the
 // stream's encoder and go out with one write and one flush per burst: a
 // token waits in the buffer only while another event is already queued
-// behind it, every other event is flushed at once (the terminal one
-// together with [DONE]), and what is held is flushed before the handler
-// sleeps until a paced event's wall deadline.
+// behind it, every other event but the terminal one is flushed at once,
+// and what is held is flushed before the handler sleeps until a paced
+// event's wall deadline. The terminal burst and [DONE] are written
+// unflushed and leave with the response's end.
 func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, sub *Subscriber) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -276,9 +277,15 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, sub *
 			continue
 		}
 		if ev.Kind.Terminal() {
+			// No flush: the server sends the last burst and [DONE] with
+			// the chunked terminator in one write when the handler
+			// returns, so a client that stops reading at [DONE] finds
+			// the body at EOF and keeps its connection.
 			enc.done()
+			_, _ = w.Write(enc.buf) // the stream ends here either way
+			return
 		}
-		if enc.flush(w, flusher) != nil || ev.Kind.Terminal() {
+		if enc.flush(w, flusher) != nil {
 			return
 		}
 	}

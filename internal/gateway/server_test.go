@@ -2,11 +2,13 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -339,6 +341,95 @@ func TestGatewayPacedStreamFlushesBeforeWaiting(t *testing.T) {
 			t.Errorf("%s at clock %v was held while the handler waited for the %s at clock %v (flushes at %v)",
 				ev.Kind, ev.Clock, next.Kind, next.Clock, w.flushes)
 		}
+	}
+}
+
+// recordingListener counts the connections it accepts and keeps every
+// Write made on them, in order.
+type recordingListener struct {
+	net.Listener
+	mu     sync.Mutex
+	conns  int
+	writes [][]byte
+}
+
+func (l *recordingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	l.conns++
+	l.mu.Unlock()
+	return &recordingConn{Conn: c, l: l}, nil
+}
+
+// lastWrite returns the most recent Write on any accepted connection.
+func (l *recordingListener) lastWrite() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.writes) == 0 {
+		return nil
+	}
+	return l.writes[len(l.writes)-1]
+}
+
+type recordingConn struct {
+	net.Conn
+	l *recordingListener
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.l.mu.Lock()
+	c.l.writes = append(c.l.writes, bytes.Clone(p))
+	c.l.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestGatewayTerminalBurstEndsTheResponse pins how a stream ends on the
+// wire: the write that carries data: [DONE] also carries the chunked
+// body's terminator, so a client that stops reading at [DONE] has read
+// the body to its end and keeps the connection. One Go client's
+// sequential streams, each read to [DONE] and closed, share one
+// connection.
+func TestGatewayTerminalBurstEndsTheResponse(t *testing.T) {
+	g := newTestGateway(t, Config{TimeScale: 0})
+	srv := httptest.NewUnstartedServer(g)
+	rl := &recordingListener{Listener: srv.Listener}
+	srv.Listener = rl
+	srv.Start()
+	defer srv.Close()
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Transport: transport}
+
+	const streams = 8
+	for i := 0; i < streams; i++ {
+		resp, err := client.Post(srv.URL+"/v1/completions", "application/json",
+			strings.NewReader(`{"input_tokens":8,"max_tokens":4,"stream":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(resp.Body)
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatalf("stream %d ended before [DONE]: %v", i, err)
+			}
+			if line == "data: [DONE]\n" {
+				break
+			}
+		}
+		resp.Body.Close()
+		const end = "data: [DONE]\n\n\r\n0\r\n\r\n"
+		if last := rl.lastWrite(); !bytes.HasSuffix(last, []byte(end)) {
+			t.Fatalf("stream %d: the last write %q does not end with [DONE] and the chunk terminator", i, last)
+		}
+	}
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if rl.conns != 1 {
+		t.Errorf("%d sequential streams opened %d connections, want 1", streams, rl.conns)
 	}
 }
 

@@ -14,7 +14,10 @@
 // charges the actual transfer times.
 package kvcache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Location says where a token's KV tensors currently live.
 type Location uint8
@@ -87,6 +90,16 @@ func (s *TokenStore) Append(loc Location) int {
 	s.loc = append(s.loc, loc)
 	s.counts[loc]++
 	return len(s.loc) - 1
+}
+
+// AppendN adds n new token positions at the given location.
+func (s *TokenStore) AppendN(loc Location, n int) {
+	start := len(s.loc)
+	s.loc = slices.Grow(s.loc, n)[:start+n]
+	for i := start; i < len(s.loc); i++ {
+		s.loc[i] = loc
+	}
+	s.counts[loc] += n
 }
 
 // Loc returns the location of position i.
@@ -205,6 +218,7 @@ type BlockStore struct {
 	blockSize int
 	tokens    int
 	blocks    []Location // one entry per allocated block
+	counts    [3]int     // blocks per location, BlocksIn's answer
 }
 
 // NewBlockStore returns an empty paged store with the given block size.
@@ -221,7 +235,9 @@ func (b *BlockStore) BlockSize() int { return b.blockSize }
 // Clone returns an independent deep copy of the store, for scheduler
 // forking.
 func (b *BlockStore) Clone() *BlockStore {
-	return &BlockStore{blockSize: b.blockSize, tokens: b.tokens, blocks: append([]Location(nil), b.blocks...)}
+	c := *b
+	c.blocks = slices.Clone(b.blocks)
+	return &c
 }
 
 // Tokens returns the number of tokens stored.
@@ -236,10 +252,21 @@ func (b *BlockStore) Append() bool {
 	grew := false
 	if b.tokens == len(b.blocks)*b.blockSize {
 		b.blocks = append(b.blocks, GPU)
+		b.counts[GPU]++
 		grew = true
 	}
 	b.tokens++
 	return grew
+}
+
+// AppendN adds n tokens, allocating new GPU blocks as the last one
+// fills, as n Appends would.
+func (b *BlockStore) AppendN(n int) {
+	b.tokens += n
+	for len(b.blocks)*b.blockSize < b.tokens {
+		b.blocks = append(b.blocks, GPU)
+		b.counts[GPU]++
+	}
 }
 
 // WouldGrow reports whether the next Append allocates a new block —
@@ -250,18 +277,11 @@ func (b *BlockStore) WouldGrow() bool { return b.tokens == len(b.blocks)*b.block
 func (b *BlockStore) Reset() {
 	b.blocks = b.blocks[:0]
 	b.tokens = 0
+	b.counts = [3]int{}
 }
 
 // BlocksIn counts blocks at the given location.
-func (b *BlockStore) BlocksIn(loc Location) int {
-	n := 0
-	for _, l := range b.blocks {
-		if l == loc {
-			n++
-		}
-	}
-	return n
-}
+func (b *BlockStore) BlocksIn(loc Location) int { return b.counts[loc] }
 
 // SwapOut moves up to n of the oldest GPU blocks to CPU, returning how
 // many moved.
@@ -273,5 +293,7 @@ func (b *BlockStore) SwapOut(n int) int {
 			moved++
 		}
 	}
+	b.counts[GPU] -= moved
+	b.counts[CPU] += moved
 	return moved
 }

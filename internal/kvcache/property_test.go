@@ -54,8 +54,8 @@ func checkTokenStore(t *testing.T, s *TokenStore, tokenBytes int64) {
 	}
 }
 
-// TestTokenStoreProperties drives random op sequences — append, move,
-// clone, copy into a used store, reset — and checks the byte-accounting
+// TestTokenStoreProperties drives random op sequences — append one or
+// several, move, clone, copy into a used store, reset — and checks the byte-accounting
 // invariants, Oldest and Newest after every op, and the prefix cursor at a
 // random prefix, so that the cursor moves both ways between queries, Moves
 // land on both sides of it and behind Oldest's scan bound, and both carry
@@ -67,8 +67,10 @@ func TestTokenStoreProperties(t *testing.T) {
 		tokenBytes := int64(1 + rng.Intn(1<<20))
 		for op := 0; op < 2000; op++ {
 			switch r := rng.Float64(); {
-			case r < 0.5 || s.Len() == 0:
+			case r < 0.4 || s.Len() == 0:
 				s.Append(allLocations[rng.Intn(3)])
+			case r < 0.5:
+				s.AppendN(allLocations[rng.Intn(3)], rng.Intn(6))
 			case r < 0.93:
 				s.Move(rng.Intn(s.Len()), allLocations[rng.Intn(3)])
 			case r < 0.95:
@@ -129,10 +131,11 @@ func checkOldestNewest(t *testing.T, s *TokenStore, seed int64, op int) {
 	}
 }
 
-// TestBlockStoreProperties drives random append/swap-out sequences and checks
-// block-level accounting: blocks partition across devices, token counts
-// stay within the allocated capacity, and WouldGrow predicts exactly when
-// Append allocates.
+// TestBlockStoreProperties drives random append (one token or several),
+// swap-out, clone and reset sequences and checks block-level accounting:
+// BlocksIn matches a recount of the blocks, blocks partition across
+// devices, token counts stay within the allocated capacity, and
+// WouldGrow predicts exactly when Append allocates.
 func TestBlockStoreProperties(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -140,18 +143,31 @@ func TestBlockStoreProperties(t *testing.T) {
 		b := NewBlockStore(bs)
 		for op := 0; op < 2000; op++ {
 			switch r := rng.Float64(); {
-			case r < 0.6:
+			case r < 0.5:
 				predicted := b.WouldGrow()
 				if grew := b.Append(); grew != predicted {
 					t.Fatalf("seed %d: WouldGrow=%v but Append grew=%v", seed, predicted, grew)
 				}
+			case r < 0.6:
+				b.AppendN(rng.Intn(3 * bs))
+			case r < 0.65:
+				b = b.Clone()
+			case r < 0.66:
+				b.Reset()
 			default:
 				n := rng.Intn(4)
 				if moved := b.SwapOut(n); moved > n || moved > b.Blocks() {
 					t.Fatalf("seed %d: SwapOut(%d) moved %d of %d blocks", seed, n, moved, b.Blocks())
 				}
 			}
+			var ref [3]int
+			for _, loc := range b.blocks {
+				ref[loc]++
+			}
 			gpu, cpu, del := b.BlocksIn(GPU), b.BlocksIn(CPU), b.BlocksIn(Deleted)
+			if [3]int{gpu, cpu, del} != ref {
+				t.Fatalf("seed %d op %d: BlocksIn (%d,%d,%d), recount %v", seed, op, gpu, cpu, del, ref)
+			}
 			if gpu+cpu+del != b.Blocks() {
 				t.Fatalf("seed %d: blocks do not partition: %d+%d+%d != %d", seed, gpu, cpu, del, b.Blocks())
 			}

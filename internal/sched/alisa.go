@@ -97,17 +97,25 @@ func (a *alisa) Init(ctx *Context) error {
 		a.beta, a.p2 = p.Beta, p.P2
 	}
 
+	// The prompt's GPU-resident prefix in one allocation: the tokens a
+	// placement of one token at a time would put on the GPU before its
+	// first failure, with the same bytes, peak and layout.
 	tokenBytes := ctx.TokenBytes()
-	for i := 0; i < ctx.Input; i++ {
-		if err := ctx.Sys.AllocGPU(tokenBytes); err == nil {
-			a.store.Append(kvcache.GPU)
-			continue
-		}
-		// Prefill KV does not fit: spill this token to CPU. The tensors
-		// were produced on the GPU, so spilling costs a PCIe store. When
-		// CPU memory is itself exhausted and recomputation is available,
-		// the oldest CPU token gives way (early Phase III); without
-		// recomputation the run cannot proceed soundly.
+	onGPU := ctx.Input
+	if tokenBytes > 0 {
+		onGPU = min(onGPU, int(ctx.Sys.GPUHeadroom()/tokenBytes))
+	}
+	if err := ctx.Sys.AllocGPU(int64(onGPU) * tokenBytes); err != nil {
+		return fmt.Errorf("alisa: prefill KV: %w", err) // cannot happen: the prefix fits the headroom
+	}
+	a.store.AppendN(kvcache.GPU, onGPU)
+	// The rest of the prompt does not fit: the headroom is now below one
+	// token and nothing below frees GPU memory, so each remaining token
+	// spills to CPU. The tensors were produced on the GPU, so spilling
+	// costs a PCIe store. When CPU memory is itself exhausted and
+	// recomputation is available, the oldest CPU token gives way (early
+	// Phase III); without recomputation the run cannot proceed soundly.
+	for i := onGPU; i < ctx.Input; i++ {
 		for {
 			errCPU := ctx.Sys.AllocCPU(tokenBytes)
 			if errCPU == nil {
@@ -147,46 +155,51 @@ func (a *alisa) Step(ctx *Context, j int) (StepPlan, error) {
 	attended := attendedTokens(ctx, n)
 	plan := StepPlan{Attended: attended, Sparse: ctx.CachingRatio < 1}
 
-	// Split the budget per Algorithm 1: half locally static (most recent),
-	// half globally dynamic from the earlier prefix.
-	local := (attended - 1) / 2
-	if ctx.CachingRatio >= 1 {
-		local = n // dense: everything is "local"
-	}
-	if local > n {
-		local = n
-	}
-	global := attended - 1 - local
-	if global < 0 {
-		global = 0
-	}
+	// While every token is GPU-resident (Phase I), every term of the
+	// placement query below is 0, so it is skipped.
+	if _, cpu, del := a.store.Counts(); cpu+del > 0 {
+		// Split the budget per Algorithm 1: half locally static (most
+		// recent), half globally dynamic from the earlier prefix.
+		local := (attended - 1) / 2
+		if ctx.CachingRatio >= 1 {
+			local = n // dense: everything is "local"
+		}
+		if local > n {
+			local = n
+		}
+		global := attended - 1 - local
+		if global < 0 {
+			global = 0
+		}
 
-	// One placement query splits the store at the local window. n grows
-	// by one per step and local by at most one, so the prefix moves by
-	// at most one position and the query is O(1) after the first step.
-	prefix := n - local
-	before := a.store.CountsBefore(prefix)
-	_, cpu, del := a.store.Counts()
+		// One placement query splits the store at the local window. n
+		// grows by one per step and local by at most one, so the prefix
+		// moves by at most one position and the query is O(1) after the
+		// first step; the first query after Phase I walks the cursor up
+		// from where the last one left it.
+		prefix := n - local
+		before := a.store.CountsBefore(prefix)
 
-	// Locally static tokens: exact placement of the newest `local`
-	// positions. Oldest-first eviction keeps these GPU-resident except
-	// under extreme pressure.
-	fetched := cpu - before[kvcache.CPU]
-	recomputed := del - before[kvcache.Deleted]
+		// Locally static tokens: exact placement of the newest `local`
+		// positions. Oldest-first eviction keeps these GPU-resident except
+		// under extreme pressure.
+		fetched := cpu - before[kvcache.CPU]
+		recomputed := del - before[kvcache.Deleted]
 
-	// Globally dynamic tokens: expected placement under the uniform
-	// selection model over the prefix.
-	if global > 0 && prefix > 0 {
-		_, cpuW, delW := weightedFractions(before, prefix)
-		fetched += int(math.Round(float64(global) * cpuW))
-		recomputed += int(math.Round(float64(global) * delW))
+		// Globally dynamic tokens: expected placement under the uniform
+		// selection model over the prefix.
+		if global > 0 && prefix > 0 {
+			_, cpuW, delW := weightedFractions(before, prefix)
+			fetched += int(math.Round(float64(global) * cpuW))
+			recomputed += int(math.Round(float64(global) * delW))
+		}
+
+		if fetched > 0 {
+			ctx.Sys.TransferToGPU(int64(fetched) * tokenBytes)
+		}
+		plan.FetchedTokens = fetched
+		plan.RecomputedTokens = recomputed
 	}
-
-	if fetched > 0 {
-		ctx.Sys.TransferToGPU(int64(fetched) * tokenBytes)
-	}
-	plan.FetchedTokens = fetched
-	plan.RecomputedTokens = recomputed
 
 	// Make room for and store the new token's KV on the GPU.
 	offloaded, deleted, err := a.ensureGPUSpace(ctx, tokenBytes, j)

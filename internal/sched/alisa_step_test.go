@@ -69,7 +69,9 @@ func stepAgainstScan(t *testing.T, a *alisa, ctx *Context, from, to int) []StepP
 // TestAlisaStepMatchesScan checks Step's fetch and recompute counts
 // against the reference scans at every step, across the configurations
 // that reach each branch: dense and sparse Phase II, Phases II and III,
-// the inverted eviction order, and recomputation disabled.
+// the inverted eviction order, recomputation disabled, and a long Phase
+// I, whose skipped placement queries leave the prefix cursor to catch up
+// at the first query after the first offload.
 func TestAlisaStepMatchesScan(t *testing.T) {
 	manual := func(beta float64, p2 int, recompute, newestFirst bool) func() *alisa {
 		return func() *alisa {
@@ -85,16 +87,25 @@ func TestAlisaStepMatchesScan(t *testing.T) {
 		sched func() *alisa
 		// phase3 marks cases that must delete and recompute.
 		phase3 bool
+		// output is the decode length, 512 when 0; phase1 the least
+		// number of steps the case must run in Phase I.
+		output, phase1 int
 	}{
-		{"dense-32G", memsim.V100_32G(), 1, autoAlisa, false},
-		{"sparse0.2-32G", memsim.V100_32G(), 0.2, autoAlisa, false},
-		{"phase3-16G", memsim.V100_16G(), 0.2, manual(0.5, 50, true, false), true},
-		{"newest-first-16G", memsim.V100_16G(), 0.2, manual(0.5, 50, true, true), true},
-		{"no-recompute-32G", memsim.V100_32G(), 0.2, manual(0.6, 100, false, false), false},
+		{name: "dense-32G", prof: memsim.V100_32G(), ratio: 1, sched: autoAlisa},
+		{name: "sparse0.2-32G", prof: memsim.V100_32G(), ratio: 0.2, sched: autoAlisa},
+		{name: "phase3-16G", prof: memsim.V100_16G(), ratio: 0.2, sched: manual(0.5, 50, true, false), phase3: true},
+		{name: "newest-first-16G", prof: memsim.V100_16G(), ratio: 0.2, sched: manual(0.5, 50, true, true), phase3: true},
+		{name: "no-recompute-32G", prof: memsim.V100_32G(), ratio: 0.2, sched: manual(0.6, 100, false, false)},
+		{name: "phase1-then-3-32G", prof: memsim.V100_32G(), ratio: 0.2, sched: manual(0.5, 0, true, false), phase3: true,
+			output: 1024, phase1: 100},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ctx := newTestContext(t, c.prof, "opt-6.7b", 64, 128, 512, c.ratio, 16)
+			output := c.output
+			if output == 0 {
+				output = 512
+			}
+			ctx := newTestContext(t, c.prof, "opt-6.7b", 64, 128, output, c.ratio, 16)
 			a := c.sched()
 			if err := a.Init(ctx); err != nil {
 				t.Fatal(err)
@@ -110,6 +121,9 @@ func TestAlisaStepMatchesScan(t *testing.T) {
 			}
 			if c.phase3 && recomputed == 0 {
 				t.Fatal("no step recomputed; the case does not reach Phase III")
+			}
+			if p2, _ := a.PhaseStarts(); p2 < c.phase1 {
+				t.Fatalf("first offload at step %d, want at least %d steps in Phase I", p2, c.phase1)
 			}
 		})
 	}

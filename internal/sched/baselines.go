@@ -64,15 +64,21 @@ func (v *vllm) Init(ctx *Context) error {
 	}
 	v.store.Reset()
 	blockBytes := v.blockBytes(ctx)
-	for i := 0; i < ctx.Input; i++ {
-		// Reserve the block before growing the store, so a failed
-		// allocation leaves bookkeeping and live memory in agreement.
-		if v.store.WouldGrow() {
-			if err := ctx.Sys.AllocGPU(blockBytes); err != nil {
-				return fmt.Errorf("vllm: prefill block: %w", err)
-			}
-		}
-		v.store.Append()
+	// The blocks that fit the headroom in one allocation, filled with
+	// the prompt's tokens. A prompt that needs more fails on the first
+	// block past them, leaving the fitting blocks placed: bookkeeping
+	// and live memory agree, as if each block had been reserved in turn.
+	blocks := (ctx.Input + vllmBlockSize - 1) / vllmBlockSize
+	fit := blocks
+	if blockBytes > 0 {
+		fit = min(blocks, int(ctx.Sys.GPUHeadroom()/blockBytes))
+	}
+	if err := ctx.Sys.AllocGPU(int64(fit) * blockBytes); err != nil {
+		return fmt.Errorf("vllm: prefill block: %w", err) // cannot happen: the blocks fit the headroom
+	}
+	v.store.AppendN(min(ctx.Input, fit*vllmBlockSize))
+	if fit < blocks {
+		return fmt.Errorf("vllm: prefill block: %w", ctx.Sys.AllocGPU(blockBytes))
 	}
 	return nil
 }

@@ -39,8 +39,9 @@ func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
 // over without being listed here, then deep-copies every field that
 // would otherwise share memory: simulated system (its time ledger
 // included), wait queue, ID index, kept records, digest state, prefix
-// cache, and each active sequence with its scheduler. The factory and
-// cost model stay shared (stateless); obs becomes the copy's observer.
+// cache, decode price table, and each active sequence with its
+// scheduler. The factory and cost model stay shared (stateless); obs
+// becomes the copy's observer.
 // Scratch (plans, attended, the sequence pool) starts empty — it is
 // rebuilt on demand and never observable.
 func (s *server) clone(obs events.Observer) server {
@@ -50,6 +51,7 @@ func (s *server) clone(obs events.Observer) server {
 	c.queue = s.queue.Clone()
 	c.ids = maps.Clone(s.ids)
 	c.kept = slices.Clone(s.kept)
+	c.prices = s.prices.Clone()
 	c.plans, c.attended, c.seqPool = nil, nil, nil
 	if s.dig != nil {
 		c.dig = s.dig.clone()

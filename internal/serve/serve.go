@@ -15,7 +15,8 @@
 //   - Decode iterations: every active request plans one step through its
 //     scheduler (transfers charged to the shared clock/PCIe link), then
 //     the whole ragged batch is charged as one fused iteration through
-//     costmodel.RaggedDecodeTime.
+//     costmodel.RaggedDecodeTime, priced by the server's
+//     costmodel.DecodePrices table.
 //   - Preemption: when a request cannot allocate (GPU pressure from new
 //     admissions), the youngest-admitted sequence is preempted — its KV
 //     is released in full and the request restarts from its prompt on
@@ -327,6 +328,11 @@ type server struct {
 	cost     costmodel.Cost
 	newSched sched.Factory // scheduler constructor for new pool members
 
+	// prices charges each fused decode iteration: RaggedDecodeTime at
+	// the run's model and KV width, with every attended count's
+	// attention term priced once.
+	prices costmodel.DecodePrices
+
 	// queue is the arrival-keyed indexed wait queue: a binary min-heap on
 	// (Arrival, ticket) that frees each slot on pop. Preemption requeues
 	// re-enqueue under the original ticket, restoring the victim's FCFS
@@ -476,11 +482,17 @@ func newLoop(cfg Config) (*Loop, error) {
 	if exactLimit == 0 {
 		exactLimit = DefaultExactMetrics
 	}
+	cost := costmodel.New(cfg.Profile)
+	kvWidth := 2 // the element width the attention kernels read
+	if cfg.KVBits < 16 {
+		kvWidth = 1
+	}
 	l := &Loop{}
 	l.s = server{
 		cfg:                      cfg,
 		sys:                      memsim.NewSystem(cfg.Profile),
-		cost:                     costmodel.New(cfg.Profile),
+		cost:                     cost,
+		prices:                   costmodel.NewDecodePrices(cost, cfg.Model, kvWidth),
 		newSched:                 factory,
 		exactLimit:               exactLimit,
 		ids:                      make(map[int]int, len(cfg.Trace)),
@@ -946,11 +958,7 @@ func (s *server) iterate() error {
 		sparse = sparse || p.plan.Sparse
 	}
 	if len(attended) > 0 {
-		kvWidth := 2
-		if s.cfg.KVBits < 16 {
-			kvWidth = 1
-		}
-		s.sys.ChargeDecode(s.cost.RaggedDecodeTime(s.cfg.Model, attended, kvWidth, sparse))
+		s.sys.ChargeDecode(s.prices.Time(attended, sparse))
 	}
 	if recomputed > 0 {
 		s.sys.Charge(trace.CatRecompute, s.cost.RecomputeTime(&s.cfg.Model, 1, recomputed))
